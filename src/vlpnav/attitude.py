@@ -214,3 +214,98 @@ def euler_from_quat(q) -> tuple[float, float, float]:
     roll = np.arctan2(R[2, 1], R[2, 2])
     yaw = np.arctan2(R[1, 0], R[0, 0])
     return float(roll), float(pitch), float(yaw)
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms: the same maps over a leading axis of K quaternions or
+# vectors, for the batched factor linearization.
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row norms, rounded as ``np.linalg.norm`` rounds a single vector."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def quat_conjugate_batch(q) -> np.ndarray:
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def quat_multiply_batch(a, b) -> np.ndarray:
+    """Row-wise Hamilton products ``a[k] ⊗ b[k]``, renormalized."""
+    w1, x1, y1, z1 = np.asarray(a, dtype=float).T
+    w2, x2, y2, z2 = np.asarray(b, dtype=float).T
+    out = np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=1,
+    )
+    return out / _norms(out)[:, None]
+
+
+def quat_to_dcm_batch(q) -> np.ndarray:
+    """(K, 3, 3) rotation matrices of (K, 4) unit quaternions."""
+    q = np.asarray(q, dtype=float)
+    norm_err = np.abs(np.linalg.norm(q, axis=1) - 1.0)
+    if np.any(norm_err > QUAT_NORM_TOL):
+        raise InvalidQuaternionError(
+            f"quaternion norm deviates {np.max(norm_err):.3g} from 1, more than {QUAT_NORM_TOL}")
+    w, x, y, z = q.T
+    return np.stack(
+        [
+            w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z,
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
+
+
+def quat_exp_batch(phi) -> np.ndarray:
+    """Row-wise :func:`quat_exp` of (K, 3) rotation vectors."""
+    phi = np.asarray(phi, dtype=float)
+    angle = _norms(phi)
+    small = angle < 1e-12
+    half = 0.5 * angle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vec = np.where(small[:, None], 0.5 * phi, np.sin(half)[:, None] * (phi / angle[:, None]))
+    out = np.concatenate([np.where(small, 1.0, np.cos(half))[:, None], vec], axis=1)
+    out[small] /= _norms(out[small])[:, None]
+    return out
+
+
+def skew_batch(v) -> np.ndarray:
+    """(K, 3, 3) antisymmetric matrices of (K, 3) vectors."""
+    x, y, z = np.asarray(v, dtype=float).T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+
+
+def quat_left_batch(q) -> np.ndarray:
+    """(K, 4, 4) stack of :func:`quat_left`."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return np.stack([w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w],
+                    axis=1).reshape(-1, 4, 4)
+
+
+def quat_right_batch(q) -> np.ndarray:
+    """(K, 4, 4) stack of :func:`quat_right`."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return np.stack([w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w],
+                    axis=1).reshape(-1, 4, 4)
+
+
+def so3_right_jacobian_batch(phi) -> np.ndarray:
+    """(K, 3, 3) stack of :func:`so3_right_jacobian`."""
+    phi = np.asarray(phi, dtype=float)
+    angle = _norms(phi)
+    S = skew_batch(phi)
+    SS = S @ S
+    small = angle < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(small, 0.5, (1.0 - np.cos(angle)) / angle**2)
+        b = np.where(small, 1.0 / 6.0, (angle - np.sin(angle)) / angle**3)
+    return np.eye(3) - a[:, None, None] * S + b[:, None, None] * SS

@@ -216,6 +216,62 @@ def predict_rss(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
     return k * num / geo.distance ** (3.0 + led.order)
 
 
+@dataclass(frozen=True)
+class LambertianBatch:
+    """Forward model of N photodiode poses, from :func:`lambertian`.
+
+    ``rss`` is 0 where ``valid`` is false (outside the FOV or behind the
+    LED).  ``regular`` marks rows whose distance and both cosines clear
+    the singular floors of the derivatives (``DegenerateGeometryError``
+    and ``GrazingIncidenceError`` in the scalar functions).  The
+    gradients are those of :func:`rss_jacobian`; they are ``None`` unless
+    requested and meaningful only on valid, regular rows.
+    """
+
+    rss: np.ndarray  # (N,)
+    valid: np.ndarray  # (N,) bool
+    regular: np.ndarray  # (N,) bool
+    d_pos: np.ndarray | None = None  # (N, 3) dP/dr
+    d_att: np.ndarray | None = None  # (N, 3) dP/dphi_u
+
+
+def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: float,
+               gradients: bool = False) -> LambertianBatch:
+    """Lambertian RSS of N photodiode positions and room-frame normals.
+
+    The LED parameters (position, unit normal, order and
+    :func:`gain_constant`) are either one LED's, broadcast over all rows,
+    or per row, with a leading axis of N.  The model is that of
+    :func:`predict_rss` and :func:`rss_jacobian`; rows may differ from
+    them in the last bits.  The products are grouped as the simulator has
+    always grouped them, so its datasets stay byte-identical.
+    """
+    pd_normal = np.asarray(pd_normal, dtype=float)
+    led_normal = np.asarray(led_normal, dtype=float)
+    d = np.asarray(led_pos, dtype=float) - np.asarray(pd_pos, dtype=float)
+    dist = np.linalg.norm(d, axis=1)
+    m = np.asarray(order, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_dot_d = np.einsum("ij,ij->i", pd_normal, d)
+        l_dot_d = np.einsum("...j,...j->...", d, led_normal)
+        cos_psi = n_dot_d / dist
+        cos_theta = l_dot_d / dist
+        p = gain * (cos_psi * dist) * np.maximum(cos_theta * dist, 0.0) ** m / (
+            dist ** (3.0 + m))
+        valid = (cos_psi >= fov_cos) & (cos_theta >= 0.0)
+        rss = np.where(valid, np.maximum(p, 0.0), 0.0)
+        regular = ((dist >= 1e-9) & (cos_psi > GRAZING_COS_FLOOR)
+                   & (cos_theta > GRAZING_COS_FLOOR))
+        if not gradients:
+            return LambertianBatch(rss, valid, regular)
+        pc = rss[:, None]
+        mc = m[..., None]
+        d_att = pc * np.cross(d, pd_normal) / n_dot_d[:, None]
+        d_pos = pc * (-pd_normal / n_dot_d[:, None] - mc * led_normal / l_dot_d[:, None]
+                      + (3.0 + mc) * d / dist[:, None] ** 2)
+    return LambertianBatch(rss, valid, regular, d_pos, d_att)
+
+
 def predict_rss_angular(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
     """RSS via the cos^m(theta) cos(psi) / D^2 form; oracle for the vector form."""
     geo = los_geometry(pd_pos, q, led)

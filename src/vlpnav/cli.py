@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -42,6 +43,9 @@ from .simulator import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+#: Environment variables that set the BLAS/OpenMP thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TRAJ_HEADER = ("timestamp_s,px,py,pz,vx,vy,vz,qw,qx,qy,qz,roll,pitch,yaw,"
                "bax,bay,baz,bgx,bgy,bgz")
@@ -177,7 +181,11 @@ def _states_to_arrays(states):
 
 
 def run_tc(dataset: Dataset, config, flags, unknown_init=None):
-    """Tightly-coupled run over a dataset; returns states and diagnostics."""
+    """Tightly-coupled run over a dataset.
+
+    Returns the estimator (states and diagnostics), the unknown-LED
+    estimates and the last epoch's ``LmReport``.
+    """
     epochs = dataset.epochs_by_time()
     x0 = initial_state(dataset)
     est = TightlyCoupledEstimator(config, dataset.leds, dataset.receiver)
@@ -187,7 +195,7 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
             s, flag=flags.get((s.timestamp, s.led_id), SampleFlag.LOS),
             variance=s.variance) for s in samples]
 
-    est.start(x0, flagged(epochs[0][1]), unknown_init=unknown_init)
+    report = est.start(x0, flagged(epochs[0][1]), unknown_init=unknown_init)
     t_prev = epochs[0][0]
     for t_k, samples in epochs[1:]:
         stream = dataset.imu.slice(t_prev, t_k)
@@ -195,12 +203,11 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
         pre = preintegrate(stream, state_k.bias_acc, state_k.bias_gyro,
                            dataset.receiver.dcm_body_to_vlp, config.imu_noise,
                            t_end=t_k)
-        est.step(pre, flagged(samples), t_k)
+        report = est.step(pre, flagged(samples), t_k)
         t_prev = t_k
-    report = None
     led_results = {}
     if config.unknown_led_ids:
-        led_results = estimate_unknown_leds(est.window)
+        led_results = estimate_unknown_leds(est.window, report)
     est.finalize()
     return est, led_results, report
 
@@ -331,6 +338,9 @@ def cmd_estimate(args) -> int:
         "no_drd": bool(args.no_drd),
         "unknown_led_ids": list(unknown_ids),
         "runtime_s": runtime,
+        # BLAS threading changes the last digits of the outputs.
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "numpy": np.__version__,
     }
     (out / "manifest.json").write_text(json.dumps(run_manifest, indent=2))
     return EXIT_OK

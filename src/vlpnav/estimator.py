@@ -14,9 +14,21 @@ quaternions update through their minimal space.  Sliding folds the
 oldest state into the prior by Schur complement at the current
 linearization.
 
-Blocked or out-of-FOV RSS samples are not deleted: they enter with a
-large down-weight variance so the factor graph keeps a fixed structure
-while the corrupted measurements carry negligible weight.
+Linearization is one stacked pass over the window (:func:`linearize`):
+every RSS sample through the batched Lambertian model, every IMU factor,
+the constraints of every state and the prior each become arrays of
+residuals, information and Jacobian blocks.  :func:`assemble_cost`
+reduces them to the normal equations of the whole window and
+:func:`_marginalize_oldest` to those of the factors touching the oldest
+state.  The per-factor functions (:func:`vlp_residual`,
+:func:`vlp_jacobian_row`, :func:`_constraint_terms`) state the same
+factors one at a time.
+
+Flagged (blocked) RSS samples are not deleted: they enter with the large
+``blocked_variance`` so the corrupted measurements carry negligible
+weight.  Samples whose predicted geometry is outside the FOV,
+degenerate (photodiode at the LED) or grazing are left out of both the
+cost and the Hessian.
 """
 
 from __future__ import annotations
@@ -27,19 +39,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attitude import quat_to_dcm, skew
+from .attitude import quat_to_dcm, quat_to_dcm_batch, skew, skew_batch
 from .channel import (
-    DegenerateGeometryError,
-    GrazingIncidenceError,
     LedBeacon,
     ReceiverConfig,
     RssSample,
     SampleFlag,
+    gain_constant,
+    lambertian,
     predict_rss,
     rss_jacobian,
 )
-from .preint import ImuNoise, PreintegratedImu, imu_residual, imu_residual_jacobians, mechanize
-from .state import ERROR_DIM, NavState
+from .preint import (
+    ImuNoise,
+    PreintegratedImu,
+    PreintegratedStack,
+    imu_residuals_batch,
+    mechanize,
+)
+from .state import ERROR_DIM, NavState, StateArrays
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +65,7 @@ __all__ = [
     "ConstraintConfig",
     "EstimatorConfig",
     "LmOptions",
+    "Linearization",
     "LmReport",
     "MarginalPrior",
     "PriorConfig",
@@ -56,6 +75,7 @@ __all__ = [
     "constraint_residuals",
     "dop",
     "estimate_unknown_leds",
+    "linearize",
     "slide_and_marginalize",
     "solve_lm",
     "vlp_jacobian_row",
@@ -185,13 +205,7 @@ def constraint_residuals(state: NavState, cfg: ConstraintConfig) -> np.ndarray:
     Height: ``p_z - pd_height``.  NHC: lateral and vertical components
     of the vehicle-frame velocity.
     """
-    vals = []
-    if cfg.use_height:
-        vals.append(state.position[2] - cfg.pd_height)
-    if cfg.use_nhc:
-        v_v = quat_to_dcm(state.attitude).T @ state.velocity
-        vals.extend([v_v[1], v_v[2]])
-    return np.asarray(vals, dtype=float)
+    return np.array([r for r, _, _ in _constraint_terms(state, cfg)], dtype=float)
 
 
 def _constraint_terms(state: NavState, cfg: ConstraintConfig):
@@ -239,6 +253,26 @@ class MarginalPrior:
         return np.asarray(current, dtype=float) - self.lin[key]
 
 
+@dataclass(frozen=True)
+class LedTable:
+    """The LED map as arrays, one row per LED in id order."""
+
+    row: dict  # led_id -> row
+    position: np.ndarray  # (L, 3)
+    normal: np.ndarray  # (L, 3)
+    order: np.ndarray  # (L,)
+    gain: np.ndarray  # (L,), :func:`channel.gain_constant`
+
+    @classmethod
+    def of(cls, leds, rx: ReceiverConfig) -> "LedTable":
+        leds = sorted(leds, key=lambda led: led.led_id)
+        return cls(row={led.led_id: i for i, led in enumerate(leds)},
+                   position=np.array([led.position for led in leds]).reshape(-1, 3),
+                   normal=np.array([led.normal for led in leds]).reshape(-1, 3),
+                   order=np.array([led.order for led in leds], dtype=float),
+                   gain=np.array([gain_constant(led, rx) for led in leds]))
+
+
 class SlidingWindow:
     """Ordered states plus their attached factors and the rolling prior."""
 
@@ -246,6 +280,7 @@ class SlidingWindow:
         self.config = config
         self.rx = rx
         self.led_map = {led.led_id: led for led in leds}
+        self.led_table = LedTable.of(leds, rx)
         self.epoch_ids: list[int] = []
         self.states: list[NavState] = []
         self.imu_factors: list[PreintegratedImu] = []
@@ -303,114 +338,254 @@ class SlidingWindow:
 
 
 # ---------------------------------------------------------------------------
-# Assembly
+# Linearization
+
+#: Error dims of a state that RSS and constraint factors reach: position,
+#: velocity and attitude, the leading 9 of the 15.
+NAV_DIM = 9
 
 
-def _sym_inv(M: np.ndarray) -> np.ndarray:
-    M = 0.5 * (M + M.T)
-    jitter = 1e-14 * max(np.trace(M) / M.shape[0], 1e-30)
-    return np.linalg.inv(M + jitter * np.eye(M.shape[0]))
+@dataclass
+class FactorRows:
+    """``F`` factors of one kind at the current window values, stacked.
+
+    ``r`` holds the (F, m) residuals and ``info`` their (F, m, m)
+    information.  Factor ``f`` touches one variable block per entry of
+    ``cols``: the block starts at window column ``cols[b][f]`` and has
+    the (m, d_b) Jacobian ``jac[b][f]``.  ``jac`` is empty when the
+    factors were evaluated for their cost alone.
+    """
+
+    r: np.ndarray
+    info: np.ndarray
+    cols: tuple
+    jac: tuple = ()
+
+    def cost(self) -> float:
+        return 0.5 * float(np.sum(self.r[:, None, :] @ self.info @ self.r[:, :, None]))
+
+    def touching(self, col: int) -> np.ndarray:
+        """Mask of the factors with a block starting at column ``col``."""
+        return np.logical_or.reduce([c == col for c in self.cols])
+
+    def take(self, rows, col_map: np.ndarray) -> "FactorRows":
+        """The factors ``rows`` with their columns renumbered through ``col_map``."""
+        return FactorRows(self.r[rows], self.info[rows], tuple(col_map[c[rows]] for c in self.cols),
+                          tuple(J[rows] for J in self.jac))
+
+    def add_to(self, H: np.ndarray, g: np.ndarray) -> None:
+        """Accumulate ``J^T W J`` into ``H`` and ``J^T W r`` into ``g``.
+
+        Contributions land factor by factor, so each entry sums its terms
+        in the order a loop over the factors would.  ``H`` must be
+        C-contiguous: it is updated through a flat view.
+        """
+        n_f = self.r.shape[0]
+        if n_f == 0:
+            return
+        JtW = [np.swapaxes(J, 1, 2) @ self.info for J in self.jac]
+        spans = [c[:, None] + np.arange(J.shape[2]) for c, J in zip(self.cols, self.jac)]
+        np.add.at(g, np.concatenate(spans, axis=1),
+                  np.concatenate([(A @ self.r[:, :, None])[:, :, 0] for A in JtW], axis=1))
+        n = H.shape[1]
+        idx, val = [], []
+        for A, si in zip(JtW, spans):
+            for J, sj in zip(self.jac, spans):
+                idx.append((si[:, :, None] * n + sj[:, None, :]).reshape(n_f, -1))
+                val.append((A @ J).reshape(n_f, -1))
+        np.add.at(H.reshape(-1), np.concatenate(idx, axis=1), np.concatenate(val, axis=1))
+
+
+@dataclass
+class Linearization:
+    """Every factor of a window at its current values: see :func:`linearize`.
+
+    ``factors`` lists the unknown-LED weak prior, the IMU, RSS and
+    constraint rows in that order.  The marginal ``prior`` enters as its
+    quadratic at the deltas ``prior_d``, over columns ``prior_cols``.
+    """
+
+    factors: list
+    prior: MarginalPrior | None = None
+    prior_cols: np.ndarray | None = None
+    prior_d: np.ndarray | None = None
+
+    def cost(self) -> float:
+        total = sum(rows.cost() for rows in self.factors)
+        if self.prior is not None:
+            d = self.prior_d
+            total += 0.5 * float(d @ self.prior.hessian @ d) + float(self.prior.gradient @ d)
+        return total
+
+    def add_to(self, H: np.ndarray, g: np.ndarray) -> None:
+        if self.prior is not None:
+            idx = self.prior_cols
+            H[np.ix_(idx, idx)] += self.prior.hessian
+            g[idx] += self.prior.hessian @ self.prior_d + self.prior.gradient
+        for rows in self.factors:
+            rows.add_to(H, g)
+
+    def about(self, col: int, col_map: np.ndarray) -> "Linearization":
+        """The factors touching the block at ``col`` plus the whole prior,
+        renumbered through ``col_map`` (window column -> new column)."""
+        cols = None if self.prior is None else col_map[self.prior_cols]
+        return Linearization([rows.take(rows.touching(col), col_map) for rows in self.factors],
+                             self.prior, cols, self.prior_d)
+
+
+def _rows(r, info, cols, jac, jacobians: bool) -> FactorRows:
+    return FactorRows(r, info, tuple(cols), tuple(jac) if jacobians else ())
+
+
+def _led_prior_rows(window: SlidingWindow, jacobians: bool) -> FactorRows:
+    """Weak prior keeping unobserved unknown-LED blocks solvable."""
+    ids = window.led_keys()
+    r = np.array([window.unknown_xy[i] - window.unknown_init[i] for i in ids]).reshape(-1, 2)
+    w = 1.0 / window.config.unknown_led_prior_sigma**2
+    eye = np.broadcast_to(np.eye(2), (len(ids), 2, 2))
+    cols = np.array([window.index_of(("led", i)) for i in ids], dtype=int)
+    return _rows(r, w * eye, [cols], [eye], jacobians)
+
+
+def _imu_rows(window: SlidingWindow, X: StateArrays, x_cols, jacobians: bool) -> FactorRows:
+    n = len(window.imu_factors)
+    if n == 0:
+        empty = np.zeros((0, ERROR_DIM, ERROR_DIM))
+        none = np.zeros(0, dtype=int)
+        return _rows(np.zeros((0, ERROR_DIM)), empty, [none, none], [empty, empty], jacobians)
+    pres = PreintegratedStack.of(window.imu_factors)
+    r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], window.config.gravity_vec,
+                                     jacobians)
+    return _rows(r, pres.information, [x_cols[:n], x_cols[1:n + 1]], [Jk, Jk1], jacobians)
+
+
+def _rss_rows(window: SlidingWindow, X: StateArrays, R, x_cols, jacobians: bool) -> FactorRows:
+    """One row per usable RSS sample, through the batched Lambertian model.
+
+    Samples of LEDs off the map, out of the FOV, degenerate (PD at the
+    LED) or grazing are left out.  Unknown LEDs use their current planar
+    estimate.  With unknown LEDs in the window every row carries a LED
+    block; rows of known LEDs point it at their own state with zeros.
+    """
+    table = window.led_table
+    st, li, value, var = [], [], [], []
+    for k, samples in enumerate(window.rss_factors):
+        for s in samples:
+            i = table.row.get(s.led_id)
+            if i is not None:
+                st.append(k)
+                li.append(i)
+                value.append(s.value)
+                var.append(window.sample_variance(s))
+    st = np.array(st, dtype=int)
+    li = np.array(li, dtype=int)
+    led_pos = table.position.copy()
+    for led_id, xy in window.unknown_xy.items():
+        led_pos[table.row[led_id], :2] = xy
+    lever_u = R @ window.rx.lever_arm_vlp
+    model = lambertian(X.position[st] + lever_u[st], R[st, :, 2], led_pos[li],
+                       table.normal[li], table.order[li], table.gain[li],
+                       window.rx.fov_cos(), gradients=jacobians)
+    keep = model.valid & model.regular
+    st, li = st[keep], li[keep]
+    r = (model.rss[keep] - np.array(value)[keep])[:, None]
+    info = (1.0 / np.array(var)[keep])[:, None, None]
+    cols, jac = [x_cols[st]], []
+    if jacobians:
+        dp_dr, dp_dphi = model.d_pos[keep], model.d_att[keep]
+        J = np.zeros((st.size, 1, NAV_DIM))
+        J[:, 0, 0:3] = dp_dr
+        # d r / d theta = -R^T (A - [lever_u x] B), A = dp_dphi, B = dp_dr
+        lever_swing = dp_dphi - np.cross(lever_u[st], dp_dr)
+        J[:, 0, 6:9] = -(np.swapaxes(R[st], 1, 2) @ lever_swing[:, :, None])[:, :, 0]
+        jac.append(J)
+    if window.unknown_xy:
+        led_col = np.full(len(table.row), -1)
+        for led_id in window.unknown_xy:
+            led_col[table.row[led_id]] = window.index_of(("led", led_id))
+        led_col = led_col[li]
+        unknown = led_col >= 0
+        cols.append(np.where(unknown, led_col, cols[0]))
+        if jacobians:
+            J_led = np.zeros((st.size, 1, 2))
+            J_led[unknown, 0] = -dp_dr[unknown, :2]
+            jac.append(J_led)
+    return _rows(r, info, cols, jac, jacobians)
+
+
+def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, x_cols,
+                     jacobians: bool) -> FactorRows:
+    """Height and NHC rows of every state, as :func:`_constraint_terms` lists them."""
+    n = len(x_cols)
+    r, var, J = [], [], []
+    if cfg.use_height:
+        row = np.zeros((n, NAV_DIM))
+        row[:, 2] = 1.0
+        r.append(X.position[:, 2] - cfg.pd_height)
+        var.append(cfg.height_sigma**2)
+        J.append(row)
+    if cfg.use_nhc:
+        Rt = np.swapaxes(R, 1, 2)
+        v_v = (Rt @ X.velocity[:, :, None])[:, :, 0]
+        S = skew_batch(v_v)
+        for axis in (1, 2):
+            row = np.zeros((n, NAV_DIM))
+            row[:, 3:6] = Rt[:, axis]
+            row[:, 6:9] = S[:, axis]
+            r.append(v_v[:, axis])
+            var.append(cfg.nhc_sigma**2)
+            J.append(row)
+    c = len(r)
+    if c == 0:
+        return _rows(np.zeros((0, 1)), np.zeros((0, 1, 1)), [np.zeros(0, dtype=int)],
+                     [np.zeros((0, 1, NAV_DIM))], jacobians)
+    info = np.broadcast_to(1.0 / np.array(var)[None, :, None, None], (n, c, 1, 1))
+    return _rows(np.stack(r, axis=1).reshape(n * c, 1), info.reshape(n * c, 1, 1),
+                 [np.repeat(x_cols, c)], [np.stack(J, axis=1).reshape(n * c, 1, NAV_DIM)],
+                 jacobians)
+
+
+def linearize(window: SlidingWindow, jacobians: bool = True) -> Linearization:
+    """Evaluate every factor of the window at its current values, stacked.
+
+    RSS, IMU and constraint factors each go through one numpy pass over
+    the whole window.  Which factors take part is decided here, once, so
+    the cost-only pass (``jacobians=False``) and the Hessian pass score
+    the same function.
+    """
+    X = StateArrays.of(window.states)
+    R = quat_to_dcm_batch(X.attitude)
+    x_cols = ERROR_DIM * np.arange(window.n_states)
+    lin = Linearization([
+        _led_prior_rows(window, jacobians),
+        _imu_rows(window, X, x_cols, jacobians),
+        _rss_rows(window, X, R, x_cols, jacobians),
+        _constraint_rows(window.config.constraints, X, R, x_cols, jacobians),
+    ])
+    p = window.prior
+    if p is not None and p.keys:
+        lin.prior = p
+        lin.prior_d = np.concatenate([p.delta(k, window.value_of(k)) for k in p.keys])
+        lin.prior_cols = np.concatenate(
+            [window.index_of(k) + np.arange(p.dim_of(k)) for k in p.keys])
+    return lin
 
 
 def assemble_cost(window: SlidingWindow, with_hessian: bool = True):
-    """Linearize every factor at the current window values.
+    """Gauss-Newton normal equations of the window at its current values.
 
-    Returns ``(H, g, cost)``: Gauss-Newton Hessian, gradient and total
-    cost ``sum 0.5 r^T W r`` (plus the prior quadratic).  ``H``/``g``
-    are ``None`` when ``with_hessian`` is False.
+    Returns ``(H, g, cost)``: Hessian, gradient and total cost
+    ``sum 0.5 r^T W r`` (plus the prior quadratic) of :func:`linearize`.
+    ``H``/``g`` are ``None`` when ``with_hessian`` is False.
     """
+    lin = linearize(window, jacobians=with_hessian)
+    if not with_hessian:
+        return None, None, lin.cost()
     dim = window.total_dim()
-    H = np.zeros((dim, dim)) if with_hessian else None
-    g = np.zeros(dim) if with_hessian else None
-    cost = 0.0
-    cfg = window.config
-    gravity = cfg.gravity_vec
-
-    def scatter(rows: list[tuple[int, np.ndarray]], r, W):
-        nonlocal cost
-        r = np.atleast_1d(r)
-        W = np.atleast_2d(W)
-        cost += 0.5 * float(r @ W @ r)
-        if not with_hessian:
-            return
-        for i0, Ji in rows:
-            gi = Ji.T @ W @ r
-            g[i0:i0 + gi.size] += gi
-            for j0, Jj in rows:
-                H[i0:i0 + Ji.shape[1], j0:j0 + Jj.shape[1]] += Ji.T @ W @ Jj
-
-    # Prior
-    if window.prior is not None:
-        p = window.prior
-        deltas = [p.delta(k, window.value_of(k)) for k in p.keys]
-        d = np.concatenate(deltas) if deltas else np.zeros(0)
-        cost += 0.5 * float(d @ p.hessian @ d) + float(p.gradient @ d)
-        if with_hessian:
-            idx = []
-            for k in p.keys:
-                i0 = window.index_of(k)
-                idx.extend(range(i0, i0 + p.dim_of(k)))
-            idx = np.asarray(idx, dtype=int)
-            H[np.ix_(idx, idx)] += p.hessian
-            g[idx] += p.hessian @ d + p.gradient
-
-    # Weak prior keeping unobserved unknown-LED blocks solvable.
-    w_led = 1.0 / cfg.unknown_led_prior_sigma**2
-    for led_id in window.led_keys():
-        d = window.unknown_xy[led_id] - window.unknown_init[led_id]
-        cost += 0.5 * w_led * float(d @ d)
-        if with_hessian:
-            i0 = window.index_of(("led", led_id))
-            H[i0:i0 + 2, i0:i0 + 2] += w_led * np.eye(2)
-            g[i0:i0 + 2] += w_led * d
-
-    # IMU factors
-    for k, pre in enumerate(window.imu_factors):
-        xk, xk1 = window.states[k], window.states[k + 1]
-        r = imu_residual(pre, xk, xk1, gravity)
-        W = _sym_inv(pre.cov)
-        i0 = ERROR_DIM * k
-        if with_hessian:
-            Jk, Jk1 = imu_residual_jacobians(pre, xk, xk1, gravity)
-            scatter([(i0, Jk), (i0 + ERROR_DIM, Jk1)], r, W)
-        else:
-            scatter([], r, W)
-
-    # VLP factors
-    for k, samples in enumerate(window.rss_factors):
-        state = window.states[k]
-        i0 = ERROR_DIM * k
-        for sample in samples:
-            led = window.led_map.get(sample.led_id)
-            if led is None:
-                continue
-            led_xy = window.led_xy_for(sample.led_id)
-            try:
-                r = vlp_residual(state, sample, led, window.rx, led_xy)
-            except DegenerateGeometryError:
-                continue
-            if r is None:
-                continue
-            var = window.sample_variance(sample)
-            if with_hessian:
-                try:
-                    row, led_block = vlp_jacobian_row(state, led, window.rx, led_xy)
-                except (GrazingIncidenceError, DegenerateGeometryError):
-                    continue
-                rows = [(i0, row[None, :])]
-                if led_block is not None:
-                    rows.append((window.index_of(("led", sample.led_id)), led_block[None, :]))
-                scatter(rows, r, 1.0 / var)
-            else:
-                scatter([], r, 1.0 / var)
-
-    # Kinematic constraints
-    for k, state in enumerate(window.states):
-        i0 = ERROR_DIM * k
-        for r, var, row in _constraint_terms(state, cfg.constraints):
-            scatter([(i0, row[None, :])] if with_hessian else [], r, 1.0 / var)
-
-    return H, g, cost
+    H = np.zeros((dim, dim))
+    g = np.zeros(dim)
+    lin.add_to(H, g)
+    return H, g, lin.cost()
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +713,6 @@ def schur_marginalize(H: np.ndarray, g: np.ndarray, n_marg: int):
 def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     """Fold every factor touching the oldest state into a new prior."""
     cfg = window.config
-    gravity = cfg.gravity_vec
     e0 = window.epoch_ids[0]
     key0 = ("x", e0)
 
@@ -551,69 +725,25 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
             keys.append(k)
     prior = window.prior
     touched_by_prior = prior is not None and key0 in prior.keys
-    has_imu = len(window.imu_factors) > 0
-    has_rss = len(window.rss_factors[0]) > 0
-    has_constraints = len(_constraint_terms(window.states[0], cfg.constraints)) > 0
-    if not (has_imu or has_rss or has_constraints or touched_by_prior):
+    has_constraints = cfg.constraints.use_height or cfg.constraints.use_nhc
+    if not (window.imu_factors or window.rss_factors[0] or has_constraints
+            or touched_by_prior):
         return prior
     # The old prior is folded in wholesale (re-centering a quadratic on new
     # linearization points is exact), so replacing it below loses nothing.
     if prior is not None:
-        for k in prior.keys:
-            if k not in keys:
-                keys.append(k)
+        keys += [k for k in prior.keys if k not in keys]
 
-    dims = [ERROR_DIM if k[0] == "x" else 2 for k in keys]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    dim = int(offsets[-1])
+    # Window column -> column of the local (H, g) over ``keys``.
+    col_map = np.full(window.total_dim(), -1)
+    dim = 0
+    for k in keys:
+        d = ERROR_DIM if k[0] == "x" else 2
+        col_map[window.index_of(k) + np.arange(d)] = dim + np.arange(d)
+        dim += d
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
-
-    def off(key) -> int:
-        return int(offsets[keys.index(key)])
-
-    def add(rows, r, W):
-        r = np.atleast_1d(r)
-        W = np.atleast_2d(W)
-        for i0, Ji in rows:
-            g[i0:i0 + Ji.shape[1]] += Ji.T @ W @ r
-            for j0, Jj in rows:
-                H[i0:i0 + Ji.shape[1], j0:j0 + Jj.shape[1]] += Ji.T @ W @ Jj
-
-    if prior is not None:
-        d = np.concatenate([prior.delta(k, window.value_of(k)) for k in prior.keys])
-        idx = np.concatenate([np.arange(off(k), off(k) + prior.dim_of(k)) for k in prior.keys])
-        H[np.ix_(idx, idx)] += prior.hessian
-        g[idx] += prior.hessian @ d + prior.gradient
-
-    if has_imu:
-        pre = window.imu_factors[0]
-        x0, x1 = window.states[0], window.states[1]
-        r = imu_residual(pre, x0, x1, gravity)
-        W = _sym_inv(pre.cov)
-        Jk, Jk1 = imu_residual_jacobians(pre, x0, x1, gravity)
-        add([(0, Jk), (off(("x", window.epoch_ids[1])), Jk1)], r, W)
-
-    state0 = window.states[0]
-    for sample in window.rss_factors[0]:
-        led = window.led_map.get(sample.led_id)
-        if led is None:
-            continue
-        led_xy = window.led_xy_for(sample.led_id)
-        try:
-            r = vlp_residual(state0, sample, led, window.rx, led_xy)
-            if r is None:
-                continue
-            row, led_block = vlp_jacobian_row(state0, led, window.rx, led_xy)
-        except (GrazingIncidenceError, DegenerateGeometryError):
-            continue
-        rows = [(0, row[None, :])]
-        if led_block is not None:
-            rows.append((off(("led", sample.led_id)), led_block[None, :]))
-        add(rows, r, np.atleast_2d(1.0 / window.sample_variance(sample)))
-
-    for r, var, row in _constraint_terms(state0, cfg.constraints):
-        add([(0, row[None, :])], r, np.atleast_2d(1.0 / var))
+    linearize(window).about(window.index_of(key0), col_map).add_to(H, g)
 
     reduced = schur_marginalize(H, g, ERROR_DIM)
     if reduced is None:

@@ -24,21 +24,30 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .attitude import (
     quat_conjugate,
+    quat_conjugate_batch,
     quat_exp,
+    quat_exp_batch,
     quat_identity,
     quat_left,
+    quat_left_batch,
     quat_multiply,
+    quat_multiply_batch,
     quat_right,
+    quat_right_batch,
     quat_to_dcm,
+    quat_to_dcm_batch,
     skew,
+    skew_batch,
     so3_right_jacobian,
+    so3_right_jacobian_batch,
 )
-from .state import NavState
+from .state import NavState, StateArrays
 
 #: Bias-correction magnitudes above which the first-order update is suspect.
 BIAS_CORRECTION_WARN_ACC = 0.1  # m/s^2
@@ -111,6 +120,40 @@ class PreintegratedImu:
     d_beta_d_ba: np.ndarray
     d_beta_d_bg: np.ndarray
     d_gamma_d_bg: np.ndarray
+
+    @cached_property
+    def information(self) -> np.ndarray:
+        """Inverse of ``cov``, computed on first use and kept with the factor."""
+        M = 0.5 * (self.cov + self.cov.T)
+        jitter = 1e-14 * max(np.trace(M) / M.shape[0], 1e-30)
+        return np.linalg.inv(M + jitter * np.eye(M.shape[0]))
+
+
+#: Fields of :class:`PreintegratedImu` that :class:`PreintegratedStack` stacks.
+_STACKED = ("alpha", "beta", "gamma", "dt", "bias_acc", "bias_gyro", "d_alpha_d_ba",
+            "d_alpha_d_bg", "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg", "information")
+
+
+@dataclass(frozen=True)
+class PreintegratedStack:
+    """K pre-integrated intervals, each field stacked on a leading axis."""
+
+    alpha: np.ndarray  # (K, 3)
+    beta: np.ndarray
+    gamma: np.ndarray  # (K, 4)
+    dt: np.ndarray  # (K,)
+    bias_acc: np.ndarray
+    bias_gyro: np.ndarray
+    d_alpha_d_ba: np.ndarray  # (K, 3, 3)
+    d_alpha_d_bg: np.ndarray
+    d_beta_d_ba: np.ndarray
+    d_beta_d_bg: np.ndarray
+    d_gamma_d_bg: np.ndarray
+    information: np.ndarray  # (K, 15, 15)
+
+    @classmethod
+    def of(cls, pres) -> "PreintegratedStack":
+        return cls(*(np.array([getattr(p, name) for p in pres]) for name in _STACKED))
 
 
 def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
@@ -304,6 +347,72 @@ def imu_residual_jacobians(pre: PreintegratedImu, x_k: NavState, x_k1: NavState,
     Jk[12:15, 12:15] = -np.eye(3)
     Jk1[12:15, 12:15] = np.eye(3)
     return Jk, Jk1
+
+
+def _mv(A, x):
+    """Row-wise products of a (K, n, m) matrix stack and a (K, m) vector stack."""
+    return (A @ x[:, :, None])[:, :, 0]
+
+
+def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays,
+                        gravity, jacobians: bool = True):
+    """:func:`imu_residual` and :func:`imu_residual_jacobians` of K factors at once.
+
+    Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``.  Returns ``(r, Jk, Jk1)``:
+    (K, 15) residuals and (K, 15, 15) Jacobians, ``None`` unless asked for.
+    """
+    g = np.asarray(gravity, dtype=float)
+    dt = pres.dt[:, None]
+    dba = x_k.bias_acc - pres.bias_acc
+    dbg = x_k.bias_gyro - pres.bias_gyro
+    alpha = pres.alpha + _mv(pres.d_alpha_d_ba, dba) + _mv(pres.d_alpha_d_bg, dbg)
+    beta = pres.beta + _mv(pres.d_beta_d_ba, dba) + _mv(pres.d_beta_d_bg, dbg)
+    phi0 = _mv(pres.d_gamma_d_bg, dbg)
+    gamma_c = quat_multiply_batch(pres.gamma, quat_exp_batch(phi0))
+    R_ku = np.swapaxes(quat_to_dcm_batch(x_k.attitude), 1, 2)
+    dp = x_k1.position - x_k.position - 0.5 * g * dt**2 - x_k.velocity * dt
+    dv = x_k1.velocity - g * dt - x_k.velocity
+    q_rel = quat_multiply_batch(quat_conjugate_batch(x_k.attitude), x_k1.attitude)
+    q_err = quat_multiply_batch(q_rel, quat_conjugate_batch(gamma_c))
+    sign = np.where(q_err[:, 0] < 0.0, -1.0, 1.0)[:, None, None]
+
+    n = dt.shape[0]
+    r = np.empty((n, 15))
+    r[:, 0:3] = _mv(R_ku, dp) - alpha
+    r[:, 3:6] = _mv(R_ku, dv) - beta
+    r[:, 6:9] = 2.0 * (sign[:, 0] * q_err[:, 1:])
+    r[:, 9:12] = x_k1.bias_acc - x_k.bias_acc
+    r[:, 12:15] = x_k1.bias_gyro - x_k.bias_gyro
+    if not jacobians:
+        return r, None, None
+
+    Jk = np.zeros((n, 15, 15))
+    Jk1 = np.zeros((n, 15, 15))
+    Jk[:, 0:3, 0:3] = -R_ku
+    Jk[:, 0:3, 3:6] = -R_ku * dt[:, :, None]
+    Jk[:, 0:3, 6:9] = skew_batch(_mv(R_ku, dp))
+    Jk[:, 0:3, 9:12] = -pres.d_alpha_d_ba
+    Jk[:, 0:3, 12:15] = -pres.d_alpha_d_bg
+    Jk1[:, 0:3, 0:3] = R_ku
+
+    Jk[:, 3:6, 3:6] = -R_ku
+    Jk[:, 3:6, 6:9] = skew_batch(_mv(R_ku, dv))
+    Jk[:, 3:6, 9:12] = -pres.d_beta_d_ba
+    Jk[:, 3:6, 12:15] = -pres.d_beta_d_bg
+    Jk1[:, 3:6, 3:6] = R_ku
+
+    rel_gc = (quat_left_batch(q_rel)
+              @ quat_right_batch(quat_conjugate_batch(gamma_c)))[:, 1:4, 1:4]
+    Jk[:, 6:9, 6:9] = -sign * quat_right_batch(q_err)[:, 1:4, 1:4]
+    Jk1[:, 6:9, 6:9] = sign * rel_gc
+    Jk[:, 6:9, 12:15] = -sign * rel_gc @ (so3_right_jacobian_batch(phi0) @ pres.d_gamma_d_bg)
+
+    eye = np.eye(3)
+    Jk[:, 9:12, 9:12] = -eye
+    Jk1[:, 9:12, 9:12] = eye
+    Jk[:, 12:15, 12:15] = -eye
+    Jk1[:, 12:15, 12:15] = eye
+    return r, Jk, Jk1
 
 
 def mechanize(pre: PreintegratedImu, x_k: NavState, gravity, timestamp: float) -> NavState:

@@ -32,7 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .attitude import quat_from_euler, quat_multiply, quat_normalize, quat_to_dcm
-from .channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag
+from .channel import (
+    LedBeacon,
+    ReceiverConfig,
+    RssSample,
+    SampleFlag,
+    gain_constant,
+    lambertian,
+)
 from .preint import ImuStream
 
 D2R = np.pi / 180.0
@@ -657,18 +664,9 @@ def _signal_series(truth: TruthStream, scenario: Scenario, times) -> dict:
     fov_cos = rx.fov_cos()
     out = {}
     for led in scenario.leds:
-        d = led.position[None, :] - pd_pos
-        dist = np.linalg.norm(d, axis=1)
-        cos_psi = np.einsum("ij,ij->i", n_u, d) / dist
-        cos_theta = (d @ led.normal) / dist
-        k = (led.order + 1.0) * rx.area * rx.filter_gain * rx.concentrator_gain * led.power / (
-            2.0 * np.pi)
-        with np.errstate(invalid="ignore"):
-            p = k * (cos_psi * dist) * np.maximum(cos_theta * dist, 0.0) ** led.order / (
-                dist ** (3.0 + led.order))
-        valid = (cos_psi >= fov_cos) & (cos_theta >= 0.0)
-        p = np.where(valid, np.maximum(p, 0.0), 0.0)
-        out[led.led_id] = (p, valid)
+        model = lambertian(pd_pos, n_u, led.position, led.normal, led.order,
+                           gain_constant(led, rx), fov_cos)
+        out[led.led_id] = (model.rss, model.valid)
     return out
 
 

@@ -76,3 +76,24 @@ class NavState:
                 self.bias_gyro - other.bias_gyro,
             ]
         )
+
+
+@dataclass(frozen=True)
+class StateArrays:
+    """A sequence of states stacked field by field: ``(N, 3)`` position,
+    velocity and biases, ``(N, 4)`` attitude."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+    attitude: np.ndarray
+    bias_acc: np.ndarray
+    bias_gyro: np.ndarray
+
+    @classmethod
+    def of(cls, states) -> "StateArrays":
+        return cls(*(np.array([getattr(s, name) for s in states]) for name in
+                     ("position", "velocity", "attitude", "bias_acc", "bias_gyro")))
+
+    def __getitem__(self, rows) -> "StateArrays":
+        return StateArrays(self.position[rows], self.velocity[rows], self.attitude[rows],
+                           self.bias_acc[rows], self.bias_gyro[rows])

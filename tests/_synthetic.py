@@ -9,9 +9,28 @@ module.
 import numpy as np
 
 from vlpnav.attitude import quat_multiply, quat_to_dcm
-from vlpnav.channel import LedBeacon, ReceiverConfig, RssSample, predict_rss
-from vlpnav.preint import ImuNoise, ImuStream, preintegrate
-from vlpnav.state import NavState
+from vlpnav.channel import (
+    DegenerateGeometryError,
+    GrazingIncidenceError,
+    LedBeacon,
+    ReceiverConfig,
+    RssSample,
+    predict_rss,
+)
+from vlpnav.estimator import (
+    _constraint_terms,
+    schur_marginalize,
+    vlp_jacobian_row,
+    vlp_residual,
+)
+from vlpnav.preint import (
+    ImuNoise,
+    ImuStream,
+    imu_residual,
+    imu_residual_jacobians,
+    preintegrate,
+)
+from vlpnav.state import ERROR_DIM, NavState
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 NOISE = ImuNoise(accel_density=2.5e-3, gyro_density=3.6e-4,
@@ -96,3 +115,114 @@ def exact_rss(state, leds, rx, variance=0.01):
         out.append(RssSample(timestamp=state.timestamp, led_id=led.led_id,
                              value=p, variance=variance))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-factor loop forms of the estimator's normal equations: the
+# implementation the batched linearization replaced, kept as its reference.
+
+
+def _sym_inv(M):
+    M = 0.5 * (M + M.T)
+    jitter = 1e-14 * max(np.trace(M) / M.shape[0], 1e-30)
+    return np.linalg.inv(M + jitter * np.eye(M.shape[0]))
+
+
+def _loop_factors(window, state_ids, col_of, add):
+    """Feed every factor touching the states ``state_ids`` to ``add(blocks, r, W)``.
+
+    ``blocks`` lists ``(column, jacobian)`` pairs; samples that are out of
+    the FOV, degenerate or grazing are skipped.
+    """
+    cfg = window.config
+    for k, pre in enumerate(window.imu_factors):
+        if k not in state_ids and k + 1 not in state_ids:
+            continue
+        xk, xk1 = window.states[k], window.states[k + 1]
+        r = imu_residual(pre, xk, xk1, cfg.gravity_vec)
+        Jk, Jk1 = imu_residual_jacobians(pre, xk, xk1, cfg.gravity_vec)
+        add([(col_of(("x", window.epoch_ids[k])), Jk),
+             (col_of(("x", window.epoch_ids[k + 1])), Jk1)], r, _sym_inv(pre.cov))
+    for k in state_ids:
+        state = window.states[k]
+        i0 = col_of(("x", window.epoch_ids[k]))
+        for sample in window.rss_factors[k]:
+            led = window.led_map.get(sample.led_id)
+            if led is None:
+                continue
+            led_xy = window.led_xy_for(sample.led_id)
+            try:
+                r = vlp_residual(state, sample, led, window.rx, led_xy)
+                if r is None:
+                    continue
+                row, led_block = vlp_jacobian_row(state, led, window.rx, led_xy)
+            except (GrazingIncidenceError, DegenerateGeometryError):
+                continue
+            blocks = [(i0, row[None, :])]
+            if led_block is not None:
+                blocks.append((col_of(("led", sample.led_id)), led_block[None, :]))
+            add(blocks, r, np.atleast_2d(1.0 / window.sample_variance(sample)))
+    for k in state_ids:
+        for r, var, row in _constraint_terms(window.states[k], cfg.constraints):
+            add([(col_of(("x", window.epoch_ids[k])), row[None, :])], r,
+                np.atleast_2d(1.0 / var))
+
+
+def _loop_adder(H, g, cost):
+    def add(blocks, r, W):
+        r = np.atleast_1d(r)
+        W = np.atleast_2d(W)
+        cost[0] += 0.5 * float(r @ W @ r)
+        for i0, Ji in blocks:
+            g[i0:i0 + Ji.shape[1]] += Ji.T @ W @ r
+            for j0, Jj in blocks:
+                H[i0:i0 + Ji.shape[1], j0:j0 + Jj.shape[1]] += Ji.T @ W @ Jj
+    return add
+
+
+def _add_loop_prior(window, prior, col_of, H, g, cost):
+    d = np.concatenate([prior.delta(k, window.value_of(k)) for k in prior.keys])
+    idx = np.concatenate([col_of(k) + np.arange(prior.dim_of(k)) for k in prior.keys])
+    cost[0] += 0.5 * float(d @ prior.hessian @ d) + float(prior.gradient @ d)
+    H[np.ix_(idx, idx)] += prior.hessian
+    g[idx] += prior.hessian @ d + prior.gradient
+
+
+def loop_assemble_cost(window):
+    """``(H, g, cost)`` of ``assemble_cost(window)``, one factor at a time."""
+    dim = window.total_dim()
+    H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
+    if window.prior is not None:
+        _add_loop_prior(window, window.prior, window.index_of, H, g, cost)
+    w_led = 1.0 / window.config.unknown_led_prior_sigma**2
+    for led_id in window.led_keys():
+        d = window.unknown_xy[led_id] - window.unknown_init[led_id]
+        i0 = window.index_of(("led", led_id))
+        cost[0] += 0.5 * w_led * float(d @ d)
+        H[i0:i0 + 2, i0:i0 + 2] += w_led * np.eye(2)
+        g[i0:i0 + 2] += w_led * d
+    _loop_factors(window, range(window.n_states), window.index_of, _loop_adder(H, g, cost))
+    return H, g, cost[0]
+
+
+def loop_marginal_prior(window):
+    """The prior ``_marginalize_oldest(window)`` builds, one factor at a time.
+
+    Assumes the oldest state has factors and a positive definite block.
+    """
+    keys = [("x", window.epoch_ids[0]), ("x", window.epoch_ids[1])]
+    for s in window.rss_factors[0]:
+        if s.led_id in window.unknown_xy and ("led", s.led_id) not in keys:
+            keys.append(("led", s.led_id))
+    if window.prior is not None:
+        keys += [k for k in window.prior.keys if k not in keys]
+    dims = [ERROR_DIM if k[0] == "x" else 2 for k in keys]
+    offsets = dict(zip(keys, np.concatenate([[0], np.cumsum(dims)])))
+    dim = sum(dims)
+    H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
+    col_of = offsets.__getitem__
+    if window.prior is not None:
+        _add_loop_prior(window, window.prior, col_of, H, g, cost)
+    _loop_factors(window, [0], col_of, _loop_adder(H, g, cost))
+    H_new, g_new = schur_marginalize(H, g, ERROR_DIM)
+    return keys[1:], H_new, g_new

@@ -1,12 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vlpnav.cli import main
-from vlpnav.dataio import load_dataset
+from vlpnav.cli import BLAS_THREAD_VARS, main, run_tc
+from vlpnav.dataio import load_dataset, load_estimator_config
+from vlpnav.estimator import LmIteration, LmReport, TightlyCoupledEstimator
 from vlpnav.metrics import RunReport
 
 
@@ -124,6 +126,50 @@ class TestEstimate:
         assert rc == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["window_size"] == 5
+
+    def test_manifest_records_blas_threads_and_numpy(self, mini_dataset, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "threads"
+        assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "lc",
+                     "--no-drd", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man["blas_threads"]) == set(BLAS_THREAD_VARS)
+        assert man["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert man["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert man["numpy"] == np.__version__
+
+
+class TestRunTc:
+    UNKNOWN = 5
+
+    def run(self, mini_dataset):
+        ds = load_dataset(mini_dataset)
+        config = replace(load_estimator_config(None, ds), unknown_led_ids=(self.UNKNOWN,))
+        return run_tc(ds, config, {}, unknown_init={self.UNKNOWN: np.array([2.3, 2.6])})
+
+    def test_returns_last_report_and_led_kept(self, mini_dataset):
+        est, leds, report = self.run(mini_dataset)
+        assert isinstance(report, LmReport) and report.converged
+        assert report.final_cost == est.diagnostics[-1].cost
+        assert not leds[self.UNKNOWN].diverged
+
+    def test_diverging_report_flags_led(self, mini_dataset, monkeypatch):
+        """A last solve that stops unconverged with growing LED steps
+        flags the LED, through the report ``run_tc`` passes on."""
+        step = TightlyCoupledEstimator.step
+        diverging = LmReport(converged=False, iterations=[
+            LmIteration(1.0, 0.0, 0.1, True, led_step) for led_step in (0.01, 0.02, 0.04)])
+
+        def last_step_diverges(self, pre, rss, timestamp):
+            step(self, pre, rss, timestamp)
+            return diverging
+
+        monkeypatch.setattr(TightlyCoupledEstimator, "step", last_step_diverges)
+        _, leds, report = self.run(mini_dataset)
+        assert report is diverging
+        assert leds[self.UNKNOWN].diverged
 
 
 class TestEvaluate:

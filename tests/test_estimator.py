@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vlpnav.attitude import quat_from_euler, quat_to_dcm
-from vlpnav.channel import RssSample, SampleFlag
+from vlpnav.channel import DegenerateGeometryError, LedBeacon, RssSample, SampleFlag
 from vlpnav.estimator import (
     ConstraintConfig,
     EstimatorConfig,
@@ -10,6 +12,7 @@ from vlpnav.estimator import (
     MarginalPrior,
     SlidingWindow,
     TightlyCoupledEstimator,
+    _marginalize_oldest,
     assemble_cost,
     constraint_residuals,
     dop,
@@ -26,6 +29,8 @@ from _synthetic import (
     NOISE,
     build_chain,
     exact_rss,
+    loop_assemble_cost,
+    loop_marginal_prior,
     make_leds,
     make_rx,
     preintegrate_chain,
@@ -488,3 +493,90 @@ class TestUnknownLeds:
         report = solve_lm(window)
         result = estimate_unknown_leds(window, report)[unknown_id]
         assert result.diverged or result.cov_trace > 1.0
+
+
+def build_rich_window():
+    """A window with every special case the RSS and prior code paths have.
+
+    Unknown LED 1 (0.2 m off), a blocked sample, an out-of-FOV LED, a LED
+    sitting at one epoch's photodiode (degenerate), a lever arm, NHC and
+    height constraints, and a marginal prior on the oldest state and the
+    unknown LED.  States sit off the truth and measurements carry noise,
+    so no residual vanishes.
+    """
+    rng = np.random.default_rng(11)
+    rx = make_rx(lever_arm=(0.15, -0.05, 0.08), fov_deg=60.0)
+    states, streams = build_chain(5, bias_acc=[0.01, -0.02, 0.005],
+                                  bias_gyro=[1e-3, 2e-3, -1e-3])
+    pres = preintegrate_chain(streams, states, rx)
+    start = [s.perturb(0.02 * rng.normal(size=ERROR_DIM)) for s in states]
+    pd2 = start[2].position + quat_to_dcm(start[2].attitude) @ rx.lever_arm_vlp
+    leds = LEDS + [
+        LedBeacon(led_id=8, position=np.array([12.0, 1.5, 3.0]), power=2e5),  # outside FOV
+        LedBeacon(led_id=9, position=pd2, power=2e5),  # at epoch 2's photodiode
+    ]
+    config = make_config(constraints=ConstraintConfig(use_nhc=True, use_height=True,
+                                                      pd_height=0.05),
+                         unknown_led_ids=(1,))
+    window = fresh_window(config, leds=leds, rx=rx)
+    window.set_unknown_led(1, LEDS[0].position[:2] + np.array([0.2, -0.15]))
+    for k, s in enumerate(states):
+        epoch = [RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()),
+                           x.variance) for x in exact_rss(s, LEDS, rx)]
+        epoch += [RssSample(s.timestamp, 8, 0.1, 0.01), RssSample(s.timestamp, 9, 0.5, 0.01)]
+        if k == 1:
+            epoch[2] = replace(epoch[2], flag=SampleFlag.BLOCKED)
+        window.append(k, start[k], pres[k - 1] if k else None, epoch)
+    A = rng.normal(size=(ERROR_DIM + 2, ERROR_DIM + 2))
+    window.prior = MarginalPrior(
+        keys=[("x", 0), ("led", 1)], hessian=A @ A.T + np.eye(ERROR_DIM + 2),
+        gradient=rng.normal(size=ERROR_DIM + 2),
+        lin={("x", 0): states[0].copy(), ("led", 1): LEDS[0].position[:2].copy()})
+    return window
+
+
+class TestBatchedLinearization:
+    """The stacked linearization against the per-factor loop it replaced."""
+
+    RTOL = 1e-12
+
+    def test_rich_window_has_every_case(self):
+        window = build_rich_window()
+        rx, s2 = window.rx, window.states[2]
+        assert window.rss_factors[1][2].flag is SampleFlag.BLOCKED
+        assert vlp_residual(s2, window.rss_factors[2][-2], window.led_map[8], rx) is None
+        with pytest.raises(DegenerateGeometryError):
+            vlp_residual(s2, window.rss_factors[2][-1], window.led_map[9], rx)
+
+    def test_assemble_matches_loop(self):
+        window = build_rich_window()
+        H, g, cost = assemble_cost(window)
+        H_ref, g_ref, cost_ref = loop_assemble_cost(window)
+        np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=0)
+        assert cost == pytest.approx(cost_ref, rel=self.RTOL)
+        assert assemble_cost(window, with_hessian=False)[2] == pytest.approx(cost, rel=self.RTOL)
+
+    def test_marginal_prior_matches_loop(self):
+        window = build_rich_window()
+        keys, H_ref, g_ref = loop_marginal_prior(window)
+        prior = _marginalize_oldest(window)
+        assert prior.keys == keys
+        np.testing.assert_allclose(prior.hessian, H_ref, rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(prior.gradient, g_ref, rtol=self.RTOL, atol=0)
+
+    def test_grazing_sample_same_cost_in_both_modes(self):
+        # A LED level with the photodiode: cos(psi) = 0 is inside a 90 deg
+        # FOV but grazing, so neither pass may count the sample.
+        leds = LEDS + [LedBeacon(led_id=7, position=np.array([3.0, 1.5, 0.0]), power=2e5)]
+        state = NavState(0.0, position=np.array([1.2, 1.5, 0.0]))
+        samples = exact_rss(state, LEDS, RX)
+        samples = [RssSample(x.timestamp, x.led_id, 1.1 * x.value, x.variance) for x in samples]
+        costs = []
+        for extra in ([], [RssSample(0.0, 7, 0.3, 0.01)]):
+            window = fresh_window(leds=leds)
+            window.append(0, state.copy(), None, samples + extra)
+            _, _, cost = assemble_cost(window)
+            assert assemble_cost(window, with_hessian=False)[2] == cost
+            costs.append(cost)
+        assert costs[1] == costs[0]
