@@ -22,14 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (
-    LedBeacon,
-    ReceiverConfig,
-    RssSample,
-    SampleFlag,
-    predict_rss,
-    rss_jacobian,
-)
+from .channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag
 
 
 class UndefinedRatioError(ValueError):
@@ -92,18 +85,6 @@ def rate_ratio(p_i: float, p_next: float, dt: float, floor: float = 1e-12) -> fl
     if p_i <= floor:
         raise UndefinedRatioError(f"denominator sample {p_i} at or below floor {floor}")
     return (p_next - p_i) / (dt * p_i)
-
-
-def threshold_3d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig, v_max: float,
-                 omega_max: float) -> float:
-    """Largest motion-induced |rate ratio| at a pose.
-
-    ``|| (D x n)/(D . n) || * omega_max
-      + || -n/(n.D) - m n_l/(n_l.D) + (3+m) D/D^2 || * v_max``
-    """
-    dp_dr, dp_dphi = rss_jacobian(pd_pos, q, led, rx)
-    p = predict_rss(pd_pos, q, led, rx)
-    return float(np.linalg.norm(dp_dphi / p) * omega_max + np.linalg.norm(dp_dr / p) * v_max)
 
 
 def threshold_2d(s: float, h: float, order: float, v_max: float) -> float:
@@ -186,28 +167,6 @@ def drd_step(state: BlockageState, p_i: float, p_next: float, dt: float,
     if ratio > threshold:
         return replace(state, blocked=False, transitions=state.transitions + 1)
     return state
-
-
-def detect_stream(times, values, threshold: float, cfg: DrdConfig) -> tuple[np.ndarray, int]:
-    """Run the detector over one LED's raw stream.
-
-    Returns the per-sample blocked tags (bool array aligned with
-    ``times``) and the transition count.  The state initializes
-    UNBLOCKED; streams that begin mid-blockage are not recognized until
-    the first rise.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape:
-        raise ValueError("times and values must be matching 1-D arrays")
-    tags = np.zeros(times.shape, dtype=bool)
-    state = BlockageState(reference=float(values[0]) if values.size else 0.0)
-    for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
-        state = drd_step(state, float(values[i]), float(values[i + 1]), float(dt),
-                         threshold, cfg.value_floor)
-        tags[i + 1] = state.blocked
-    return tags, state.transitions
 
 
 class DrdDetector:

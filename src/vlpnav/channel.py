@@ -272,15 +272,6 @@ def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: flo
     return LambertianBatch(rss, valid, regular, d_pos, d_att)
 
 
-def predict_rss_angular(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
-    """RSS via the cos^m(theta) cos(psi) / D^2 form; oracle for the vector form."""
-    geo = los_geometry(pd_pos, q, led)
-    if geo.cos_incidence < rx.fov_cos() or geo.cos_irradiance < 0.0:
-        return None
-    k = gain_constant(led, rx)
-    return k * geo.cos_irradiance**led.order * geo.cos_incidence / geo.distance**2
-
-
 def _jacobian_terms(pd_pos, q, led, rx):
     geo = los_geometry(pd_pos, q, led)
     if geo.cos_incidence <= GRAZING_COS_FLOOR or geo.cos_irradiance <= GRAZING_COS_FLOOR:
@@ -314,34 +305,6 @@ def rss_jacobian(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.ndar
         + (3.0 + led.order) * d / geo.distance**2
     )
     return dp_dr, dp_dphi
-
-
-def rss_jacobian_2d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Planar-position reduction ``(dP_ds, dP_dphi_u)`` for ceiling LEDs.
-
-    Valid when the LED normal is ``[0, 0, 1]`` so its position term has no
-    planar component:
-
-        dP_ds = P [ -(n)_xy/(n.D) + (3+m) (s_l - s)/D^2 ]
-    """
-    if abs(led.normal[2] - 1.0) > 1e-9:
-        raise ValueError("planar reduction requires an upward LED normal [0, 0, 1]")
-    geo, n_u, d, p = _jacobian_terms(pd_pos, q, led, rx)
-    dp_ds = p * (-n_u[:2] / (n_u @ d) + (3.0 + led.order) * d[:2] / geo.distance**2)
-    dp_dphi = p * np.cross(d, n_u) / (d @ n_u)
-    return dp_ds, dp_dphi
-
-
-def unknown_led_jacobian(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> np.ndarray:
-    """1x2 derivative of RSS with respect to the LED planar position.
-
-        dP_ds_l = P [ (n)_xy/(n.D) - (3+m) (s_l - s)/D^2 ]
-
-    The PD and LED planar positions enter antisymmetrically, so this is
-    the negative of the position part of :func:`rss_jacobian_2d`.
-    """
-    dp_ds, _ = rss_jacobian_2d(pd_pos, q, led, rx)
-    return -dp_ds
 
 
 def heading_information(pd_pos, q, leds, rx: ReceiverConfig) -> float:

@@ -263,10 +263,11 @@ def cmd_estimate(args) -> int:
         led_cols = sorted(config.unknown_led_ids)
         for d in est.diagnostics:
             row = [d.epoch_id, d.timestamp, d.cost, d.iterations, int(d.converged),
-                   d.los_count, d.flagged_count]
+                   d.los_count, d.flagged_count, d.reintegrations]
             row.extend(d.led_dop.get(i, float("nan")) for i in led_cols)
             diag_rows.append(row)
-        header = "epoch,timestamp_s,cost,iterations,converged,los_count,flagged_count"
+        header = ("epoch,timestamp_s,cost,iterations,converged,los_count,flagged_count,"
+                  "reintegrations")
         header += "".join(f",dop_led{i}" for i in led_cols)
         np.savetxt(out / "diagnostics.csv", np.asarray(diag_rows), fmt="%.12g",
                    delimiter=",", header=header, comments="")
@@ -449,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--led-init", default=None,
                        help="initial planar guesses, e.g. '3=1.0,2.5;5=2.0,2.0'")
     p_est.add_argument("--vlp-variant", choices=("level", "tilt"), default=None)
-    p_est.add_argument("--seed", type=int, default=None, help="unused; for manifests")
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=cmd_estimate)
 

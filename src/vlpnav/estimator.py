@@ -51,11 +51,14 @@ from .channel import (
     rss_jacobian,
 )
 from .preint import (
+    BIAS_CORRECTION_WARN_ACC,
+    BIAS_CORRECTION_WARN_GYRO,
     ImuNoise,
     PreintegratedImu,
     PreintegratedStack,
     imu_residuals_batch,
     mechanize,
+    preintegrate,
 )
 from .state import ERROR_DIM, NavState, StateArrays
 
@@ -72,7 +75,6 @@ __all__ = [
     "SlidingWindow",
     "TightlyCoupledEstimator",
     "assemble_cost",
-    "constraint_residuals",
     "dop",
     "estimate_unknown_leds",
     "linearize",
@@ -199,17 +201,12 @@ def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
     return row, led_block
 
 
-def constraint_residuals(state: NavState, cfg: ConstraintConfig) -> np.ndarray:
-    """Stacked kinematic constraint residuals for one state.
+def _constraint_terms(state: NavState, cfg: ConstraintConfig):
+    """(residual, variance, 15-dim jacobian row) triples for one state.
 
     Height: ``p_z - pd_height``.  NHC: lateral and vertical components
     of the vehicle-frame velocity.
     """
-    return np.array([r for r, _, _ in _constraint_terms(state, cfg)], dtype=float)
-
-
-def _constraint_terms(state: NavState, cfg: ConstraintConfig):
-    """(residual, variance, 15-dim jacobian row) triples for one state."""
     out = []
     if cfg.use_height:
         row = np.zeros(ERROR_DIM)
@@ -447,20 +444,22 @@ def _led_prior_rows(window: SlidingWindow, jacobians: bool) -> FactorRows:
     return _rows(r, w * eye, [cols], [eye], jacobians)
 
 
-def _imu_rows(window: SlidingWindow, X: StateArrays, x_cols, jacobians: bool) -> FactorRows:
-    n = len(window.imu_factors)
+def _imu_rows(factors, gravity, X: StateArrays, x_cols, jacobians: bool) -> FactorRows:
+    """Rows of the IMU factors ``factors``; factor ``k`` joins states ``k`` and ``k + 1``."""
+    n = len(factors)
     if n == 0:
         empty = np.zeros((0, ERROR_DIM, ERROR_DIM))
         none = np.zeros(0, dtype=int)
         return _rows(np.zeros((0, ERROR_DIM)), empty, [none, none], [empty, empty], jacobians)
-    pres = PreintegratedStack.of(window.imu_factors)
-    r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], window.config.gravity_vec,
-                                     jacobians)
+    pres = PreintegratedStack.of(factors)
+    r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], gravity, jacobians)
     return _rows(r, pres.information, [x_cols[:n], x_cols[1:n + 1]], [Jk, Jk1], jacobians)
 
 
-def _rss_rows(window: SlidingWindow, X: StateArrays, R, x_cols, jacobians: bool) -> FactorRows:
-    """One row per usable RSS sample, through the batched Lambertian model.
+def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R, x_cols,
+              jacobians: bool) -> FactorRows:
+    """One row per usable RSS sample of ``epochs`` (state ``k``'s samples at
+    ``epochs[k]``), through the batched Lambertian model.
 
     Samples of LEDs off the map, out of the FOV, degenerate (PD at the
     LED) or grazing are left out.  Unknown LEDs use their current planar
@@ -469,7 +468,7 @@ def _rss_rows(window: SlidingWindow, X: StateArrays, R, x_cols, jacobians: bool)
     """
     table = window.led_table
     st, li, value, var = [], [], [], []
-    for k, samples in enumerate(window.rss_factors):
+    for k, samples in enumerate(epochs):
         for s in samples:
             i = table.row.get(s.led_id)
             if i is not None:
@@ -545,22 +544,27 @@ def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, x_cols,
                  jacobians)
 
 
-def linearize(window: SlidingWindow, jacobians: bool = True) -> Linearization:
+def linearize(window: SlidingWindow, jacobians: bool = True,
+              n_states: int | None = None) -> Linearization:
     """Evaluate every factor of the window at its current values, stacked.
 
     RSS, IMU and constraint factors each go through one numpy pass over
     the whole window.  Which factors take part is decided here, once, so
     the cost-only pass (``jacobians=False``) and the Hessian pass score
-    the same function.
+    the same function.  With ``n_states`` = k only the factors of the
+    first k states are evaluated: their RSS samples and constraint rows
+    and the IMU factors leaving them, plus both priors.
     """
-    X = StateArrays.of(window.states)
+    k = window.n_states if n_states is None else n_states
+    X = StateArrays.of(window.states[:k + 1])  # IMU factor k - 1 reaches state k
     R = quat_to_dcm_batch(X.attitude)
-    x_cols = ERROR_DIM * np.arange(window.n_states)
+    x_cols = ERROR_DIM * np.arange(len(X.position))
+    cfg = window.config
     lin = Linearization([
         _led_prior_rows(window, jacobians),
-        _imu_rows(window, X, x_cols, jacobians),
-        _rss_rows(window, X, R, x_cols, jacobians),
-        _constraint_rows(window.config.constraints, X, R, x_cols, jacobians),
+        _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X, x_cols, jacobians),
+        _rss_rows(window, window.rss_factors[:k], X, R, x_cols, jacobians),
+        _constraint_rows(cfg.constraints, X[:k], R[:k], x_cols[:k], jacobians),
     ])
     p = window.prior
     if p is not None and p.keys:
@@ -743,7 +747,7 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
         dim += d
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
-    linearize(window).about(window.index_of(key0), col_map).add_to(H, g)
+    linearize(window, n_states=1).about(window.index_of(key0), col_map).add_to(H, g)
 
     reduced = schur_marginalize(H, g, ERROR_DIM)
     if reduced is None:
@@ -872,6 +876,7 @@ class EpochDiagnostics:
     converged: bool
     los_count: int
     flagged_count: int
+    reintegrations: int = 0  # IMU factors re-preintegrated before this epoch's solve
     led_dop: dict = field(default_factory=dict)
 
 
@@ -914,6 +919,7 @@ class TightlyCoupledEstimator:
         if not self.window.n_states:
             raise RuntimeError("estimator not started")
         self._epoch_counter += 1
+        reintegrations = self._reintegrate()
         seed = mechanize(pre, self.window.states[-1], self.config.gravity_vec, timestamp)
         n_before = self.window.n_states
         if n_before >= self.config.window_size:
@@ -922,14 +928,31 @@ class TightlyCoupledEstimator:
             self.smoothed.append(oldest.copy())
         else:
             slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
-        return self._solve_and_record()
+        return self._solve_and_record(reintegrations)
 
     def finalize(self) -> list[NavState]:
         """Flush remaining window states into the smoothed trajectory."""
         self.smoothed.extend(s.copy() for s in self.window.states)
         return self.smoothed
 
-    def _solve_and_record(self) -> LmReport:
+    def _reintegrate(self) -> int:
+        """Re-preintegrate each IMU factor whose start state's bias moved past
+        ``BIAS_CORRECTION_WARN_ACC`` / ``BIAS_CORRECTION_WARN_GYRO`` from the
+        factor's linearization bias, where the first-order correction
+        degrades.  Runs between solves, so LM sees one fixed cost."""
+        window = self.window
+        count = 0
+        for k, pre in enumerate(window.imu_factors):
+            x = window.states[k]
+            if (np.linalg.norm(x.bias_acc - pre.bias_acc) > BIAS_CORRECTION_WARN_ACC
+                    or np.linalg.norm(x.bias_gyro - pre.bias_gyro) > BIAS_CORRECTION_WARN_GYRO):
+                window.imu_factors[k] = preintegrate(
+                    pre.stream, x.bias_acc, x.bias_gyro, window.rx.dcm_body_to_vlp,
+                    self.config.imu_noise, t_end=pre.t_end)
+                count += 1
+        return count
+
+    def _solve_and_record(self, reintegrations: int = 0) -> LmReport:
         report = solve_lm(self.window)
         last = self.window.states[-1]
         self.causal.append(last.copy())
@@ -948,6 +971,7 @@ class TightlyCoupledEstimator:
             converged=report.converged,
             los_count=los,
             flagged_count=len(rss) - los,
+            reintegrations=reintegrations,
             led_dop=led_dop,
         ))
         return report

@@ -10,10 +10,23 @@ expressed (and estimated) in the VLP frame.
 
 The 15x15 covariance of the pseudo-measurement error
 ``[d_alpha, d_beta, d_theta, d_ba, d_bg]`` is propagated step by step
-with the first-order discrete transition, driven by white
-accelerometer/gyroscope noise and random-walk bias noise.  First-order
-bias Jacobians are accumulated alongside so the optimizer can correct
-(alpha, beta, gamma) for small bias updates without re-integrating.
+with the first-order discrete transition ``F_i`` (attitude block
+``I - [w_i]x dt_i``), driven by white accelerometer/gyroscope noise and
+random-walk bias noise through ``G_i``.  First-order bias Jacobians
+``J = F_{n-1} ... F_0`` are accumulated alongside so the optimizer can
+correct (alpha, beta, gamma) for small bias updates; the estimator
+re-integrates a factor whose bias moved past ``BIAS_CORRECTION_WARN_*``.
+
+:func:`preintegrate` works on arrays over the interval.  Every
+per-sample quantity is built in one numpy pass: the bias-removed VLP-
+frame samples, the rotations ``R_i`` of the running attitude,
+``R_i [a_i]x``, and the stacks of ``F_i``, ``G_i`` and the noise inputs
+``Q_i = G_i diag(sig) / dt_i G_i^T``.  Three recursions stay sequential
+because each step needs the last: the attitude chain (on Python floats,
+renormalized as :func:`quat_multiply` does), ``cov <- F_i cov F_i^T + Q_i``
+with ``J <- F_i J`` (one matrix product per step over the prebuilt
+stacks), and alpha/beta (cumulative sums in the loop's order).  The
+result equals the per-sample loop bit for bit.
 
 Gravity convention: every function takes the free-fall acceleration
 vector (e.g. ``[0, 0, -9.80665]`` in a z-up room frame).  A stationary,
@@ -22,8 +35,8 @@ level IMU measures the reaction ``-gravity``.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +46,6 @@ from .attitude import (
     quat_conjugate_batch,
     quat_exp,
     quat_exp_batch,
-    quat_identity,
     quat_left,
     quat_left_batch,
     quat_multiply,
@@ -49,7 +61,7 @@ from .attitude import (
 )
 from .state import NavState, StateArrays
 
-#: Bias-correction magnitudes above which the first-order update is suspect.
+#: Bias moves past which the first-order correction is replaced by re-integration.
 BIAS_CORRECTION_WARN_ACC = 0.1  # m/s^2
 BIAS_CORRECTION_WARN_GYRO = 0.05  # rad/s
 
@@ -120,6 +132,10 @@ class PreintegratedImu:
     d_beta_d_ba: np.ndarray
     d_beta_d_bg: np.ndarray
     d_gamma_d_bg: np.ndarray
+    #: What re-integration at another bias needs: the interval's samples
+    #: and its end time.
+    stream: ImuStream | None = field(default=None, repr=False)
+    t_end: float | None = None
 
     @cached_property
     def information(self) -> np.ndarray:
@@ -156,6 +172,27 @@ class PreintegratedStack:
         return cls(*(np.array([getattr(p, name) for p in pres]) for name in _STACKED))
 
 
+def _attitude_chain(half_angle: np.ndarray) -> np.ndarray:
+    """(n + 1, 4) running products ``q_{i+1} = q_i (x) [1, half_angle_i]`` from identity.
+
+    Each step is :func:`quat_multiply` on Python floats: the same products
+    and sums, and the same renormalization (``ndarray.dot``, as
+    ``np.linalg.norm`` takes it), so every quaternion matches bit for bit.
+    """
+    w1, x1, y1, z1 = 1.0, 0.0, 0.0, 0.0
+    out = [(w1, x1, y1, z1)]
+    buf = np.empty(4)
+    for x2, y2, z2 in half_angle.tolist():
+        buf[0] = w = w1 - x1 * x2 - y1 * y2 - z1 * z2
+        buf[1] = x = w1 * x2 + x1 + y1 * z2 - z1 * y2
+        buf[2] = y = w1 * y2 - x1 * z2 + y1 + z1 * x2
+        buf[3] = z = w1 * z2 + x1 * y2 - y1 * x2 + z1
+        norm = math.sqrt(buf.dot(buf))
+        w1, x1, y1, z1 = w / norm, x / norm, y / norm, z / norm
+        out.append((w1, x1, y1, z1))
+    return np.array(out)
+
+
 def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
                  noise: ImuNoise, t_end: float | None = None) -> PreintegratedImu:
     """Integrate one epoch interval of IMU samples.
@@ -179,55 +216,55 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
     dts[:-1] = np.diff(t)
     dts[-1] = t_end - t[-1]
 
-    accel_v = stream.accel @ R_bv.T
-    gyro_v = stream.gyro @ R_bv.T
+    a = stream.accel @ R_bv.T - bias_acc
+    w = stream.gyro @ R_bv.T - bias_gyro
+    gammas = _attitude_chain(0.5 * w * dts[:, None])
+    R = quat_to_dcm_batch(gammas[:-1])  # attitude at the start of each sample
+    Ra = R @ skew_batch(a)
+    Ra_vec = _mv(R, a)
 
-    alpha = np.zeros(3)
-    beta = np.zeros(3)
-    gamma = quat_identity()
-    cov = np.zeros((15, 15))
-    J = np.eye(15)
+    dt = dts[:, None, None]
+    dt2 = dt**2
+    eye = np.eye(3)
+    F = np.tile(np.eye(15), (n, 1, 1))
+    F[:, 0:3, 3:6] = eye * dt
+    F[:, 0:3, 6:9] = -0.5 * Ra * dt2
+    F[:, 0:3, 9:12] = 0.5 * R * dt2
+    F[:, 3:6, 6:9] = -Ra * dt
+    F[:, 3:6, 9:12] = R * dt
+    F[:, 6:9, 6:9] = eye - skew_batch(w) * dt
+    F[:, 6:9, 12:15] = eye * dt
 
+    G = np.zeros((n, 15, 12))
+    G[:, 0:3, 0:3] = 0.5 * R * dt2
+    G[:, 3:6, 0:3] = R * dt
+    G[:, 6:9, 3:6] = eye * dt
+    G[:, 9:12, 6:9] = eye * dt
+    G[:, 12:15, 9:12] = eye * dt
     sig = np.repeat(
         [noise.accel_density**2, noise.gyro_density**2,
          noise.accel_bias_walk**2, noise.gyro_bias_walk**2], 3)
+    Q = (G * (sig / dt)) @ np.swapaxes(G, 1, 2)  # G diag(sig) / dt G^T
 
-    for i in range(n):
-        dt = float(dts[i])
-        a = accel_v[i] - bias_acc
-        w = gyro_v[i] - bias_gyro
-        R_i = quat_to_dcm(gamma)
-        Ra = R_i @ skew(a)
+    cov = np.zeros((15, 15))
+    J = np.eye(15)
+    for F_i, Q_i in zip(F, Q):
+        cov = F_i @ cov @ F_i.T + Q_i
+        J = F_i @ J
 
-        F = np.eye(15)
-        F[0:3, 3:6] = np.eye(3) * dt
-        F[0:3, 6:9] = -0.5 * Ra * dt**2
-        F[0:3, 9:12] = 0.5 * R_i * dt**2
-        F[3:6, 6:9] = -Ra * dt
-        F[3:6, 9:12] = R_i * dt
-        F[6:9, 6:9] = np.eye(3) - skew(w) * dt
-        F[6:9, 12:15] = np.eye(3) * dt
-
-        G = np.zeros((15, 12))
-        G[0:3, 0:3] = 0.5 * R_i * dt**2
-        G[3:6, 0:3] = R_i * dt
-        G[6:9, 3:6] = np.eye(3) * dt
-        G[9:12, 6:9] = np.eye(3) * dt
-        G[12:15, 9:12] = np.eye(3) * dt
-
-        cov = F @ cov @ F.T + G @ (np.diag(sig) / dt) @ G.T
-        J = F @ J
-
-        alpha = alpha + beta * dt + 0.5 * (R_i @ a) * dt**2
-        beta = beta + (R_i @ a) * dt
-        gamma = quat_multiply(gamma, np.concatenate(([1.0], 0.5 * w * dt)))
+    # alpha_{i+1} = (alpha_i + beta_i dt_i) + R_i a_i dt_i^2 / 2 and
+    # beta_{i+1} = beta_i + R_i a_i dt_i, summed in that order.
+    beta = np.cumsum(Ra_vec * dts[:, None], axis=0)
+    beta_before = np.concatenate([np.zeros((1, 3)), beta[:-1]])
+    terms = np.stack([beta_before * dts[:, None], 0.5 * Ra_vec * dt2[:, :, 0]], axis=1)
+    alpha = np.cumsum(terms.reshape(2 * n, 3), axis=0)[-1]
 
     # F propagates errors of the integrated quantities for a *true* bias
     # offset; corrections for a raised *assumed* bias carry the opposite sign.
     return PreintegratedImu(
         alpha=alpha,
-        beta=beta,
-        gamma=gamma,
+        beta=beta[-1],
+        gamma=gammas[-1],
         cov=0.5 * (cov + cov.T),
         dt=float(np.sum(dts)),
         bias_acc=bias_acc.copy(),
@@ -237,6 +274,8 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
         d_beta_d_ba=-J[3:6, 9:12],
         d_beta_d_bg=-J[3:6, 12:15],
         d_gamma_d_bg=-J[6:9, 12:15],
+        stream=stream,
+        t_end=float(t_end),
     )
 
 
@@ -248,29 +287,6 @@ def _corrected_terms(pre: PreintegratedImu, bias_acc, bias_gyro):
     beta = pre.beta + pre.d_beta_d_ba @ dba + pre.d_beta_d_bg @ dbg
     gamma = quat_multiply(pre.gamma, quat_exp(pre.d_gamma_d_bg @ dbg))
     return alpha, beta, gamma, dba, dbg
-
-
-def bias_corrected(pre: PreintegratedImu, bias_acc, bias_gyro) -> PreintegratedImu:
-    """Re-linearize the pseudo-measurement at a new bias point.
-
-    Valid for small bias moves; warns past 0.1 m/s^2 / 0.05 rad/s where
-    the first-order correction degrades and re-integration is advised.
-    """
-    alpha, beta, gamma, dba, dbg = _corrected_terms(pre, bias_acc, bias_gyro)
-    if np.linalg.norm(dba) > BIAS_CORRECTION_WARN_ACC:
-        warnings.warn("accelerometer bias moved far from linearization; re-integrate",
-                      stacklevel=2)
-    if np.linalg.norm(dbg) > BIAS_CORRECTION_WARN_GYRO:
-        warnings.warn("gyroscope bias moved far from linearization; re-integrate",
-                      stacklevel=2)
-    return PreintegratedImu(
-        alpha=alpha, beta=beta, gamma=gamma, cov=pre.cov, dt=pre.dt,
-        bias_acc=np.asarray(bias_acc, dtype=float).copy(),
-        bias_gyro=np.asarray(bias_gyro, dtype=float).copy(),
-        d_alpha_d_ba=pre.d_alpha_d_ba, d_alpha_d_bg=pre.d_alpha_d_bg,
-        d_beta_d_ba=pre.d_beta_d_ba, d_beta_d_bg=pre.d_beta_d_bg,
-        d_gamma_d_bg=pre.d_gamma_d_bg,
-    )
 
 
 def imu_residual(pre: PreintegratedImu, x_k: NavState, x_k1: NavState, gravity) -> np.ndarray:

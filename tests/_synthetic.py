@@ -4,28 +4,46 @@ States are propagated with the same first-order strapdown recursion the
 pre-integration assumes, so noiseless residuals vanish to round-off and
 solver tests have an exact ground truth independent of the simulator
 module.
+
+Also here: the loop forms the stacked library code replaced (normal
+equations, marginal prior, pre-integration), kept as their references,
+and single-case oracles the library no longer needs (angular-form RSS,
+planar Jacobians, pose thresholds, a one-stream DRD run, first-order
+bias correction).
 """
+
+import warnings
 
 import numpy as np
 
-from vlpnav.attitude import quat_multiply, quat_to_dcm
+from vlpnav.attitude import quat_identity, quat_multiply, quat_to_dcm, skew
+from vlpnav.blockage import BlockageState, DrdConfig, drd_step
 from vlpnav.channel import (
     DegenerateGeometryError,
     GrazingIncidenceError,
     LedBeacon,
     ReceiverConfig,
     RssSample,
+    _jacobian_terms,
+    gain_constant,
+    los_geometry,
     predict_rss,
+    rss_jacobian,
 )
 from vlpnav.estimator import (
+    ConstraintConfig,
     _constraint_terms,
     schur_marginalize,
     vlp_jacobian_row,
     vlp_residual,
 )
 from vlpnav.preint import (
+    BIAS_CORRECTION_WARN_ACC,
+    BIAS_CORRECTION_WARN_GYRO,
     ImuNoise,
     ImuStream,
+    PreintegratedImu,
+    _corrected_terms,
     imu_residual,
     imu_residual_jacobians,
     preintegrate,
@@ -101,6 +119,15 @@ def preintegrate_chain(streams, states, rx):
                      rx.dcm_body_to_vlp, NOISE, t_end=states[k + 1].timestamp)
         for k, stream in enumerate(streams)
     ]
+
+
+def constraint_residuals(state: NavState, cfg: ConstraintConfig) -> np.ndarray:
+    """Stacked kinematic constraint residuals for one state.
+
+    Height: ``p_z - pd_height``.  NHC: lateral and vertical components
+    of the vehicle-frame velocity.
+    """
+    return np.array([r for r, _, _ in _constraint_terms(state, cfg)], dtype=float)
 
 
 def exact_rss(state, leds, rx, variance=0.01):
@@ -226,3 +253,183 @@ def loop_marginal_prior(window):
     _loop_factors(window, [0], col_of, _loop_adder(H, g, cost))
     H_new, g_new = schur_marginalize(H, g, ERROR_DIM)
     return keys[1:], H_new, g_new
+
+
+# ---------------------------------------------------------------------------
+# Per-sample loop form of the pre-integration: the implementation the
+# stacked one replaced, kept as its reference.
+
+
+def loop_preintegrate(stream, bias_acc, bias_gyro, dcm_body_to_vlp, noise, t_end=None):
+    """``preintegrate(...)`` with a dense 15x15 ``F`` and 15x12 ``G`` per sample."""
+    bias_acc = np.asarray(bias_acc, dtype=float)
+    bias_gyro = np.asarray(bias_gyro, dtype=float)
+    R_bv = np.asarray(dcm_body_to_vlp, dtype=float)
+
+    t = stream.timestamps
+    n = t.size
+    if t_end is None:
+        spacing = np.mean(np.diff(t)) if n > 1 else 1e-2
+        t_end = float(t[-1] + spacing)
+    if t_end <= t[-1]:
+        raise ValueError("t_end must lie past the final sample")
+    dts = np.empty(n)
+    dts[:-1] = np.diff(t)
+    dts[-1] = t_end - t[-1]
+
+    accel_v = stream.accel @ R_bv.T
+    gyro_v = stream.gyro @ R_bv.T
+
+    alpha = np.zeros(3)
+    beta = np.zeros(3)
+    gamma = quat_identity()
+    cov = np.zeros((15, 15))
+    J = np.eye(15)
+
+    sig = np.repeat(
+        [noise.accel_density**2, noise.gyro_density**2,
+         noise.accel_bias_walk**2, noise.gyro_bias_walk**2], 3)
+
+    for i in range(n):
+        dt = float(dts[i])
+        a = accel_v[i] - bias_acc
+        w = gyro_v[i] - bias_gyro
+        R_i = quat_to_dcm(gamma)
+        Ra = R_i @ skew(a)
+
+        F = np.eye(15)
+        F[0:3, 3:6] = np.eye(3) * dt
+        F[0:3, 6:9] = -0.5 * Ra * dt**2
+        F[0:3, 9:12] = 0.5 * R_i * dt**2
+        F[3:6, 6:9] = -Ra * dt
+        F[3:6, 9:12] = R_i * dt
+        F[6:9, 6:9] = np.eye(3) - skew(w) * dt
+        F[6:9, 12:15] = np.eye(3) * dt
+
+        G = np.zeros((15, 12))
+        G[0:3, 0:3] = 0.5 * R_i * dt**2
+        G[3:6, 0:3] = R_i * dt
+        G[6:9, 3:6] = np.eye(3) * dt
+        G[9:12, 6:9] = np.eye(3) * dt
+        G[12:15, 9:12] = np.eye(3) * dt
+
+        cov = F @ cov @ F.T + G @ (np.diag(sig) / dt) @ G.T
+        J = F @ J
+
+        alpha = alpha + beta * dt + 0.5 * (R_i @ a) * dt**2
+        beta = beta + (R_i @ a) * dt
+        gamma = quat_multiply(gamma, np.concatenate(([1.0], 0.5 * w * dt)))
+
+    return PreintegratedImu(
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        cov=0.5 * (cov + cov.T),
+        dt=float(np.sum(dts)),
+        bias_acc=bias_acc.copy(),
+        bias_gyro=bias_gyro.copy(),
+        d_alpha_d_ba=-J[0:3, 9:12],
+        d_alpha_d_bg=-J[0:3, 12:15],
+        d_beta_d_ba=-J[3:6, 9:12],
+        d_beta_d_bg=-J[3:6, 12:15],
+        d_gamma_d_bg=-J[6:9, 12:15],
+    )
+
+
+def bias_corrected(pre, bias_acc, bias_gyro):
+    """Re-linearize the pseudo-measurement at a new bias point.
+
+    Valid for small bias moves; warns past 0.1 m/s^2 / 0.05 rad/s where
+    the first-order correction degrades and re-integration is advised.
+    """
+    alpha, beta, gamma, dba, dbg = _corrected_terms(pre, bias_acc, bias_gyro)
+    if np.linalg.norm(dba) > BIAS_CORRECTION_WARN_ACC:
+        warnings.warn("accelerometer bias moved far from linearization; re-integrate",
+                      stacklevel=2)
+    if np.linalg.norm(dbg) > BIAS_CORRECTION_WARN_GYRO:
+        warnings.warn("gyroscope bias moved far from linearization; re-integrate",
+                      stacklevel=2)
+    return PreintegratedImu(
+        alpha=alpha, beta=beta, gamma=gamma, cov=pre.cov, dt=pre.dt,
+        bias_acc=np.asarray(bias_acc, dtype=float).copy(),
+        bias_gyro=np.asarray(bias_gyro, dtype=float).copy(),
+        d_alpha_d_ba=pre.d_alpha_d_ba, d_alpha_d_bg=pre.d_alpha_d_bg,
+        d_beta_d_ba=pre.d_beta_d_ba, d_beta_d_bg=pre.d_beta_d_bg,
+        d_gamma_d_bg=pre.d_gamma_d_bg,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Single-pose and single-stream forms the library does without: oracles
+# for the channel model and the DRD detector.
+
+
+def predict_rss_angular(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
+    """RSS via the cos^m(theta) cos(psi) / D^2 form; oracle for the vector form."""
+    geo = los_geometry(pd_pos, q, led)
+    if geo.cos_incidence < rx.fov_cos() or geo.cos_irradiance < 0.0:
+        return None
+    k = gain_constant(led, rx)
+    return k * geo.cos_irradiance**led.order * geo.cos_incidence / geo.distance**2
+
+
+def rss_jacobian_2d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Planar-position reduction ``(dP_ds, dP_dphi_u)`` for ceiling LEDs.
+
+    Valid when the LED normal is ``[0, 0, 1]`` so its position term has no
+    planar component:
+
+        dP_ds = P [ -(n)_xy/(n.D) + (3+m) (s_l - s)/D^2 ]
+    """
+    if abs(led.normal[2] - 1.0) > 1e-9:
+        raise ValueError("planar reduction requires an upward LED normal [0, 0, 1]")
+    geo, n_u, d, p = _jacobian_terms(pd_pos, q, led, rx)
+    dp_ds = p * (-n_u[:2] / (n_u @ d) + (3.0 + led.order) * d[:2] / geo.distance**2)
+    dp_dphi = p * np.cross(d, n_u) / (d @ n_u)
+    return dp_ds, dp_dphi
+
+
+def unknown_led_jacobian(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> np.ndarray:
+    """1x2 derivative of RSS with respect to the LED planar position.
+
+        dP_ds_l = P [ (n)_xy/(n.D) - (3+m) (s_l - s)/D^2 ]
+
+    The PD and LED planar positions enter antisymmetrically, so this is
+    the negative of the position part of :func:`rss_jacobian_2d`.
+    """
+    dp_ds, _ = rss_jacobian_2d(pd_pos, q, led, rx)
+    return -dp_ds
+
+
+def threshold_3d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig, v_max: float,
+                 omega_max: float) -> float:
+    """Largest motion-induced |rate ratio| at a pose.
+
+    ``|| (D x n)/(D . n) || * omega_max
+      + || -n/(n.D) - m n_l/(n_l.D) + (3+m) D/D^2 || * v_max``
+    """
+    dp_dr, dp_dphi = rss_jacobian(pd_pos, q, led, rx)
+    p = predict_rss(pd_pos, q, led, rx)
+    return float(np.linalg.norm(dp_dphi / p) * omega_max + np.linalg.norm(dp_dr / p) * v_max)
+
+
+def detect_stream(times, values, threshold: float, cfg: DrdConfig) -> tuple[np.ndarray, int]:
+    """Run the detector over one LED's raw stream.
+
+    Returns the per-sample blocked tags (bool array aligned with
+    ``times``) and the transition count.  The state initializes
+    UNBLOCKED; streams that begin mid-blockage are not recognized until
+    the first rise.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError("times and values must be matching 1-D arrays")
+    tags = np.zeros(times.shape, dtype=bool)
+    state = BlockageState(reference=float(values[0]) if values.size else 0.0)
+    for i in range(times.size - 1):
+        dt = times[i + 1] - times[i]
+        state = drd_step(state, float(values[i]), float(values[i + 1]), float(dt),
+                         threshold, cfg.value_floor)
+        tags[i + 1] = state.blocked
+    return tags, state.transitions

@@ -20,8 +20,6 @@ from vlpnav.channel import (
     ReceiverConfig,
     predict_rss,
     rss_jacobian,
-    rss_jacobian_2d,
-    unknown_led_jacobian,
 )
 from vlpnav.cli import main, run_detection, run_tc
 from vlpnav.dataio import load_dataset, estimator_config_from_dict, write_dataset
@@ -50,7 +48,7 @@ from vlpnav.simulator import (
 )
 from vlpnav.state import NavState
 
-from _synthetic import exact_rss, make_leds, make_rx
+from _synthetic import exact_rss, make_leds, make_rx, rss_jacobian_2d, unknown_led_jacobian
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:

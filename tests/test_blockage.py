@@ -8,14 +8,14 @@ from vlpnav.blockage import (
     DrdDetector,
     UndefinedRatioError,
     annotate_epochs,
-    detect_stream,
     drd_step,
     rate_ratio,
     static_threshold_3d,
     threshold_2d,
-    threshold_3d,
 )
 from vlpnav.channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag, predict_rss
+
+from _synthetic import detect_stream, threshold_3d
 
 RX = ReceiverConfig(area=1e-4, fov_half_angle=np.pi / 2)
 LED = LedBeacon(led_id=0, position=np.array([0.0, 0.0, 2.0]), power=10.0)

@@ -12,12 +12,11 @@ from vlpnav.channel import (
     heading_information,
     los_geometry,
     predict_rss,
-    predict_rss_angular,
     receiver_normal,
     rss_jacobian,
-    rss_jacobian_2d,
-    unknown_led_jacobian,
 )
+
+from _synthetic import predict_rss_angular, rss_jacobian_2d, unknown_led_jacobian
 
 RX = ReceiverConfig(area=1e-4, fov_half_angle=np.pi / 2)
 

@@ -77,6 +77,13 @@ class TestEstimate:
                      "report.json", "cdf.csv", "manifest.json", "drd_tags.csv"):
             assert (tc_run / name).exists()
 
+    def test_diagnostics_count_reintegrations(self, tc_run):
+        lines = (tc_run / "diagnostics.csv").read_text().splitlines()
+        col = lines[0].split(",").index("reintegrations")
+        assert col == 7
+        # The mini run's biases stay far inside the first-order region.
+        assert all(float(line.split(",")[col]) == 0 for line in lines[1:])
+
     def test_report_sane(self, tc_run):
         rep = RunReport.load(tc_run / "report.json")
         assert rep.mode == "tc"

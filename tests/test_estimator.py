@@ -14,7 +14,6 @@ from vlpnav.estimator import (
     TightlyCoupledEstimator,
     _marginalize_oldest,
     assemble_cost,
-    constraint_residuals,
     dop,
     estimate_unknown_leds,
     schur_marginalize,
@@ -22,12 +21,14 @@ from vlpnav.estimator import (
     vlp_jacobian_row,
     vlp_residual,
 )
+from vlpnav.preint import ImuStream, preintegrate
 from vlpnav.state import ERROR_DIM, NavState
 
 from _synthetic import (
     GRAVITY,
     NOISE,
     build_chain,
+    constraint_residuals,
     exact_rss,
     loop_assemble_cost,
     loop_marginal_prior,
@@ -580,3 +581,50 @@ class TestBatchedLinearization:
             assert assemble_cost(window, with_hessian=False)[2] == cost
             costs.append(cost)
         assert costs[1] == costs[0]
+
+
+class TestReintegration:
+    """An IMU factor is re-preintegrated once its start state's bias leaves
+    the first-order region around the factor's linearization bias."""
+
+    FIELDS = ("alpha", "beta", "gamma", "cov", "dt", "bias_acc", "bias_gyro", "d_alpha_d_ba",
+              "d_alpha_d_bg", "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg")
+
+    def run_with_bias_move(self, field, move):
+        """Three epochs; before the last, state 0's bias ``field`` moves by ``move``.
+
+        The first interval loses its last sample, so its end time is not the
+        default one sample spacing past the final timestamp.
+        """
+        states, streams = build_chain(3)
+        s0 = streams[0]
+        streams[0] = ImuStream(s0.timestamps[:-1], s0.accel[:-1], s0.gyro[:-1])
+        pres = preintegrate_chain(streams, states, RX)
+        est = TightlyCoupledEstimator(make_config(), LEDS, RX)
+        est.start(states[0].copy(), exact_rss(states[0], LEDS, RX))
+        est.step(pres[0], exact_rss(states[1], LEDS, RX), states[1].timestamp)
+        x0 = est.window.states[0]
+        setattr(x0, field, getattr(x0, field) + move)
+        bias = (x0.bias_acc.copy(), x0.bias_gyro.copy())
+        est.step(pres[1], exact_rss(states[2], LEDS, RX), states[2].timestamp)
+        fresh = preintegrate(streams[0], *bias, RX.dcm_body_to_vlp, NOISE,
+                             t_end=states[1].timestamp)
+        return est, pres, fresh
+
+    @pytest.mark.parametrize("field, move", [("bias_acc", [0.18, -0.24, 0.0]),
+                                             ("bias_gyro", [0.0, 0.048, 0.036])])
+    def test_large_bias_move_reintegrates(self, field, move):
+        est, pres, fresh = self.run_with_bias_move(field, np.array(move))
+        pre = est.window.imu_factors[0]
+        assert pre is not pres[0]
+        for name in self.FIELDS:
+            np.testing.assert_allclose(getattr(pre, name), getattr(fresh, name), rtol=1e-12,
+                                       atol=0, err_msg=name)
+        assert est.window.imu_factors[1] is pres[1]
+        assert [d.reintegrations for d in est.diagnostics] == [0, 0, 1]
+
+    def test_small_bias_move_keeps_factor(self):
+        est, pres, _ = self.run_with_bias_move("bias_acc", np.array([0.05, 0.05, 0.0]))
+        assert est.window.imu_factors[0] is pres[0]
+        assert est.window.imu_factors[1] is pres[1]
+        assert [d.reintegrations for d in est.diagnostics] == [0, 0, 0]

@@ -5,6 +5,7 @@ from vlpnav.attitude import (
     quat_conjugate,
     quat_identity,
     quat_multiply,
+    quat_from_euler,
     quat_normalize,
     quat_to_dcm,
 )
@@ -12,13 +13,14 @@ from vlpnav.preint import (
     ImuNoise,
     ImuStream,
     PreintegratedImu,
-    bias_corrected,
     imu_residual,
     imu_residual_jacobians,
     mechanize,
     preintegrate,
 )
 from vlpnav.state import NavState
+
+from _synthetic import bias_corrected, loop_preintegrate
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 NOISE = ImuNoise(accel_density=2.5e-3, gyro_density=3.6e-4,
@@ -118,6 +120,51 @@ class TestPreintegrate:
             ImuStream(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             preintegrate(make_stream(n=10), np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=0.0)
+
+
+class TestStackedMatchesLoop:
+    """The stacked pre-integration against the per-sample loop it replaced."""
+
+    RTOL = 1e-12
+    FIELDS = ("alpha", "beta", "gamma", "cov", "dt", "d_alpha_d_ba", "d_alpha_d_bg",
+              "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg")
+
+    def assert_matches(self, stream, bias_acc, bias_gyro, R_bv, t_end):
+        pre = preintegrate(stream, bias_acc, bias_gyro, R_bv, NOISE, t_end=t_end)
+        ref = loop_preintegrate(stream, bias_acc, bias_gyro, R_bv, NOISE, t_end=t_end)
+        for name in self.FIELDS:
+            np.testing.assert_allclose(getattr(pre, name), getattr(ref, name),
+                                       rtol=self.RTOL, atol=0, err_msg=name)
+        np.testing.assert_array_equal(pre.bias_acc, ref.bias_acc)
+        np.testing.assert_array_equal(pre.bias_gyro, ref.bias_gyro)
+        assert pre.stream is stream
+        return pre
+
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_random_motion_mounted_irregular_biased(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 150
+        t = 3.0 + np.cumsum(rng.uniform(2e-3, 8e-3, n))
+        stream = ImuStream(t, rng.normal(size=(n, 3)) + [0.0, 0.0, 9.8],
+                           0.5 * rng.normal(size=(n, 3)))
+        R_bv = quat_to_dcm(quat_from_euler(*rng.uniform(-1.0, 1.0, 3)))
+        self.assert_matches(stream, rng.normal(scale=0.05, size=3),
+                            rng.normal(scale=5e-3, size=3), R_bv, t[-1] + 4e-3)
+
+    def test_single_sample(self):
+        stream = ImuStream(np.array([0.25]), np.array([[0.3, -0.1, 9.7]]),
+                           np.array([[0.2, 0.1, -0.4]]))
+        R_bv = quat_to_dcm(quat_from_euler(0.1, -0.2, 0.3))
+        pre = self.assert_matches(stream, [0.01, 0.0, -0.02], [1e-3, 0.0, 2e-3], R_bv, 0.26)
+        assert pre.t_end == 0.26
+        assert pre.dt == pytest.approx(0.01)
+
+    def test_default_t_end(self):
+        rng = np.random.default_rng(23)
+        stream = random_motion_stream(rng, n=120)
+        R_bv = quat_to_dcm(quat_from_euler(0.0, 0.05, 1.2))
+        pre = self.assert_matches(stream, [0.02, -0.01, 0.0], [0.0, 1e-3, -1e-3], R_bv, None)
+        assert pre.t_end == pytest.approx(stream.timestamps[-1] + 1.0 / 200.0)
 
 
 class TestBiasCorrected:
