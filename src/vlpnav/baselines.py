@@ -196,10 +196,13 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
                        len(usable), rms, attitude=quat_from_euler(0.0, x[2], x[3]))
 
 
-def initial_state(dataset, use_fix: bool = True) -> NavState:
-    """First-epoch state: leveling + manifest heading + RSS position fix."""
-    epochs = dataset.epochs_by_time()
-    t0, samples0 = epochs[0]
+def initial_state(dataset, flags: dict, use_fix: bool = True) -> NavState:
+    """First-epoch state: leveling + manifest heading + RSS position fix.
+
+    ``flags`` maps (timestamp, led_id) -> SampleFlag, as for
+    :meth:`Dataset.epochs_by_time`.
+    """
+    t0, samples0 = dataset.epochs_by_time(flags)[0]
     pre_mask = dataset.imu.timestamps < t0
     accel = dataset.imu.accel[pre_mask] if pre_mask.any() else dataset.imu.accel[:50]
     roll, pitch = static_leveling(accel)
@@ -246,13 +249,7 @@ def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
     last_fix = None
     last_xy = center_xy.copy()
     last_pitch, last_yaw = 0.0, float(man["initial_heading_rad"])
-    for t, samples in dataset.epochs_by_time():
-        flagged = [
-            type(s)(timestamp=s.timestamp, led_id=s.led_id, value=s.value,
-                    variance=s.variance,
-                    flag=flags_by_epoch.get((s.timestamp, s.led_id), SampleFlag.LOS))
-            for s in samples
-        ]
+    for t, flagged in dataset.epochs_by_time(flags_by_epoch):
         if variant == "tilt":
             fix = solve_pose_tilt(flagged, led_map, dataset.receiver, pd_height,
                                   last_xy, last_pitch, last_yaw, bounds=bounds)
@@ -300,7 +297,7 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> LcResult:
     per-epoch RSS position fixes (computed with the INS attitude) update
     a 6-state position/velocity filter.
     """
-    x0 = initial_state(dataset)
+    x0 = initial_state(dataset, flags_by_epoch)
     gravity = dataset.gravity
     led_map = {led.led_id: led for led in dataset.leds}
     rx = dataset.receiver
@@ -309,7 +306,7 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> LcResult:
     bounds = (np.asarray(dataset.manifest["room_min"], dtype=float),
               np.asarray(dataset.manifest["room_max"], dtype=float))
 
-    epochs = dataset.epochs_by_time()
+    epochs = dataset.epochs_by_time(flags_by_epoch)
     epoch_idx = 0
     p = x0.position.copy()
     v = np.zeros(3)
@@ -338,13 +335,7 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> LcResult:
         P = F @ P @ F.T + Q
 
         while epoch_idx < len(epochs) and epochs[epoch_idx][0] <= ts[i + 1]:
-            t_e, samples = epochs[epoch_idx]
-            flagged = [
-                type(s)(timestamp=s.timestamp, led_id=s.led_id, value=s.value,
-                        variance=s.variance,
-                        flag=flags_by_epoch.get((s.timestamp, s.led_id), SampleFlag.LOS))
-                for s in samples
-            ]
+            t_e, flagged = epochs[epoch_idx]
             pd_guess = p + quat_to_dcm(q) @ rx.lever_arm_vlp
             fix = solve_position_rss(flagged, led_map, rx, q, pd_guess, bounds=bounds)
             if fix.ok:

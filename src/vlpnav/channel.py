@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import records
 from .attitude import quat_to_dcm
 
 #: Cosine floor below which Jacobian denominators are treated as singular.
@@ -94,6 +95,19 @@ class LedBeacon:
         if self.power <= 0.0:
             raise ValueError("transmit power must be positive")
 
+    def to_record(self) -> dict:
+        """``leds.json`` form: ``id`` for ``led_id``, keys in file order."""
+        return {"id": self.led_id, "position": self.position.tolist(),
+                "normal": self.normal.tolist(), "order": self.order, "power": self.power,
+                "modulation_hz": self.modulation_hz}
+
+    @classmethod
+    def from_record(cls, d) -> "LedBeacon":
+        """Inverse of :meth:`to_record`; absent optional keys take the defaults."""
+        if isinstance(d, dict):
+            d = {("led_id" if k == "id" else k): v for k, v in d.items()}
+        return records.from_record(cls, d)
+
 
 @dataclass(frozen=True)
 class ReceiverConfig:
@@ -125,6 +139,24 @@ class ReceiverConfig:
         R = self.dcm_body_to_vlp
         if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-9:
             raise ValueError("dcm_body_to_vlp must be orthonormal")
+
+    def to_record(self) -> dict:
+        """Manifest and scenario form: the FOV half-angle in degrees."""
+        return {"area": self.area,
+                "fov_half_angle_deg": float(np.rad2deg(self.fov_half_angle)),
+                "filter_gain": self.filter_gain, "concentrator_gain": self.concentrator_gain,
+                "lever_arm": self.lever_arm.tolist(),
+                "dcm_body_to_vlp": self.dcm_body_to_vlp.tolist(), "pd_height": self.pd_height}
+
+    @classmethod
+    def from_record(cls, d) -> "ReceiverConfig":
+        """Inverse of :meth:`to_record`; absent optional keys take the defaults."""
+        if isinstance(d, dict) and "fov_half_angle_deg" in d:
+            d = dict(d)
+            deg = records.decode(float, d.pop("fov_half_angle_deg"),
+                                 "ReceiverConfig.fov_half_angle_deg")
+            d["fov_half_angle"] = float(np.deg2rad(deg))
+        return records.from_record(cls, d)
 
     @property
     def lever_arm_vlp(self) -> np.ndarray:

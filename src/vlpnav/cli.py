@@ -22,7 +22,7 @@ from .attitude import euler_from_quat
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
 from .blockage import DrdConfig, DrdDetector, annotate_epochs
 from .channel import SampleFlag
-from .dataio import Dataset, load_dataset, load_estimator_config, write_dataset
+from .dataio import Dataset, estimator_config_from_dict, load_dataset, write_dataset
 from .estimator import TightlyCoupledEstimator, estimate_unknown_leds
 from .metrics import (
     DisjointTimeRangesError,
@@ -32,6 +32,7 @@ from .metrics import (
     save_cdf_csv,
 )
 from .preint import preintegrate
+from .records import to_record
 from .simulator import (
     Scenario,
     generate_trajectory,
@@ -39,6 +40,7 @@ from .simulator import (
     synthesize_imu,
     synthesize_rss,
 )
+from .state import StateArrays
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,7 +72,7 @@ def _resolve_scenario(spec: str, seed: int | None) -> Scenario:
             "nor a file")
     try:
         scenario = Scenario.from_json(path)
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise InputError(f"invalid scenario file {path}: {e}") from e
     if seed is not None:
         scenario = replace(scenario, seed=seed)
@@ -170,14 +172,13 @@ def _write_trajectory(path, times, positions, velocities, quats, biases_a, biase
                header=TRAJ_HEADER, comments="")
 
 
-def _states_to_arrays(states):
-    t = np.array([s.timestamp for s in states])
-    p = np.array([s.position for s in states])
-    v = np.array([s.velocity for s in states])
-    q = np.array([s.attitude for s in states])
-    ba = np.array([s.bias_acc for s in states])
-    bg = np.array([s.bias_gyro for s in states])
-    return t, p, v, q, ba, bg
+def _write_states(path, states):
+    """Write ``states`` as a trajectory file; returns their times and arrays."""
+    times = np.array([s.timestamp for s in states])
+    arr = StateArrays.of(states)
+    _write_trajectory(path, times, arr.position, arr.velocity, arr.attitude,
+                      arr.bias_acc, arr.bias_gyro)
+    return times, arr
 
 
 def run_tc(dataset: Dataset, config, flags, unknown_init=None):
@@ -186,16 +187,10 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
     Returns the estimator (states and diagnostics), the unknown-LED
     estimates and the last epoch's ``LmReport``.
     """
-    epochs = dataset.epochs_by_time()
-    x0 = initial_state(dataset)
+    epochs = dataset.epochs_by_time(flags)
+    x0 = initial_state(dataset, flags)
     est = TightlyCoupledEstimator(config, dataset.leds, dataset.receiver)
-
-    def flagged(samples):
-        return [replace(
-            s, flag=flags.get((s.timestamp, s.led_id), SampleFlag.LOS),
-            variance=s.variance) for s in samples]
-
-    report = est.start(x0, flagged(epochs[0][1]), unknown_init=unknown_init)
+    report = est.start(x0, epochs[0][1], unknown_init=unknown_init)
     t_prev = epochs[0][0]
     for t_k, samples in epochs[1:]:
         stream = dataset.imu.slice(t_prev, t_k)
@@ -203,7 +198,7 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
         pre = preintegrate(stream, state_k.bias_acc, state_k.bias_gyro,
                            dataset.receiver.dcm_body_to_vlp, config.imu_noise,
                            t_end=t_k)
-        report = est.step(pre, flagged(samples), t_k)
+        report = est.step(pre, samples, t_k)
         t_prev = t_k
     led_results = {}
     if config.unknown_led_ids:
@@ -214,15 +209,7 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
 
 def cmd_estimate(args) -> int:
     dataset = load_dataset(args.dataset)
-    config = load_estimator_config(args.config, dataset)
-    if args.window is not None:
-        config = replace(config, window_size=int(args.window))
-    unknown_ids = ()
-    if args.unknown_leds:
-        unknown_ids = tuple(int(x) for x in args.unknown_leds.split(","))
-        config = replace(config, unknown_led_ids=unknown_ids,
-                         window_size=(int(args.window) if args.window is not None
-                                      else max(config.window_size, 50)))
+    config = _estimator_config(args, dataset)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,11 +229,11 @@ def cmd_estimate(args) -> int:
     led_results = {}
     if mode == "tc":
         unknown_init = None
-        if unknown_ids:
+        if config.unknown_led_ids:
             # Unknown LEDs start from the room center unless told otherwise.
             center = 0.5 * (np.asarray(dataset.manifest["room_min"][:2])
                             + np.asarray(dataset.manifest["room_max"][:2]))
-            unknown_init = {i: center.copy() for i in unknown_ids}
+            unknown_init = {i: center.copy() for i in config.unknown_led_ids}
             for part in (args.led_init or "").split(";"):
                 if not part:
                     continue
@@ -254,11 +241,8 @@ def cmd_estimate(args) -> int:
                 x, _, y = val.partition(",")
                 unknown_init[int(key)] = np.array([float(x), float(y)])
         est, led_results, _ = run_tc(dataset, config, flags, unknown_init=unknown_init)
-        t_c, p_c, v_c, q_c, ba_c, bg_c = _states_to_arrays(est.causal)
-        _write_trajectory(out / "trajectory.csv", t_c, p_c, v_c, q_c, ba_c, bg_c)
-        t_s, p_s, v_s, q_s, ba_s, bg_s = _states_to_arrays(est.smoothed)
-        _write_trajectory(out / "trajectory_smoothed.csv", t_s, p_s, v_s, q_s,
-                          ba_s, bg_s)
+        est_t, causal = _write_states(out / "trajectory.csv", est.causal)
+        _write_states(out / "trajectory_smoothed.csv", est.smoothed)
         diag_rows = []
         led_cols = sorted(config.unknown_led_ids)
         for d in est.diagnostics:
@@ -271,7 +255,7 @@ def cmd_estimate(args) -> int:
         header += "".join(f",dop_led{i}" for i in led_cols)
         np.savetxt(out / "diagnostics.csv", np.asarray(diag_rows), fmt="%.12g",
                    delimiter=",", header=header, comments="")
-        est_t, est_p, est_q = t_c, p_c, q_c
+        est_p, est_q = causal.position, causal.attitude
     elif mode == "lc":
         lc = run_loosely_coupled(dataset, flags)
         zeros = np.zeros_like(lc.position)
@@ -335,9 +319,8 @@ def cmd_estimate(args) -> int:
         "mode": mode,
         "dataset": str(Path(args.dataset).resolve()),
         "dataset_sha256": _dataset_hash(dataset),
-        "config": _config_dict(config),
+        "config": to_record(config),
         "no_drd": bool(args.no_drd),
-        "unknown_led_ids": list(unknown_ids),
         "runtime_s": runtime,
         # BLAS threading changes the last digits of the outputs.
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
@@ -347,38 +330,26 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _estimator_config(args, dataset: Dataset):
+    """The ``--config`` record, with ``--window`` and ``--unknown-leds`` laid over it."""
+    try:
+        d = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(d, dict):
+            raise ValueError("expected a JSON object")
+        if args.window is not None:
+            d["window_size"] = args.window
+        if args.unknown_leds:
+            d["unknown_led_ids"] = [int(x) for x in args.unknown_leds.split(",")]
+        return estimator_config_from_dict(d, dataset)
+    except ValueError as e:
+        raise InputError(f"invalid estimator config: {e}") from e
+
+
 def _dataset_hash(dataset: Dataset) -> str:
     h = hashlib.sha256()
     for name in sorted(dataset.manifest.get("file_sha256", {})):
         h.update(dataset.manifest["file_sha256"][name].encode())
     return h.hexdigest()
-
-
-def _config_dict(config) -> dict:
-    return {
-        "window_size": config.window_size,
-        "blocked_variance": config.blocked_variance,
-        "gravity": list(config.gravity),
-        "constraints": {
-            "use_nhc": config.constraints.use_nhc,
-            "nhc_sigma": config.constraints.nhc_sigma,
-            "use_height": config.constraints.use_height,
-            "height_sigma": config.constraints.height_sigma,
-            "pd_height": config.constraints.pd_height,
-        },
-        "imu_noise": {
-            "accel_density": config.imu_noise.accel_density,
-            "gyro_density": config.imu_noise.gyro_density,
-            "accel_bias_walk": config.imu_noise.accel_bias_walk,
-            "gyro_bias_walk": config.imu_noise.gyro_bias_walk,
-        },
-        "lm": {
-            "max_iterations": config.lm.max_iterations,
-            "cost_reduction_tol": config.lm.cost_reduction_tol,
-            "step_norm_tol": config.lm.step_norm_tol,
-        },
-        "unknown_led_ids": list(config.unknown_led_ids),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import metadata as _metadata
 from pathlib import Path
 
@@ -26,8 +26,9 @@ import numpy as np
 
 from .attitude import euler_from_quat
 from .channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag
-from .estimator import ConstraintConfig, EstimatorConfig, LmOptions, PriorConfig
+from .estimator import ConstraintConfig, EstimatorConfig
 from .preint import ImuNoise, ImuStream
+from .records import from_record, to_record
 from .simulator import EpochRss, RawRss, Scenario, TruthStream
 
 try:
@@ -42,42 +43,6 @@ def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
     return h.hexdigest()
-
-
-def led_map_to_records(leds) -> list[dict]:
-    return [
-        {
-            "id": led.led_id,
-            "position": led.position.tolist(),
-            "normal": led.normal.tolist(),
-            "order": led.order,
-            "power": led.power,
-            "modulation_hz": led.modulation_hz,
-        }
-        for led in leds
-    ]
-
-
-def led_map_from_records(records) -> list[LedBeacon]:
-    return [
-        LedBeacon(
-            led_id=int(r["id"]),
-            position=np.asarray(r["position"], dtype=float),
-            normal=np.asarray(r.get("normal", [0, 0, 1]), dtype=float),
-            order=float(r.get("order", 1.0)),
-            power=float(r["power"]),
-            modulation_hz=float(r.get("modulation_hz", 0.0)),
-        )
-        for r in records
-    ]
-
-
-def save_led_map(path, leds) -> None:
-    Path(path).write_text(json.dumps(led_map_to_records(leds), indent=2))
-
-
-def load_led_map(path) -> list[LedBeacon]:
-    return led_map_from_records(json.loads(Path(path).read_text()))
 
 
 def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStream,
@@ -117,7 +82,7 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
                header="timestamp_s,px,py,pz,vx,vy,vz,qw,qx,qy,qz,roll,pitch,yaw",
                comments="")
 
-    save_led_map(out / "leds.json", scenario.leds)
+    (out / "leds.json").write_text(json.dumps(to_record(scenario.leds), indent=2))
     scenario.to_json(out / "scenario.json")
 
     z = truth.position[:, 2]
@@ -139,29 +104,11 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
         "room_max": list(scenario.room_max),
         "vehicle_z_range": [float(z.min()), float(z.max())],
         "planar": bool(z.max() - z.min() < 0.05),
-        "receiver": {
-            "area": scenario.receiver.area,
-            "fov_half_angle_deg": float(np.rad2deg(scenario.receiver.fov_half_angle)),
-            "filter_gain": scenario.receiver.filter_gain,
-            "concentrator_gain": scenario.receiver.concentrator_gain,
-            "lever_arm": scenario.receiver.lever_arm.tolist(),
-            "dcm_body_to_vlp": scenario.receiver.dcm_body_to_vlp.tolist(),
-            "pd_height": scenario.receiver.pd_height,
-        },
-        "imu": {
-            "rate_hz": scenario.imu.rate_hz,
-            "accel_noise_density": scenario.imu.accel_noise_density,
-            "gyro_noise_density": scenario.imu.gyro_noise_density,
-            "accel_bias_instability": scenario.imu.accel_bias_instability,
-            "gyro_bias_instability": scenario.imu.gyro_bias_instability,
-            "bias_corr_time": scenario.imu.bias_corr_time,
-        },
-        "detection": {
-            "v_max": scenario.detection.v_max,
-            "omega_max": scenario.detection.omega_max,
-            "value_floor": scenario.detection.value_floor,
-            "max_tilt_deg": scenario.detection.max_tilt_deg,
-        },
+        "receiver": to_record(scenario.receiver),
+        # The initial biases are part of the truth, hidden from estimators.
+        "imu": {k: v for k, v in to_record(scenario.imu).items()
+                if k not in ("initial_accel_bias", "initial_gyro_bias")},
+        "detection": to_record(scenario.detection),
         "blockages": [list(b) for b in scenario.blockages],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -206,10 +153,14 @@ class Dataset:
     def epoch_times(self) -> np.ndarray:
         return np.unique([s.timestamp for s in self.epoch_samples])
 
-    def epochs_by_time(self) -> list[tuple[float, list]]:
+    def epochs_by_time(self, flags: dict) -> list[tuple[float, list]]:
+        """Epoch samples grouped by timestamp, in time order, each carrying
+        its flag from ``flags`` ((timestamp, led_id) -> SampleFlag, LOS
+        where absent).  The ground-truth labels are never read."""
         by_t: dict[float, list] = {}
         for s in self.epoch_samples:
-            by_t.setdefault(s.timestamp, []).append(s)
+            flag = flags.get((s.timestamp, s.led_id), SampleFlag.LOS)
+            by_t.setdefault(s.timestamp, []).append(replace(s, flag=flag))
         return sorted(by_t.items())
 
     @property
@@ -222,18 +173,8 @@ def load_dataset(path) -> Dataset:
     if not (path / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
     manifest = json.loads((path / "manifest.json").read_text())
-    leds = load_led_map(path / "leds.json")
-    rx_d = manifest["receiver"]
-    receiver = ReceiverConfig(
-        area=float(rx_d["area"]),
-        fov_half_angle=float(np.deg2rad(rx_d["fov_half_angle_deg"])),
-        filter_gain=float(rx_d.get("filter_gain", 1.0)),
-        concentrator_gain=float(rx_d.get("concentrator_gain", 1.0)),
-        lever_arm=np.asarray(rx_d.get("lever_arm", [0, 0, 0]), dtype=float),
-        dcm_body_to_vlp=np.asarray(rx_d.get("dcm_body_to_vlp", np.eye(3).tolist()),
-                                   dtype=float),
-        pd_height=float(rx_d.get("pd_height", 0.0)),
-    )
+    leds = [LedBeacon.from_record(r) for r in json.loads((path / "leds.json").read_text())]
+    receiver = ReceiverConfig.from_record(manifest["receiver"])
 
     imu_arr = np.loadtxt(path / "imu.csv", delimiter=",", skiprows=1)
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
@@ -274,63 +215,33 @@ def load_dataset(path) -> Dataset:
 
 
 def estimator_config_from_dict(d: dict, dataset: Dataset) -> EstimatorConfig:
-    """Build an estimator configuration, defaulting from dataset metadata.
+    """Estimator configuration from its record ``d`` laid over dataset defaults.
 
-    File keys (all optional): window_size, blocked_variance, use_nhc,
-    nhc_sigma, use_height, height_sigma, pd_height, lm {...},
-    prior {...}, unknown_led_ids, noise overrides.
+    ``d`` is the nested form of :class:`EstimatorConfig` (the ``config``
+    block of an ``estimate`` run manifest); every key is optional.  The
+    base it is laid over is the dataclass defaults except: IMU noise from
+    the manifest's IMU characteristics (bias walk = instability *
+    sqrt(2 / correlation time)), gravity from the manifest, the height
+    constraint on for planar datasets at the receiver's ``pd_height``,
+    and a 50-state window when ``d`` names unknown LEDs.  Raises
+    ``ValueError`` on a key that names no field or a value of the wrong
+    type.
     """
     man = dataset.manifest
     imu_man = man["imu"]
-    tau = float(imu_man.get("bias_corr_time", 100.0))
-    noise = ImuNoise(
-        accel_density=float(d.get("accel_noise_density",
-                                  imu_man["accel_noise_density"])),
-        gyro_density=float(d.get("gyro_noise_density", imu_man["gyro_noise_density"])),
-        accel_bias_walk=float(d.get(
-            "accel_bias_walk",
-            imu_man["accel_bias_instability"] * np.sqrt(2.0 / tau))),
-        gyro_bias_walk=float(d.get(
-            "gyro_bias_walk",
-            imu_man["gyro_bias_instability"] * np.sqrt(2.0 / tau))),
-    )
-    planar = bool(man.get("planar", False))
-    constraints = ConstraintConfig(
-        use_nhc=bool(d.get("use_nhc", True)),
-        nhc_sigma=float(d.get("nhc_sigma", 0.05)),
-        use_height=bool(d.get("use_height", planar)),
-        height_sigma=float(d.get("height_sigma", 0.01)),
-        pd_height=float(d.get("pd_height", man["receiver"].get("pd_height", 0.0))),
-    )
-    lm_d = d.get("lm", {})
-    lm = LmOptions(
-        max_iterations=int(lm_d.get("max_iterations", 50)),
-        cost_reduction_tol=float(lm_d.get("cost_reduction_tol", 1e-8)),
-        step_norm_tol=float(lm_d.get("step_norm_tol", 1e-10)),
-    )
-    prior_d = d.get("prior", {})
-    prior = PriorConfig(
-        position=float(prior_d.get("position", 0.2)),
-        velocity=float(prior_d.get("velocity", 0.2)),
-        rollpitch=float(prior_d.get("rollpitch", np.deg2rad(2.0))),
-        heading=float(prior_d.get("heading", np.deg2rad(0.5))),
-        bias_acc=float(prior_d.get("bias_acc", 0.02)),
-        bias_gyro=float(prior_d.get("bias_gyro", 2e-3)),
-    )
-    unknown = tuple(int(i) for i in d.get("unknown_led_ids", ()))
-    window = int(d.get("window_size", 50 if unknown else 20))
-    return EstimatorConfig(
-        imu_noise=noise,
-        window_size=window,
-        blocked_variance=float(d.get("blocked_variance", 99.0)),
+    walk = np.sqrt(2.0 / float(imu_man["bias_corr_time"]))
+    base = EstimatorConfig(
+        imu_noise=ImuNoise(
+            accel_density=float(imu_man["accel_noise_density"]),
+            gyro_density=float(imu_man["gyro_noise_density"]),
+            accel_bias_walk=float(imu_man["accel_bias_instability"] * walk),
+            gyro_bias_walk=float(imu_man["gyro_bias_instability"] * walk),
+        ),
         gravity=tuple(man["gravity"]),
-        constraints=constraints,
-        lm=lm,
-        prior=prior,
-        unknown_led_ids=unknown,
+        constraints=ConstraintConfig(use_height=bool(man.get("planar", False)),
+                                     pd_height=dataset.receiver.pd_height),
     )
-
-
-def load_estimator_config(path, dataset: Dataset) -> EstimatorConfig:
-    d = {} if path is None else json.loads(Path(path).read_text())
-    return estimator_config_from_dict(d, dataset)
+    config = from_record(EstimatorConfig, d, base)
+    if config.unknown_led_ids and "window_size" not in d:
+        config = replace(config, window_size=50)
+    return config

@@ -148,7 +148,7 @@ class EstimatorConfig:
     constraints: ConstraintConfig = field(default_factory=ConstraintConfig)
     lm: LmOptions = field(default_factory=LmOptions)
     prior: PriorConfig = field(default_factory=PriorConfig)
-    unknown_led_ids: tuple = ()
+    unknown_led_ids: tuple[int, ...] = ()
     unknown_led_prior_sigma: float = 10.0  # m, keeps unobserved LED blocks solvable
 
     @property

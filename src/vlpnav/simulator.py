@@ -41,6 +41,7 @@ from .channel import (
     lambertian,
 )
 from .preint import ImuStream
+from .records import from_record, to_record
 
 D2R = np.pi / 180.0
 
@@ -95,7 +96,7 @@ class Scenario:
     seed: int
     room_min: tuple
     room_max: tuple
-    leds: tuple  # LedBeacon
+    leds: tuple[LedBeacon, ...]
     receiver: ReceiverConfig
     trajectory: TrajectorySpec
     imu: ImuSpec
@@ -109,129 +110,20 @@ class Scenario:
         return np.asarray(self.gravity, dtype=float)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "room_min": list(self.room_min),
-            "room_max": list(self.room_max),
-            "gravity": list(self.gravity),
-            "leds": [
-                {
-                    "id": led.led_id,
-                    "position": led.position.tolist(),
-                    "normal": led.normal.tolist(),
-                    "order": led.order,
-                    "power": led.power,
-                    "modulation_hz": led.modulation_hz,
-                }
-                for led in self.leds
-            ],
-            "receiver": {
-                "area": self.receiver.area,
-                "fov_half_angle_deg": float(np.rad2deg(self.receiver.fov_half_angle)),
-                "filter_gain": self.receiver.filter_gain,
-                "concentrator_gain": self.receiver.concentrator_gain,
-                "lever_arm": self.receiver.lever_arm.tolist(),
-                "dcm_body_to_vlp": self.receiver.dcm_body_to_vlp.tolist(),
-                "pd_height": self.receiver.pd_height,
-            },
-            "trajectory": {
-                "waypoints": [list(w) for w in self.trajectory.waypoints],
-                "speeds": list(self.trajectory.speeds),
-                "ramp_time": self.trajectory.ramp_time,
-                "turn_rate": self.trajectory.turn_rate,
-                "min_turn_time": self.trajectory.min_turn_time,
-                "initial_dwell": self.trajectory.initial_dwell,
-                "dwell_time": self.trajectory.dwell_time,
-                "gimbal_pitch_deg": [list(k) for k in self.trajectory.gimbal_pitch_deg],
-            },
-            "imu": {
-                "rate_hz": self.imu.rate_hz,
-                "accel_noise_density": self.imu.accel_noise_density,
-                "gyro_noise_density": self.imu.gyro_noise_density,
-                "accel_bias_instability": self.imu.accel_bias_instability,
-                "gyro_bias_instability": self.imu.gyro_bias_instability,
-                "bias_corr_time": self.imu.bias_corr_time,
-                "initial_accel_bias": list(self.imu.initial_accel_bias),
-                "initial_gyro_bias": list(self.imu.initial_gyro_bias),
-            },
-            "rss": {
-                "raw_rate_hz": self.rss.raw_rate_hz,
-                "epoch_rate_hz": self.rss.epoch_rate_hz,
-                "raw_sigma": self.rss.raw_sigma,
-                "epoch_sigma": self.rss.epoch_sigma,
-            },
-            "blockages": [list(b) for b in self.blockages],
-            "detection": {
-                "v_max": self.detection.v_max,
-                "omega_max": self.detection.omega_max,
-                "value_floor": self.detection.value_floor,
-                "max_tilt_deg": self.detection.max_tilt_deg,
-            },
-        }
+        """``scenario.json`` form: the field records, gravity after the room bounds."""
+        rec = to_record(self)
+        head = {k: rec.pop(k) for k in ("name", "seed", "room_min", "room_max", "gravity")}
+        return head | rec
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        leds = tuple(
-            LedBeacon(
-                led_id=int(entry["id"]),
-                position=np.asarray(entry["position"], dtype=float),
-                normal=np.asarray(entry.get("normal", [0, 0, 1]), dtype=float),
-                order=float(entry.get("order", 1.0)),
-                power=float(entry["power"]),
-                modulation_hz=float(entry.get("modulation_hz", 0.0)),
-            )
-            for entry in d["leds"]
-        )
-        rx = d["receiver"]
-        receiver = ReceiverConfig(
-            area=float(rx["area"]),
-            fov_half_angle=float(rx["fov_half_angle_deg"]) * D2R,
-            filter_gain=float(rx.get("filter_gain", 1.0)),
-            concentrator_gain=float(rx.get("concentrator_gain", 1.0)),
-            lever_arm=np.asarray(rx.get("lever_arm", [0, 0, 0]), dtype=float),
-            dcm_body_to_vlp=np.asarray(rx.get("dcm_body_to_vlp", np.eye(3).tolist()),
-                                       dtype=float),
-            pd_height=float(rx.get("pd_height", 0.0)),
-        )
-        tr = d["trajectory"]
-        trajectory = TrajectorySpec(
-            waypoints=tuple(tuple(w) for w in tr["waypoints"]),
-            speeds=tuple(tr["speeds"]),
-            ramp_time=float(tr.get("ramp_time", 0.8)),
-            turn_rate=float(tr.get("turn_rate", 0.4)),
-            min_turn_time=float(tr.get("min_turn_time", 1.0)),
-            initial_dwell=float(tr.get("initial_dwell", 2.0)),
-            dwell_time=float(tr.get("dwell_time", 2.0)),
-            gimbal_pitch_deg=tuple(tuple(k) for k in tr.get("gimbal_pitch_deg", [])),
-        )
-        im = d["imu"]
-        imu = ImuSpec(
-            rate_hz=float(im["rate_hz"]),
-            accel_noise_density=float(im["accel_noise_density"]),
-            gyro_noise_density=float(im["gyro_noise_density"]),
-            accel_bias_instability=float(im["accel_bias_instability"]),
-            gyro_bias_instability=float(im["gyro_bias_instability"]),
-            bias_corr_time=float(im.get("bias_corr_time", 100.0)),
-            initial_accel_bias=tuple(im.get("initial_accel_bias", (0, 0, 0))),
-            initial_gyro_bias=tuple(im.get("initial_gyro_bias", (0, 0, 0))),
-        )
-        rs = d.get("rss", {})
-        det = d.get("detection", {})
-        return cls(
-            name=d["name"],
-            seed=int(d["seed"]),
-            room_min=tuple(d["room_min"]),
-            room_max=tuple(d["room_max"]),
-            leds=leds,
-            receiver=receiver,
-            trajectory=trajectory,
-            imu=imu,
-            rss=RssSpec(**rs) if rs else RssSpec(),
-            blockages=tuple(tuple(b) for b in d.get("blockages", [])),
-            detection=DetectionSpec(**det) if det else DetectionSpec(),
-            gravity=tuple(d.get("gravity", (0.0, 0.0, -9.80665))),
-        )
+        """Inverse of :meth:`to_dict`: every field by name, nested specs as
+        objects; absent optional fields take the dataclass defaults.
+
+        Raises ``ValueError`` on a key that names no field, a missing
+        required field or a value of the wrong type.
+        """
+        return from_record(cls, d)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from vlpnav.baselines import (
     solve_position_rss,
     static_leveling,
 )
-from vlpnav.channel import RssSample
+from vlpnav.channel import RssSample, SampleFlag
 from vlpnav.dataio import load_dataset
 
 from _synthetic import exact_rss, make_leds, make_rx
@@ -105,7 +107,7 @@ class TestSolvePoseTilt:
 class TestInitialState:
     def test_near_truth_on_mini_dataset(self, mini_dataset):
         ds = load_dataset(mini_dataset)
-        x0 = initial_state(ds)
+        x0 = initial_state(ds, {})
         t0 = x0.timestamp
         k = int(np.argmin(np.abs(ds.truth.timestamps - t0)))
         # The corner start has weak vertical geometry; the initialization
@@ -114,3 +116,14 @@ class TestInitialState:
         from vlpnav.metrics import normal_angle_deg
 
         assert normal_angle_deg(x0.attitude, ds.truth.attitude[k]) < 1.0
+
+    def test_ignores_ground_truth_labels(self, mini_dataset):
+        """The first fix uses the flags it is given, never the dataset's labels."""
+        ds = load_dataset(mini_dataset)
+        x0 = initial_state(ds, {})
+        t0 = x0.timestamp
+        ds.epoch_samples = [replace(s, flag=SampleFlag.BLOCKED) if s.timestamp == t0 else s
+                            for s in ds.epoch_samples]
+        x1 = initial_state(ds, {})
+        np.testing.assert_array_equal(x1.position, x0.position)
+        np.testing.assert_array_equal(x1.attitude, x0.attitude)

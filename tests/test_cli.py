@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlpnav.cli import BLAS_THREAD_VARS, main, run_tc
-from vlpnav.dataio import load_dataset, load_estimator_config
+from vlpnav.cli import BLAS_THREAD_VARS, _estimator_config, build_parser, main, run_tc
+from vlpnav.dataio import estimator_config_from_dict, load_dataset
 from vlpnav.estimator import LmIteration, LmReport, TightlyCoupledEstimator
 from vlpnav.metrics import RunReport
 
@@ -42,6 +42,19 @@ class TestSimulate:
     def test_missing_scenario_exit_2(self, tmp_path):
         assert main(["simulate", "--scenario", "/nope/missing.json",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("edit", ["missing", "unknown", "not_object"])
+    def test_bad_scenario_file_exit_2(self, tmp_path, mini_dataset, edit):
+        d = json.loads((mini_dataset / "scenario.json").read_text())
+        if edit == "missing":
+            del d["trajectory"]["waypoints"]
+        elif edit == "unknown":
+            d["imu"]["rate"] = 100.0
+        else:
+            d["rss"] = 5
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
 
     def test_scenario_file_round_trip(self, tmp_path, mini_dataset):
         out = tmp_path / "from_file"
@@ -134,6 +147,52 @@ class TestEstimate:
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["window_size"] == 5
 
+    @pytest.mark.parametrize("content", ['{"windowsize": 5}', '{"use_nhc": false}', "[5]",
+                                         '{"lm": 5}', '{"window_size": "5"}', "{bad"])
+    def test_bad_config_exit_2(self, mini_dataset, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        out = tmp_path / "bad"
+        assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,config,window", [
+        (["--unknown-leds", "5"], None, 50),
+        (["--unknown-leds", "5"], {"window_size": 30}, 30),
+        (["--unknown-leds", "5", "--window", "25"], {"window_size": 30}, 25),
+        (["--window", "25"], {"window_size": 30}, 25),
+    ])
+    def test_window_precedence(self, mini_dataset, tmp_path, extra, config, window):
+        """--window, then the config file, then 50 states with unknown LEDs."""
+        argv = ["estimate", "--dataset", str(mini_dataset), "--out", str(tmp_path)] + extra
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        cfg = _estimator_config(build_parser().parse_args(argv), load_dataset(mini_dataset))
+        assert cfg.window_size == window
+
+    def test_manifest_config_reproduces_run(self, mini_dataset, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constraints": {"use_nhc": False}}))
+        assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
+                     "--config", str(cfg), "--out", str(first)]) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert config["constraints"]["use_nhc"] is False
+        cfg.write_text(json.dumps(config))
+        assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
+                     "--config", str(cfg), "--out", str(second)]) == 0
+        assert json.loads((second / "manifest.json").read_text())["config"] == config
+        assert ((first / "trajectory.csv").read_bytes()
+                == (second / "trajectory.csv").read_bytes())
+        reports = []
+        for out in (first, second):
+            rep = json.loads((out / "report.json").read_text())
+            del rep["runtime_s"]
+            reports.append(json.dumps(rep, sort_keys=True))
+        assert reports[0] == reports[1]
+
     def test_manifest_records_blas_threads_and_numpy(self, mini_dataset, tmp_path,
                                                       monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -153,7 +212,7 @@ class TestRunTc:
 
     def run(self, mini_dataset):
         ds = load_dataset(mini_dataset)
-        config = replace(load_estimator_config(None, ds), unknown_led_ids=(self.UNKNOWN,))
+        config = replace(estimator_config_from_dict({}, ds), unknown_led_ids=(self.UNKNOWN,))
         return run_tc(ds, config, {}, unknown_init={self.UNKNOWN: np.array([2.3, 2.6])})
 
     def test_returns_last_report_and_led_kept(self, mini_dataset):

@@ -1,0 +1,134 @@
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from vlpnav.channel import LedBeacon, ReceiverConfig
+from vlpnav.dataio import estimator_config_from_dict, load_dataset
+from vlpnav.estimator import ConstraintConfig, LmOptions, PriorConfig
+from vlpnav.preint import ImuNoise
+from vlpnav.records import from_record, to_record
+from vlpnav.simulator import RssSpec, Scenario, reference_scenarios
+
+
+def leaves(rec, path=""):
+    if isinstance(rec, dict):
+        for k, v in rec.items():
+            yield from leaves(v, f"{path}.{k}")
+    else:
+        yield path, rec
+
+
+@pytest.fixture(scope="module")
+def mini(mini_dataset):
+    return load_dataset(mini_dataset)
+
+
+class TestEstimatorConfig:
+    def test_json_round_trip_of_every_field(self, mini):
+        base = estimator_config_from_dict({}, mini)
+        cfg = replace(
+            base, window_size=7, blocked_variance=50.0, gravity=(0.0, 0.0, -9.8),
+            imu_noise=ImuNoise(1e-3, 2e-4, 3e-5, 4e-6),
+            constraints=ConstraintConfig(use_nhc=False, nhc_sigma=0.1, use_height=True,
+                                         height_sigma=0.02, pd_height=0.3),
+            lm=LmOptions(max_iterations=9, cost_reduction_tol=1e-7, step_norm_tol=1e-9,
+                         lambda_init=1e-3, lambda_growth=4.0, lambda_shrink=3.0,
+                         lambda_max=1e6),
+            prior=PriorConfig(position=0.3, velocity=0.1, rollpitch=0.05, heading=0.01,
+                              bias_acc=0.03, bias_gyro=1e-3),
+            unknown_led_ids=(2, 5), unknown_led_prior_sigma=5.0)
+        base_leaves = dict(leaves(to_record(base)))
+        for path, value in leaves(to_record(cfg)):
+            assert value != base_leaves[path], path
+        back = estimator_config_from_dict(json.loads(json.dumps(to_record(cfg))), mini)
+        assert back == cfg
+
+    def test_dataset_defaults(self, mini):
+        cfg = estimator_config_from_dict({}, mini)
+        imu = mini.manifest["imu"]
+        assert cfg.imu_noise.accel_density == imu["accel_noise_density"]
+        assert cfg.gravity == tuple(mini.manifest["gravity"])
+        assert cfg.window_size == 20
+        assert cfg.constraints.use_height is mini.manifest["planar"]
+
+    def test_section_overlays_dataset_base(self, mini):
+        base = estimator_config_from_dict({}, mini)
+        cfg = estimator_config_from_dict({"imu_noise": {"accel_density": 0.01}}, mini)
+        assert cfg.imu_noise == replace(base.imu_noise, accel_density=0.01)
+
+    @pytest.mark.parametrize("d,window", [
+        ({"unknown_led_ids": [5]}, 50),
+        ({"unknown_led_ids": [5], "window_size": 30}, 30),
+        ({"unknown_led_ids": []}, 20),
+    ])
+    def test_unknown_led_window(self, mini, d, window):
+        assert estimator_config_from_dict(d, mini).window_size == window
+
+    @pytest.mark.parametrize("d,message", [
+        ({"windowsize": 5}, "unknown field"),
+        ({"constraints": {"use_nhc": False, "nhc": 1.0}}, "unknown field"),
+        ({"use_nhc": False}, "unknown field"),
+        ({"lm": 5}, "expected an object"),
+        ({"window_size": "5"}, "expected int"),
+        ({"window_size": 5.5}, "expected int"),
+        ({"constraints": {"use_nhc": 0}}, "expected bool"),
+        ({"gravity": 9.8}, "expected a list"),
+        ({"unknown_led_ids": ["a"]}, "expected int"),
+    ])
+    def test_bad_record_rejected(self, mini, d, message):
+        with pytest.raises(ValueError, match=message):
+            estimator_config_from_dict(d, mini)
+
+
+class TestScenario:
+    def test_missing_required_field(self):
+        d = reference_scenarios()["mini"].to_dict()
+        del d["trajectory"]["speeds"]
+        with pytest.raises(ValueError, match="missing required field 'speeds'"):
+            Scenario.from_dict(d)
+
+    def test_unknown_key(self):
+        d = reference_scenarios()["mini"].to_dict()
+        d["rss"]["epoch_rate"] = 2.0
+        with pytest.raises(ValueError, match="unknown field"):
+            Scenario.from_dict(d)
+
+    def test_optional_sections_default(self):
+        d = reference_scenarios()["mini"].to_dict()
+        for key in ("rss", "detection", "blockages", "gravity"):
+            del d[key]
+        sc = Scenario.from_dict(d)
+        assert sc.rss == RssSpec()
+        assert sc.blockages == ()
+        assert sc.trajectory.waypoints == reference_scenarios()["mini"].trajectory.waypoints
+
+
+class TestChannelRecords:
+    def test_led_record(self):
+        led = LedBeacon(led_id=3, position=np.array([1.0, 2.0, 3.0]), power=2.0,
+                        order=1.5, modulation_hz=1800.0)
+        rec = led.to_record()
+        assert list(rec) == ["id", "position", "normal", "order", "power", "modulation_hz"]
+        back = LedBeacon.from_record(json.loads(json.dumps(rec)))
+        assert back.to_record() == rec
+        assert LedBeacon.from_record({"id": 4, "position": [0, 0, 3], "power": 1.0}).order == 1.0
+
+    def test_receiver_record_in_degrees(self):
+        rx = ReceiverConfig(area=1e-4, fov_half_angle=np.deg2rad(75.0), pd_height=0.3)
+        rec = rx.to_record()
+        assert rec["fov_half_angle_deg"] == pytest.approx(75.0)
+        back = ReceiverConfig.from_record(json.loads(json.dumps(rec)))
+        assert back.fov_half_angle == rx.fov_half_angle
+        assert back.to_record() == rec
+        with pytest.raises(ValueError, match="fov_half_angle_deg: expected float"):
+            ReceiverConfig.from_record({**rec, "fov_half_angle_deg": "75"})
+
+    def test_nested_records_use_the_hooks(self):
+        sc = reference_scenarios()["mini"]
+        rec = to_record(sc)
+        assert rec["leds"][0]["id"] == sc.leds[0].led_id
+        assert "fov_half_angle_deg" in rec["receiver"]
+        back = from_record(Scenario, rec)
+        assert back.to_dict() == sc.to_dict()
