@@ -196,7 +196,7 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
                        len(usable), rms, attitude=quat_from_euler(0.0, x[2], x[3]))
 
 
-def initial_state(dataset, flags: dict, use_fix: bool = True) -> NavState:
+def initial_state(dataset, flags: dict) -> NavState:
     """First-epoch state: leveling + manifest heading + RSS position fix.
 
     ``flags`` maps (timestamp, led_id) -> SampleFlag, as for
@@ -212,14 +212,12 @@ def initial_state(dataset, flags: dict, use_fix: bool = True) -> NavState:
     room_max = np.asarray(dataset.manifest["room_max"], dtype=float)
     p0 = 0.5 * (room_min + room_max)
     p0[2] = float(np.mean(dataset.manifest["vehicle_z_range"]))
-    if use_fix:
-        led_map = {led.led_id: led for led in dataset.leds}
-        bounds = (room_min, room_max)
-        fix = solve_position_rss(samples0, led_map, dataset.receiver, q0, p0,
-                                 bounds=bounds)
-        if fix.ok:
-            # The fix locates the photodiode; shift back by the lever arm.
-            p0 = fix.position - quat_to_dcm(q0) @ dataset.receiver.lever_arm_vlp
+    led_map = {led.led_id: led for led in dataset.leds}
+    fix = solve_position_rss(samples0, led_map, dataset.receiver, q0, p0,
+                             bounds=(room_min, room_max))
+    if fix.ok:
+        # The fix locates the photodiode; shift back by the lever arm.
+        p0 = fix.position - quat_to_dcm(q0) @ dataset.receiver.lever_arm_vlp
     return NavState(timestamp=t0, position=p0, velocity=np.zeros(3), attitude=q0)
 
 

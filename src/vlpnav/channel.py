@@ -337,22 +337,3 @@ def rss_jacobian(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.ndar
         + (3.0 + led.order) * d / geo.distance**2
     )
     return dp_dr, dp_dphi
-
-
-def heading_information(pd_pos, q, leds, rx: ReceiverConfig) -> float:
-    """Sum over LEDs of the squared heading component of dP/dphi.
-
-    The attitude derivative is proportional to ``D_vec x n``, which is
-    orthogonal to the receiver normal ``n``; rotating the photodiode about
-    its own normal leaves every RSS unchanged, so this diagnostic is zero
-    to machine precision for any geometry.
-    """
-    n_u = receiver_normal(q)
-    total = 0.0
-    for led in leds:
-        try:
-            _, dp_dphi = rss_jacobian(pd_pos, q, led, rx)
-        except (GrazingIncidenceError, DegenerateGeometryError):
-            continue
-        total += float(dp_dphi @ n_u) ** 2
-    return total

@@ -26,7 +26,6 @@ from .dataio import Dataset, estimator_config_from_dict, load_dataset, write_dat
 from .estimator import TightlyCoupledEstimator, estimate_unknown_leds
 from .metrics import (
     DisjointTimeRangesError,
-    RunReport,
     detection_scores,
     evaluate_run,
     save_cdf_csv,
@@ -227,6 +226,7 @@ def cmd_estimate(args) -> int:
     mode = args.mode
     n_fix_failures = 0
     led_results = {}
+    led_init = variant = None
     if mode == "tc":
         unknown_init = None
         if config.unknown_led_ids:
@@ -240,6 +240,9 @@ def cmd_estimate(args) -> int:
                 key, _, val = part.partition("=")
                 x, _, y = val.partition(",")
                 unknown_init[int(key)] = np.array([float(x), float(y)])
+            # The resolved guesses, as a --led-init value that repeats them exactly.
+            led_init = ";".join(f"{i}={float(x)!r},{float(y)!r}"
+                                for i, (x, y) in sorted(unknown_init.items()))
         est, led_results, _ = run_tc(dataset, config, flags, unknown_init=unknown_init)
         est_t, causal = _write_states(out / "trajectory.csv", est.causal)
         _write_states(out / "trajectory_smoothed.csv", est.smoothed)
@@ -321,6 +324,8 @@ def cmd_estimate(args) -> int:
         "dataset_sha256": _dataset_hash(dataset),
         "config": to_record(config),
         "no_drd": bool(args.no_drd),
+        "led_init": led_init,
+        "vlp_variant": variant,
         "runtime_s": runtime,
         # BLAS threading changes the last digits of the outputs.
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},

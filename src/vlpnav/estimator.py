@@ -17,12 +17,17 @@ linearization.
 Linearization is one stacked pass over the window (:func:`linearize`):
 every RSS sample through the batched Lambertian model, every IMU factor,
 the constraints of every state and the prior each become arrays of
-residuals, information and Jacobian blocks.  :func:`assemble_cost`
-reduces them to the normal equations of the whole window and
-:func:`_marginalize_oldest` to those of the factors touching the oldest
-state.  The per-factor functions (:func:`vlp_residual`,
-:func:`vlp_jacobian_row`, :func:`_constraint_terms`) state the same
-factors one at a time.
+residuals, information and Jacobian blocks.  Each factor touches one
+state, two adjacent states or a state and an unknown LED, so
+:func:`normal_equations` reduces them to a block-tridiagonal Hessian over
+the states with a border of LED columns (:class:`NormalEquations`), and
+LM solves it by block elimination: the states first to last, then the
+LED block, then back-substitution, in time linear in the window length.
+The LED block's Schur complement gives the unknown LEDs' covariance.
+:func:`_marginalize_oldest` builds the same form over the two oldest
+states and the LEDs; :func:`assemble_cost` is the dense view.
+:func:`vlp_residual` and :func:`vlp_jacobian_row` state the RSS factor
+one sample at a time.
 
 Flagged (blocked) RSS samples are not deleted: they enter with the large
 ``blocked_variance`` so the corrupted measurements carry negligible
@@ -71,6 +76,7 @@ __all__ = [
     "Linearization",
     "LmReport",
     "MarginalPrior",
+    "NormalEquations",
     "PriorConfig",
     "SlidingWindow",
     "TightlyCoupledEstimator",
@@ -78,6 +84,7 @@ __all__ = [
     "dop",
     "estimate_unknown_leds",
     "linearize",
+    "normal_equations",
     "slide_and_marginalize",
     "solve_lm",
     "vlp_jacobian_row",
@@ -201,29 +208,6 @@ def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
     return row, led_block
 
 
-def _constraint_terms(state: NavState, cfg: ConstraintConfig):
-    """(residual, variance, 15-dim jacobian row) triples for one state.
-
-    Height: ``p_z - pd_height``.  NHC: lateral and vertical components
-    of the vehicle-frame velocity.
-    """
-    out = []
-    if cfg.use_height:
-        row = np.zeros(ERROR_DIM)
-        row[2] = 1.0
-        out.append((state.position[2] - cfg.pd_height, cfg.height_sigma**2, row))
-    if cfg.use_nhc:
-        R = quat_to_dcm(state.attitude)
-        v_v = R.T @ state.velocity
-        S = skew(v_v)
-        for axis in (1, 2):
-            row = np.zeros(ERROR_DIM)
-            row[3:6] = R.T[axis]
-            row[6:9] = S[axis]
-            out.append((v_v[axis], cfg.nhc_sigma**2, row))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Window and prior
 
@@ -298,10 +282,15 @@ class SlidingWindow:
     def total_dim(self) -> int:
         return ERROR_DIM * self.n_states + 2 * len(self.unknown_xy)
 
-    def index_of(self, key) -> int:
+    def block_of(self, key) -> tuple[str, int]:
+        """``("x", k)`` for the window's k-th state, ``("led", j)`` for its j-th unknown LED."""
         if key[0] == "x":
-            return ERROR_DIM * self.epoch_ids.index(key[1])
-        return ERROR_DIM * self.n_states + 2 * self.led_keys().index(key[1])
+            return "x", self.epoch_ids.index(key[1])
+        return "led", self.led_keys().index(key[1])
+
+    def index_of(self, key) -> int:
+        kind, i = self.block_of(key)
+        return ERROR_DIM * i if kind == "x" else ERROR_DIM * self.n_states + 2 * i
 
     def value_of(self, key):
         if key[0] == "x":
@@ -347,50 +336,198 @@ class FactorRows:
     """``F`` factors of one kind at the current window values, stacked.
 
     ``r`` holds the (F, m) residuals and ``info`` their (F, m, m)
-    information.  Factor ``f`` touches one variable block per entry of
-    ``cols``: the block starts at window column ``cols[b][f]`` and has
-    the (m, d_b) Jacobian ``jac[b][f]``.  ``jac`` is empty when the
-    factors were evaluated for their cost alone.
+    information.  Factor ``f`` touches the window states ``states[b][f]``
+    (one state, or two adjacent ones in increasing order) and, when
+    ``led`` is set and ``led[f]`` is not -1, the unknown LED ``led[f]``
+    (its place in :meth:`SlidingWindow.led_keys`).  ``jac`` holds the
+    (F, m, d) Jacobian of each state block, over the state's leading
+    ``d`` error dims, then the LED block's; it is empty when the factors
+    were evaluated for their cost alone.  Rows come in non-decreasing
+    state order.
     """
 
     r: np.ndarray
     info: np.ndarray
-    cols: tuple
+    states: tuple
     jac: tuple = ()
+    led: np.ndarray | None = None
 
     def cost(self) -> float:
         return 0.5 * float(np.sum(self.r[:, None, :] @ self.info @ self.r[:, :, None]))
 
-    def touching(self, col: int) -> np.ndarray:
-        """Mask of the factors with a block starting at column ``col``."""
-        return np.logical_or.reduce([c == col for c in self.cols])
+    def add_to(self, ne: "NormalEquations") -> None:
+        """Accumulate ``J^T W J`` and ``J^T W r`` into the blocks of ``ne``.
 
-    def take(self, rows, col_map: np.ndarray) -> "FactorRows":
-        """The factors ``rows`` with their columns renumbered through ``col_map``."""
-        return FactorRows(self.r[rows], self.info[rows], tuple(col_map[c[rows]] for c in self.cols),
-                          tuple(J[rows] for J in self.jac))
-
-    def add_to(self, H: np.ndarray, g: np.ndarray) -> None:
-        """Accumulate ``J^T W J`` into ``H`` and ``J^T W r`` into ``g``.
-
-        Contributions land factor by factor, so each entry sums its terms
-        in the order a loop over the factors would.  ``H`` must be
-        C-contiguous: it is updated through a flat view.
+        Each entry sums its terms in factor order, as a loop over the
+        factors would.
         """
-        n_f = self.r.shape[0]
-        if n_f == 0:
+        if not self.jac or self.r.shape[0] == 0:
             return
         JtW = [np.swapaxes(J, 1, 2) @ self.info for J in self.jac]
-        spans = [c[:, None] + np.arange(J.shape[2]) for c, J in zip(self.cols, self.jac)]
-        np.add.at(g, np.concatenate(spans, axis=1),
-                  np.concatenate([(A @ self.r[:, :, None])[:, :, 0] for A in JtW], axis=1))
-        n = H.shape[1]
-        idx, val = [], []
-        for A, si in zip(JtW, spans):
-            for J, sj in zip(self.jac, spans):
-                idx.append((si[:, :, None] * n + sj[:, None, :]).reshape(n_f, -1))
-                val.append((A @ J).reshape(n_f, -1))
-        np.add.at(H.reshape(-1), np.concatenate(idx, axis=1), np.concatenate(val, axis=1))
+        g = [(A @ self.r[:, :, None])[:, :, 0] for A in JtW]
+        for a, k in enumerate(self.states):
+            d = self.jac[a].shape[2]
+            blocks = [(ne.g_x[:, :d], g[a]), (ne.diag[:, :d, :d], JtW[a] @ self.jac[a])]
+            if a == 0 and len(self.states) == 2:
+                blocks += [(ne.upper, JtW[0] @ self.jac[1]), (ne.lower, JtW[1] @ self.jac[0])]
+            _add_sorted(k, blocks)
+        if self.led is not None:
+            m = self.led >= 0
+            j, J_led = self.led[m], self.jac[-1][m]
+            np.add.at(ne.g_l, j, g[-1][m])
+            np.add.at(ne.led_blocks, (j, j), JtW[-1][m] @ J_led)
+            for a, k in enumerate(self.states):
+                d = self.jac[a].shape[2]
+                np.add.at(ne.arrow_blocks[:, :, :d], (k[m], j), JtW[a][m] @ J_led)
+
+
+def _add_sorted(index: np.ndarray, blocks) -> None:
+    """``np.add.at(target, index, values)`` for each ``(target, values)`` of
+    ``blocks`` and a non-decreasing ``index``, with the same sums: each
+    index's rows are added to it in order."""
+    new = np.diff(index, prepend=-1) != 0
+    place = np.arange(index.size) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    unique = new.all()
+    for c in range(place.max(initial=-1) + 1):
+        rows = slice(None) if unique else place == c  # at most one row per index
+        at = index[rows]
+        for target, values in blocks:
+            target[at] += values[rows]
+
+
+@dataclass
+class NormalEquations:
+    """Gauss-Newton normal equations of a window, held as their blocks.
+
+    Every factor touches one state, two adjacent states, or a state and
+    an unknown LED, and the marginal prior the oldest state and the LEDs.
+    So over N states (15 dims each) followed by L unknown LEDs (2 each),
+    the order of :meth:`SlidingWindow.index_of`, the Hessian is
+    block-tridiagonal over the states with a LED border: ``diag``
+    (N, 15, 15) state blocks, ``upper`` (N-1, 15, 15) blocks of rows k
+    and columns k + 1 and ``lower`` the blocks of rows k + 1 and columns
+    k, ``arrow`` (N, 15, 2L) state-LED blocks (the LED-state ones are
+    their transposes) and the ``led`` (2L, 2L) block.  ``g`` is the
+    gradient in the same order and ``cost`` the cost.
+
+    ``lower`` is kept, not taken as the transpose of ``upper``: where the
+    terms of an IMU factor's cross block cancel, ``J1^T W J0`` and
+    ``(J0^T W J1)^T`` differ by up to 1e-10 relative.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    arrow: np.ndarray
+    led: np.ndarray
+    g: np.ndarray
+    cost: float = 0.0
+
+    @classmethod
+    def zeros(cls, n_states: int, n_leds: int) -> "NormalEquations":
+        e = ERROR_DIM
+        off = np.zeros((max(n_states - 1, 0), e, e))
+        return cls(np.zeros((n_states, e, e)), off, off.copy(),
+                   np.zeros((n_states, e, 2 * n_leds)), np.zeros((2 * n_leds, 2 * n_leds)),
+                   np.zeros(e * n_states + 2 * n_leds))
+
+    # Views for accumulation: per-state and per-LED gradients, (N, L, 15, 2)
+    # state-LED blocks and (L, L, 2, 2) LED blocks.
+    @property
+    def g_x(self) -> np.ndarray:
+        return self.g[:self.diag.size // ERROR_DIM].reshape(-1, ERROR_DIM)
+
+    @property
+    def g_l(self) -> np.ndarray:
+        return self.g[self.diag.size // ERROR_DIM:].reshape(-1, 2)
+
+    @property
+    def arrow_blocks(self) -> np.ndarray:
+        n, e, l2 = self.arrow.shape
+        return self.arrow.reshape(n, e, l2 // 2, 2).transpose(0, 2, 1, 3)
+
+    @property
+    def led_blocks(self) -> np.ndarray:
+        nl = self.led.shape[0] // 2
+        return self.led.reshape(nl, 2, nl, 2).transpose(0, 2, 1, 3)
+
+    def add_prior(self, at: list, hessian: np.ndarray, gradient: np.ndarray) -> None:
+        """Add a quadratic over the blocks ``at``: ``("x", k)`` for state k,
+        ``("led", j)`` for LED j."""
+        dims = [ERROR_DIM if kind == "x" else 2 for kind, _ in at]
+        offsets = np.cumsum([0] + dims)
+        for (ka, a), oa, da in zip(at, offsets, dims):
+            (self.g_x if ka == "x" else self.g_l)[a] += gradient[oa:oa + da]
+            for (kb, b), ob, db in zip(at, offsets, dims):
+                if kb == "led":
+                    target = (self.arrow_blocks if ka == "x" else self.led_blocks)[a, b]
+                elif ka == "led":
+                    continue  # LED-state blocks are the transposes of the arrow
+                elif abs(a - b) > 1:
+                    raise ValueError(f"prior couples states {a} and {b}, not adjacent")
+                else:
+                    target = self.diag[a] if a == b else self.upper[a] if b > a else self.lower[b]
+                target += hessian[oa:oa + da, ob:ob + db]
+
+    def dense(self) -> np.ndarray:
+        """The Hessian as one dense matrix."""
+        n, nx = len(self.diag), self.diag.size // ERROR_DIM
+        Hx = np.zeros((n, ERROR_DIM, n, ERROR_DIM))
+        k = np.arange(n)
+        Hx[k, :, k] = self.diag
+        Hx[k[:-1], :, k[1:]] = self.upper
+        Hx[k[1:], :, k[:-1]] = self.lower
+        H = np.zeros((self.g.size, self.g.size))
+        H[:nx, :nx] = Hx.reshape(nx, nx)
+        H[:nx, nx:] = self.arrow.reshape(nx, -1)
+        H[nx:, :nx] = H[:nx, nx:].T
+        H[nx:, nx:] = self.led
+        return H
+
+    def diagonal(self) -> np.ndarray:
+        i = np.arange(ERROR_DIM)
+        return np.concatenate([self.diag[:, i, i].ravel(), np.diag(self.led)])
+
+    def solve(self, shift=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Solve ``(H + diag(shift)) dx = -g`` by block elimination.
+
+        The states are eliminated first to last, each 15x15 pivot by an LU
+        solve, carrying the LED border along; then the LED block is solved
+        and the states are back-substituted.  No symmetry is assumed.
+        Returns ``dx`` and the LED block's Schur complement (the LEDs'
+        information with every state marginalized out).  A singular pivot
+        raises ``LinAlgError``; a non-finite system gives a non-finite
+        ``dx``.
+        """
+        e, (n, _, l2) = ERROR_DIM, self.arrow.shape
+        shift = np.broadcast_to(shift, self.g.shape)
+        i = np.arange(e)
+        S = self.diag.copy()
+        S[:, i, i] += shift[:e * n].reshape(n, e)
+        # As the forward pass reduces them: per state, the row blocks
+        # [upper | arrow | rhs] and the LED rows' block ``B``; the LED rows
+        # [led | rhs].
+        R = np.zeros((n, e, e + l2 + 1))
+        R[:-1, :, :e] = self.upper
+        R[:, :, e:-1] = self.arrow
+        R[:, :, -1] = -self.g_x
+        B = np.swapaxes(self.arrow, 1, 2).copy()
+        C = np.concatenate([self.led + np.diag(shift[e * n:]), -self.g[e * n:, None]], axis=1)
+        X = np.empty_like(R)
+        for k in range(n):
+            X[k] = np.linalg.solve(S[k], R[k])
+            C -= B[k] @ X[k, :, e:]
+            if k + 1 < n:
+                LX = self.lower[k] @ X[k]
+                S[k + 1] -= LX[:, :e]
+                R[k + 1, :, e:] -= LX[:, e:]
+                B[k + 1] -= B[k] @ X[k, :, :e]
+        schur = C[:, :-1]
+        x_led = np.linalg.solve(schur, C[:, -1]) if l2 else np.zeros(0)
+        x = X[:, :, -1] - X[:, :, e:-1] @ x_led
+        for k in range(n - 2, -1, -1):
+            x[k] -= X[k, :, :e] @ x[k + 1]
+        return np.concatenate([x.ravel(), x_led]), schur
 
 
 @dataclass
@@ -399,12 +536,13 @@ class Linearization:
 
     ``factors`` lists the unknown-LED weak prior, the IMU, RSS and
     constraint rows in that order.  The marginal ``prior`` enters as its
-    quadratic at the deltas ``prior_d``, over columns ``prior_cols``.
+    quadratic at the deltas ``prior_d``, over the blocks ``prior_at`` (as
+    :meth:`NormalEquations.add_prior` takes them).
     """
 
     factors: list
     prior: MarginalPrior | None = None
-    prior_cols: np.ndarray | None = None
+    prior_at: list | None = None
     prior_d: np.ndarray | None = None
 
     def cost(self) -> float:
@@ -414,49 +552,41 @@ class Linearization:
             total += 0.5 * float(d @ self.prior.hessian @ d) + float(self.prior.gradient @ d)
         return total
 
-    def add_to(self, H: np.ndarray, g: np.ndarray) -> None:
+    def add_to(self, ne: NormalEquations) -> None:
         if self.prior is not None:
-            idx = self.prior_cols
-            H[np.ix_(idx, idx)] += self.prior.hessian
-            g[idx] += self.prior.hessian @ self.prior_d + self.prior.gradient
+            ne.add_prior(self.prior_at, self.prior.hessian,
+                         self.prior.hessian @ self.prior_d + self.prior.gradient)
         for rows in self.factors:
-            rows.add_to(H, g)
-
-    def about(self, col: int, col_map: np.ndarray) -> "Linearization":
-        """The factors touching the block at ``col`` plus the whole prior,
-        renumbered through ``col_map`` (window column -> new column)."""
-        cols = None if self.prior is None else col_map[self.prior_cols]
-        return Linearization([rows.take(rows.touching(col), col_map) for rows in self.factors],
-                             self.prior, cols, self.prior_d)
+            rows.add_to(ne)
 
 
-def _rows(r, info, cols, jac, jacobians: bool) -> FactorRows:
-    return FactorRows(r, info, tuple(cols), tuple(jac) if jacobians else ())
+def _rows(r, info, states, jac, jacobians: bool, led=None) -> FactorRows:
+    return FactorRows(r, info, tuple(states), tuple(jac) if jacobians else (), led)
 
 
-def _led_prior_rows(window: SlidingWindow, jacobians: bool) -> FactorRows:
-    """Weak prior keeping unobserved unknown-LED blocks solvable."""
-    ids = window.led_keys()
+def _led_prior_rows(window: SlidingWindow, jacobians: bool, active: bool) -> FactorRows:
+    """Weak prior keeping unobserved unknown-LED blocks solvable (no rows
+    unless ``active``)."""
+    ids = window.led_keys() if active else []
     r = np.array([window.unknown_xy[i] - window.unknown_init[i] for i in ids]).reshape(-1, 2)
     w = 1.0 / window.config.unknown_led_prior_sigma**2
     eye = np.broadcast_to(np.eye(2), (len(ids), 2, 2))
-    cols = np.array([window.index_of(("led", i)) for i in ids], dtype=int)
-    return _rows(r, w * eye, [cols], [eye], jacobians)
+    return _rows(r, w * eye, [], [eye], jacobians, led=np.arange(len(ids)))
 
 
-def _imu_rows(factors, gravity, X: StateArrays, x_cols, jacobians: bool) -> FactorRows:
+def _imu_rows(factors, gravity, X: StateArrays, jacobians: bool) -> FactorRows:
     """Rows of the IMU factors ``factors``; factor ``k`` joins states ``k`` and ``k + 1``."""
     n = len(factors)
+    ks = np.arange(n)
     if n == 0:
         empty = np.zeros((0, ERROR_DIM, ERROR_DIM))
-        none = np.zeros(0, dtype=int)
-        return _rows(np.zeros((0, ERROR_DIM)), empty, [none, none], [empty, empty], jacobians)
+        return _rows(np.zeros((0, ERROR_DIM)), empty, [ks, ks], [empty, empty], jacobians)
     pres = PreintegratedStack.of(factors)
     r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], gravity, jacobians)
-    return _rows(r, pres.information, [x_cols[:n], x_cols[1:n + 1]], [Jk, Jk1], jacobians)
+    return _rows(r, pres.information, [ks, ks + 1], [Jk, Jk1], jacobians)
 
 
-def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R, x_cols,
+def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R,
               jacobians: bool) -> FactorRows:
     """One row per usable RSS sample of ``epochs`` (state ``k``'s samples at
     ``epochs[k]``), through the batched Lambertian model.
@@ -464,7 +594,7 @@ def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R, x_cols,
     Samples of LEDs off the map, out of the FOV, degenerate (PD at the
     LED) or grazing are left out.  Unknown LEDs use their current planar
     estimate.  With unknown LEDs in the window every row carries a LED
-    block; rows of known LEDs point it at their own state with zeros.
+    block, -1 for the rows of known LEDs.
     """
     table = window.led_table
     st, li, value, var = [], [], [], []
@@ -479,17 +609,19 @@ def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R, x_cols,
     st = np.array(st, dtype=int)
     li = np.array(li, dtype=int)
     led_pos = table.position.copy()
-    for led_id, xy in window.unknown_xy.items():
-        led_pos[table.row[led_id], :2] = xy
+    led_of = np.full(len(table.row), -1)
+    for j, led_id in enumerate(window.led_keys()):
+        led_pos[table.row[led_id], :2] = window.unknown_xy[led_id]
+        led_of[table.row[led_id]] = j
     lever_u = R @ window.rx.lever_arm_vlp
     model = lambertian(X.position[st] + lever_u[st], R[st, :, 2], led_pos[li],
                        table.normal[li], table.order[li], table.gain[li],
                        window.rx.fov_cos(), gradients=jacobians)
     keep = model.valid & model.regular
-    st, li = st[keep], li[keep]
+    st, j = st[keep], led_of[li[keep]]
     r = (model.rss[keep] - np.array(value)[keep])[:, None]
     info = (1.0 / np.array(var)[keep])[:, None, None]
-    cols, jac = [x_cols[st]], []
+    jac = []
     if jacobians:
         dp_dr, dp_dphi = model.d_pos[keep], model.d_att[keep]
         J = np.zeros((st.size, 1, NAV_DIM))
@@ -497,25 +629,16 @@ def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R, x_cols,
         # d r / d theta = -R^T (A - [lever_u x] B), A = dp_dphi, B = dp_dr
         lever_swing = dp_dphi - np.cross(lever_u[st], dp_dr)
         J[:, 0, 6:9] = -(np.swapaxes(R[st], 1, 2) @ lever_swing[:, :, None])[:, :, 0]
-        jac.append(J)
-    if window.unknown_xy:
-        led_col = np.full(len(table.row), -1)
-        for led_id in window.unknown_xy:
-            led_col[table.row[led_id]] = window.index_of(("led", led_id))
-        led_col = led_col[li]
-        unknown = led_col >= 0
-        cols.append(np.where(unknown, led_col, cols[0]))
-        if jacobians:
-            J_led = np.zeros((st.size, 1, 2))
-            J_led[unknown, 0] = -dp_dr[unknown, :2]
-            jac.append(J_led)
-    return _rows(r, info, cols, jac, jacobians)
+        jac = [J, -dp_dr[:, None, :2]]
+    if not window.unknown_xy:
+        return _rows(r, info, [st], jac[:1], jacobians)
+    return _rows(r, info, [st], jac, jacobians, led=j)
 
 
-def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, x_cols,
-                     jacobians: bool) -> FactorRows:
-    """Height and NHC rows of every state, as :func:`_constraint_terms` lists them."""
-    n = len(x_cols)
+def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, jacobians: bool) -> FactorRows:
+    """Height (``p_z - pd_height``) and NHC (lateral and vertical vehicle-frame
+    velocity) rows of every state."""
+    n = len(X.position)
     r, var, J = [], [], []
     if cfg.use_height:
         row = np.zeros((n, NAV_DIM))
@@ -540,7 +663,7 @@ def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, x_cols,
                      [np.zeros((0, 1, NAV_DIM))], jacobians)
     info = np.broadcast_to(1.0 / np.array(var)[None, :, None, None], (n, c, 1, 1))
     return _rows(np.stack(r, axis=1).reshape(n * c, 1), info.reshape(n * c, 1, 1),
-                 [np.repeat(x_cols, c)], [np.stack(J, axis=1).reshape(n * c, 1, NAV_DIM)],
+                 [np.repeat(np.arange(n), c)], [np.stack(J, axis=1).reshape(n * c, 1, NAV_DIM)],
                  jacobians)
 
 
@@ -553,43 +676,46 @@ def linearize(window: SlidingWindow, jacobians: bool = True,
     the cost-only pass (``jacobians=False``) and the Hessian pass score
     the same function.  With ``n_states`` = k only the factors of the
     first k states are evaluated: their RSS samples and constraint rows
-    and the IMU factors leaving them, plus both priors.
+    and the IMU factors leaving them, plus the marginal prior.
     """
     k = window.n_states if n_states is None else n_states
     X = StateArrays.of(window.states[:k + 1])  # IMU factor k - 1 reaches state k
     R = quat_to_dcm_batch(X.attitude)
-    x_cols = ERROR_DIM * np.arange(len(X.position))
     cfg = window.config
     lin = Linearization([
-        _led_prior_rows(window, jacobians),
-        _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X, x_cols, jacobians),
-        _rss_rows(window, window.rss_factors[:k], X, R, x_cols, jacobians),
-        _constraint_rows(cfg.constraints, X[:k], R[:k], x_cols[:k], jacobians),
+        _led_prior_rows(window, jacobians, k == window.n_states),
+        _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X, jacobians),
+        _rss_rows(window, window.rss_factors[:k], X, R, jacobians),
+        _constraint_rows(cfg.constraints, X[:k], R[:k], jacobians),
     ])
     p = window.prior
     if p is not None and p.keys:
         lin.prior = p
         lin.prior_d = np.concatenate([p.delta(k, window.value_of(k)) for k in p.keys])
-        lin.prior_cols = np.concatenate(
-            [window.index_of(k) + np.arange(p.dim_of(k)) for k in p.keys])
+        lin.prior_at = [window.block_of(k) for k in p.keys]
     return lin
 
 
-def assemble_cost(window: SlidingWindow, with_hessian: bool = True):
-    """Gauss-Newton normal equations of the window at its current values.
+def normal_equations(window: SlidingWindow) -> NormalEquations:
+    """Gauss-Newton normal equations of the window at its current values,
+    in block form, with the cost of :func:`linearize`."""
+    lin = linearize(window)
+    ne = NormalEquations.zeros(window.n_states, len(window.unknown_xy))
+    lin.add_to(ne)
+    ne.cost = lin.cost()
+    return ne
 
-    Returns ``(H, g, cost)``: Hessian, gradient and total cost
-    ``sum 0.5 r^T W r`` (plus the prior quadratic) of :func:`linearize`.
-    ``H``/``g`` are ``None`` when ``with_hessian`` is False.
+
+def assemble_cost(window: SlidingWindow, with_hessian: bool = True):
+    """Dense view of :func:`normal_equations`: ``(H, g, cost)``.
+
+    ``cost`` is ``sum 0.5 r^T W r`` plus the prior quadratic.  ``H``/``g``
+    are ``None`` when ``with_hessian`` is False.
     """
-    lin = linearize(window, jacobians=with_hessian)
     if not with_hessian:
-        return None, None, lin.cost()
-    dim = window.total_dim()
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    lin.add_to(H, g)
-    return H, g, lin.cost()
+        return None, None, linearize(window, jacobians=False).cost()
+    ne = normal_equations(window)
+    return ne.dense(), ne.g, ne.cost
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +755,24 @@ def _apply_step(window: SlidingWindow, dx: np.ndarray):
 def solve_lm(window: SlidingWindow, opts: LmOptions | None = None) -> LmReport:
     """Damped Gauss-Newton on the window; mutates it toward the optimum.
 
+    Each step solves the block normal equations with ``lambda *
+    clip(diag H)`` added to the diagonal (:meth:`NormalEquations.solve`).
     Starts undamped (a pure GN step solves quadratic costs exactly);
-    damping engages only after a rejected step.  Convergence: relative
+    damping engages only after a rejected step, or a singular or
+    non-finite system.  Convergence: relative
     cost decrease below ``cost_reduction_tol`` or step norm below
     ``step_norm_tol``.  If the damping parameter exhausts ``lambda_max``
     the best iterate is kept and the report flags no convergence.
     """
     opts = opts or window.config.lm
     report = LmReport(converged=False)
-    H, g, cost = assemble_cost(window)
+    ne = normal_equations(window)
+    cost = ne.cost
     lam = opts.lambda_init
 
     for _ in range(opts.max_iterations):
-        D = np.clip(np.diag(H), 1e-12, None)
         try:
-            dx = np.linalg.solve(H + lam * np.diag(D), -g)
+            dx, _ = ne.solve(lam * np.clip(ne.diagonal(), 1e-12, None))
         except np.linalg.LinAlgError:
             dx = None
         if dx is not None and np.all(np.isfinite(dx)):
@@ -651,7 +780,7 @@ def solve_lm(window: SlidingWindow, opts: LmOptions | None = None) -> LmReport:
             saved = (window.states, dict(window.unknown_xy))
             window.states = states
             window.unknown_xy = leds
-            _, _, new_cost = assemble_cost(window, with_hessian=False)
+            new_cost = linearize(window, jacobians=False).cost()
         else:
             new_cost = math.inf
 
@@ -668,7 +797,7 @@ def solve_lm(window: SlidingWindow, opts: LmOptions | None = None) -> LmReport:
                     step < opts.step_norm_tol):
                 report.converged = True
                 break
-            H, g, _ = assemble_cost(window)
+            ne = normal_equations(window)
             lam = 0.0 if lam < 1e-12 else lam / opts.lambda_shrink
         else:
             if dx is not None:
@@ -723,6 +852,7 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     keys = [key0]
     if window.n_states > 1:
         keys.append(("x", window.epoch_ids[1]))
+    n_x = len(keys)
     for s in window.rss_factors[0]:
         k = ("led", s.led_id)
         if s.led_id in window.unknown_xy and k not in keys:
@@ -738,22 +868,18 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     if prior is not None:
         keys += [k for k in prior.keys if k not in keys]
 
-    # Window column -> column of the local (H, g) over ``keys``.
-    col_map = np.full(window.total_dim(), -1)
-    dim = 0
-    for k in keys:
-        d = ERROR_DIM if k[0] == "x" else 2
-        col_map[window.index_of(k) + np.arange(d)] = dim + np.arange(d)
-        dim += d
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    linearize(window, n_states=1).about(window.index_of(key0), col_map).add_to(H, g)
-
-    reduced = schur_marginalize(H, g, ERROR_DIM)
+    # The factors of the oldest state reach the two oldest states and the
+    # LEDs: the window's first two states and its LEDs keep their places.
+    ne = NormalEquations.zeros(n_x, len(window.unknown_xy))
+    linearize(window, n_states=1).add_to(ne)
+    idx = np.concatenate([ERROR_DIM * i + np.arange(ERROR_DIM) if kind == "x"
+                          else ERROR_DIM * n_x + 2 * i + np.arange(2)
+                          for kind, i in map(window.block_of, keys)])
+    reduced = schur_marginalize(ne.dense()[np.ix_(idx, idx)], ne.g[idx], ERROR_DIM)
     if reduced is None:
         logger.warning("indefinite marginal block; dropping factors of epoch %d", e0)
         if prior is not None and touched_by_prior:
-            return _prior_without_key(window, prior, key0)
+            return _prior_without_key(prior, key0)
         return prior
     H_new, g_new = reduced
     new_keys = keys[1:]
@@ -764,27 +890,18 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     return MarginalPrior(keys=new_keys, hessian=H_new, gradient=g_new, lin=lin)
 
 
-def _prior_without_key(window: SlidingWindow, prior: MarginalPrior, key) -> MarginalPrior | None:
+def _prior_without_key(prior: MarginalPrior, key) -> MarginalPrior | None:
     """Fallback: delete a key from the prior by dropping its rows/cols."""
     if key not in prior.keys:
         return prior
     keep = [k for k in prior.keys if k != key]
     if not keep:
         return None
-    idx = []
-    o = 0
-    for k in prior.keys:
-        d = prior.dim_of(k)
-        if k != key:
-            idx.extend(range(o, o + d))
-        o += d
-    idx = np.asarray(idx, dtype=int)
-    return MarginalPrior(
-        keys=keep,
-        hessian=prior.hessian[np.ix_(idx, idx)],
-        gradient=prior.gradient[idx],
-        lin={k: prior.lin[k] for k in keep},
-    )
+    offsets = np.cumsum([0] + [prior.dim_of(k) for k in prior.keys])
+    idx = np.concatenate([o + np.arange(prior.dim_of(k))
+                          for k, o in zip(prior.keys, offsets) if k != key])
+    return MarginalPrior(keys=keep, hessian=prior.hessian[np.ix_(idx, idx)],
+                         gradient=prior.gradient[idx], lin={k: prior.lin[k] for k in keep})
 
 
 def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: NavState,
@@ -842,21 +959,21 @@ def estimate_unknown_leds(window: SlidingWindow, report: LmReport | None = None,
                           cov_threshold: float = 1.0) -> dict[int, LedEstimate]:
     """Read back unknown-LED estimates and marginal covariances.
 
-    A LED is flagged diverged when the optimizer failed to converge with
+    The covariance is the inverse of the LED block's Schur complement
+    (every state marginalized out of ``H + 1e-12 I``).  A LED is flagged diverged when the optimizer failed to converge with
     its planar step still growing, or when its marginal covariance trace
     exceeds ``cov_threshold`` (weak geometry; compare a DOP map).
     """
     out = {}
     if not window.unknown_xy:
         return out
-    H, _, _ = assemble_cost(window)
-    cov_full = np.linalg.inv(H + 1e-12 * np.eye(H.shape[0]))
+    # The LED block's Schur complement is the inverse of their covariance.
+    cov_full = np.linalg.inv(normal_equations(window).solve(1e-12)[1])
     steps = [it.led_step for it in (report.iterations if report else []) if it.accepted]
     growing = len(steps) >= 3 and steps[-1] > steps[-2] > steps[-3] and steps[-1] > 1e-3
     non_conv = report is not None and not report.converged
-    for led_id in window.led_keys():
-        i0 = window.index_of(("led", led_id))
-        cov = cov_full[i0:i0 + 2, i0:i0 + 2]
+    for j, led_id in enumerate(window.led_keys()):
+        cov = cov_full[2 * j:2 * j + 2, 2 * j:2 * j + 2]
         diverged = (non_conv and growing) or float(np.trace(cov)) > cov_threshold
         out[led_id] = LedEstimate(led_id=led_id, xy=window.unknown_xy[led_id].copy(),
                                   cov=cov, diverged=diverged)
@@ -908,11 +1025,8 @@ class TightlyCoupledEstimator:
             self.window.set_unknown_led(led_id, init)
         self.window.append(0, state0, None, rss0)
         self.window.prior = MarginalPrior(
-            keys=[("x", 0)],
-            hessian=np.diag(self.config.prior.sqrt_info_diag()),
-            gradient=np.zeros(ERROR_DIM),
-            lin={("x", 0): state0.copy()},
-        )
+            keys=[("x", 0)], hessian=np.diag(self.config.prior.sqrt_info_diag()),
+            gradient=np.zeros(ERROR_DIM), lin={("x", 0): state0.copy()})
         return self._solve_and_record()
 
     def step(self, pre: PreintegratedImu, rss: list[RssSample], timestamp: float) -> LmReport:
@@ -921,13 +1035,9 @@ class TightlyCoupledEstimator:
         self._epoch_counter += 1
         reintegrations = self._reintegrate()
         seed = mechanize(pre, self.window.states[-1], self.config.gravity_vec, timestamp)
-        n_before = self.window.n_states
-        if n_before >= self.config.window_size:
-            oldest = self.window.states[0]
-            slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
-            self.smoothed.append(oldest.copy())
-        else:
-            slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
+        if self.window.n_states >= self.config.window_size:
+            self.smoothed.append(self.window.states[0].copy())
+        slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
         return self._solve_and_record(reintegrations)
 
     def finalize(self) -> list[NavState]:

@@ -83,10 +83,12 @@ def cdf_table(errors) -> list:
 
 
 def normal_angle_deg(q_est, q_true) -> float:
-    """Angle between estimated and true photodiode normals (inclination)."""
+    """Angle between estimated and true photodiode normals (inclination), as
+    ``atan2(|n_e x n_t|, n_e . n_t)``: ``arccos`` of the dot product would
+    lose about 1e-8 deg near zero."""
     n_e = quat_to_dcm(q_est)[:, 2]
     n_t = quat_to_dcm(q_true)[:, 2]
-    return float(np.rad2deg(np.arccos(np.clip(n_e @ n_t, -1.0, 1.0))))
+    return float(np.rad2deg(np.arctan2(np.linalg.norm(np.cross(n_e, n_t)), n_e @ n_t)))
 
 
 def heading_error_deg(q_est, q_true) -> float:

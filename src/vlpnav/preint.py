@@ -46,17 +46,13 @@ from .attitude import (
     quat_conjugate_batch,
     quat_exp,
     quat_exp_batch,
-    quat_left,
     quat_left_batch,
     quat_multiply,
     quat_multiply_batch,
-    quat_right,
     quat_right_batch,
     quat_to_dcm,
     quat_to_dcm_batch,
-    skew,
     skew_batch,
-    so3_right_jacobian,
     so3_right_jacobian_batch,
 )
 from .state import NavState, StateArrays
@@ -316,55 +312,6 @@ def imu_residual(pre: PreintegratedImu, x_k: NavState, x_k1: NavState, gravity) 
     return r
 
 
-def imu_residual_jacobians(pre: PreintegratedImu, x_k: NavState, x_k1: NavState,
-                           gravity) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic residual Jacobians ``(d r / d x_k, d r / d x_k1)``, 15x15 each."""
-    g = np.asarray(gravity, dtype=float)
-    dt = pre.dt
-    _, _, gamma_c, _, dbg = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
-    R_k = quat_to_dcm(x_k.attitude)
-    R_ku = R_k.T
-
-    dp = x_k1.position - x_k.position - 0.5 * g * dt**2 - x_k.velocity * dt
-    dv = x_k1.velocity - g * dt - x_k.velocity
-
-    Jk = np.zeros((15, 15))
-    Jk1 = np.zeros((15, 15))
-
-    Jk[0:3, 0:3] = -R_ku
-    Jk[0:3, 3:6] = -R_ku * dt
-    Jk[0:3, 6:9] = skew(R_ku @ dp)
-    Jk[0:3, 9:12] = -pre.d_alpha_d_ba
-    Jk[0:3, 12:15] = -pre.d_alpha_d_bg
-    Jk1[0:3, 0:3] = R_ku
-
-    Jk[3:6, 3:6] = -R_ku
-    Jk[3:6, 6:9] = skew(R_ku @ dv)
-    Jk[3:6, 9:12] = -pre.d_beta_d_ba
-    Jk[3:6, 12:15] = -pre.d_beta_d_bg
-    Jk1[3:6, 3:6] = R_ku
-
-    # Attitude block via exact quaternion product matrices.
-    q_rel = quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude)
-    q_err = quat_multiply(q_rel, quat_conjugate(gamma_c))
-    sign = -1.0 if q_err[0] < 0.0 else 1.0
-    L_rel = quat_left(q_rel)
-    R_gc = quat_right(quat_conjugate(gamma_c))
-    Jk[6:9, 6:9] = -sign * quat_right(q_err)[1:4, 1:4]
-    Jk1[6:9, 6:9] = sign * (L_rel @ R_gc)[1:4, 1:4]
-    # Bias-gyro sensitivity through the corrected gamma; the right
-    # Jacobian accounts for a nonzero current correction angle.
-    phi0 = pre.d_gamma_d_bg @ dbg
-    Jk[6:9, 12:15] = -sign * (L_rel @ R_gc)[1:4, 1:4] @ (
-        so3_right_jacobian(phi0) @ pre.d_gamma_d_bg)
-
-    Jk[9:12, 9:12] = -np.eye(3)
-    Jk1[9:12, 9:12] = np.eye(3)
-    Jk[12:15, 12:15] = -np.eye(3)
-    Jk1[12:15, 12:15] = np.eye(3)
-    return Jk, Jk1
-
-
 def _mv(A, x):
     """Row-wise products of a (K, n, m) matrix stack and a (K, m) vector stack."""
     return (A @ x[:, :, None])[:, :, 0]
@@ -372,7 +319,7 @@ def _mv(A, x):
 
 def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays,
                         gravity, jacobians: bool = True):
-    """:func:`imu_residual` and :func:`imu_residual_jacobians` of K factors at once.
+    """:func:`imu_residual` and its Jacobians of K factors at once.
 
     Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``.  Returns ``(r, Jk, Jk1)``:
     (K, 15) residuals and (K, 15, 15) Jacobians, ``None`` unless asked for.

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import quat_from_euler, quat_multiply, quat_normalize, quat_to_dcm
+from .attitude import quat_from_euler, quat_multiply, quat_to_dcm
 from .channel import (
     LedBeacon,
     ReceiverConfig,
@@ -321,21 +321,6 @@ class TruthStream:
     def duration(self) -> float:
         return float(self.timestamps[-1] - self.timestamps[0])
 
-    def index_at(self, t: float) -> int:
-        return int(np.clip(np.searchsorted(self.timestamps, t), 0, self.timestamps.size - 1))
-
-    def pose_at(self, t):
-        """Linear position / normalized-lerp attitude interpolation."""
-        ts = self.timestamps
-        i = int(np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2))
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        w = float(np.clip(w, 0.0, 1.0))
-        p = (1 - w) * self.position[i] + w * self.position[i + 1]
-        qa, qb = self.attitude[i], self.attitude[i + 1]
-        if qa @ qb < 0:
-            qb = -qb
-        q = quat_normalize((1 - w) * qa + w * qb)
-        return p, q
 
 
 def _rotate_vec(q_arr, v_arr):

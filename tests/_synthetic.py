@@ -16,7 +16,17 @@ import warnings
 
 import numpy as np
 
-from vlpnav.attitude import quat_identity, quat_multiply, quat_to_dcm, skew
+from vlpnav.attitude import (
+    quat_conjugate,
+    quat_identity,
+    quat_left,
+    quat_multiply,
+    quat_normalize,
+    quat_right,
+    quat_to_dcm,
+    skew,
+    so3_right_jacobian,
+)
 from vlpnav.blockage import BlockageState, DrdConfig, drd_step
 from vlpnav.channel import (
     DegenerateGeometryError,
@@ -28,11 +38,11 @@ from vlpnav.channel import (
     gain_constant,
     los_geometry,
     predict_rss,
+    receiver_normal,
     rss_jacobian,
 )
 from vlpnav.estimator import (
     ConstraintConfig,
-    _constraint_terms,
     schur_marginalize,
     vlp_jacobian_row,
     vlp_residual,
@@ -45,7 +55,6 @@ from vlpnav.preint import (
     PreintegratedImu,
     _corrected_terms,
     imu_residual,
-    imu_residual_jacobians,
     preintegrate,
 )
 from vlpnav.state import ERROR_DIM, NavState
@@ -146,7 +155,80 @@ def exact_rss(state, leds, rx, variance=0.01):
 
 # ---------------------------------------------------------------------------
 # Per-factor loop forms of the estimator's normal equations: the
-# implementation the batched linearization replaced, kept as its reference.
+# implementation the batched linearization replaced, kept as its reference,
+# with the per-factor constraint rows and IMU Jacobians it is built from.
+
+
+def _constraint_terms(state: NavState, cfg: ConstraintConfig):
+    """(residual, variance, 15-dim jacobian row) triples for one state.
+
+    Height: ``p_z - pd_height``.  NHC: lateral and vertical components
+    of the vehicle-frame velocity.
+    """
+    out = []
+    if cfg.use_height:
+        row = np.zeros(ERROR_DIM)
+        row[2] = 1.0
+        out.append((state.position[2] - cfg.pd_height, cfg.height_sigma**2, row))
+    if cfg.use_nhc:
+        R = quat_to_dcm(state.attitude)
+        v_v = R.T @ state.velocity
+        S = skew(v_v)
+        for axis in (1, 2):
+            row = np.zeros(ERROR_DIM)
+            row[3:6] = R.T[axis]
+            row[6:9] = S[axis]
+            out.append((v_v[axis], cfg.nhc_sigma**2, row))
+    return out
+
+
+def imu_residual_jacobians(pre: PreintegratedImu, x_k: NavState, x_k1: NavState,
+                           gravity) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic residual Jacobians ``(d r / d x_k, d r / d x_k1)``, 15x15 each."""
+    g = np.asarray(gravity, dtype=float)
+    dt = pre.dt
+    _, _, gamma_c, _, dbg = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
+    R_k = quat_to_dcm(x_k.attitude)
+    R_ku = R_k.T
+
+    dp = x_k1.position - x_k.position - 0.5 * g * dt**2 - x_k.velocity * dt
+    dv = x_k1.velocity - g * dt - x_k.velocity
+
+    Jk = np.zeros((15, 15))
+    Jk1 = np.zeros((15, 15))
+
+    Jk[0:3, 0:3] = -R_ku
+    Jk[0:3, 3:6] = -R_ku * dt
+    Jk[0:3, 6:9] = skew(R_ku @ dp)
+    Jk[0:3, 9:12] = -pre.d_alpha_d_ba
+    Jk[0:3, 12:15] = -pre.d_alpha_d_bg
+    Jk1[0:3, 0:3] = R_ku
+
+    Jk[3:6, 3:6] = -R_ku
+    Jk[3:6, 6:9] = skew(R_ku @ dv)
+    Jk[3:6, 9:12] = -pre.d_beta_d_ba
+    Jk[3:6, 12:15] = -pre.d_beta_d_bg
+    Jk1[3:6, 3:6] = R_ku
+
+    # Attitude block via exact quaternion product matrices.
+    q_rel = quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude)
+    q_err = quat_multiply(q_rel, quat_conjugate(gamma_c))
+    sign = -1.0 if q_err[0] < 0.0 else 1.0
+    L_rel = quat_left(q_rel)
+    R_gc = quat_right(quat_conjugate(gamma_c))
+    Jk[6:9, 6:9] = -sign * quat_right(q_err)[1:4, 1:4]
+    Jk1[6:9, 6:9] = sign * (L_rel @ R_gc)[1:4, 1:4]
+    # Bias-gyro sensitivity through the corrected gamma; the right
+    # Jacobian accounts for a nonzero current correction angle.
+    phi0 = pre.d_gamma_d_bg @ dbg
+    Jk[6:9, 12:15] = -sign * (L_rel @ R_gc)[1:4, 1:4] @ (
+        so3_right_jacobian(phi0) @ pre.d_gamma_d_bg)
+
+    Jk[9:12, 9:12] = -np.eye(3)
+    Jk1[9:12, 9:12] = np.eye(3)
+    Jk[12:15, 12:15] = -np.eye(3)
+    Jk1[12:15, 12:15] = np.eye(3)
+    return Jk, Jk1
 
 
 def _sym_inv(M):
@@ -361,7 +443,8 @@ def bias_corrected(pre, bias_acc, bias_gyro):
 
 # ---------------------------------------------------------------------------
 # Single-pose and single-stream forms the library does without: oracles
-# for the channel model and the DRD detector.
+# for the channel model and the DRD detector, the heading-information
+# diagnostic and the DCM-to-quaternion inverse.
 
 
 def predict_rss_angular(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
@@ -433,3 +516,51 @@ def detect_stream(times, values, threshold: float, cfg: DrdConfig) -> tuple[np.n
                          threshold, cfg.value_floor)
         tags[i + 1] = state.blocked
     return tags, state.transitions
+
+
+def heading_information(pd_pos, q, leds, rx: ReceiverConfig) -> float:
+    """Sum over LEDs of the squared heading component of dP/dphi.
+
+    The attitude derivative is proportional to ``D_vec x n``, which is
+    orthogonal to the receiver normal ``n``; rotating the photodiode about
+    its own normal leaves every RSS unchanged, so this diagnostic is zero
+    to machine precision for any geometry.
+    """
+    n_u = receiver_normal(q)
+    total = 0.0
+    for led in leds:
+        try:
+            _, dp_dphi = rss_jacobian(pd_pos, q, led, rx)
+        except (GrazingIncidenceError, DegenerateGeometryError):
+            continue
+        total += float(dp_dphi @ n_u) ** 2
+    return total
+
+
+def dcm_to_quat(R) -> np.ndarray:
+    """Quaternion of a proper-orthogonal matrix (Shepperd), with w >= 0."""
+    R = np.asarray(R, dtype=float)
+    t = np.trace(R)
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] > R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    if q[0] < 0.0:
+        q = -q
+    return quat_normalize(q)

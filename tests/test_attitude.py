@@ -4,7 +4,6 @@ import pytest
 from vlpnav.attitude import (
     InvalidQuaternionError,
     apply_small_angle,
-    dcm_to_quat,
     euler_from_quat,
     quat_exp,
     quat_from_euler,
@@ -18,6 +17,8 @@ from vlpnav.attitude import (
     skew,
     so3_right_jacobian,
 )
+
+from _synthetic import dcm_to_quat
 
 
 def random_quats(n, seed):

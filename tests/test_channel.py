@@ -9,14 +9,18 @@ from vlpnav.channel import (
     ReceiverConfig,
     RssSample,
     SampleFlag,
-    heading_information,
     los_geometry,
     predict_rss,
     receiver_normal,
     rss_jacobian,
 )
 
-from _synthetic import predict_rss_angular, rss_jacobian_2d, unknown_led_jacobian
+from _synthetic import (
+    heading_information,
+    predict_rss_angular,
+    rss_jacobian_2d,
+    unknown_led_jacobian,
+)
 
 RX = ReceiverConfig(area=1e-4, fov_half_angle=np.pi / 2)
 

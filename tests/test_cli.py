@@ -193,6 +193,34 @@ class TestEstimate:
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_manifest_led_init_reproduces_run(self, mini_dataset, tmp_path):
+        """An unknown-LED run from a non-default guess repeats from its manifest."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
+                     "--unknown-leds", "5", "--led-init", "5=2.3,2.6", "--out", str(first)]) == 0
+        man = json.loads((first / "manifest.json").read_text())
+        assert man["led_init"] == "5=2.3,2.6"
+        assert man["vlp_variant"] is None
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(man["config"]))
+        assert main(["estimate", "--dataset", man["dataset"], "--mode", man["mode"],
+                     "--config", str(cfg), "--led-init", man["led_init"],
+                     "--out", str(second)]) == 0
+        assert ((first / "trajectory.csv").read_bytes()
+                == (second / "trajectory.csv").read_bytes())
+
+    def test_manifest_records_resolved_vlp_variant(self, mini_dataset, tmp_path):
+        default = "tilt" if load_dataset(mini_dataset).manifest.get("planar") else "level"
+        cases = (([], default), (["--vlp-variant", "tilt"], "tilt"),
+                 (["--vlp-variant", "level"], "level"))
+        for i, (extra, variant) in enumerate(cases):
+            out = tmp_path / f"run{i}"
+            assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "vlp_only",
+                         "--no-drd", "--out", str(out)] + extra) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            assert man["vlp_variant"] == variant
+            assert man["led_init"] is None
+
     def test_manifest_records_blas_threads_and_numpy(self, mini_dataset, tmp_path,
                                                       monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -83,6 +83,12 @@ class TestAngles:
         q = quat_from_euler(0.0, np.deg2rad(10.0), 1.3)
         assert normal_angle_deg(q, quat_from_euler(0, 0, -0.4)) == pytest.approx(10.0)
 
+    def test_normal_angle_small(self):
+        # arccos of the dot product resolves no angle below ~1.5e-8 rad.
+        q = quat_from_euler(1e-7, 0.0, 0.8)
+        assert normal_angle_deg(q, quat_from_euler(0.0, 0.0, 0.8)) == pytest.approx(
+            np.rad2deg(1e-7), rel=1e-6)
+
     def test_heading_error_wraps(self):
         q1 = quat_from_euler(0, 0, np.deg2rad(179.0))
         q2 = quat_from_euler(0, 0, np.deg2rad(-179.0))

@@ -14,13 +14,12 @@ from vlpnav.preint import (
     ImuStream,
     PreintegratedImu,
     imu_residual,
-    imu_residual_jacobians,
     mechanize,
     preintegrate,
 )
 from vlpnav.state import NavState
 
-from _synthetic import bias_corrected, loop_preintegrate
+from _synthetic import bias_corrected, imu_residual_jacobians, loop_preintegrate
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 NOISE = ImuNoise(accel_density=2.5e-3, gyro_density=3.6e-4,
