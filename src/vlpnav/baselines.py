@@ -22,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import quat_from_euler, quat_multiply, quat_to_dcm
-from .channel import LedBeacon, ReceiverConfig, SampleFlag, predict_rss
+from .attitude import quat_from_euler, quat_multiply, quat_to_dcm, quat_to_dcm_batch
+from .channel import (
+    LedBeacon,
+    LedTable,
+    ReceiverConfig,
+    SampleFlag,
+    lambertian,
+    receiver_normal,
+)
 from .state import NavState
 
-#: Fall back to the room center when no better initial guess exists.
+#: Gauss-Newton iterations of one snapshot fix, unless a step falls below 1e-10.
 _GN_ITERS = 30
 
 
@@ -53,15 +60,76 @@ class PositionFix:
         return self.position is not None
 
 
-def _usable(samples):
-    return [s for s in samples if s.flag is SampleFlag.LOS]
-
-
 def _inside(p, bounds, margin=0.5) -> bool:
     if bounds is None:
         return bool(np.all(np.isfinite(p)))
     lo, hi = bounds
     return bool(np.all(p >= np.asarray(lo) - margin) and np.all(p <= np.asarray(hi) + margin))
+
+
+def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, pose, x,
+                  regularizer, bounds,
+                  limits=None) -> tuple[PositionFix, np.ndarray, np.ndarray | None]:
+    """Gauss-Newton fit of the parameters ``x`` (d,) to one epoch's LOS samples.
+
+    ``pose`` maps a (K, d) stack of parameters to photodiode positions and
+    room-frame normals, each (K, 3).  Each iteration is one
+    :func:`lambertian` call at ``x`` and its 2d central-difference
+    neighbors; samples out of the FOV at ``x`` are left out.
+    ``regularizer`` (d,) is added to the diagonal of the normal matrix and
+    ``limits`` (lo, hi) clip ``x`` after each capped step.  Returns the
+    fix (no covariance or attitude), the final ``x`` and normal matrix.
+    """
+    usable = [s for s in samples if s.flag is SampleFlag.LOS]
+    d = x.size
+    failed = PositionFix(samples[0].timestamp if samples else 0.0, None, None,
+                         len(usable), np.inf)
+    if len(usable) < d:
+        return failed, x, None
+    table = LedTable.of(led_map.values(), rx)
+    li = np.array([table.row[s.led_id] for s in usable])
+    value = np.array([s.value for s in usable])
+    sigma = np.sqrt([s.variance for s in usable])
+
+    def residuals(pos, normal):
+        """Whitened residuals (K, S) of K poses, NaN out of the FOV."""
+        k = len(pos)
+        rows = np.tile(li, k)
+        model = lambertian(np.repeat(pos, li.size, axis=0), np.repeat(normal, li.size, axis=0),
+                           table.position[rows], table.normal[rows], table.order[rows],
+                           table.gain[rows], rx.fov_cos())
+        r = (model.rss.reshape(k, -1) - value) / sigma
+        return np.where(model.valid.reshape(k, -1), r, np.nan)
+
+    h = 1e-6
+    offsets = np.vstack([np.zeros(d), h * np.eye(d), -h * np.eye(d)])
+    for _ in range(_GN_ITERS):
+        r = residuals(*pose(x + offsets))
+        good = np.isfinite(r[0])
+        if np.count_nonzero(good) < d:
+            return failed, x, None
+        J = ((r[1:d + 1] - r[d + 1:]) / (2 * h)).T[good]
+        H = J.T @ J + np.diag(regularizer)
+        try:
+            step = np.linalg.solve(H, -J.T @ r[0, good])
+        except np.linalg.LinAlgError:
+            return failed, x, None
+        norm = np.linalg.norm(step)
+        if norm > 0.5:
+            step *= 0.5 / norm
+        x = x + step
+        if limits is not None:
+            x = np.clip(x, *limits)
+        if np.linalg.norm(step) < 1e-10:
+            break
+    pos, normal = pose(x[None])
+    r = residuals(pos, normal)[0]
+    good = np.isfinite(r)
+    if (np.count_nonzero(good) < d or not np.all(np.isfinite(x))
+            or np.linalg.norm(step) > 0.05 or not _inside(pos[0], bounds)):
+        return failed, x, None
+    rms = float(np.sqrt(np.mean(r[good] ** 2)))
+    return PositionFix(usable[0].timestamp, pos[0], None, len(usable), rms), x, H
 
 
 def solve_position_rss(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig,
@@ -75,62 +143,26 @@ def solve_position_rss(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfi
     analytic channel derivatives.  Steps are trust-region capped and the
     solution must land inside ``bounds`` (room box) when given.
     """
-    usable = _usable(samples)
     n_dims = 2 if fix_height is not None else 3
-    if len(usable) < n_dims:
-        return PositionFix(samples[0].timestamp if samples else 0.0, None, None,
-                           len(usable), np.inf)
     p = np.asarray(p0, dtype=float).copy()
     if fix_height is not None:
         p[2] = fix_height
+    normal = receiver_normal(attitude)
 
-    def residuals(pos):
-        r = []
-        for s in usable:
-            pred = predict_rss(pos, attitude, led_map[s.led_id], rx)
-            r.append(np.nan if pred is None else (pred - s.value) / np.sqrt(s.variance))
-        return np.asarray(r)
+    def pose(X):
+        pos = np.tile(p, (len(X), 1))
+        pos[:, :n_dims] = X
+        return pos, np.broadcast_to(normal, pos.shape)
 
-    h = 1e-6
-    step = np.zeros(n_dims)
-    for _ in range(_GN_ITERS):
-        r = residuals(p)
-        good = np.isfinite(r)
-        if np.count_nonzero(good) < n_dims:
-            return PositionFix(usable[0].timestamp, None, None, len(usable), np.inf)
-        J = np.zeros((r.size, n_dims))
-        for j in range(n_dims):
-            e = np.zeros(3)
-            e[j] = h
-            J[:, j] = (residuals(p + e) - residuals(p - e)) / (2 * h)
-        J = J[good]
-        rg = r[good]
-        H = J.T @ J
-        try:
-            step = np.linalg.solve(H + 1e-10 * np.eye(n_dims), -J.T @ rg)
-        except np.linalg.LinAlgError:
-            return PositionFix(usable[0].timestamp, None, None, len(usable), np.inf)
-        norm = np.linalg.norm(step)
-        if norm > 0.5:
-            step *= 0.5 / norm
-        p[:n_dims] += step
-        if np.linalg.norm(step) < 1e-10:
-            break
-    r = residuals(p)
-    good = np.isfinite(r)
-    if (np.count_nonzero(good) < n_dims or np.linalg.norm(step) > 0.05
-            or not _inside(p, bounds)):
-        return PositionFix(usable[0].timestamp, None, None, len(usable), np.inf)
-    try:
-        cov3 = np.zeros((3, 3))
-        cov = np.linalg.inv(H + 1e-10 * np.eye(n_dims))
-        cov3[:n_dims, :n_dims] = cov
+    fix, _, H = _snapshot_fix(samples, led_map, rx, pose, p[:n_dims],
+                              np.full(n_dims, 1e-10), bounds)
+    if fix.ok:
+        # H was factorized without error in the last step, so it inverts.
+        fix.cov = np.zeros((3, 3))
+        fix.cov[:n_dims, :n_dims] = np.linalg.inv(H)
         if fix_height is not None:
-            cov3[2, 2] = 1e-6
-    except np.linalg.LinAlgError:
-        cov3 = np.eye(3)
-    rms = float(np.sqrt(np.mean(r[good] ** 2)))
-    return PositionFix(usable[0].timestamp, p, cov3, len(usable), rms)
+            fix.cov[2, 2] = 1e-6
+    return fix
 
 
 def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0,
@@ -142,58 +174,22 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
     normal equations solvable and the returned heading is whatever the
     noise picks.
     """
-    usable = _usable(samples)
-    if len(usable) < 4:
-        return PositionFix(samples[0].timestamp if samples else 0.0, None, None,
-                           len(usable), np.inf)
-    x = np.array([init_xy[0], init_xy[1], init_pitch, init_yaw], dtype=float)
 
-    def residuals(params):
-        pos = np.array([params[0], params[1], height])
-        q = quat_from_euler(0.0, params[2], params[3])
-        r = []
-        for s in usable:
-            pred = predict_rss(pos, q, led_map[s.led_id], rx)
-            r.append(np.nan if pred is None else (pred - s.value) / np.sqrt(s.variance))
-        return np.asarray(r)
+    def pose(X):
+        pos = np.column_stack([X[:, :2], np.full(len(X), height)])
+        q = np.transpose(quat_from_euler(0.0, X[:, 2], X[:, 3]))
+        return pos, quat_to_dcm_batch(q)[:, :, 2]
 
-    h = 1e-6
-    step = np.zeros(4)
-    for _ in range(_GN_ITERS):
-        r = residuals(x)
-        good = np.isfinite(r)
-        if np.count_nonzero(good) < 4:
-            return PositionFix(usable[0].timestamp, None, None, len(usable), np.inf)
-        J = np.zeros((r.size, 4))
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            J[:, j] = (residuals(x + e) - residuals(x - e)) / (2 * h)
-        J = J[good]
-        rg = r[good]
-        # Regularization keeps the unobservable heading (and near-flat
-        # pitch directions) finite.
-        H = J.T @ J + np.diag([1e-9, 1e-9, 1e-4, 1e-2])
-        try:
-            step = np.linalg.solve(H, -J.T @ rg)
-        except np.linalg.LinAlgError:
-            return PositionFix(usable[0].timestamp, None, None, len(usable), np.inf)
-        norm = np.linalg.norm(step)
-        if norm > 0.5:
-            step *= 0.5 / norm
-        x += step
-        x[2] = np.clip(x[2], -0.6, 0.6)
-        if np.linalg.norm(step) < 1e-10:
-            break
-    pos = np.array([x[0], x[1], height])
-    if (not np.all(np.isfinite(x)) or np.linalg.norm(step) > 0.05
-            or not _inside(pos, bounds)):
-        return PositionFix(usable[0].timestamp, None, None, len(usable), np.inf)
-    r = residuals(x)
-    good = np.isfinite(r)
-    rms = float(np.sqrt(np.mean(r[good] ** 2))) if good.any() else np.inf
-    return PositionFix(usable[0].timestamp, pos, None,
-                       len(usable), rms, attitude=quat_from_euler(0.0, x[2], x[3]))
+    x0 = np.array([init_xy[0], init_xy[1], init_pitch, init_yaw], dtype=float)
+    # Regularization keeps the unobservable heading (and near-flat pitch
+    # directions) finite.
+    fix, x, _ = _snapshot_fix(samples, led_map, rx, pose, x0,
+                              np.array([1e-9, 1e-9, 1e-4, 1e-2]), bounds,
+                              limits=([-np.inf, -np.inf, -0.6, -np.inf],
+                                      [np.inf, np.inf, 0.6, np.inf]))
+    if fix.ok:
+        fix.attitude = quat_from_euler(0.0, x[2], x[3])
+    return fix
 
 
 def initial_state(dataset, flags: dict) -> NavState:

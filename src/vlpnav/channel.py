@@ -232,20 +232,24 @@ def gain_constant(led: LedBeacon, rx: ReceiverConfig) -> float:
     )
 
 
-def predict_rss(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
-    """Forward-model RSS at a photodiode pose, or ``None`` when out of FOV.
+@dataclass(frozen=True)
+class LedTable:
+    """The LED map as arrays, one row per LED in id order."""
 
-    ``None`` (rather than 0) marks geometry outside the receiver FOV or
-    behind the LED: a zero prediction would make a zero measurement look
-    informative.  Boundary rays (grazing incidence at fov = 90 deg)
-    return 0.
-    """
-    geo = los_geometry(pd_pos, q, led)
-    if geo.cos_incidence < rx.fov_cos() or geo.cos_irradiance < 0.0:
-        return None
-    k = gain_constant(led, rx)
-    num = (geo.cos_incidence * geo.distance) * (geo.cos_irradiance * geo.distance) ** led.order
-    return k * num / geo.distance ** (3.0 + led.order)
+    row: dict  # led_id -> row
+    position: np.ndarray  # (L, 3)
+    normal: np.ndarray  # (L, 3)
+    order: np.ndarray  # (L,)
+    gain: np.ndarray  # (L,), :func:`gain_constant`
+
+    @classmethod
+    def of(cls, leds, rx: ReceiverConfig) -> "LedTable":
+        leds = sorted(leds, key=lambda led: led.led_id)
+        return cls(row={led.led_id: i for i, led in enumerate(leds)},
+                   position=np.array([led.position for led in leds]).reshape(-1, 3),
+                   normal=np.array([led.normal for led in leds]).reshape(-1, 3),
+                   order=np.array([led.order for led in leds], dtype=float),
+                   gain=np.array([gain_constant(led, rx) for led in leds]))
 
 
 @dataclass(frozen=True)
@@ -255,9 +259,9 @@ class LambertianBatch:
     ``rss`` is 0 where ``valid`` is false (outside the FOV or behind the
     LED).  ``regular`` marks rows whose distance and both cosines clear
     the singular floors of the derivatives (``DegenerateGeometryError``
-    and ``GrazingIncidenceError`` in the scalar functions).  The
-    gradients are those of :func:`rss_jacobian`; they are ``None`` unless
-    requested and meaningful only on valid, regular rows.
+    and ``GrazingIncidenceError`` in the one-pose views).  The gradients
+    are ``(dP_dr, dP_dphi_u)`` of :func:`rss_jacobian`; they are ``None``
+    unless requested and meaningful only on valid, regular rows.
     """
 
     rss: np.ndarray  # (N,)
@@ -273,10 +277,10 @@ def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: flo
 
     The LED parameters (position, unit normal, order and
     :func:`gain_constant`) are either one LED's, broadcast over all rows,
-    or per row, with a leading axis of N.  The model is that of
-    :func:`predict_rss` and :func:`rss_jacobian`; rows may differ from
-    them in the last bits.  The products are grouped as the simulator has
-    always grouped them, so its datasets stay byte-identical.
+    or per row, with a leading axis of N.  This is the package's one
+    Lambertian evaluation: :func:`predict_rss` and :func:`rss_jacobian`
+    are its one-pose views.  The products are grouped as the simulator
+    has always grouped them, so its datasets stay byte-identical.
     """
     pd_normal = np.asarray(pd_normal, dtype=float)
     led_normal = np.asarray(led_normal, dtype=float)
@@ -304,19 +308,26 @@ def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: flo
     return LambertianBatch(rss, valid, regular, d_pos, d_att)
 
 
-def _jacobian_terms(pd_pos, q, led, rx):
-    geo = los_geometry(pd_pos, q, led)
-    if geo.cos_incidence <= GRAZING_COS_FLOOR or geo.cos_irradiance <= GRAZING_COS_FLOOR:
-        raise GrazingIncidenceError(
-            "derivative denominators vanish near grazing incidence "
-            f"(cos_psi={geo.cos_incidence:.2e}, cos_theta={geo.cos_irradiance:.2e})"
-        )
-    n_u = receiver_normal(q)
-    d = geo.los_vector
-    p = predict_rss(pd_pos, q, led, rx)
-    if p is None:
-        raise GrazingIncidenceError("pose out of FOV")
-    return geo, n_u, d, p
+def _one_pose(pd_pos, q, led: LedBeacon, rx: ReceiverConfig,
+              gradients: bool = False) -> LambertianBatch:
+    """:func:`lambertian` at one photodiode pose with attitude ``q``."""
+    pd_pos = np.asarray(pd_pos, dtype=float)
+    if np.linalg.norm(led.position - pd_pos) < 1e-9:
+        raise DegenerateGeometryError("photodiode coincides with LED position")
+    return lambertian(pd_pos[None], receiver_normal(q)[None], led.position, led.normal,
+                      led.order, gain_constant(led, rx), rx.fov_cos(), gradients)
+
+
+def predict_rss(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:
+    """Forward-model RSS at a photodiode pose, or ``None`` when out of FOV.
+
+    ``None`` (rather than 0) marks geometry outside the receiver FOV or
+    behind the LED: a zero prediction would make a zero measurement look
+    informative.  Boundary rays (grazing incidence at fov = 90 deg)
+    return 0.
+    """
+    model = _one_pose(pd_pos, q, led, rx)
+    return float(model.rss[0]) if model.valid[0] else None
 
 
 def rss_jacobian(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -328,12 +339,12 @@ def rss_jacobian(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.ndar
 
         dP_dphi_u = P (D_vec x n) / (D_vec . n)
         dP_dr     = P [ -n/(n.D) - m n_l/(n_l.D) + (3+m) D_vec/D^2 ]
+
+    Raises ``GrazingIncidenceError`` out of the FOV or when either cosine
+    is within :data:`GRAZING_COS_FLOOR` of zero, where the denominators
+    vanish.
     """
-    geo, n_u, d, p = _jacobian_terms(pd_pos, q, led, rx)
-    dp_dphi = p * np.cross(d, n_u) / (d @ n_u)
-    dp_dr = p * (
-        -n_u / (n_u @ d)
-        - led.order * led.normal / (led.normal @ d)
-        + (3.0 + led.order) * d / geo.distance**2
-    )
-    return dp_dr, dp_dphi
+    model = _one_pose(pd_pos, q, led, rx, gradients=True)
+    if not (model.valid[0] and model.regular[0]):
+        raise GrazingIncidenceError("pose out of FOV or at grazing incidence")
+    return model.d_pos[0], model.d_att[0]

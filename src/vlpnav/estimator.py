@@ -47,10 +47,10 @@ import numpy as np
 from .attitude import quat_to_dcm, quat_to_dcm_batch, skew, skew_batch
 from .channel import (
     LedBeacon,
+    LedTable,
     ReceiverConfig,
     RssSample,
     SampleFlag,
-    gain_constant,
     lambertian,
     predict_rss,
     rss_jacobian,
@@ -232,26 +232,6 @@ class MarginalPrior:
         if key[0] == "x":
             return current.boxminus(self.lin[key])
         return np.asarray(current, dtype=float) - self.lin[key]
-
-
-@dataclass(frozen=True)
-class LedTable:
-    """The LED map as arrays, one row per LED in id order."""
-
-    row: dict  # led_id -> row
-    position: np.ndarray  # (L, 3)
-    normal: np.ndarray  # (L, 3)
-    order: np.ndarray  # (L,)
-    gain: np.ndarray  # (L,), :func:`channel.gain_constant`
-
-    @classmethod
-    def of(cls, leds, rx: ReceiverConfig) -> "LedTable":
-        leds = sorted(leds, key=lambda led: led.led_id)
-        return cls(row={led.led_id: i for i, led in enumerate(leds)},
-                   position=np.array([led.position for led in leds]).reshape(-1, 3),
-                   normal=np.array([led.normal for led in leds]).reshape(-1, 3),
-                   order=np.array([led.order for led in leds], dtype=float),
-                   gain=np.array([gain_constant(led, rx) for led in leds]))
 
 
 class SlidingWindow:

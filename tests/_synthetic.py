@@ -29,12 +29,12 @@ from vlpnav.attitude import (
 )
 from vlpnav.blockage import BlockageState, DrdConfig, drd_step
 from vlpnav.channel import (
+    GRAZING_COS_FLOOR,
     DegenerateGeometryError,
     GrazingIncidenceError,
     LedBeacon,
     ReceiverConfig,
     RssSample,
-    _jacobian_terms,
     gain_constant,
     los_geometry,
     predict_rss,
@@ -466,7 +466,11 @@ def rss_jacobian_2d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> tuple[np.n
     """
     if abs(led.normal[2] - 1.0) > 1e-9:
         raise ValueError("planar reduction requires an upward LED normal [0, 0, 1]")
-    geo, n_u, d, p = _jacobian_terms(pd_pos, q, led, rx)
+    geo = los_geometry(pd_pos, q, led)
+    p = predict_rss(pd_pos, q, led, rx)
+    if p is None or min(geo.cos_incidence, geo.cos_irradiance) <= GRAZING_COS_FLOOR:
+        raise GrazingIncidenceError("pose out of FOV or at grazing incidence")
+    n_u, d = receiver_normal(q), geo.los_vector
     dp_ds = p * (-n_u[:2] / (n_u @ d) + (3.0 + led.order) * d[:2] / geo.distance**2)
     dp_dphi = p * np.cross(d, n_u) / (d @ n_u)
     return dp_ds, dp_dphi

@@ -10,7 +10,7 @@ from vlpnav.baselines import (
     solve_position_rss,
     static_leveling,
 )
-from vlpnav.channel import RssSample, SampleFlag
+from vlpnav.channel import RssSample, SampleFlag, predict_rss
 from vlpnav.dataio import load_dataset
 
 from _synthetic import exact_rss, make_leds, make_rx
@@ -102,6 +102,44 @@ class TestSolvePoseTilt:
         fix = solve_pose_tilt(samples, LED_MAP, RX, 0.3, np.array([1.5, 1.5]),
                               bounds=BOUNDS)
         assert not fix.ok
+
+
+class TestOutOfFovStart:
+    def test_both_solvers_converge(self):
+        """A sample out of the FOV at the start guess drops out, then rejoins."""
+        from vlpnav.channel import LedBeacon
+
+        rx = make_rx(fov_deg=40.0)
+        leds5 = LEDS + [LedBeacon(led_id=9, position=np.array([1.5, 1.5, 3.0]),
+                                  power=LEDS[0].power)]
+        pd = np.array([1.4, 1.1, 0.3])
+        start = np.array([2.0, 0.6, 0.3])
+        level = NavState(0.0, position=pd)
+        samples = exact_rss(level, LEDS, rx, variance=1e-6)
+        assert len(samples) == 4
+        assert sum(predict_rss(start, level.attitude, led, rx) is None for led in LEDS) == 1
+        # A LOS-flagged sample of a LED outside the FOV everywhere near the
+        # room has no prediction: it must stay out of the fit and the RMS.
+        far = LedBeacon(led_id=7, position=np.array([6.0, 6.0, 3.0]), power=LEDS[0].power)
+        fix = solve_position_rss(samples + [RssSample(0.0, 7, 0.5, 1e-6)],
+                                 {**LED_MAP, 7: far}, rx, level.attitude, start, bounds=BOUNDS)
+        assert fix.ok
+        assert np.linalg.norm(fix.position - pd) < 1e-6
+        assert fix.resid_rms < 1e-3
+
+        tilted = NavState(0.0, position=pd, attitude=quat_from_euler(0.0, 0.12, 0.9))
+        samples = exact_rss(tilted, leds5, rx, variance=1e-8)
+        assert len(samples) == 5
+        q0 = quat_from_euler(0.0, 0.0, 0.9)
+        assert sum(predict_rss(start, q0, led, rx) is None for led in leds5) == 1
+        fix = solve_pose_tilt(samples, {led.led_id: led for led in leds5}, rx, height=0.3,
+                              init_xy=start[:2], init_pitch=0.0, init_yaw=0.9,
+                              bounds=BOUNDS)
+        assert fix.ok
+        assert np.linalg.norm(fix.position[:2] - pd[:2]) < 5e-3
+        from vlpnav.metrics import normal_angle_deg
+
+        assert normal_angle_deg(fix.attitude, tilted.attitude) < 0.5
 
 
 class TestInitialState:

@@ -184,6 +184,13 @@ class TestRssJacobian:
         q = quat_from_euler(0.0, np.pi / 2 - 1e-8, 0.0)
         with pytest.raises(GrazingIncidenceError):
             rss_jacobian([0, 0, 0], q, led_at([0, 0, 2]), RX)
+        # Out of a 30 deg FOV at 63 deg incidence: both cosines clear the
+        # grazing floor, but there is no prediction to differentiate.
+        rx30 = ReceiverConfig(area=1e-4, fov_half_angle=np.deg2rad(30.0))
+        with pytest.raises(GrazingIncidenceError):
+            rss_jacobian([2, 0, 0], quat_identity(), led_at([0, 0, 1]), rx30)
+        with pytest.raises(DegenerateGeometryError):
+            rss_jacobian([0, 0, 2], quat_identity(), led_at([0, 0, 2]), RX)
 
 
 class TestRssJacobian2d:
