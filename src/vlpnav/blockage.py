@@ -73,10 +73,6 @@ class BlockageState:
     transitions: int = 0
     reference: float = 0.0
 
-    @property
-    def tag(self) -> str:
-        return "blocked" if self.blocked else "unblocked"
-
 
 def rate_ratio(p_i: float, p_next: float, dt: float, floor: float = 1e-12) -> float:
     """Discrete RSS changing-rate ratio ``(p_next - p_i) / (dt * p_i)`` in 1/s."""
@@ -96,14 +92,20 @@ def threshold_2d(s: float, h: float, order: float, v_max: float) -> float:
     return (3.0 + order) * s * v_max / (s * s + h * h)
 
 
+#: Grid points per axis of the reachable-pose box in :func:`static_threshold_3d`.
+THRESHOLD_GRID = 9
+#: rad (85 deg): caps the tilt-inflated incidence angle so that tan(psi) stays finite.
+PSI_CAP = 1.484
+
+
 def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
-                        cfg: DrdConfig, grid: int = 9, psi_cap: float = 1.484) -> float:
+                        cfg: DrdConfig) -> float:
     """Worst-case (largest) 3-D threshold over a reachable-pose box.
 
     Evaluating the motion bound on a causally-safe worst case avoids
     feeding estimator poses back into the detector.  At each grid
     position the receiver incidence angle is inflated by the tilt bound
-    analytically (``psi <= psi_geom + max_tilt``, capped at ``psi_cap``),
+    analytically (``psi <= psi_geom + max_tilt``, capped at ``PSI_CAP``),
     which dominates any attitude within the bound:
 
         thr <= tan(psi) w_max + [1/(D cos psi) + m/(D cos theta) + (3+m)/D] v_max
@@ -116,7 +118,7 @@ def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
     room_min = np.asarray(room_min, dtype=float)
     room_max = np.asarray(room_max, dtype=float)
     best = 0.0
-    xs, ys, zs = (np.linspace(room_min[i], room_max[i], grid) for i in range(3))
+    xs, ys, zs = (np.linspace(room_min[i], room_max[i], THRESHOLD_GRID) for i in range(3))
     for x in xs:
         for y in ys:
             for z in zs:
@@ -128,7 +130,7 @@ def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
                 if cos_theta <= 1e-3:
                     continue
                 psi_geom = np.arccos(np.clip(d[2] / dist, -1.0, 1.0))
-                psi = min(psi_geom + cfg.max_tilt, psi_cap)
+                psi = min(psi_geom + cfg.max_tilt, PSI_CAP)
                 cos_psi = np.cos(psi)
                 thr = np.tan(psi) * cfg.omega_max + (
                     1.0 / (dist * cos_psi)
@@ -179,7 +181,6 @@ class DrdDetector:
     def __init__(self, cfg: DrdConfig, thresholds: dict[int, float]):
         self.cfg = cfg
         self.thresholds = dict(thresholds)
-        self._states: dict[int, BlockageState] = {}
 
     @classmethod
     def for_scene(cls, cfg: DrdConfig, leds: list[LedBeacon], rx: ReceiverConfig,
@@ -221,13 +222,12 @@ class DrdDetector:
                                  self.thresholds[led_id], self.cfg.value_floor)
                 tags[i + 1] = state.blocked
                 counters[i + 1] = state.transitions
-            self._states[led_id] = state
             out[led_id] = (t, tags, counters)
         return out
 
 
-def annotate_epochs(samples: list[RssSample], raw_times, raw_tags, window: float,
-                    blocked_variance: float | None = None) -> list[RssSample]:
+def annotate_epochs(samples: list[RssSample], raw_times, raw_tags,
+                    window: float) -> list[RssSample]:
     """Flag epoch samples from one LED's raw detector tags.
 
     An epoch centered at ``t`` summarizes the demodulation window
@@ -235,6 +235,7 @@ def annotate_epochs(samples: list[RssSample], raw_times, raw_tags, window: float
     tagged blocked, the epoch is flagged BLOCKED (its value already
     carries the partial-window attenuation).  Epochs without raw
     coverage are flagged OUT_OF_FOV, the invalid-measurement marker.
+    Variances are kept; the estimator down-weights flagged samples.
     """
     raw_times = np.asarray(raw_times, dtype=float)
     raw_tags = np.asarray(raw_tags, dtype=bool)
@@ -248,9 +249,6 @@ def annotate_epochs(samples: list[RssSample], raw_times, raw_tags, window: float
             flag = SampleFlag.BLOCKED
         else:
             flag = SampleFlag.LOS
-        variance = s.variance
-        if flag is not SampleFlag.LOS and blocked_variance is not None:
-            variance = blocked_variance
         out.append(RssSample(timestamp=s.timestamp, led_id=s.led_id, value=s.value,
-                             variance=variance, flag=flag))
+                             variance=s.variance, flag=flag))
     return out

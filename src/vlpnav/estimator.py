@@ -12,7 +12,8 @@ is minimized over the 15-dim error space of every state (plus 2-dim
 planar blocks for LEDs with unknown positions) with Levenberg-Marquardt;
 quaternions update through their minimal space.  Sliding folds the
 oldest state into the prior by Schur complement at the current
-linearization.
+linearization, so the prior always covers the window's oldest state and
+then every unknown LED (:class:`MarginalPrior`).
 
 Linearization is one stacked pass over the window (:func:`linearize`):
 every RSS sample through the batched Lambertian model, every IMU factor,
@@ -25,7 +26,8 @@ LM solves it by block elimination: the states first to last, then the
 LED block, then back-substitution, in time linear in the window length.
 The LED block's Schur complement gives the unknown LEDs' covariance.
 :func:`_marginalize_oldest` builds the same form over the two oldest
-states and the LEDs; :func:`assemble_cost` is the dense view.
+states and the LEDs and eliminates the oldest state from its dense view;
+:func:`assemble_cost` is the dense view of the whole window.
 :func:`vlp_residual` and :func:`vlp_jacobian_row` state the RSS factor
 one sample at a time.
 
@@ -158,6 +160,11 @@ class EstimatorConfig:
     unknown_led_ids: tuple[int, ...] = ()
     unknown_led_prior_sigma: float = 10.0  # m, keeps unobserved LED blocks solvable
 
+    def __post_init__(self):
+        # Sliding needs a next state to carry the marginal prior.
+        if self.window_size < 2:
+            raise ValueError(f"window_size must be at least 2, got {self.window_size}")
+
     @property
     def gravity_vec(self) -> np.ndarray:
         return np.asarray(self.gravity, dtype=float)
@@ -214,24 +221,22 @@ def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
 
 @dataclass
 class MarginalPrior:
-    """Quadratic information carried over from marginalized variables.
-
-    The cost contribution at current values x is
-    ``0.5 d^T H d + g^T d`` with ``d = x [-] lin`` stacked over ``keys``.
+    """Quadratic information carried over from marginalized variables, over
+    the window's oldest state (15 dims), then every unknown LED (2 each) in
+    :meth:`SlidingWindow.led_keys` order; a LED that no marginalized factor
+    saw has zero rows.  It adds ``0.5 d^T H d + g^T d`` to the cost, with
+    ``d = delta(window)``: the oldest state's error from ``state_lin``, then
+    each LED's offset from its row of ``led_lin`` (L, 2).
     """
 
-    keys: list
     hessian: np.ndarray
     gradient: np.ndarray
-    lin: dict
+    state_lin: NavState
+    led_lin: np.ndarray
 
-    def dim_of(self, key) -> int:
-        return ERROR_DIM if key[0] == "x" else 2
-
-    def delta(self, key, current) -> np.ndarray:
-        if key[0] == "x":
-            return current.boxminus(self.lin[key])
-        return np.asarray(current, dtype=float) - self.lin[key]
+    def delta(self, window: "SlidingWindow") -> np.ndarray:
+        return np.concatenate([window.states[0].boxminus(self.state_lin),
+                               (window.led_xy() - self.led_lin).ravel()])
 
 
 class SlidingWindow:
@@ -259,23 +264,9 @@ class SlidingWindow:
     def led_keys(self) -> list[int]:
         return sorted(self.unknown_xy)
 
-    def total_dim(self) -> int:
-        return ERROR_DIM * self.n_states + 2 * len(self.unknown_xy)
-
-    def block_of(self, key) -> tuple[str, int]:
-        """``("x", k)`` for the window's k-th state, ``("led", j)`` for its j-th unknown LED."""
-        if key[0] == "x":
-            return "x", self.epoch_ids.index(key[1])
-        return "led", self.led_keys().index(key[1])
-
-    def index_of(self, key) -> int:
-        kind, i = self.block_of(key)
-        return ERROR_DIM * i if kind == "x" else ERROR_DIM * self.n_states + 2 * i
-
-    def value_of(self, key):
-        if key[0] == "x":
-            return self.states[self.epoch_ids.index(key[1])]
-        return self.unknown_xy[key[1]]
+    def led_xy(self) -> np.ndarray:
+        """The unknown LEDs' planar estimates, (L, 2) in :meth:`led_keys` order."""
+        return np.array([self.unknown_xy[i] for i in self.led_keys()]).reshape(-1, 2)
 
     def set_unknown_led(self, led_id: int, initial_xy) -> None:
         if led_id not in self.led_map:
@@ -298,9 +289,6 @@ class SlidingWindow:
         if sample.flag is not SampleFlag.LOS:
             return self.config.blocked_variance
         return sample.variance
-
-    def led_xy_for(self, led_id: int):
-        return self.unknown_xy.get(led_id)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +369,8 @@ class NormalEquations:
 
     Every factor touches one state, two adjacent states, or a state and
     an unknown LED, and the marginal prior the oldest state and the LEDs.
-    So over N states (15 dims each) followed by L unknown LEDs (2 each),
-    the order of :meth:`SlidingWindow.index_of`, the Hessian is
+    So over N states (15 dims each) followed by L unknown LEDs (2 each,
+    in :meth:`SlidingWindow.led_keys` order), the Hessian is
     block-tridiagonal over the states with a LED border: ``diag``
     (N, 15, 15) state blocks, ``upper`` (N-1, 15, 15) blocks of rows k
     and columns k + 1 and ``lower`` the blocks of rows k + 1 and columns
@@ -431,23 +419,15 @@ class NormalEquations:
         nl = self.led.shape[0] // 2
         return self.led.reshape(nl, 2, nl, 2).transpose(0, 2, 1, 3)
 
-    def add_prior(self, at: list, hessian: np.ndarray, gradient: np.ndarray) -> None:
-        """Add a quadratic over the blocks ``at``: ``("x", k)`` for state k,
-        ``("led", j)`` for LED j."""
-        dims = [ERROR_DIM if kind == "x" else 2 for kind, _ in at]
-        offsets = np.cumsum([0] + dims)
-        for (ka, a), oa, da in zip(at, offsets, dims):
-            (self.g_x if ka == "x" else self.g_l)[a] += gradient[oa:oa + da]
-            for (kb, b), ob, db in zip(at, offsets, dims):
-                if kb == "led":
-                    target = (self.arrow_blocks if ka == "x" else self.led_blocks)[a, b]
-                elif ka == "led":
-                    continue  # LED-state blocks are the transposes of the arrow
-                elif abs(a - b) > 1:
-                    raise ValueError(f"prior couples states {a} and {b}, not adjacent")
-                else:
-                    target = self.diag[a] if a == b else self.upper[a] if b > a else self.lower[b]
-                target += hessian[oa:oa + da, ob:ob + db]
+    def add_prior(self, hessian: np.ndarray, gradient: np.ndarray) -> None:
+        """Add a quadratic over the oldest state, then every LED (the
+        layout of :class:`MarginalPrior`)."""
+        e = ERROR_DIM
+        self.g[:e] += gradient[:e]
+        self.g[self.diag.size // e:] += gradient[e:]
+        self.diag[0] += hessian[:e, :e]
+        self.arrow[0] += hessian[:e, e:]
+        self.led += hessian[e:, e:]
 
     def dense(self) -> np.ndarray:
         """The Hessian as one dense matrix."""
@@ -516,13 +496,11 @@ class Linearization:
 
     ``factors`` lists the unknown-LED weak prior, the IMU, RSS and
     constraint rows in that order.  The marginal ``prior`` enters as its
-    quadratic at the deltas ``prior_d``, over the blocks ``prior_at`` (as
-    :meth:`NormalEquations.add_prior` takes them).
+    quadratic at the deltas ``prior_d``.
     """
 
     factors: list
     prior: MarginalPrior | None = None
-    prior_at: list | None = None
     prior_d: np.ndarray | None = None
 
     def cost(self) -> float:
@@ -533,9 +511,9 @@ class Linearization:
         return total
 
     def add_to(self, ne: NormalEquations) -> None:
-        if self.prior is not None:
-            ne.add_prior(self.prior_at, self.prior.hessian,
-                         self.prior.hessian @ self.prior_d + self.prior.gradient)
+        p = self.prior
+        if p is not None:
+            ne.add_prior(p.hessian, p.hessian @ self.prior_d + p.gradient)
         for rows in self.factors:
             rows.add_to(ne)
 
@@ -668,11 +646,9 @@ def linearize(window: SlidingWindow, jacobians: bool = True,
         _rss_rows(window, window.rss_factors[:k], X, R, jacobians),
         _constraint_rows(cfg.constraints, X[:k], R[:k], jacobians),
     ])
-    p = window.prior
-    if p is not None and p.keys:
-        lin.prior = p
-        lin.prior_d = np.concatenate([p.delta(k, window.value_of(k)) for k in p.keys])
-        lin.prior_at = [window.block_of(k) for k in p.keys]
+    if window.prior is not None:
+        lin.prior = window.prior
+        lin.prior_d = window.prior.delta(window)
     return lin
 
 
@@ -725,14 +701,13 @@ class LmReport:
 def _apply_step(window: SlidingWindow, dx: np.ndarray):
     states = [s.perturb(dx[ERROR_DIM * i:ERROR_DIM * (i + 1)]) for i, s in
               enumerate(window.states)]
-    leds = {}
-    for led_id in window.led_keys():
-        i0 = window.index_of(("led", led_id))
-        leds[led_id] = window.unknown_xy[led_id] + dx[i0:i0 + 2]
+    dx_led = dx[ERROR_DIM * window.n_states:].reshape(-1, 2)
+    leds = {led_id: window.unknown_xy[led_id] + dx_led[j]
+            for j, led_id in enumerate(window.led_keys())}
     return states, leds
 
 
-def solve_lm(window: SlidingWindow, opts: LmOptions | None = None) -> LmReport:
+def solve_lm(window: SlidingWindow) -> LmReport:
     """Damped Gauss-Newton on the window; mutates it toward the optimum.
 
     Each step solves the block normal equations with ``lambda *
@@ -742,9 +717,10 @@ def solve_lm(window: SlidingWindow, opts: LmOptions | None = None) -> LmReport:
     non-finite system.  Convergence: relative
     cost decrease below ``cost_reduction_tol`` or step norm below
     ``step_norm_tol``.  If the damping parameter exhausts ``lambda_max``
-    the best iterate is kept and the report flags no convergence.
+    the best iterate is kept and the report flags no convergence.  The
+    controls are the window's ``config.lm``.
     """
-    opts = opts or window.config.lm
+    opts = window.config.lm
     report = LmReport(converged=False)
     ne = normal_equations(window)
     cost = ne.cost
@@ -824,64 +800,32 @@ def schur_marginalize(H: np.ndarray, g: np.ndarray, n_marg: int):
 
 
 def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
-    """Fold every factor touching the oldest state into a new prior."""
-    cfg = window.config
-    e0 = window.epoch_ids[0]
-    key0 = ("x", e0)
+    """Fold the prior and every factor touching the oldest state into a new
+    prior over the next state and the LEDs.
 
-    keys = [key0]
-    if window.n_states > 1:
-        keys.append(("x", window.epoch_ids[1]))
-    n_x = len(keys)
-    for s in window.rss_factors[0]:
-        k = ("led", s.led_id)
-        if s.led_id in window.unknown_xy and k not in keys:
-            keys.append(k)
+    On an indefinite marginal block the oldest state's factors are dropped:
+    the new prior keeps the old one's LED part and has a zero state block.
+    """
     prior = window.prior
-    touched_by_prior = prior is not None and key0 in prior.keys
-    has_constraints = cfg.constraints.use_height or cfg.constraints.use_nhc
-    if not (window.imu_factors or window.rss_factors[0] or has_constraints
-            or touched_by_prior):
-        return prior
-    # The old prior is folded in wholesale (re-centering a quadratic on new
-    # linearization points is exact), so replacing it below loses nothing.
-    if prior is not None:
-        keys += [k for k in prior.keys if k not in keys]
-
-    # The factors of the oldest state reach the two oldest states and the
-    # LEDs: the window's first two states and its LEDs keep their places.
-    ne = NormalEquations.zeros(n_x, len(window.unknown_xy))
-    linearize(window, n_states=1).add_to(ne)
-    idx = np.concatenate([ERROR_DIM * i + np.arange(ERROR_DIM) if kind == "x"
-                          else ERROR_DIM * n_x + 2 * i + np.arange(2)
-                          for kind, i in map(window.block_of, keys)])
-    reduced = schur_marginalize(ne.dense()[np.ix_(idx, idx)], ne.g[idx], ERROR_DIM)
-    if reduced is None:
-        logger.warning("indefinite marginal block; dropping factors of epoch %d", e0)
-        if prior is not None and touched_by_prior:
-            return _prior_without_key(prior, key0)
-        return prior
-    H_new, g_new = reduced
-    new_keys = keys[1:]
-    lin = {}
-    for k in new_keys:
-        val = window.value_of(k)
-        lin[k] = val.copy() if k[0] == "x" else np.asarray(val, dtype=float).copy()
-    return MarginalPrior(keys=new_keys, hessian=H_new, gradient=g_new, lin=lin)
-
-
-def _prior_without_key(prior: MarginalPrior, key) -> MarginalPrior | None:
-    """Fallback: delete a key from the prior by dropping its rows/cols."""
-    if key not in prior.keys:
-        return prior
-    keep = [k for k in prior.keys if k != key]
-    if not keep:
+    c = window.config.constraints
+    if prior is None and not (window.imu_factors or window.rss_factors[0]
+                              or c.use_height or c.use_nhc):
         return None
-    offsets = np.cumsum([0] + [prior.dim_of(k) for k in prior.keys])
-    idx = np.concatenate([o + np.arange(prior.dim_of(k))
-                          for k, o in zip(prior.keys, offsets) if k != key])
-    return MarginalPrior(keys=keep, hessian=prior.hessian[np.ix_(idx, idx)],
-                         gradient=prior.gradient[idx], lin={k: prior.lin[k] for k in keep})
+    # These reach the two oldest states and the LEDs: the dense view is
+    # [oldest, next, LEDs].  The old prior is folded in wholesale (re-centering
+    # a quadratic on new linearization points is exact), so nothing is lost.
+    ne = NormalEquations.zeros(2, len(window.unknown_xy))
+    linearize(window, n_states=1).add_to(ne)
+    reduced = schur_marginalize(ne.dense(), ne.g, ERROR_DIM)
+    if reduced is not None:
+        return MarginalPrior(*reduced, window.states[1].copy(), window.led_xy())
+    logger.warning("indefinite marginal block; dropping factors of epoch %d",
+                   window.epoch_ids[0])
+    if prior is None:
+        return None
+    hessian, gradient = prior.hessian.copy(), prior.gradient.copy()
+    hessian[:ERROR_DIM], hessian[:, :ERROR_DIM], gradient[:ERROR_DIM] = 0.0, 0.0, 0.0
+    return MarginalPrior(hessian, gradient, window.states[1].copy(), prior.led_lin)
 
 
 def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: NavState,
@@ -935,14 +879,20 @@ class LedEstimate:
         return float(np.trace(self.cov))
 
 
-def estimate_unknown_leds(window: SlidingWindow, report: LmReport | None = None,
-                          cov_threshold: float = 1.0) -> dict[int, LedEstimate]:
+#: m^2; an unknown LED whose marginal covariance trace exceeds this is flagged diverged.
+LED_COV_THRESHOLD = 1.0
+
+
+def estimate_unknown_leds(window: SlidingWindow,
+                          report: LmReport | None = None) -> dict[int, LedEstimate]:
     """Read back unknown-LED estimates and marginal covariances.
 
-    The covariance is the inverse of the LED block's Schur complement
-    (every state marginalized out of ``H + 1e-12 I``).  A LED is flagged diverged when the optimizer failed to converge with
-    its planar step still growing, or when its marginal covariance trace
-    exceeds ``cov_threshold`` (weak geometry; compare a DOP map).
+    The covariance is the inverse of the LED block's Schur complement,
+    with every state marginalized out of ``H + 1e-12 I``.  A LED is
+    flagged diverged when the optimizer failed to converge with its
+    planar step still growing.  It is also flagged when its marginal
+    covariance trace exceeds ``LED_COV_THRESHOLD`` (weak geometry; compare
+    a DOP map).
     """
     out = {}
     if not window.unknown_xy:
@@ -954,7 +904,7 @@ def estimate_unknown_leds(window: SlidingWindow, report: LmReport | None = None,
     non_conv = report is not None and not report.converged
     for j, led_id in enumerate(window.led_keys()):
         cov = cov_full[2 * j:2 * j + 2, 2 * j:2 * j + 2]
-        diverged = (non_conv and growing) or float(np.trace(cov)) > cov_threshold
+        diverged = (non_conv and growing) or float(np.trace(cov)) > LED_COV_THRESHOLD
         out[led_id] = LedEstimate(led_id=led_id, xy=window.unknown_xy[led_id].copy(),
                                   cov=cov, diverged=diverged)
     return out
@@ -1004,9 +954,10 @@ class TightlyCoupledEstimator:
                 init = self.window.led_map[led_id].position[:2]
             self.window.set_unknown_led(led_id, init)
         self.window.append(0, state0, None, rss0)
-        self.window.prior = MarginalPrior(
-            keys=[("x", 0)], hessian=np.diag(self.config.prior.sqrt_info_diag()),
-            gradient=np.zeros(ERROR_DIM), lin={("x", 0): state0.copy()})
+        # A zero LED block: nothing is known of the LEDs beyond their weak prior.
+        info = np.pad(self.config.prior.sqrt_info_diag(), (0, 2 * len(self.window.unknown_xy)))
+        self.window.prior = MarginalPrior(np.diag(info), np.zeros(info.size), state0.copy(),
+                                          self.window.led_xy())
         return self._solve_and_record()
 
     def step(self, pre: PreintegratedImu, rss: list[RssSample], timestamp: float) -> LmReport:

@@ -237,29 +237,29 @@ def _sym_inv(M):
     return np.linalg.inv(M + jitter * np.eye(M.shape[0]))
 
 
-def _loop_factors(window, state_ids, col_of, add):
+def _loop_factors(window, state_ids, n_x, add):
     """Feed every factor touching the states ``state_ids`` to ``add(blocks, r, W)``.
 
-    ``blocks`` lists ``(column, jacobian)`` pairs; samples that are out of
-    the FOV, degenerate or grazing are skipped.
+    ``blocks`` lists ``(column, jacobian)`` pairs over ``n_x`` states (15
+    columns each) followed by the unknown LEDs (2 each); samples that are
+    out of the FOV, degenerate or grazing are skipped.
     """
     cfg = window.config
+    led_col = {i: ERROR_DIM * n_x + 2 * j for j, i in enumerate(window.led_keys())}
     for k, pre in enumerate(window.imu_factors):
         if k not in state_ids and k + 1 not in state_ids:
             continue
         xk, xk1 = window.states[k], window.states[k + 1]
         r = imu_residual(pre, xk, xk1, cfg.gravity_vec)
         Jk, Jk1 = imu_residual_jacobians(pre, xk, xk1, cfg.gravity_vec)
-        add([(col_of(("x", window.epoch_ids[k])), Jk),
-             (col_of(("x", window.epoch_ids[k + 1])), Jk1)], r, _sym_inv(pre.cov))
+        add([(ERROR_DIM * k, Jk), (ERROR_DIM * (k + 1), Jk1)], r, _sym_inv(pre.cov))
     for k in state_ids:
         state = window.states[k]
-        i0 = col_of(("x", window.epoch_ids[k]))
         for sample in window.rss_factors[k]:
             led = window.led_map.get(sample.led_id)
             if led is None:
                 continue
-            led_xy = window.led_xy_for(sample.led_id)
+            led_xy = window.unknown_xy.get(sample.led_id)
             try:
                 r = vlp_residual(state, sample, led, window.rx, led_xy)
                 if r is None:
@@ -267,14 +267,13 @@ def _loop_factors(window, state_ids, col_of, add):
                 row, led_block = vlp_jacobian_row(state, led, window.rx, led_xy)
             except (GrazingIncidenceError, DegenerateGeometryError):
                 continue
-            blocks = [(i0, row[None, :])]
+            blocks = [(ERROR_DIM * k, row[None, :])]
             if led_block is not None:
-                blocks.append((col_of(("led", sample.led_id)), led_block[None, :]))
+                blocks.append((led_col[sample.led_id], led_block[None, :]))
             add(blocks, r, np.atleast_2d(1.0 / window.sample_variance(sample)))
     for k in state_ids:
         for r, var, row in _constraint_terms(window.states[k], cfg.constraints):
-            add([(col_of(("x", window.epoch_ids[k])), row[None, :])], r,
-                np.atleast_2d(1.0 / var))
+            add([(ERROR_DIM * k, row[None, :])], r, np.atleast_2d(1.0 / var))
 
 
 def _loop_adder(H, g, cost):
@@ -289,9 +288,12 @@ def _loop_adder(H, g, cost):
     return add
 
 
-def _add_loop_prior(window, prior, col_of, H, g, cost):
-    d = np.concatenate([prior.delta(k, window.value_of(k)) for k in prior.keys])
-    idx = np.concatenate([col_of(k) + np.arange(prior.dim_of(k)) for k in prior.keys])
+def _add_loop_prior(window, n_x, H, g, cost):
+    """The marginal prior over the oldest state and then every unknown LED."""
+    prior = window.prior
+    leds = [window.unknown_xy[i] - prior.led_lin[j] for j, i in enumerate(window.led_keys())]
+    d = np.concatenate([window.states[0].boxminus(prior.state_lin)] + leds)
+    idx = np.r_[0:ERROR_DIM, ERROR_DIM * n_x:ERROR_DIM * (n_x - 1) + d.size]
     cost[0] += 0.5 * float(d @ prior.hessian @ d) + float(prior.gradient @ d)
     H[np.ix_(idx, idx)] += prior.hessian
     g[idx] += prior.hessian @ d + prior.gradient
@@ -299,42 +301,35 @@ def _add_loop_prior(window, prior, col_of, H, g, cost):
 
 def loop_assemble_cost(window):
     """``(H, g, cost)`` of ``assemble_cost(window)``, one factor at a time."""
-    dim = window.total_dim()
+    n_x = window.n_states
+    dim = ERROR_DIM * n_x + 2 * len(window.unknown_xy)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
     if window.prior is not None:
-        _add_loop_prior(window, window.prior, window.index_of, H, g, cost)
+        _add_loop_prior(window, n_x, H, g, cost)
     w_led = 1.0 / window.config.unknown_led_prior_sigma**2
-    for led_id in window.led_keys():
+    for j, led_id in enumerate(window.led_keys()):
         d = window.unknown_xy[led_id] - window.unknown_init[led_id]
-        i0 = window.index_of(("led", led_id))
+        i0 = ERROR_DIM * n_x + 2 * j
         cost[0] += 0.5 * w_led * float(d @ d)
         H[i0:i0 + 2, i0:i0 + 2] += w_led * np.eye(2)
         g[i0:i0 + 2] += w_led * d
-    _loop_factors(window, range(window.n_states), window.index_of, _loop_adder(H, g, cost))
+    _loop_factors(window, range(n_x), n_x, _loop_adder(H, g, cost))
     return H, g, cost[0]
 
 
 def loop_marginal_prior(window):
-    """The prior ``_marginalize_oldest(window)`` builds, one factor at a time.
+    """``(hessian, gradient)`` of the prior ``_marginalize_oldest(window)``
+    builds, one factor at a time, over the next state and then every
+    unknown LED.
 
     Assumes the oldest state has factors and a positive definite block.
     """
-    keys = [("x", window.epoch_ids[0]), ("x", window.epoch_ids[1])]
-    for s in window.rss_factors[0]:
-        if s.led_id in window.unknown_xy and ("led", s.led_id) not in keys:
-            keys.append(("led", s.led_id))
-    if window.prior is not None:
-        keys += [k for k in window.prior.keys if k not in keys]
-    dims = [ERROR_DIM if k[0] == "x" else 2 for k in keys]
-    offsets = dict(zip(keys, np.concatenate([[0], np.cumsum(dims)])))
-    dim = sum(dims)
+    dim = 2 * ERROR_DIM + 2 * len(window.unknown_xy)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
-    col_of = offsets.__getitem__
     if window.prior is not None:
-        _add_loop_prior(window, window.prior, col_of, H, g, cost)
-    _loop_factors(window, [0], col_of, _loop_adder(H, g, cost))
-    H_new, g_new = schur_marginalize(H, g, ERROR_DIM)
-    return keys[1:], H_new, g_new
+        _add_loop_prior(window, 2, H, g, cost)
+    _loop_factors(window, [0], 2, _loop_adder(H, g, cost))
+    return schur_marginalize(H, g, ERROR_DIM)
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,8 @@ class TestAnnotateEpochs:
     def test_half_blocked_window_flagged(self):
         raw_t = np.arange(0.0, 2.0, 1 / 120)
         tags = (raw_t >= 0.5) & (raw_t < 1.0)
-        out = annotate_epochs([self.make_epoch(0.5, value=0.5)], raw_t, tags, window=1.0,
-                              blocked_variance=99.0)
+        out = annotate_epochs([self.make_epoch(0.5, value=0.5)], raw_t, tags, window=1.0)
         assert out[0].flag is SampleFlag.BLOCKED
-        assert out[0].variance == 99.0
 
     def test_blockage_spanning_two_windows(self):
         raw_t = np.arange(0.0, 3.0, 1 / 120)

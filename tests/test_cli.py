@@ -148,7 +148,8 @@ class TestEstimate:
         assert man["config"]["window_size"] == 5
 
     @pytest.mark.parametrize("content", ['{"windowsize": 5}', '{"use_nhc": false}', "[5]",
-                                         '{"lm": 5}', '{"window_size": "5"}', "{bad"])
+                                         '{"lm": 5}', '{"window_size": "5"}', "{bad",
+                                         '{"window_size": 1}'])
     def test_bad_config_exit_2(self, mini_dataset, tmp_path, content):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(content)

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ from vlpnav.channel import DegenerateGeometryError, LedBeacon, RssSample, Sample
 from vlpnav.estimator import (
     ConstraintConfig,
     EstimatorConfig,
-    LmOptions,
     MarginalPrior,
     SlidingWindow,
     TightlyCoupledEstimator,
@@ -260,13 +260,9 @@ class TestSolveLm:
         window = fresh_window(config, leds=[])
         x_lin = NavState(0.0, position=np.array([1.0, 1.0, 0.2]))
         window.append(0, x_lin.copy(), None, [])
-        window.prior = MarginalPrior(
-            keys=[("x", 0)],
-            hessian=np.diag(np.full(ERROR_DIM, 25.0)),
-            gradient=np.zeros(ERROR_DIM),
-            lin={("x", 0): x_lin.copy()},
-        )
-        report = solve_lm(window, LmOptions())
+        window.prior = MarginalPrior(np.diag(np.full(ERROR_DIM, 25.0)), np.zeros(ERROR_DIM),
+                                     x_lin.copy(), np.zeros((0, 2)))
+        report = solve_lm(window)
         # Linear least-squares oracle for the z component:
         # min 25 dz^2/2 + (z - 0.5)^2 / (2 * 4e-4), z = 0.2 + dz
         w_prior, w_h = 25.0, 1.0 / 0.02**2
@@ -379,6 +375,25 @@ class TestSlideAndMarginalize:
 
         assert _marginalize_oldest(window) is None  # prior was None: unchanged
 
+    def test_indefinite_block_keeps_led_prior(self, caplog):
+        # A prior state block with a large negative eigenvalue makes the
+        # marginal block indefinite: the oldest state's factors are
+        # dropped, the LED part of the old prior carries over.
+        window = build_rich_window()
+        old = window.prior
+        old.hessian[0, 0] = -1e12
+        e = ERROR_DIM
+        with caplog.at_level(logging.WARNING, logger="vlpnav.estimator"):
+            prior = _marginalize_oldest(window)
+        assert "indefinite marginal block" in caplog.text
+        np.testing.assert_array_equal(prior.hessian[:e], 0.0)
+        np.testing.assert_array_equal(prior.hessian[:, :e], 0.0)
+        np.testing.assert_array_equal(prior.gradient[:e], 0.0)
+        np.testing.assert_array_equal(prior.hessian[e:, e:], old.hessian[e:, e:])
+        np.testing.assert_array_equal(prior.gradient[e:], old.gradient[e:])
+        np.testing.assert_array_equal(prior.led_lin, old.led_lin)
+        assert np.abs(old.hessian[e:, e:]).min() > 0.0  # the LED block is not trivially zero
+
     def test_window_length_constant_over_100_slides(self):
         n = 104
         config = make_config(window_size=4)
@@ -387,12 +402,8 @@ class TestSlideAndMarginalize:
         pres = preintegrate_chain(streams, states, rx)
         window = fresh_window(config)
         window.append(0, states[0].copy(), None, exact_rss(states[0], LEDS, rx))
-        window.prior = MarginalPrior(
-            keys=[("x", 0)],
-            hessian=np.diag(config.prior.sqrt_info_diag()),
-            gradient=np.zeros(ERROR_DIM),
-            lin={("x", 0): states[0].copy()},
-        )
+        window.prior = MarginalPrior(np.diag(config.prior.sqrt_info_diag()), np.zeros(ERROR_DIM),
+                                     states[0].copy(), np.zeros((0, 2)))
         from vlpnav.estimator import slide_and_marginalize
 
         for k in range(1, n):
@@ -497,14 +508,16 @@ class TestUnknownLeds:
         assert result.diverged or result.cov_trace > 1.0
 
 
-def build_rich_window():
+def build_rich_window(unseen_led=False):
     """A window with every special case the RSS and prior code paths have.
 
     Unknown LED 1 (0.2 m off), a blocked sample, an out-of-FOV LED, a LED
     sitting at one epoch's photodiode (degenerate), a lever arm, NHC and
     height constraints, and a marginal prior on the oldest state and the
     unknown LED.  States sit off the truth and measurements carry noise,
-    so no residual vanishes.
+    so no residual vanishes.  With ``unseen_led``, LED 3 is unknown too
+    (0.14 m off) and in the prior, but missing from epoch 0's samples: no
+    factor of the oldest state reaches it.
     """
     rng = np.random.default_rng(11)
     rx = make_rx(lever_arm=(0.15, -0.05, 0.08), fov_deg=60.0)
@@ -519,21 +532,25 @@ def build_rich_window():
     ]
     config = make_config(constraints=ConstraintConfig(use_nhc=True, use_height=True,
                                                       pd_height=0.05),
-                         unknown_led_ids=(1,))
+                         unknown_led_ids=(1, 3) if unseen_led else (1,))
     window = fresh_window(config, leds=leds, rx=rx)
     window.set_unknown_led(1, LEDS[0].position[:2] + np.array([0.2, -0.15]))
+    if unseen_led:
+        window.set_unknown_led(3, LEDS[2].position[:2] + np.array([-0.1, 0.1]))
     for k, s in enumerate(states):
         epoch = [RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()),
                            x.variance) for x in exact_rss(s, LEDS, rx)]
         epoch += [RssSample(s.timestamp, 8, 0.1, 0.01), RssSample(s.timestamp, 9, 0.5, 0.01)]
         if k == 1:
             epoch[2] = replace(epoch[2], flag=SampleFlag.BLOCKED)
+        if k == 0 and unseen_led:
+            epoch = [x for x in epoch if x.led_id != 3]
         window.append(k, start[k], pres[k - 1] if k else None, epoch)
-    A = rng.normal(size=(ERROR_DIM + 2, ERROR_DIM + 2))
-    window.prior = MarginalPrior(
-        keys=[("x", 0), ("led", 1)], hessian=A @ A.T + np.eye(ERROR_DIM + 2),
-        gradient=rng.normal(size=ERROR_DIM + 2),
-        lin={("x", 0): states[0].copy(), ("led", 1): LEDS[0].position[:2].copy()})
+    n = ERROR_DIM + 2 * len(window.unknown_xy)
+    A = rng.normal(size=(n, n))
+    led_lin = np.array([LEDS[0].position[:2], LEDS[2].position[:2]])[:len(window.unknown_xy)]
+    window.prior = MarginalPrior(A @ A.T + np.eye(n), rng.normal(size=n), states[0].copy(),
+                                 led_lin)
     return window
 
 
@@ -551,21 +568,22 @@ class TestBatchedLinearization:
             vlp_residual(s2, window.rss_factors[2][-1], window.led_map[9], rx)
 
     def test_assemble_matches_loop(self):
-        window = build_rich_window()
-        H, g, cost = assemble_cost(window)
-        H_ref, g_ref, cost_ref = loop_assemble_cost(window)
-        np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=0)
-        np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=0)
-        assert cost == pytest.approx(cost_ref, rel=self.RTOL)
-        assert assemble_cost(window, with_hessian=False)[2] == pytest.approx(cost, rel=self.RTOL)
+        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+            H, g, cost = assemble_cost(window)
+            H_ref, g_ref, cost_ref = loop_assemble_cost(window)
+            np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=0)
+            np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=0)
+            assert cost == pytest.approx(cost_ref, rel=self.RTOL)
+            assert assemble_cost(window, with_hessian=False)[2] == pytest.approx(
+                cost, rel=self.RTOL)
 
     def test_marginal_prior_matches_loop(self):
-        window = build_rich_window()
-        keys, H_ref, g_ref = loop_marginal_prior(window)
-        prior = _marginalize_oldest(window)
-        assert prior.keys == keys
-        np.testing.assert_allclose(prior.hessian, H_ref, rtol=self.RTOL, atol=0)
-        np.testing.assert_allclose(prior.gradient, g_ref, rtol=self.RTOL, atol=0)
+        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+            H_ref, g_ref = loop_marginal_prior(window)
+            prior = _marginalize_oldest(window)
+            np.testing.assert_allclose(prior.hessian, H_ref, rtol=self.RTOL, atol=0)
+            np.testing.assert_allclose(prior.gradient, g_ref, rtol=self.RTOL, atol=0)
+            np.testing.assert_array_equal(prior.led_lin, window.led_xy())
 
     def test_grazing_sample_same_cost_in_both_modes(self):
         # A LED level with the photodiode: cos(psi) = 0 is inside a 90 deg
@@ -595,21 +613,20 @@ def build_single_state_window():
         RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()), x.variance)
         for x in exact_rss(state, LEDS, RX)])
     A = rng.normal(size=(ERROR_DIM + 2, ERROR_DIM + 2))
-    window.prior = MarginalPrior(
-        keys=[("x", 0), ("led", 1)], hessian=A @ A.T + np.eye(ERROR_DIM + 2),
-        gradient=rng.normal(size=ERROR_DIM + 2),
-        lin={("x", 0): state.perturb(0.01 * rng.normal(size=ERROR_DIM)),
-             ("led", 1): LEDS[0].position[:2].copy()})
+    window.prior = MarginalPrior(A @ A.T + np.eye(ERROR_DIM + 2), rng.normal(size=ERROR_DIM + 2),
+                                 state.perturb(0.01 * rng.normal(size=ERROR_DIM)),
+                                 LEDS[0].position[None, :2].copy())
     return window
 
 
 class TestBlockSolve:
     """Block elimination against a dense solve of the same normal equations."""
 
-    WINDOWS = {"rich": build_rich_window, "single": build_single_state_window}
+    WINDOWS = {"rich": build_rich_window, "single": build_single_state_window,
+               "unseen": lambda: build_rich_window(unseen_led=True)}
 
     @pytest.mark.parametrize("name,lam", [("rich", 0.1), ("rich", 10.0), ("single", 0.0),
-                                          ("single", 1e-3)])
+                                          ("single", 1e-3), ("unseen", 0.1)])
     def test_matches_dense_solve(self, name, lam):
         window = self.WINDOWS[name]()
         ne = normal_equations(window)
@@ -645,12 +662,15 @@ class TestBlockSolve:
         with pytest.raises(np.linalg.LinAlgError):
             ne.solve()
 
-    @pytest.mark.parametrize("name", ["rich", "single"])
+    @pytest.mark.parametrize("name", ["rich", "single", "unseen"])
     def test_led_covariance_is_inverse_block(self, name):
         window = self.WINDOWS[name]()
         H, _, _ = assemble_cost(window)
-        cov = estimate_unknown_leds(window)[1].cov
-        np.testing.assert_allclose(cov, np.linalg.inv(H)[-2:, -2:], rtol=1e-8, atol=0)
+        estimates = estimate_unknown_leds(window)
+        for j, led_id in enumerate(window.led_keys()):
+            i0 = ERROR_DIM * window.n_states + 2 * j
+            block = np.linalg.inv(H)[i0:i0 + 2, i0:i0 + 2]
+            np.testing.assert_allclose(estimates[led_id].cov, block, rtol=1e-8, atol=0)
 
 
 class TestReintegration:
