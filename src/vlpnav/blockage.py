@@ -9,7 +9,8 @@ discrete changing-rate ratio
     (P(t_{i+1}) - P(t_i)) / (dt * P(t_i))
 
 separates blockage edges from motion.  Streams must be sampled well above
-the epoch rate (>= 100 Hz) for the difference quotient to be meaningful.
+the epoch rate (>= 100 Hz) for the difference quotient to be meaningful;
+:meth:`DrdDetector.run` checks each LED stream's own timestamps.
 
 Each LED runs an independent two-state machine (UNBLOCKED/BLOCKED) with a
 transition counter whose parity equals the current tag (odd = blocked),
@@ -18,7 +19,7 @@ matching the plotting convention used for detector traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,35 +31,27 @@ class UndefinedRatioError(ValueError):
 
 
 @dataclass(frozen=True)
-class DrdConfig:
-    """Detector bounds and stream description.
+class DetectionSpec:
+    """Detector motion bounds: the ``detection`` record of a scenario.
 
-    ``v_max`` and ``omega_max`` bound the vehicle translational and
-    angular rate; they set the largest RSS changing-rate ratio that
-    motion alone can produce.  ``mode`` selects where the threshold
-    geometry comes from: ``"full_3d"`` evaluates the bound at a pose
-    (live feed or worst case over the room), ``"planar"`` uses per-LED
-    horizontal/vertical distance hints.
+    ``v_max`` (m/s) and ``omega_max`` (rad/s) bound the vehicle
+    translational and angular rate, and ``max_tilt_deg`` the receiver
+    tilt; together they set the largest RSS changing-rate ratio that
+    motion alone can produce; the simulator keeps its trajectories
+    within the rate bounds.  Samples at or below ``value_floor`` leave
+    the ratio undefined.  A record that omits a key takes its default.
     """
 
-    v_max: float
-    omega_max: float = 0.0
-    sample_rate: float = 120.0
-    mode: str = "full_3d"
-    value_floor: float = 1e-12
-    #: led_id -> (horizontal distance s, vertical distance h), planar mode
-    planar_hints: dict = field(default_factory=dict)
-    max_tilt: float = 0.0
+    v_max: float = 0.6
+    omega_max: float = 0.6
+    value_floor: float = 0.05
+    max_tilt_deg: float = 25.0
 
     def __post_init__(self):
-        if self.sample_rate < 100.0:
-            raise ValueError("DRD needs high-rate RSS sampling (>= 100 Hz)")
         if self.v_max <= 0.0:
             raise ValueError("v_max must be positive")
         if self.omega_max < 0.0:
             raise ValueError("omega_max must be non-negative")
-        if self.mode not in ("full_3d", "planar"):
-            raise ValueError("mode must be 'full_3d' or 'planar'")
 
 
 @dataclass(frozen=True)
@@ -92,6 +85,10 @@ def threshold_2d(s: float, h: float, order: float, v_max: float) -> float:
     return (3.0 + order) * s * v_max / (s * s + h * h)
 
 
+#: Hz: the slowest raw stream the difference quotient is meaningful on.
+MIN_RATE_HZ = 100.0
+#: Relative slack on the rate check: round-off in nominal 100 Hz timestamps passes.
+RATE_RTOL = 1e-6
 #: Grid points per axis of the reachable-pose box in :func:`static_threshold_3d`.
 THRESHOLD_GRID = 9
 #: rad (85 deg): caps the tilt-inflated incidence angle so that tan(psi) stays finite.
@@ -99,7 +96,7 @@ PSI_CAP = 1.484
 
 
 def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
-                        cfg: DrdConfig) -> float:
+                        cfg: DetectionSpec) -> float:
     """Worst-case (largest) 3-D threshold over a reachable-pose box.
 
     Evaluating the motion bound on a causally-safe worst case avoids
@@ -117,6 +114,7 @@ def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
     """
     room_min = np.asarray(room_min, dtype=float)
     room_max = np.asarray(room_max, dtype=float)
+    max_tilt = np.deg2rad(cfg.max_tilt_deg)
     best = 0.0
     xs, ys, zs = (np.linspace(room_min[i], room_max[i], THRESHOLD_GRID) for i in range(3))
     for x in xs:
@@ -130,7 +128,7 @@ def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
                 if cos_theta <= 1e-3:
                     continue
                 psi_geom = np.arccos(np.clip(d[2] / dist, -1.0, 1.0))
-                psi = min(psi_geom + cfg.max_tilt, PSI_CAP)
+                psi = min(psi_geom + max_tilt, PSI_CAP)
                 cos_psi = np.cos(psi)
                 thr = np.tan(psi) * cfg.omega_max + (
                     1.0 / (dist * cos_psi)
@@ -174,35 +172,28 @@ def drd_step(state: BlockageState, p_i: float, p_next: float, dt: float,
 class DrdDetector:
     """Per-LED DRD state machines over a multi-LED raw stream.
 
-    Thresholds are fixed per LED at construction (planar hints or a
-    worst-case 3-D bound); each LED's machine is independent.
+    Thresholds are fixed per LED at construction; each LED's machine is
+    independent.
     """
 
-    def __init__(self, cfg: DrdConfig, thresholds: dict[int, float]):
+    def __init__(self, cfg: DetectionSpec, thresholds: dict[int, float]):
         self.cfg = cfg
         self.thresholds = dict(thresholds)
 
     @classmethod
-    def for_scene(cls, cfg: DrdConfig, leds: list[LedBeacon], rx: ReceiverConfig,
-                  room_min=None, room_max=None) -> "DrdDetector":
-        thresholds = {}
-        for led in leds:
-            if cfg.mode == "planar":
-                if led.led_id not in cfg.planar_hints:
-                    raise ValueError(f"planar mode needs (s, h) hint for LED {led.led_id}")
-                s, h = cfg.planar_hints[led.led_id]
-                thresholds[led.led_id] = threshold_2d(s, h, led.order, cfg.v_max)
-            else:
-                if room_min is None or room_max is None:
-                    raise ValueError("full_3d mode without a pose feed needs room bounds")
-                thresholds[led.led_id] = static_threshold_3d(room_min, room_max, led, rx, cfg)
-        return cls(cfg, thresholds)
+    def for_scene(cls, cfg: DetectionSpec, leds: list[LedBeacon], rx: ReceiverConfig,
+                  room_min, room_max) -> "DrdDetector":
+        """Worst-case 3-D thresholds over the box ``room_min``..``room_max``."""
+        return cls(cfg, {led.led_id: static_threshold_3d(room_min, room_max, led, rx, cfg)
+                         for led in leds})
 
     def run(self, times, led_ids, values):
         """Detect over an interleaved (timestamp, led_id, value) stream.
 
         Returns ``{led_id: (times, tags, counters)}`` with counters
-        following the odd-equals-blocked plotting convention.
+        following the odd-equals-blocked plotting convention.  Raises
+        ``ValueError`` if an LED stream's median sample spacing says it
+        is sampled below ``MIN_RATE_HZ``.
         """
         times = np.asarray(times, dtype=float)
         led_ids = np.asarray(led_ids, dtype=int)
@@ -214,6 +205,10 @@ class DrdDetector:
             v = values[mask]
             if t.size == 0:
                 continue
+            spacing = float(np.median(np.diff(t))) if t.size > 1 else 0.0
+            if spacing * MIN_RATE_HZ > 1.0 + RATE_RTOL:
+                raise ValueError(f"LED {led_id} stream is sampled below {MIN_RATE_HZ:g} Hz "
+                                 f"(median spacing {spacing:.4g} s)")
             tags = np.zeros(t.shape, dtype=bool)
             counters = np.zeros(t.shape, dtype=int)
             state = BlockageState(reference=float(v[0]))

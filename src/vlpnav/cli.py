@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import euler_from_quat
+from .attitude import euler_from_quat, quat_to_dcm
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
-from .blockage import DrdConfig, DrdDetector, annotate_epochs
+from .blockage import DetectionSpec, DrdDetector, annotate_epochs
 from .channel import SampleFlag
-from .dataio import Dataset, estimator_config_from_dict, load_dataset, write_dataset
+from .dataio import Dataset, estimator_config_from_dict, load_dataset, load_truth, write_dataset
 from .estimator import TightlyCoupledEstimator, estimate_unknown_leds
 from .metrics import (
     DisjointTimeRangesError,
@@ -31,7 +31,7 @@ from .metrics import (
     save_cdf_csv,
 )
 from .preint import preintegrate
-from .records import to_record
+from .records import from_record, to_record
 from .simulator import (
     Scenario,
     generate_trajectory,
@@ -83,11 +83,10 @@ def cmd_simulate(args) -> int:
     truth = generate_trajectory(scenario)
     imu = synthesize_imu(truth, scenario)
     raw, epoch = synthesize_rss(truth, scenario)
-    manifest = write_dataset(args.out, scenario, truth, imu, raw, epoch)
+    write_dataset(args.out, scenario, truth, imu, raw, epoch)
     n_epochs = len({s.timestamp for s in epoch.samples})
     print(f"dataset '{scenario.name}' seed {scenario.seed}: "
           f"{truth.duration:.1f} s, {n_epochs} epochs -> {args.out}")
-    del manifest
     return EXIT_OK
 
 
@@ -96,15 +95,12 @@ def cmd_simulate(args) -> int:
 
 
 def build_detector(dataset: Dataset) -> DrdDetector:
+    """DRD over the vehicle's reachable box; omitted ``detection`` keys take the defaults."""
     man = dataset.manifest
-    det = man["detection"]
-    cfg = DrdConfig(
-        v_max=float(det["v_max"]),
-        omega_max=float(det["omega_max"]),
-        sample_rate=float(man["raw_rate_hz"]),
-        value_floor=float(det["value_floor"]),
-        max_tilt=float(np.deg2rad(det["max_tilt_deg"])),
-    )
+    try:
+        cfg = from_record(DetectionSpec, man.get("detection"))
+    except ValueError as e:
+        raise InputError(f"invalid manifest detection record: {e}") from e
     z_lo, z_hi = man["vehicle_z_range"]
     room_min = (man["room_min"][0], man["room_min"][1],
                 max(z_lo - 0.1, man["room_min"][2]))
@@ -129,7 +125,10 @@ def run_detection(dataset: Dataset):
     for led_id in sorted(dataset.raw_times):
         t = dataset.raw_times[led_id]
         v = dataset.raw_values[led_id]
-        out = detector.run(t, np.full(t.shape, led_id), v)
+        try:
+            out = detector.run(t, np.full(t.shape, led_id), v)
+        except ValueError as e:
+            raise InputError(f"rss_raw.csv in {dataset.path}: {e}") from e
         tt, tags, counters = out[led_id]
         for a, b, c in zip(tt, tags, counters):
             tag_rows.append((a, led_id, int(b), int(c)))
@@ -140,13 +139,17 @@ def run_detection(dataset: Dataset):
     return flags, tag_rows
 
 
+def _write_tags(path, tag_rows):
+    np.savetxt(path, np.asarray(tag_rows, dtype=float), fmt="%.12g", delimiter=",",
+               header="timestamp_s,led_id,tag,counter", comments="")
+
+
 def cmd_detect(args) -> int:
     dataset = load_dataset(args.dataset)
     flags, tag_rows = run_detection(dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "drd_tags.csv", np.asarray(tag_rows, dtype=float), fmt="%.12g",
-               delimiter=",", header="timestamp_s,led_id,tag,counter", comments="")
+    _write_tags(out / "drd_tags.csv", tag_rows)
     n_blocked = sum(1 for f in flags.values() if f is not SampleFlag.LOS)
     print(f"detector: {n_blocked} flagged epochs of {len(flags)} -> {out / 'drd_tags.csv'}")
     return EXIT_OK
@@ -209,37 +212,21 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
 def cmd_estimate(args) -> int:
     dataset = load_dataset(args.dataset)
     config = _estimator_config(args, dataset)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    unknown_init = _unknown_init(args, dataset, config)
 
     t_start = time.perf_counter()
-    tag_rows = None
-    if args.no_drd:
-        flags = {}
-    else:
-        flags, tag_rows = run_detection(dataset)
-        np.savetxt(out / "drd_tags.csv", np.asarray(tag_rows, dtype=float),
-                   fmt="%.12g", delimiter=",",
-                   header="timestamp_s,led_id,tag,counter", comments="")
+    flags, tag_rows = ({}, None) if args.no_drd else run_detection(dataset)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if tag_rows is not None:
+        _write_tags(out / "drd_tags.csv", tag_rows)
 
     mode = args.mode
     n_fix_failures = 0
     led_results = {}
     led_init = variant = None
     if mode == "tc":
-        unknown_init = None
-        if config.unknown_led_ids:
-            # Unknown LEDs start from the room center unless told otherwise.
-            center = 0.5 * (np.asarray(dataset.manifest["room_min"][:2])
-                            + np.asarray(dataset.manifest["room_max"][:2]))
-            unknown_init = {i: center.copy() for i in config.unknown_led_ids}
-            for part in (args.led_init or "").split(";"):
-                if not part:
-                    continue
-                key, _, val = part.partition("=")
-                x, _, y = val.partition(",")
-                unknown_init[int(key)] = np.array([float(x), float(y)])
+        if unknown_init:
             # The resolved guesses, as a --led-init value that repeats them exactly.
             led_init = ";".join(f"{i}={float(x)!r},{float(y)!r}"
                                 for i, (x, y) in sorted(unknown_init.items()))
@@ -270,8 +257,6 @@ def cmd_estimate(args) -> int:
                                        else "level")
         fixes = vlp_only_trajectory(dataset, flags, variant=variant)
         rows_t, rows_p, rows_q = [], [], []
-        from .attitude import quat_to_dcm
-
         for fx in fixes:
             if not fx.ok:
                 n_fix_failures += 1
@@ -350,6 +335,26 @@ def _estimator_config(args, dataset: Dataset):
         raise InputError(f"invalid estimator config: {e}") from e
 
 
+def _unknown_init(args, dataset: Dataset, config) -> dict:
+    """Initial planar guesses of the unknown LEDs: the room center, with the
+    ``--led-init`` entries (``id=x,y`` separated by ``;``) laid over it."""
+    center = 0.5 * (np.asarray(dataset.manifest["room_min"][:2])
+                    + np.asarray(dataset.manifest["room_max"][:2]))
+    init = {i: center.copy() for i in config.unknown_led_ids}
+    for part in filter(None, (args.led_init or "").split(";")):
+        key, _, val = part.partition("=")
+        try:
+            led_id, xy = int(key), np.array(val.split(","), dtype=float)
+        except ValueError:
+            xy = np.empty(0)
+        if xy.shape != (2,) or not np.isfinite(xy).all():
+            raise InputError(f"--led-init entry {part!r} is not 'id=x,y'")
+        if led_id not in init:
+            raise InputError(f"--led-init LED {led_id} is not one of --unknown-leds {sorted(init)}")
+        init[led_id] = xy
+    return init
+
+
 def _dataset_hash(dataset: Dataset) -> str:
     h = hashlib.sha256()
     for name in sorted(dataset.manifest.get("file_sha256", {})):
@@ -368,8 +373,6 @@ def _load_trajectory_csv(path):
 
 
 def cmd_evaluate(args) -> int:
-    from .dataio import TruthArrays
-
     traj_path = Path(args.trajectory)
     truth_path = Path(args.truth)
     if not traj_path.exists():
@@ -377,10 +380,7 @@ def cmd_evaluate(args) -> int:
     if not truth_path.exists():
         raise InputError(f"truth file not found: {truth_path}")
     t, p, q = _load_trajectory_csv(traj_path)
-    t_arr = np.atleast_2d(np.loadtxt(truth_path, delimiter=",", skiprows=1))
-    truth = TruthArrays(timestamps=t_arr[:, 0], position=t_arr[:, 1:4],
-                        velocity=t_arr[:, 4:7], attitude=t_arr[:, 7:11],
-                        euler=t_arr[:, 11:14])
+    truth = load_truth(truth_path)
     report = evaluate_run(args.mode, t, p, truth, est_attitudes=q)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -168,6 +168,14 @@ class Dataset:
         return np.asarray(self.manifest["gravity"], dtype=float)
 
 
+def load_truth(path) -> TruthArrays:
+    """Read a ``truth.csv`` file."""
+    t_arr = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    return TruthArrays(timestamps=t_arr[:, 0], position=t_arr[:, 1:4],
+                       velocity=t_arr[:, 4:7], attitude=t_arr[:, 7:11],
+                       euler=t_arr[:, 11:14])
+
+
 def load_dataset(path) -> Dataset:
     path = Path(path)
     if not (path / "manifest.json").exists():
@@ -194,16 +202,7 @@ def load_dataset(path) -> Dataset:
         for r in np.atleast_2d(ep_arr)
     ]
 
-    truth = None
-    if (path / "truth.csv").exists():
-        t_arr = np.loadtxt(path / "truth.csv", delimiter=",", skiprows=1)
-        truth = TruthArrays(
-            timestamps=t_arr[:, 0],
-            position=t_arr[:, 1:4],
-            velocity=t_arr[:, 4:7],
-            attitude=t_arr[:, 7:11],
-            euler=t_arr[:, 11:14],
-        )
+    truth = load_truth(path / "truth.csv") if (path / "truth.csv").exists() else None
 
     return Dataset(path=path, manifest=manifest, leds=leds, receiver=receiver, imu=imu,
                    raw_times=raw_times, raw_values=raw_values,

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .attitude import quat_from_euler, quat_multiply, quat_to_dcm
+from .blockage import DetectionSpec
 from .channel import (
     LedBeacon,
     ReceiverConfig,
@@ -80,14 +81,6 @@ class RssSpec:
     epoch_rate_hz: float = 1.0
     raw_sigma: float = 5e-4  # on the high-rate demodulated amplitude
     epoch_sigma: float = 0.1  # on the epoch (positioning) amplitude
-
-
-@dataclass(frozen=True)
-class DetectionSpec:
-    v_max: float = 0.6
-    omega_max: float = 0.6
-    value_floor: float = 0.05
-    max_tilt_deg: float = 25.0
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from vlpnav.attitude import (
     skew,
     so3_right_jacobian,
 )
-from vlpnav.blockage import BlockageState, DrdConfig, drd_step
+from vlpnav.blockage import BlockageState, DetectionSpec, drd_step
 from vlpnav.channel import (
     GRAZING_COS_FLOOR,
     DegenerateGeometryError,
@@ -495,7 +495,7 @@ def threshold_3d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig, v_max: float,
     return float(np.linalg.norm(dp_dphi / p) * omega_max + np.linalg.norm(dp_dr / p) * v_max)
 
 
-def detect_stream(times, values, threshold: float, cfg: DrdConfig) -> tuple[np.ndarray, int]:
+def detect_stream(times, values, threshold: float, cfg: DetectionSpec) -> tuple[np.ndarray, int]:
     """Run the detector over one LED's raw stream.
 
     Returns the per-sample blocked tags (bool array aligned with

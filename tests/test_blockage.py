@@ -4,7 +4,7 @@ import pytest
 from vlpnav.attitude import quat_identity
 from vlpnav.blockage import (
     BlockageState,
-    DrdConfig,
+    DetectionSpec,
     DrdDetector,
     UndefinedRatioError,
     annotate_epochs,
@@ -103,7 +103,8 @@ class TestDrdStep:
         dt = 1 / 120
         values = [1.0] * 10 + [0.0] * 10 + [1.0] * 10
         tags, transitions = detect_stream(np.arange(30) * dt, values, 1.0,
-                                          DrdConfig(v_max=1.0))
+                                          DetectionSpec(v_max=1.0, omega_max=0.0,
+                                                        value_floor=1e-12))
         assert transitions == 2
         np.testing.assert_array_equal(tags[10:20], True)
         np.testing.assert_array_equal(tags[:10], False)
@@ -143,8 +144,9 @@ class TestDrdStep:
         dt = 1 / 120
         values = [1.0, 0.9, 0.0, 0.0, 1.0, 1.0]
         t = np.arange(len(values)) * dt
-        out1 = detect_stream(t, values, 2.0, DrdConfig(v_max=1.0))
-        out2 = detect_stream(t, values, 2.0, DrdConfig(v_max=1.0))
+        cfg = DetectionSpec(v_max=1.0, omega_max=0.0, value_floor=1e-12)
+        out1 = detect_stream(t, values, 2.0, cfg)
+        out2 = detect_stream(t, values, 2.0, cfg)
         np.testing.assert_array_equal(out1[0], out2[0])
         assert out1[1] == out2[1]
 
@@ -159,16 +161,17 @@ class TestMotionNoFalseAlarms:
         # Straight pass under the LED, worst case for the changing rate.
         x = -4.0 + v * t
         values = np.array([predict_rss([xi, 0.3, 0.0], quat_identity(), LED, RX) for xi in x])
-        thr = static_threshold_3d([-4, -1, 0], [4, 1, 1], LED, RX,
-                                  DrdConfig(v_max=0.5, omega_max=0.0))
-        tags, transitions = detect_stream(t, values, thr, DrdConfig(v_max=0.5))
+        cfg = DetectionSpec(v_max=0.5, omega_max=0.0, value_floor=1e-12, max_tilt_deg=0.0)
+        thr = static_threshold_3d([-4, -1, 0], [4, 1, 1], LED, RX, cfg)
+        tags, transitions = detect_stream(t, values, thr, cfg)
         assert transitions == 0
         assert not tags.any()
 
 
 class TestStaticThreshold:
     def test_dominates_pointwise(self):
-        cfg = DrdConfig(v_max=0.5, omega_max=0.2, max_tilt=0.2)
+        cfg = DetectionSpec(v_max=0.5, omega_max=0.2, value_floor=1e-12,
+                            max_tilt_deg=float(np.rad2deg(0.2)))
         thr = static_threshold_3d([-2, -2, 0], [2, 2, 1], LED, RX, cfg)
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -211,15 +214,11 @@ class TestAnnotateEpochs:
 
 
 class TestDetectorScene:
-    def test_planar_mode_requires_hints(self):
-        cfg = DrdConfig(v_max=0.5, mode="planar")
-        with pytest.raises(ValueError):
-            DrdDetector.for_scene(cfg, [LED], RX)
-
     def test_multi_led_streams_independent(self):
-        cfg = DrdConfig(v_max=0.5, mode="planar", planar_hints={0: (1.0, 2.0), 1: (1.0, 2.0)})
+        cfg = DetectionSpec(v_max=0.5, omega_max=0.0, value_floor=1e-12)
         led1 = LedBeacon(led_id=1, position=np.array([1.0, 0.0, 2.0]), power=10.0)
-        det = DrdDetector.for_scene(cfg, [LED, led1], RX)
+        det = DrdDetector(cfg, {led.led_id: threshold_2d(1.0, 2.0, led.order, cfg.v_max)
+                                for led in (LED, led1)})
         dt = 1 / 120
         n = 30
         t = np.repeat(np.arange(n) * dt, 2)
@@ -237,12 +236,23 @@ class TestDetectorScene:
 
 
 class TestConfigValidation:
+    DETECTOR = DrdDetector(DetectionSpec(), {0: 1.0})
+
     def test_sample_rate_floor(self):
-        with pytest.raises(ValueError):
-            DrdConfig(v_max=1.0, sample_rate=50.0)
+        t = np.arange(0.0, 5.0, 1 / 50)
+        with pytest.raises(ValueError, match="below 100 Hz"):
+            self.DETECTOR.run(t, np.zeros(t.shape), np.ones(t.shape))
+
+    @pytest.mark.parametrize("start,duration", [(0.0, 5.0), (0.0, 30.0), (100.0, 5.0)])
+    def test_nominal_rate_passes(self, start, duration):
+        # Round-off puts the median spacing of these grids just above or
+        # just below 10 ms.
+        t = np.arange(start, start + duration, 0.01)
+        out = self.DETECTOR.run(t, np.zeros(t.shape), np.ones(t.shape))
+        assert not out[0][1].any()
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            DrdConfig(v_max=0.0)
+            DetectionSpec(v_max=0.0)
         with pytest.raises(ValueError):
-            DrdConfig(v_max=1.0, omega_max=-0.1)
+            DetectionSpec(v_max=1.0, omega_max=-0.1)

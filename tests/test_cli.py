@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,13 +44,15 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "/nope/missing.json",
                      "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("edit", ["missing", "unknown", "not_object"])
+    @pytest.mark.parametrize("edit", ["missing", "unknown", "not_object", "bad_bound"])
     def test_bad_scenario_file_exit_2(self, tmp_path, mini_dataset, edit):
         d = json.loads((mini_dataset / "scenario.json").read_text())
         if edit == "missing":
             del d["trajectory"]["waypoints"]
         elif edit == "unknown":
             d["imu"]["rate"] = 100.0
+        elif edit == "bad_bound":
+            d["detection"]["v_max"] = 0
         else:
             d["rss"] = 5
         path = tmp_path / "scenario.json"
@@ -73,6 +76,40 @@ class TestDetect:
         # Clean dataset: no transitions anywhere.
         assert tags[:, 2].max() == 0
         assert tags[:, 3].max() == 0
+
+    @pytest.mark.parametrize("edit", [{"v_max": -1.0}, {"omega_max": "fast"},
+                                      {"v_max_mps": 0.6}, None],
+                             ids=["bad_bound", "wrong_type", "unknown_key", "not_object"])
+    def test_bad_detection_record_exit_2(self, mini_dataset, tmp_path, edit):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        man = json.loads((data / "manifest.json").read_text())
+        man["detection"] = None if edit is None else man["detection"] | edit
+        (data / "manifest.json").write_text(json.dumps(man))
+        out = tmp_path / "det"
+        assert main(["detect", "--dataset", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_missing_detection_keys_take_defaults(self, mini_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        man = json.loads((data / "manifest.json").read_text())
+        del man["detection"]["value_floor"]
+        (data / "manifest.json").write_text(json.dumps(man))
+        assert main(["detect", "--dataset", str(data), "--out", str(tmp_path / "det")]) == 0
+
+    def test_under_rate_stream_exit_2(self, mini_dataset, tmp_path):
+        """The manifest still says 120 Hz; the stream itself is at 50 Hz."""
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        raw = np.loadtxt(data / "rss_raw.csv", delimiter=",", skiprows=1)
+        times = np.unique(raw[:, 0])
+        kept = times[np.round(np.arange(0, times.size - 1, 120 / 50)).astype(int)]
+        np.savetxt(data / "rss_raw.csv", raw[np.isin(raw[:, 0], kept)], fmt="%.12g",
+                   delimiter=",", header="timestamp_s,led_id,value", comments="")
+        out = tmp_path / "det"
+        assert main(["detect", "--dataset", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -147,15 +184,24 @@ class TestEstimate:
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["window_size"] == 5
 
-    @pytest.mark.parametrize("content", ['{"windowsize": 5}', '{"use_nhc": false}', "[5]",
-                                         '{"lm": 5}', '{"window_size": "5"}', "{bad",
-                                         '{"window_size": 1}'])
+    @pytest.mark.parametrize("content", [
+        '{"windowsize": 5}', '{"use_nhc": false}', "[5]", '{"lm": 5}',
+        '{"window_size": "5"}', "{bad", '{"window_size": 1}',
+        *(pytest.param(["--unknown-leds", "5", "--led-init", v], id=f"led_init {v}")
+          for v in ("5=2.0", "7=2.0,1.0", "5=2.0,1.0,0.5", "5", "x=1,2", "5=a,b", "5=nan,1")),
+        pytest.param(["--led-init", "5=2.0,1.0"], id="led_init without unknown LEDs"),
+    ])
     def test_bad_config_exit_2(self, mini_dataset, tmp_path, content):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(content)
+        """A bad --config file (text) or --led-init (extra arguments) exits 2
+        before any output."""
         out = tmp_path / "bad"
-        assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
-                     "--config", str(cfg), "--out", str(out)]) == 2
+        argv = ["estimate", "--dataset", str(mini_dataset), "--mode", "tc", "--out", str(out)]
+        if isinstance(content, list):
+            argv += content
+        else:
+            (tmp_path / "cfg.json").write_text(content)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("extra,config,window", [

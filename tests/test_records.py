@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vlpnav.blockage import DetectionSpec
 from vlpnav.channel import LedBeacon, ReceiverConfig
+from vlpnav.cli import build_detector, main
 from vlpnav.dataio import estimator_config_from_dict, load_dataset
 from vlpnav.estimator import ConstraintConfig, LmOptions, PriorConfig
 from vlpnav.preint import ImuNoise
@@ -103,6 +105,26 @@ class TestScenario:
         assert sc.rss == RssSpec()
         assert sc.blockages == ()
         assert sc.trajectory.waypoints == reference_scenarios()["mini"].trajectory.waypoints
+
+
+class TestDetectionRecord:
+    def test_manifest_block_reads_back_as_the_scenario_record(self, tmp_path):
+        d = reference_scenarios()["mini"].to_dict()
+        d["detection"] = to_record(DetectionSpec(v_max=0.7, omega_max=0.65, value_floor=0.02,
+                                                 max_tilt_deg=15.0))
+        (tmp_path / "scenario.json").write_text(json.dumps(d))
+        data = tmp_path / "data"
+        assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(data)]) == 0
+        scenario = Scenario.from_json(data / "scenario.json")
+        assert scenario.detection != DetectionSpec()
+        assert build_detector(load_dataset(data)).cfg == scenario.detection
+
+    def test_omitted_keys_take_the_defaults(self):
+        d = reference_scenarios()["mini"].to_dict()
+        d["detection"] = {"v_max": 0.4, "max_tilt_deg": 10.0}
+        assert Scenario.from_dict(d).detection == DetectionSpec(
+            v_max=0.4, omega_max=0.6, value_floor=0.05, max_tilt_deg=10.0)
 
 
 class TestChannelRecords:
