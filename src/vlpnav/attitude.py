@@ -198,6 +198,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def quat_normalize_batch(q) -> np.ndarray:
+    """Row-wise :func:`quat_normalize`, rounded as it rounds."""
+    return q / _norms(q)[:, None]
+
+
 def quat_conjugate_batch(q) -> np.ndarray:
     return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -215,7 +220,7 @@ def quat_multiply_batch(a, b) -> np.ndarray:
         ],
         axis=1,
     )
-    return out / _norms(out)[:, None]
+    return quat_normalize_batch(out)
 
 
 def quat_to_dcm_batch(q) -> np.ndarray:

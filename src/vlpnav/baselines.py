@@ -31,7 +31,7 @@ from .channel import (
     lambertian,
     receiver_normal,
 )
-from .state import NavState
+from .state import NavState, StateArrays
 
 #: Gauss-Newton iterations of one snapshot fix, unless a step falls below 1e-10.
 _GN_ITERS = 30
@@ -275,21 +275,14 @@ def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
 # Loosely-coupled VLP/INS
 
 
-@dataclass
-class LcResult:
-    timestamps: np.ndarray
-    position: np.ndarray
-    velocity: np.ndarray
-    attitude: np.ndarray
-
-
-def run_loosely_coupled(dataset, flags_by_epoch) -> LcResult:
+def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     """Loosely-coupled reference: INS attitude, Kalman position/velocity.
 
     The attitude comes from integrating the gyroscope from the initial
     alignment (no feedback), matching the classic loose architecture;
     per-epoch RSS position fixes (computed with the INS attitude) update
-    a 6-state position/velocity filter.
+    a 6-state position/velocity filter.  Returns one row per epoch, with
+    zero biases (the filter estimates none).
     """
     x0 = initial_state(dataset, flags_by_epoch)
     gravity = dataset.gravity
@@ -348,9 +341,6 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> LcResult:
             out_q.append(q.copy())
             epoch_idx += 1
 
-    return LcResult(
-        timestamps=np.asarray(out_t),
-        position=np.asarray(out_p),
-        velocity=np.asarray(out_v),
-        attitude=np.asarray(out_q),
-    )
+    zeros = np.zeros((len(out_t), 3))
+    return StateArrays(np.asarray(out_t), np.asarray(out_p), np.asarray(out_v),
+                       np.asarray(out_q), zeros, zeros)

@@ -22,7 +22,13 @@ from .attitude import euler_from_quat, quat_to_dcm
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
 from .blockage import DetectionSpec, DrdDetector, annotate_epochs
 from .channel import SampleFlag
-from .dataio import Dataset, estimator_config_from_dict, load_dataset, load_truth, write_dataset
+from .dataio import (
+    Dataset,
+    estimator_config_from_dict,
+    load_dataset,
+    load_trajectory,
+    write_dataset,
+)
 from .estimator import TightlyCoupledEstimator, estimate_unknown_leds
 from .metrics import (
     DisjointTimeRangesError,
@@ -163,24 +169,12 @@ def _truth_flags(dataset: Dataset) -> dict:
     return {(s.timestamp, s.led_id): s.flag for s in dataset.epoch_samples}
 
 
-def _write_trajectory(path, times, positions, velocities, quats, biases_a, biases_g):
-    rows = []
-    for i, t in enumerate(times):
-        q = quats[i]
-        roll, pitch, yaw = euler_from_quat(q)
-        rows.append(np.concatenate([[t], positions[i], velocities[i], q,
-                                    [roll, pitch, yaw], biases_a[i], biases_g[i]]))
-    np.savetxt(path, np.asarray(rows), fmt="%.12g", delimiter=",",
-               header=TRAJ_HEADER, comments="")
-
-
-def _write_states(path, states):
-    """Write ``states`` as a trajectory file; returns their times and arrays."""
-    times = np.array([s.timestamp for s in states])
-    arr = StateArrays.of(states)
-    _write_trajectory(path, times, arr.position, arr.velocity, arr.attitude,
-                      arr.bias_acc, arr.bias_gyro)
-    return times, arr
+def _write_trajectory(path, traj: StateArrays):
+    """Write ``traj`` as a trajectory file, the layout ``load_trajectory`` reads."""
+    euler = np.array([euler_from_quat(q) for q in traj.attitude])
+    np.savetxt(path, np.column_stack([traj.timestamps, traj.position, traj.velocity,
+                                      traj.attitude, euler, traj.bias_acc, traj.bias_gyro]),
+               fmt="%.12g", delimiter=",", header=TRAJ_HEADER, comments="")
 
 
 def run_tc(dataset: Dataset, config, flags, unknown_init=None):
@@ -191,8 +185,8 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
     """
     epochs = dataset.epochs_by_time(flags)
     x0 = initial_state(dataset, flags)
-    est = TightlyCoupledEstimator(config, dataset.leds, dataset.receiver)
-    report = est.start(x0, epochs[0][1], unknown_init=unknown_init)
+    est = TightlyCoupledEstimator(config, dataset.leds, dataset.receiver, unknown_init)
+    report = est.start(x0, epochs[0][1])
     t_prev = epochs[0][0]
     for t_k, samples in epochs[1:]:
         stream = dataset.imu.slice(t_prev, t_k)
@@ -231,8 +225,8 @@ def cmd_estimate(args) -> int:
             led_init = ";".join(f"{i}={float(x)!r},{float(y)!r}"
                                 for i, (x, y) in sorted(unknown_init.items()))
         est, led_results, _ = run_tc(dataset, config, flags, unknown_init=unknown_init)
-        est_t, causal = _write_states(out / "trajectory.csv", est.causal)
-        _write_states(out / "trajectory_smoothed.csv", est.smoothed)
+        traj = StateArrays.of(est.causal)
+        _write_trajectory(out / "trajectory_smoothed.csv", StateArrays.of(est.smoothed))
         diag_rows = []
         led_cols = sorted(config.unknown_led_ids)
         for d in est.diagnostics:
@@ -245,46 +239,32 @@ def cmd_estimate(args) -> int:
         header += "".join(f",dop_led{i}" for i in led_cols)
         np.savetxt(out / "diagnostics.csv", np.asarray(diag_rows), fmt="%.12g",
                    delimiter=",", header=header, comments="")
-        est_p, est_q = causal.position, causal.attitude
     elif mode == "lc":
-        lc = run_loosely_coupled(dataset, flags)
-        zeros = np.zeros_like(lc.position)
-        _write_trajectory(out / "trajectory.csv", lc.timestamps, lc.position,
-                          lc.velocity, lc.attitude, zeros, zeros)
-        est_t, est_p, est_q = lc.timestamps, lc.position, lc.attitude
+        traj = run_loosely_coupled(dataset, flags)
     elif mode == "vlp_only":
         variant = args.vlp_variant or ("tilt" if dataset.manifest.get("planar")
                                        else "level")
         fixes = vlp_only_trajectory(dataset, flags, variant=variant)
-        rows_t, rows_p, rows_q = [], [], []
-        for fx in fixes:
-            if not fx.ok:
-                n_fix_failures += 1
-                continue
-            if fx.held:
-                n_fix_failures += 1
-            q = fx.attitude if fx.attitude is not None else np.array([1.0, 0, 0, 0])
-            # Report the navigation (IMU) center like the other modes.
-            p_imu = fx.position - quat_to_dcm(q) @ dataset.receiver.lever_arm_vlp
-            rows_t.append(fx.timestamp)
-            rows_p.append(p_imu)
-            rows_q.append(q)
-        if not rows_t:
+        n_fix_failures = sum(1 for fx in fixes if not fx.ok or fx.held)
+        fixes = [fx for fx in fixes if fx.ok]
+        if not fixes:
             raise InputError("VLP-only produced no fixes; dataset unusable")
-        est_t = np.asarray(rows_t)
-        est_p = np.asarray(rows_p)
-        est_q = np.asarray(rows_q)
-        zeros = np.zeros_like(est_p)
-        _write_trajectory(out / "trajectory.csv", est_t, est_p, zeros, est_q,
-                          zeros, zeros)
+        q = np.array([[1.0, 0, 0, 0] if fx.attitude is None else fx.attitude for fx in fixes])
+        # Report the navigation (IMU) center like the other modes.
+        p = np.array([fx.position - quat_to_dcm(qk) @ dataset.receiver.lever_arm_vlp
+                      for fx, qk in zip(fixes, q)])
+        zeros = np.zeros_like(p)
+        traj = StateArrays(np.array([fx.timestamp for fx in fixes]), p, zeros, q, zeros, zeros)
     else:
         raise InputError(f"unknown mode '{mode}'")
+    _write_trajectory(out / "trajectory.csv", traj)
     runtime = time.perf_counter() - t_start
 
     report = None
     if dataset.truth is not None:
-        report = evaluate_run(mode, est_t, est_p, dataset.truth, est_attitudes=est_q,
-                              runtime_s=runtime, n_fix_failures=n_fix_failures)
+        report = evaluate_run(mode, traj.timestamps, traj.position, dataset.truth,
+                              est_attitudes=traj.attitude, runtime_s=runtime,
+                              n_fix_failures=n_fix_failures)
         if not args.no_drd:
             prec, rec = detection_scores(flags, _truth_flags(dataset))
             report.detection_precision = prec
@@ -321,7 +301,8 @@ def cmd_estimate(args) -> int:
 
 
 def _estimator_config(args, dataset: Dataset):
-    """The ``--config`` record, with ``--window`` and ``--unknown-leds`` laid over it."""
+    """The ``--config`` record, with ``--window`` and ``--unknown-leds`` laid over it;
+    unknown LEDs must be on the map, and only ``--mode tc`` estimates them."""
     try:
         d = json.loads(Path(args.config).read_text()) if args.config else {}
         if not isinstance(d, dict):
@@ -330,9 +311,16 @@ def _estimator_config(args, dataset: Dataset):
             d["window_size"] = args.window
         if args.unknown_leds:
             d["unknown_led_ids"] = [int(x) for x in args.unknown_leds.split(",")]
-        return estimator_config_from_dict(d, dataset)
+        config = estimator_config_from_dict(d, dataset)
     except ValueError as e:
         raise InputError(f"invalid estimator config: {e}") from e
+    off_map = set(config.unknown_led_ids) - {led.led_id for led in dataset.leds}
+    if off_map:
+        raise InputError(f"unknown LEDs {sorted(off_map)} are not on the map")
+    if args.mode != "tc" and (config.unknown_led_ids or args.led_init):
+        raise InputError(f"--mode {args.mode} estimates no LEDs: unknown LEDs and "
+                         "--led-init need --mode tc")
+    return config
 
 
 def _unknown_init(args, dataset: Dataset, config) -> dict:
@@ -366,12 +354,6 @@ def _dataset_hash(dataset: Dataset) -> str:
 # evaluate
 
 
-def _load_trajectory_csv(path):
-    arr = np.loadtxt(path, delimiter=",", skiprows=1)
-    arr = np.atleast_2d(arr)
-    return arr[:, 0], arr[:, 1:4], arr[:, 7:11]
-
-
 def cmd_evaluate(args) -> int:
     traj_path = Path(args.trajectory)
     truth_path = Path(args.truth)
@@ -379,14 +361,17 @@ def cmd_evaluate(args) -> int:
         raise InputError(f"trajectory file not found: {traj_path}")
     if not truth_path.exists():
         raise InputError(f"truth file not found: {truth_path}")
-    t, p, q = _load_trajectory_csv(traj_path)
-    truth = load_truth(truth_path)
-    report = evaluate_run(args.mode, t, p, truth, est_attitudes=q)
+    try:
+        traj, truth = load_trajectory(traj_path), load_trajectory(truth_path)
+    except ValueError as e:
+        raise InputError(f"malformed trajectory file: {e}") from e
+    report = evaluate_run(args.mode, traj.timestamps, traj.position, truth,
+                          est_attitudes=traj.attitude)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "report.json")
     save_cdf_csv(out / "cdf.csv", report)
-    print(f"evaluated {len(t)} epochs: mean2d={report.mean_2d:.4f} m "
+    print(f"evaluated {len(traj)} epochs: mean2d={report.mean_2d:.4f} m "
           f"mean3d={report.mean_3d:.4f} m")
     return EXIT_OK
 

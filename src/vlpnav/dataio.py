@@ -6,6 +6,7 @@ A simulated dataset directory contains:
 * ``rss_raw.csv``    timestamp_s, led_id, value (high-rate demodulated)
 * ``rss_epoch.csv``  timestamp_s, led_id, value, variance, flag_truth
 * ``truth.csv``      timestamp_s, px..pz, vx..vz, qw..qz, roll, pitch, yaw
+  (a ``trajectory.csv`` adds the biases; :func:`load_trajectory` reads both)
 * ``leds.json``      array of LED beacon records (SI units)
 * ``scenario.json``  the resolved scenario that produced the data
 * ``manifest.json``  seed, package version, conventions, file hashes
@@ -30,6 +31,7 @@ from .estimator import ConstraintConfig, EstimatorConfig
 from .preint import ImuNoise, ImuStream
 from .records import from_record, to_record
 from .simulator import EpochRss, RawRss, Scenario, TruthStream
+from .state import StateArrays
 
 try:
     _VERSION = _metadata.version("vlpnav")
@@ -127,15 +129,6 @@ _FLAGS = {0: SampleFlag.LOS, 1: SampleFlag.BLOCKED, 2: SampleFlag.OUT_OF_FOV}
 
 
 @dataclass
-class TruthArrays:
-    timestamps: np.ndarray
-    position: np.ndarray
-    velocity: np.ndarray
-    attitude: np.ndarray
-    euler: np.ndarray
-
-
-@dataclass
 class Dataset:
     """In-memory view of a dataset directory."""
 
@@ -147,7 +140,7 @@ class Dataset:
     raw_times: dict
     raw_values: dict
     epoch_samples: list  # RssSample with ground-truth flags
-    truth: TruthArrays | None
+    truth: StateArrays | None  # zero biases
 
     @property
     def epoch_times(self) -> np.ndarray:
@@ -168,12 +161,16 @@ class Dataset:
         return np.asarray(self.manifest["gravity"], dtype=float)
 
 
-def load_truth(path) -> TruthArrays:
-    """Read a ``truth.csv`` file."""
-    t_arr = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-    return TruthArrays(timestamps=t_arr[:, 0], position=t_arr[:, 1:4],
-                       velocity=t_arr[:, 4:7], attitude=t_arr[:, 7:11],
-                       euler=t_arr[:, 11:14])
+def load_trajectory(path) -> StateArrays:
+    """Read a ``trajectory.csv`` or ``truth.csv`` file: a header, then rows of
+    at least 14 numbers, with biases in columns 15-20 if present (zero in a
+    ``truth.csv``).  Raises ``ValueError`` on anything else."""
+    a = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if a.shape[1] < 14:  # a file without rows reads as (0, 1)
+        raise ValueError(f"{path}: expected rows of at least 14 numbers, "
+                         f"read {a.shape[0]} rows of {a.shape[1]}")
+    biases = a[:, 14:20] if a.shape[1] >= 20 else np.zeros((len(a), 6))
+    return StateArrays(a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:11], biases[:, :3], biases[:, 3:])
 
 
 def load_dataset(path) -> Dataset:
@@ -202,7 +199,7 @@ def load_dataset(path) -> Dataset:
         for r in np.atleast_2d(ep_arr)
     ]
 
-    truth = load_truth(path / "truth.csv") if (path / "truth.csv").exists() else None
+    truth = load_trajectory(path / "truth.csv") if (path / "truth.csv").exists() else None
 
     return Dataset(path=path, manifest=manifest, leds=leds, receiver=receiver, imu=imu,
                    raw_times=raw_times, raw_values=raw_values,

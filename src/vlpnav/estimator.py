@@ -223,7 +223,7 @@ def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
 class MarginalPrior:
     """Quadratic information carried over from marginalized variables, over
     the window's oldest state (15 dims), then every unknown LED (2 each) in
-    :meth:`SlidingWindow.led_keys` order; a LED that no marginalized factor
+    :attr:`SlidingWindow.led_ids` order; a LED that no marginalized factor
     saw has zero rows.  It adds ``0.5 d^T H d + g^T d`` to the cost, with
     ``d = delta(window)``: the oldest state's error from ``state_lin``, then
     each LED's offset from its row of ``led_lin`` (L, 2).
@@ -235,60 +235,62 @@ class MarginalPrior:
     led_lin: np.ndarray
 
     def delta(self, window: "SlidingWindow") -> np.ndarray:
-        return np.concatenate([window.states[0].boxminus(self.state_lin),
-                               (window.led_xy() - self.led_lin).ravel()])
+        # The stored row, not a NavState copy: that would renormalize it.
+        return np.concatenate([NavState.boxminus(window.states[0], self.state_lin),
+                               (window.led_xy - self.led_lin).ravel()])
+
+
+#: An RSS sample of a window: its state, LED-table row, value and variance.
+RSS_SAMPLE = np.dtype([("state", int), ("led", int), ("value", float), ("variance", float)])
 
 
 class SlidingWindow:
-    """Ordered states plus their attached factors and the rolling prior."""
+    """Ordered states plus their attached factors and the rolling prior.
 
-    def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig):
+    ``states`` is a :class:`StateArrays`, one row per epoch of ``epoch_ids``;
+    IMU factor ``k`` joins states ``k`` and ``k + 1``.  ``rss`` holds the
+    samples of LEDs on the map in state order (flagged ones at
+    ``config.blocked_variance``).  The unknown LEDs ``led_ids`` (sorted
+    ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2)
+    and weak-prior centers ``led_init`` (L, 2), from the ``led_init``
+    guesses (id -> (x, y)) or else the map.
+    """
+
+    def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig,
+                 led_init: dict | None = None):
         self.config = config
         self.rx = rx
         self.led_map = {led.led_id: led for led in leds}
         self.led_table = LedTable.of(leds, rx)
         self.epoch_ids: list[int] = []
-        self.states: list[NavState] = []
+        self.states = StateArrays.of([])
         self.imu_factors: list[PreintegratedImu] = []
-        self.rss_factors: list[list[RssSample]] = []
+        self.rss = np.zeros(0, RSS_SAMPLE)
         self.prior: MarginalPrior | None = None
-        # Unknown-LED planar blocks: current estimate and the weak-prior center.
-        self.unknown_xy: dict[int, np.ndarray] = {}
-        self.unknown_init: dict[int, np.ndarray] = {}
+        self.led_ids = sorted(config.unknown_led_ids)
+        led_init = led_init or {}
+        self.led_init = np.array([led_init.get(i, self.led_map[i].position[:2])
+                                  for i in self.led_ids], dtype=float).reshape(-1, 2)
+        self.led_xy = self.led_init.copy()
 
-    # -- layout -----------------------------------------------------------
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    def led_keys(self) -> list[int]:
-        return sorted(self.unknown_xy)
-
-    def led_xy(self) -> np.ndarray:
-        """The unknown LEDs' planar estimates, (L, 2) in :meth:`led_keys` order."""
-        return np.array([self.unknown_xy[i] for i in self.led_keys()]).reshape(-1, 2)
-
-    def set_unknown_led(self, led_id: int, initial_xy) -> None:
-        if led_id not in self.led_map:
-            raise KeyError(f"unknown LED id {led_id} not in the map")
-        xy = np.asarray(initial_xy, dtype=float).copy()
-        self.unknown_xy[led_id] = xy
-        self.unknown_init[led_id] = xy.copy()
-
     def append(self, epoch_id: int, state: NavState, pre: PreintegratedImu | None,
                rss: list[RssSample]) -> None:
-        if self.states and pre is None:
+        if self.n_states and pre is None:
             raise ValueError("non-initial states need an IMU factor")
         self.epoch_ids.append(epoch_id)
-        self.states.append(state)
         if pre is not None:
             self.imu_factors.append(pre)
-        self.rss_factors.append(list(rss))
-
-    def sample_variance(self, sample: RssSample) -> float:
-        if sample.flag is not SampleFlag.LOS:
-            return self.config.blocked_variance
-        return sample.variance
+        table_row = self.led_table.row
+        blocked = self.config.blocked_variance
+        new = np.array([(self.n_states, table_row[s.led_id], s.value,
+                         s.variance if s.flag is SampleFlag.LOS else blocked)
+                        for s in rss if s.led_id in table_row], RSS_SAMPLE)
+        self.rss = np.concatenate([self.rss, new])
+        self.states = self.states.append(state)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ class FactorRows:
     information.  Factor ``f`` touches the window states ``states[b][f]``
     (one state, or two adjacent ones in increasing order) and, when
     ``led`` is set and ``led[f]`` is not -1, the unknown LED ``led[f]``
-    (its place in :meth:`SlidingWindow.led_keys`).  ``jac`` holds the
+    (its place in :attr:`SlidingWindow.led_ids`).  ``jac`` holds the
     (F, m, d) Jacobian of each state block, over the state's leading
     ``d`` error dims, then the LED block's; it is empty when the factors
     were evaluated for their cost alone.  Rows come in non-decreasing
@@ -370,7 +372,7 @@ class NormalEquations:
     Every factor touches one state, two adjacent states, or a state and
     an unknown LED, and the marginal prior the oldest state and the LEDs.
     So over N states (15 dims each) followed by L unknown LEDs (2 each,
-    in :meth:`SlidingWindow.led_keys` order), the Hessian is
+    in :attr:`SlidingWindow.led_ids` order), the Hessian is
     block-tridiagonal over the states with a LED border: ``diag``
     (N, 15, 15) state blocks, ``upper`` (N-1, 15, 15) blocks of rows k
     and columns k + 1 and ``lower`` the blocks of rows k + 1 and columns
@@ -525,11 +527,11 @@ def _rows(r, info, states, jac, jacobians: bool, led=None) -> FactorRows:
 def _led_prior_rows(window: SlidingWindow, jacobians: bool, active: bool) -> FactorRows:
     """Weak prior keeping unobserved unknown-LED blocks solvable (no rows
     unless ``active``)."""
-    ids = window.led_keys() if active else []
-    r = np.array([window.unknown_xy[i] - window.unknown_init[i] for i in ids]).reshape(-1, 2)
+    n = len(window.led_ids) if active else 0
+    r = (window.led_xy - window.led_init)[:n]
     w = 1.0 / window.config.unknown_led_prior_sigma**2
-    eye = np.broadcast_to(np.eye(2), (len(ids), 2, 2))
-    return _rows(r, w * eye, [], [eye], jacobians, led=np.arange(len(ids)))
+    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
+    return _rows(r, w * eye, [], [eye], jacobians, led=np.arange(n))
 
 
 def _imu_rows(factors, gravity, X: StateArrays, jacobians: bool) -> FactorRows:
@@ -544,41 +546,32 @@ def _imu_rows(factors, gravity, X: StateArrays, jacobians: bool) -> FactorRows:
     return _rows(r, pres.information, [ks, ks + 1], [Jk, Jk1], jacobians)
 
 
-def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R,
+def _rss_rows(window: SlidingWindow, n_states: int, X: StateArrays, R,
               jacobians: bool) -> FactorRows:
-    """One row per usable RSS sample of ``epochs`` (state ``k``'s samples at
-    ``epochs[k]``), through the batched Lambertian model.
+    """One row per usable RSS sample of the first ``n_states`` states,
+    through the batched Lambertian model.
 
-    Samples of LEDs off the map, out of the FOV, degenerate (PD at the
-    LED) or grazing are left out.  Unknown LEDs use their current planar
-    estimate.  With unknown LEDs in the window every row carries a LED
-    block, -1 for the rows of known LEDs.
+    Samples out of the FOV, degenerate (PD at the LED) or grazing are
+    left out.  Unknown LEDs use their current planar estimate.  With
+    unknown LEDs in the window every row carries a LED block, -1 for the
+    rows of known LEDs.
     """
     table = window.led_table
-    st, li, value, var = [], [], [], []
-    for k, samples in enumerate(epochs):
-        for s in samples:
-            i = table.row.get(s.led_id)
-            if i is not None:
-                st.append(k)
-                li.append(i)
-                value.append(s.value)
-                var.append(window.sample_variance(s))
-    st = np.array(st, dtype=int)
-    li = np.array(li, dtype=int)
+    samples = window.rss[:np.searchsorted(window.rss["state"], n_states)]
+    st, li = samples["state"], samples["led"]
     led_pos = table.position.copy()
     led_of = np.full(len(table.row), -1)
-    for j, led_id in enumerate(window.led_keys()):
-        led_pos[table.row[led_id], :2] = window.unknown_xy[led_id]
-        led_of[table.row[led_id]] = j
+    unknown = [table.row[i] for i in window.led_ids]
+    led_pos[unknown, :2] = window.led_xy
+    led_of[unknown] = np.arange(len(unknown))
     lever_u = R @ window.rx.lever_arm_vlp
     model = lambertian(X.position[st] + lever_u[st], R[st, :, 2], led_pos[li],
                        table.normal[li], table.order[li], table.gain[li],
                        window.rx.fov_cos(), gradients=jacobians)
     keep = model.valid & model.regular
     st, j = st[keep], led_of[li[keep]]
-    r = (model.rss[keep] - np.array(value)[keep])[:, None]
-    info = (1.0 / np.array(var)[keep])[:, None, None]
+    r = (model.rss[keep] - samples["value"][keep])[:, None]
+    info = (1.0 / samples["variance"][keep])[:, None, None]
     jac = []
     if jacobians:
         dp_dr, dp_dphi = model.d_pos[keep], model.d_att[keep]
@@ -588,7 +581,7 @@ def _rss_rows(window: SlidingWindow, epochs, X: StateArrays, R,
         lever_swing = dp_dphi - np.cross(lever_u[st], dp_dr)
         J[:, 0, 6:9] = -(np.swapaxes(R[st], 1, 2) @ lever_swing[:, :, None])[:, :, 0]
         jac = [J, -dp_dr[:, None, :2]]
-    if not window.unknown_xy:
+    if not window.led_ids:
         return _rows(r, info, [st], jac[:1], jacobians)
     return _rows(r, info, [st], jac, jacobians, led=j)
 
@@ -637,13 +630,13 @@ def linearize(window: SlidingWindow, jacobians: bool = True,
     and the IMU factors leaving them, plus the marginal prior.
     """
     k = window.n_states if n_states is None else n_states
-    X = StateArrays.of(window.states[:k + 1])  # IMU factor k - 1 reaches state k
+    X = window.states[:k + 1]  # IMU factor k - 1 reaches state k
     R = quat_to_dcm_batch(X.attitude)
     cfg = window.config
     lin = Linearization([
         _led_prior_rows(window, jacobians, k == window.n_states),
         _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X, jacobians),
-        _rss_rows(window, window.rss_factors[:k], X, R, jacobians),
+        _rss_rows(window, k, X, R, jacobians),
         _constraint_rows(cfg.constraints, X[:k], R[:k], jacobians),
     ])
     if window.prior is not None:
@@ -656,7 +649,7 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
     """Gauss-Newton normal equations of the window at its current values,
     in block form, with the cost of :func:`linearize`."""
     lin = linearize(window)
-    ne = NormalEquations.zeros(window.n_states, len(window.unknown_xy))
+    ne = NormalEquations.zeros(window.n_states, len(window.led_ids))
     lin.add_to(ne)
     ne.cost = lin.cost()
     return ne
@@ -698,15 +691,6 @@ class LmReport:
         return sum(1 for it in self.iterations if it.accepted)
 
 
-def _apply_step(window: SlidingWindow, dx: np.ndarray):
-    states = [s.perturb(dx[ERROR_DIM * i:ERROR_DIM * (i + 1)]) for i, s in
-              enumerate(window.states)]
-    dx_led = dx[ERROR_DIM * window.n_states:].reshape(-1, 2)
-    leds = {led_id: window.unknown_xy[led_id] + dx_led[j]
-            for j, led_id in enumerate(window.led_keys())}
-    return states, leds
-
-
 def solve_lm(window: SlidingWindow) -> LmReport:
     """Damped Gauss-Newton on the window; mutates it toward the optimum.
 
@@ -732,20 +716,18 @@ def solve_lm(window: SlidingWindow) -> LmReport:
         except np.linalg.LinAlgError:
             dx = None
         if dx is not None and np.all(np.isfinite(dx)):
-            states, leds = _apply_step(window, dx)
-            saved = (window.states, dict(window.unknown_xy))
-            window.states = states
-            window.unknown_xy = leds
+            saved = window.states, window.led_xy
+            nx = ERROR_DIM * window.n_states
+            window.states = window.states.perturb(dx[:nx].reshape(-1, ERROR_DIM))
+            window.led_xy = window.led_xy + dx[nx:].reshape(-1, 2)
             new_cost = linearize(window, jacobians=False).cost()
         else:
             new_cost = math.inf
 
         if math.isfinite(new_cost) and new_cost <= cost:
             step = float(np.linalg.norm(dx))
-            led_step = 0.0
-            if window.unknown_xy:
-                led_step = max(
-                    float(np.linalg.norm(leds[i] - saved[1][i])) for i in leds)
+            led_step = max((float(np.linalg.norm(d)) for d in window.led_xy - saved[1]),
+                           default=0.0)
             report.iterations.append(LmIteration(new_cost, lam, step, True, led_step))
             decrease = cost - new_cost
             cost = new_cost
@@ -757,7 +739,7 @@ def solve_lm(window: SlidingWindow) -> LmReport:
             lam = 0.0 if lam < 1e-12 else lam / opts.lambda_shrink
         else:
             if dx is not None:
-                window.states, window.unknown_xy = saved
+                window.states, window.led_xy = saved
                 if float(np.linalg.norm(dx)) < opts.step_norm_tol:
                     # No usable step left: the iterate is at the numeric floor.
                     report.converged = True
@@ -808,24 +790,24 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     """
     prior = window.prior
     c = window.config.constraints
-    if prior is None and not (window.imu_factors or window.rss_factors[0]
+    if prior is None and not (window.imu_factors or (window.rss["state"] == 0).any()
                               or c.use_height or c.use_nhc):
         return None
     # These reach the two oldest states and the LEDs: the dense view is
     # [oldest, next, LEDs].  The old prior is folded in wholesale (re-centering
     # a quadratic on new linearization points is exact), so nothing is lost.
-    ne = NormalEquations.zeros(2, len(window.unknown_xy))
+    ne = NormalEquations.zeros(2, len(window.led_ids))
     linearize(window, n_states=1).add_to(ne)
     reduced = schur_marginalize(ne.dense(), ne.g, ERROR_DIM)
     if reduced is not None:
-        return MarginalPrior(*reduced, window.states[1].copy(), window.led_xy())
+        return MarginalPrior(*reduced, window.states.state(1), window.led_xy.copy())
     logger.warning("indefinite marginal block; dropping factors of epoch %d",
                    window.epoch_ids[0])
     if prior is None:
         return None
     hessian, gradient = prior.hessian.copy(), prior.gradient.copy()
     hessian[:ERROR_DIM], hessian[:, :ERROR_DIM], gradient[:ERROR_DIM] = 0.0, 0.0, 0.0
-    return MarginalPrior(hessian, gradient, window.states[1].copy(), prior.led_lin)
+    return MarginalPrior(hessian, gradient, window.states.state(1), prior.led_lin)
 
 
 def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: NavState,
@@ -834,9 +816,10 @@ def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: NavSt
     if window.n_states >= window.config.window_size:
         window.prior = _marginalize_oldest(window)
         window.epoch_ids.pop(0)
-        window.states.pop(0)
+        window.states = window.states[1:]
         window.imu_factors.pop(0)
-        window.rss_factors.pop(0)
+        window.rss = window.rss[window.rss["state"] > 0]
+        window.rss["state"] -= 1
     window.append(epoch_id, new_state, pre, rss)
 
 
@@ -895,17 +878,17 @@ def estimate_unknown_leds(window: SlidingWindow,
     a DOP map).
     """
     out = {}
-    if not window.unknown_xy:
+    if not window.led_ids:
         return out
     # The LED block's Schur complement is the inverse of their covariance.
     cov_full = np.linalg.inv(normal_equations(window).solve(1e-12)[1])
     steps = [it.led_step for it in (report.iterations if report else []) if it.accepted]
     growing = len(steps) >= 3 and steps[-1] > steps[-2] > steps[-3] and steps[-1] > 1e-3
     non_conv = report is not None and not report.converged
-    for j, led_id in enumerate(window.led_keys()):
+    for j, led_id in enumerate(window.led_ids):
         cov = cov_full[2 * j:2 * j + 2, 2 * j:2 * j + 2]
         diverged = (non_conv and growing) or float(np.trace(cov)) > LED_COV_THRESHOLD
-        out[led_id] = LedEstimate(led_id=led_id, xy=window.unknown_xy[led_id].copy(),
+        out[led_id] = LedEstimate(led_id=led_id, xy=window.led_xy[j].copy(),
                                   cov=cov, diverged=diverged)
     return out
 
@@ -933,47 +916,43 @@ class TightlyCoupledEstimator:
     ``causal`` holds the real-time stream (the newest state right after
     each solve); ``smoothed`` holds each state's final value when it
     leaves the window (or at shutdown), i.e. the fixed-lag smoother
-    output.
+    output.  ``led_init`` is as for :class:`SlidingWindow`.
     """
 
-    def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig):
+    def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig,
+                 led_init: dict | None = None):
         self.config = config
-        self.window = SlidingWindow(config, leds, rx)
+        self.window = SlidingWindow(config, leds, rx, led_init)
         self.causal: list[NavState] = []
         self.smoothed: list[NavState] = []
         self.diagnostics: list[EpochDiagnostics] = []
         self._epoch_counter = 0
 
-    def start(self, state0: NavState, rss0: list[RssSample],
-              unknown_init: dict[int, np.ndarray] | None = None) -> LmReport:
+    def start(self, state0: NavState, rss0: list[RssSample]) -> LmReport:
         if self.window.n_states:
             raise RuntimeError("estimator already started")
-        for led_id in self.config.unknown_led_ids:
-            init = None if unknown_init is None else unknown_init.get(led_id)
-            if init is None:
-                init = self.window.led_map[led_id].position[:2]
-            self.window.set_unknown_led(led_id, init)
         self.window.append(0, state0, None, rss0)
         # A zero LED block: nothing is known of the LEDs beyond their weak prior.
-        info = np.pad(self.config.prior.sqrt_info_diag(), (0, 2 * len(self.window.unknown_xy)))
+        info = np.pad(self.config.prior.sqrt_info_diag(), (0, 2 * len(self.window.led_ids)))
         self.window.prior = MarginalPrior(np.diag(info), np.zeros(info.size), state0.copy(),
-                                          self.window.led_xy())
-        return self._solve_and_record()
+                                          self.window.led_xy.copy())
+        return self._solve_and_record(rss0)
 
     def step(self, pre: PreintegratedImu, rss: list[RssSample], timestamp: float) -> LmReport:
         if not self.window.n_states:
             raise RuntimeError("estimator not started")
         self._epoch_counter += 1
         reintegrations = self._reintegrate()
+        # The stored row: a NavState copy would renormalize its attitude.
         seed = mechanize(pre, self.window.states[-1], self.config.gravity_vec, timestamp)
         if self.window.n_states >= self.config.window_size:
-            self.smoothed.append(self.window.states[0].copy())
+            self.smoothed.append(self.window.states.state(0))
         slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
-        return self._solve_and_record(reintegrations)
+        return self._solve_and_record(rss, reintegrations)
 
     def finalize(self) -> list[NavState]:
         """Flush remaining window states into the smoothed trajectory."""
-        self.smoothed.extend(s.copy() for s in self.window.states)
+        self.smoothed.extend(self.window.states.state(k) for k in range(self.window.n_states))
         return self.smoothed
 
     def _reintegrate(self) -> int:
@@ -993,17 +972,15 @@ class TightlyCoupledEstimator:
                 count += 1
         return count
 
-    def _solve_and_record(self, reintegrations: int = 0) -> LmReport:
+    def _solve_and_record(self, rss: list[RssSample], reintegrations: int = 0) -> LmReport:
         report = solve_lm(self.window)
-        last = self.window.states[-1]
-        self.causal.append(last.copy())
-        rss = self.window.rss_factors[-1]
+        last = self.window.states.state(-1)
+        self.causal.append(last)
         los = sum(1 for s in rss if s.flag is SampleFlag.LOS)
         led_dop = {}
-        if self.window.unknown_xy and self.window.n_states >= 3:
-            pts = np.array([s.position[:2] for s in self.window.states])
-            for led_id, xy in self.window.unknown_xy.items():
-                led_dop[led_id] = dop(pts, xy)
+        if self.window.n_states >= 3:
+            pts = self.window.states.position[:, :2]
+            led_dop = {i: dop(pts, xy) for i, xy in zip(self.window.led_ids, self.window.led_xy)}
         self.diagnostics.append(EpochDiagnostics(
             epoch_id=self.window.epoch_ids[-1],
             timestamp=last.timestamp,

@@ -104,8 +104,9 @@ def evaluate_run(mode: str, est_times, est_positions, truth, est_attitudes=None,
                  runtime_s: float = float("nan"), n_fix_failures: int = 0) -> RunReport:
     """Compare an estimated trajectory against truth arrays.
 
-    ``truth`` is a ``dataio.TruthArrays``; estimates are paired with the
-    nearest truth sample (max skew 1 ms).
+    ``truth`` is a ``state.StateArrays`` (its timestamps, positions and
+    attitudes are read); estimates are paired with the nearest truth
+    sample (max skew 1 ms).
     """
     est_times = np.asarray(est_times, dtype=float)
     est_positions = np.atleast_2d(np.asarray(est_positions, dtype=float))

@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import apply_small_angle, quat_log, quat_multiply, quat_conjugate, quat_normalize
+from .attitude import (
+    apply_small_angle,
+    quat_conjugate,
+    quat_log,
+    quat_multiply,
+    quat_multiply_batch,
+    quat_normalize,
+    quat_normalize_batch,
+)
 
 #: Error-state dimension of one navigation state.
 ERROR_DIM = 15
@@ -80,9 +88,13 @@ class NavState:
 
 @dataclass(frozen=True)
 class StateArrays:
-    """A sequence of states stacked field by field: ``(N, 3)`` position,
-    velocity and biases, ``(N, 4)`` attitude."""
+    """A trajectory or a sliding window's states, stacked field by field:
+    ``(N,)`` timestamps, ``(N, 3)`` position, velocity and biases, ``(N, 4)``
+    attitude.  Rows hold the values as given: ``states[k]`` (1-D fields)
+    reads them bit for bit, while :meth:`state` builds a :class:`NavState`,
+    which renormalizes the quaternion."""
 
+    timestamps: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
     attitude: np.ndarray
@@ -91,9 +103,41 @@ class StateArrays:
 
     @classmethod
     def of(cls, states) -> "StateArrays":
-        return cls(*(np.array([getattr(s, name) for s in states]) for name in
-                     ("position", "velocity", "attitude", "bias_acc", "bias_gyro")))
+        states = list(states)
+        return cls(np.array([s.timestamp for s in states], dtype=float),
+                   *(np.array([getattr(s, name) for s in states], dtype=float).reshape(-1, width)
+                     for name, width in _WIDTHS))
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
     def __getitem__(self, rows) -> "StateArrays":
-        return StateArrays(self.position[rows], self.velocity[rows], self.attitude[rows],
-                           self.bias_acc[rows], self.bias_gyro[rows])
+        return StateArrays(*(getattr(self, name)[rows] for name in _FIELDS))
+
+    def state(self, k: int) -> NavState:
+        """A :class:`NavState` copy of row ``k``."""
+        return NavState(float(self.timestamps[k]),
+                        *(getattr(self, name)[k].copy() for name in _FIELDS[1:]))
+
+    def append(self, state: NavState) -> "StateArrays":
+        """These rows, then ``state``."""
+        row = StateArrays.of([state])
+        return StateArrays(*(np.concatenate([getattr(self, name), getattr(row, name)])
+                             for name in _FIELDS))
+
+    def perturb(self, dx: np.ndarray) -> "StateArrays":
+        """:meth:`NavState.perturb` of every row by its row of the (N, 15)
+        ``dx``, bit for bit: the attitude is normalized twice, as
+        ``quat_multiply`` and then ``NavState`` normalize it."""
+        dx = np.asarray(dx, dtype=float)
+        if dx.shape != (len(self), ERROR_DIM):
+            raise ValueError(f"error vectors must be ({len(self)}, {ERROR_DIM})")
+        dq = np.concatenate([np.ones((len(self), 1)), 0.5 * dx[:, 6:9]], axis=1)
+        return StateArrays(self.timestamps, self.position + dx[:, 0:3],
+                           self.velocity + dx[:, 3:6],
+                           quat_normalize_batch(quat_multiply_batch(self.attitude, dq)),
+                           self.bias_acc + dx[:, 9:12], self.bias_gyro + dx[:, 12:15])
+
+
+_WIDTHS = (("position", 3), ("velocity", 3), ("attitude", 4), ("bias_acc", 3), ("bias_gyro", 3))
+_FIELDS = ("timestamps",) + tuple(name for name, _ in _WIDTHS)

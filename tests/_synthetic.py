@@ -245,34 +245,35 @@ def _loop_factors(window, state_ids, n_x, add):
     out of the FOV, degenerate or grazing are skipped.
     """
     cfg = window.config
-    led_col = {i: ERROR_DIM * n_x + 2 * j for j, i in enumerate(window.led_keys())}
+    states = [window.states.state(k) for k in range(window.n_states)]
+    led_col = {i: ERROR_DIM * n_x + 2 * j for j, i in enumerate(window.led_ids)}
+    led_xy_of = dict(zip(window.led_ids, window.led_xy))
+    led_of_row = {row: window.led_map[i] for i, row in window.led_table.row.items()}
     for k, pre in enumerate(window.imu_factors):
         if k not in state_ids and k + 1 not in state_ids:
             continue
-        xk, xk1 = window.states[k], window.states[k + 1]
+        xk, xk1 = states[k], states[k + 1]
         r = imu_residual(pre, xk, xk1, cfg.gravity_vec)
         Jk, Jk1 = imu_residual_jacobians(pre, xk, xk1, cfg.gravity_vec)
         add([(ERROR_DIM * k, Jk), (ERROR_DIM * (k + 1), Jk1)], r, _sym_inv(pre.cov))
     for k in state_ids:
-        state = window.states[k]
-        for sample in window.rss_factors[k]:
-            led = window.led_map.get(sample.led_id)
-            if led is None:
-                continue
-            led_xy = window.unknown_xy.get(sample.led_id)
+        for s in window.rss[window.rss["state"] == k]:
+            led = led_of_row[s["led"]]
+            sample = RssSample(states[k].timestamp, led.led_id, s["value"], s["variance"])
+            led_xy = led_xy_of.get(led.led_id)
             try:
-                r = vlp_residual(state, sample, led, window.rx, led_xy)
+                r = vlp_residual(states[k], sample, led, window.rx, led_xy)
                 if r is None:
                     continue
-                row, led_block = vlp_jacobian_row(state, led, window.rx, led_xy)
+                row, led_block = vlp_jacobian_row(states[k], led, window.rx, led_xy)
             except (GrazingIncidenceError, DegenerateGeometryError):
                 continue
             blocks = [(ERROR_DIM * k, row[None, :])]
             if led_block is not None:
-                blocks.append((led_col[sample.led_id], led_block[None, :]))
-            add(blocks, r, np.atleast_2d(1.0 / window.sample_variance(sample)))
+                blocks.append((led_col[led.led_id], led_block[None, :]))
+            add(blocks, r, np.atleast_2d(1.0 / sample.variance))
     for k in state_ids:
-        for r, var, row in _constraint_terms(window.states[k], cfg.constraints):
+        for r, var, row in _constraint_terms(states[k], cfg.constraints):
             add([(ERROR_DIM * k, row[None, :])], r, np.atleast_2d(1.0 / var))
 
 
@@ -291,8 +292,8 @@ def _loop_adder(H, g, cost):
 def _add_loop_prior(window, n_x, H, g, cost):
     """The marginal prior over the oldest state and then every unknown LED."""
     prior = window.prior
-    leds = [window.unknown_xy[i] - prior.led_lin[j] for j, i in enumerate(window.led_keys())]
-    d = np.concatenate([window.states[0].boxminus(prior.state_lin)] + leds)
+    d = np.concatenate([window.states.state(0).boxminus(prior.state_lin),
+                        (window.led_xy - prior.led_lin).ravel()])
     idx = np.r_[0:ERROR_DIM, ERROR_DIM * n_x:ERROR_DIM * (n_x - 1) + d.size]
     cost[0] += 0.5 * float(d @ prior.hessian @ d) + float(prior.gradient @ d)
     H[np.ix_(idx, idx)] += prior.hessian
@@ -302,13 +303,12 @@ def _add_loop_prior(window, n_x, H, g, cost):
 def loop_assemble_cost(window):
     """``(H, g, cost)`` of ``assemble_cost(window)``, one factor at a time."""
     n_x = window.n_states
-    dim = ERROR_DIM * n_x + 2 * len(window.unknown_xy)
+    dim = ERROR_DIM * n_x + 2 * len(window.led_ids)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
     if window.prior is not None:
         _add_loop_prior(window, n_x, H, g, cost)
     w_led = 1.0 / window.config.unknown_led_prior_sigma**2
-    for j, led_id in enumerate(window.led_keys()):
-        d = window.unknown_xy[led_id] - window.unknown_init[led_id]
+    for j, d in enumerate(window.led_xy - window.led_init):
         i0 = ERROR_DIM * n_x + 2 * j
         cost[0] += 0.5 * w_led * float(d @ d)
         H[i0:i0 + 2, i0:i0 + 2] += w_led * np.eye(2)
@@ -324,7 +324,7 @@ def loop_marginal_prior(window):
 
     Assumes the oldest state has factors and a positive definite block.
     """
-    dim = 2 * ERROR_DIM + 2 * len(window.unknown_xy)
+    dim = 2 * ERROR_DIM + 2 * len(window.led_ids)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
     if window.prior is not None:
         _add_loop_prior(window, 2, H, g, cost)

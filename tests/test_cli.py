@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlpnav.cli import BLAS_THREAD_VARS, _estimator_config, build_parser, main, run_tc
+from vlpnav.cli import (
+    BLAS_THREAD_VARS,
+    TRAJ_HEADER,
+    _estimator_config,
+    build_parser,
+    main,
+    run_tc,
+)
 from vlpnav.dataio import estimator_config_from_dict, load_dataset
 from vlpnav.estimator import LmIteration, LmReport, TightlyCoupledEstimator
 from vlpnav.metrics import RunReport
@@ -190,17 +197,24 @@ class TestEstimate:
         *(pytest.param(["--unknown-leds", "5", "--led-init", v], id=f"led_init {v}")
           for v in ("5=2.0", "7=2.0,1.0", "5=2.0,1.0,0.5", "5", "x=1,2", "5=a,b", "5=nan,1")),
         pytest.param(["--led-init", "5=2.0,1.0"], id="led_init without unknown LEDs"),
+        pytest.param(["--unknown-leds", "7"], id="unknown LED off the map"),
+        pytest.param('{"unknown_led_ids": [7]}', id="config unknown LED off the map"),
+        *(pytest.param(["--mode", mode] + extra, id=f"{mode} {' '.join(extra)}")
+          for mode in ("lc", "vlp_only")
+          for extra in (["--unknown-leds", "5"], ["--unknown-leds", "5", "--led-init", "5=1,1"])),
+        pytest.param(('{"unknown_led_ids": [5]}', ["--mode", "lc"]), id="lc config unknown LED"),
     ])
     def test_bad_config_exit_2(self, mini_dataset, tmp_path, content):
-        """A bad --config file (text) or --led-init (extra arguments) exits 2
-        before any output."""
+        """A bad --config file (text), bad extra arguments (a list) or both
+        (a pair) exit 2 before any output."""
         out = tmp_path / "bad"
         argv = ["estimate", "--dataset", str(mini_dataset), "--mode", "tc", "--out", str(out)]
-        if isinstance(content, list):
-            argv += content
-        else:
-            (tmp_path / "cfg.json").write_text(content)
+        text, extra = ((None, content) if isinstance(content, list)
+                       else content if isinstance(content, tuple) else (content, []))
+        if text is not None:
+            (tmp_path / "cfg.json").write_text(text)
             argv += ["--config", str(tmp_path / "cfg.json")]
+        argv += extra
         assert main(argv) == 2
         assert not out.exists()
 
@@ -336,6 +350,20 @@ class TestEvaluate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["evaluate", "--trajectory", str(tmp_path / "a.csv"),
                      "--truth", str(tmp_path / "b.csv"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("which", ["trajectory", "truth"])
+    @pytest.mark.parametrize("text", [
+        "t,a,b,c,d\n0,1,2,3,4\n1,1,2,3,4\n", "t\n0\n1\n", TRAJ_HEADER + "\n",
+        TRAJ_HEADER + "\n" + ",".join(["0.5"] * 19 + ["x"]) + "\n",
+    ], ids=["5 columns", "1 column", "header only", "non-numeric"])
+    def test_malformed_file_exit_2(self, mini_dataset, tmp_path, which, text):
+        files = {"trajectory": mini_dataset / "truth.csv", "truth": mini_dataset / "truth.csv"}
+        files[which] = tmp_path / "bad.csv"
+        files[which].write_text(text)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--trajectory", str(files["trajectory"]),
+                     "--truth", str(files["truth"]), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_disjoint_ranges_exit_2(self, mini_dataset, tmp_path):
         truth = np.loadtxt(mini_dataset / "truth.csv", delimiter=",", skiprows=1)

@@ -53,8 +53,8 @@ def make_config(**kw):
     return EstimatorConfig(**defaults)
 
 
-def fresh_window(config=None, leds=LEDS, rx=RX):
-    return SlidingWindow(config or make_config(), leds, rx)
+def fresh_window(config=None, leds=LEDS, rx=RX, led_init=None):
+    return SlidingWindow(config or make_config(), leds, rx, led_init)
 
 
 def sample_for(state, led, rx, variance=0.01):
@@ -245,12 +245,12 @@ class TestAssemble:
 class TestSolveLm:
     def test_already_optimal_no_motion(self):
         window, states = build_exact_window()
-        before = [s.copy() for s in window.states]
+        before = window.states
         report = solve_lm(window)
         assert report.converged
         assert report.n_accepted <= 1
-        for s0, s1 in zip(before, window.states):
-            assert np.max(np.abs(s1.boxminus(s0))) < 1e-10
+        for k in range(window.n_states):
+            assert np.max(np.abs(window.states.state(k).boxminus(before.state(k)))) < 1e-10
 
     def test_pure_quadratic_one_undamped_step(self):
         # Position-only quadratic: prior plus a height factor; attitude at
@@ -273,23 +273,23 @@ class TestSolveLm:
     def test_recovers_truth_from_perturbed_init(self):
         window, truth = build_exact_window(n=5)
         rng = np.random.default_rng(2)
-        for i, s in enumerate(window.states):
-            dx = np.zeros(ERROR_DIM)
-            dx[0:3] = rng.uniform(-0.05, 0.05, 3)
-            dx[6:9] = rng.uniform(-0.035, 0.035, 3)  # ~2 deg
-            window.states[i] = s.perturb(dx)
+        dx = np.zeros((window.n_states, ERROR_DIM))
+        for row in dx:
+            row[0:3] = rng.uniform(-0.05, 0.05, 3)
+            row[6:9] = rng.uniform(-0.035, 0.035, 3)  # ~2 deg
+        window.states = window.states.perturb(dx)
         report = solve_lm(window)
         assert report.converged
-        for est, tru in zip(window.states, truth):
+        for k, tru in enumerate(truth):
+            est = window.states.state(k)
             assert np.linalg.norm(est.position - tru.position) < 1e-6
             assert np.linalg.norm(est.boxminus(tru)[6:9]) < 1e-6
 
     def test_cost_non_increasing(self):
         window, _ = build_exact_window(n=5)
         rng = np.random.default_rng(3)
-        for i, s in enumerate(window.states):
-            dx = rng.uniform(-0.03, 0.03, ERROR_DIM)
-            window.states[i] = s.perturb(dx)
+        window.states = window.states.perturb(rng.uniform(-0.03, 0.03,
+                                                          (window.n_states, ERROR_DIM)))
         report = solve_lm(window)
         costs = [it.cost for it in report.iterations if it.accepted]
         assert all(c1 <= c0 + 1e-15 for c0, c1 in zip(costs, costs[1:]))
@@ -369,7 +369,7 @@ class TestSlideAndMarginalize:
         window.imu_factors = []
         window.states = window.states[:1]
         window.epoch_ids = window.epoch_ids[:1]
-        window.rss_factors = window.rss_factors[:1]
+        window.rss = window.rss[window.rss["state"] < 1]
         window.config = config
         from vlpnav.estimator import _marginalize_oldest
 
@@ -482,10 +482,9 @@ class TestUnknownLeds:
         # Window shorter than the run: unknown-LED information must
         # survive marginalization through the prior.
         config = make_config(window_size=12, unknown_led_ids=(unknown_id,))
-        est = TightlyCoupledEstimator(config, LEDS, RX)
         init = {unknown_id: LEDS[0].position[:2] + np.array([0.35, -0.35])}
-        est.start(states[0].copy(), exact_rss(states[0], LEDS, RX, variance=1e-4),
-                  unknown_init=init)
+        est = TightlyCoupledEstimator(config, LEDS, RX, led_init=init)
+        est.start(states[0].copy(), exact_rss(states[0], LEDS, RX, variance=1e-4))
         report = None
         for k in range(1, n):
             report = est.step(pres[k - 1], exact_rss(states[k], LEDS, RX, variance=1e-4),
@@ -499,9 +498,8 @@ class TestUnknownLeds:
         # so its planar block keeps the weak prior covariance (>> 1 m^2).
         unknown_id = LEDS[0].led_id
         config = make_config(window_size=10, unknown_led_ids=(unknown_id,))
-        window = fresh_window(config)
+        window = fresh_window(config, led_init={unknown_id: LEDS[0].position[:2] + 0.3})
         state = NavState(0.0, position=np.array([1.5, 1.5, 0.0]))
-        window.set_unknown_led(unknown_id, LEDS[0].position[:2] + 0.3)
         window.append(0, state, None, exact_rss(state, LEDS, RX))
         report = solve_lm(window)
         result = estimate_unknown_leds(window, report)[unknown_id]
@@ -533,10 +531,9 @@ def build_rich_window(unseen_led=False):
     config = make_config(constraints=ConstraintConfig(use_nhc=True, use_height=True,
                                                       pd_height=0.05),
                          unknown_led_ids=(1, 3) if unseen_led else (1,))
-    window = fresh_window(config, leds=leds, rx=rx)
-    window.set_unknown_led(1, LEDS[0].position[:2] + np.array([0.2, -0.15]))
-    if unseen_led:
-        window.set_unknown_led(3, LEDS[2].position[:2] + np.array([-0.1, 0.1]))
+    window = fresh_window(config, leds=leds, rx=rx, led_init={
+        1: LEDS[0].position[:2] + np.array([0.2, -0.15]),
+        3: LEDS[2].position[:2] + np.array([-0.1, 0.1])})
     for k, s in enumerate(states):
         epoch = [RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()),
                            x.variance) for x in exact_rss(s, LEDS, rx)]
@@ -546,9 +543,9 @@ def build_rich_window(unseen_led=False):
         if k == 0 and unseen_led:
             epoch = [x for x in epoch if x.led_id != 3]
         window.append(k, start[k], pres[k - 1] if k else None, epoch)
-    n = ERROR_DIM + 2 * len(window.unknown_xy)
+    n = ERROR_DIM + 2 * len(window.led_ids)
     A = rng.normal(size=(n, n))
-    led_lin = np.array([LEDS[0].position[:2], LEDS[2].position[:2]])[:len(window.unknown_xy)]
+    led_lin = np.array([LEDS[0].position[:2], LEDS[2].position[:2]])[:len(window.led_ids)]
     window.prior = MarginalPrior(A @ A.T + np.eye(n), rng.normal(size=n), states[0].copy(),
                                  led_lin)
     return window
@@ -561,11 +558,13 @@ class TestBatchedLinearization:
 
     def test_rich_window_has_every_case(self):
         window = build_rich_window()
-        rx, s2 = window.rx, window.states[2]
-        assert window.rss_factors[1][2].flag is SampleFlag.BLOCKED
-        assert vlp_residual(s2, window.rss_factors[2][-2], window.led_map[8], rx) is None
+        rx, s2 = window.rx, window.states.state(2)
+        epoch1, epoch2 = (window.rss[window.rss["state"] == k] for k in (1, 2))
+        assert epoch1["variance"][2] == window.config.blocked_variance  # flagged
+        assert list(epoch2["led"][-2:]) == [window.led_table.row[8], window.led_table.row[9]]
+        assert vlp_residual(s2, RssSample(0.0, 8, 0.1, 0.01), window.led_map[8], rx) is None
         with pytest.raises(DegenerateGeometryError):
-            vlp_residual(s2, window.rss_factors[2][-1], window.led_map[9], rx)
+            vlp_residual(s2, RssSample(0.0, 9, 0.5, 0.01), window.led_map[9], rx)
 
     def test_assemble_matches_loop(self):
         for window in (build_rich_window(), build_rich_window(unseen_led=True)):
@@ -583,7 +582,7 @@ class TestBatchedLinearization:
             prior = _marginalize_oldest(window)
             np.testing.assert_allclose(prior.hessian, H_ref, rtol=self.RTOL, atol=0)
             np.testing.assert_allclose(prior.gradient, g_ref, rtol=self.RTOL, atol=0)
-            np.testing.assert_array_equal(prior.led_lin, window.led_xy())
+            np.testing.assert_array_equal(prior.led_lin, window.led_xy)
 
     def test_grazing_sample_same_cost_in_both_modes(self):
         # A LED level with the photodiode: cos(psi) = 0 is inside a 90 deg
@@ -605,10 +604,10 @@ class TestBatchedLinearization:
 def build_single_state_window():
     """One state, unknown LED 1 and a marginal prior over both."""
     rng = np.random.default_rng(5)
-    window = fresh_window(make_config(unknown_led_ids=(1,)))
+    window = fresh_window(make_config(unknown_led_ids=(1,)),
+                          led_init={1: LEDS[0].position[:2] + np.array([0.1, -0.2])})
     state = NavState(0.0, position=np.array([1.2, 0.9, 0.1]),
                      attitude=quat_from_euler(0.05, -0.03, 0.4))
-    window.set_unknown_led(1, LEDS[0].position[:2] + np.array([0.1, -0.2]))
     window.append(0, state, None, [
         RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()), x.variance)
         for x in exact_rss(state, LEDS, RX)])
@@ -667,7 +666,7 @@ class TestBlockSolve:
         window = self.WINDOWS[name]()
         H, _, _ = assemble_cost(window)
         estimates = estimate_unknown_leds(window)
-        for j, led_id in enumerate(window.led_keys()):
+        for j, led_id in enumerate(window.led_ids):
             i0 = ERROR_DIM * window.n_states + 2 * j
             block = np.linalg.inv(H)[i0:i0 + 2, i0:i0 + 2]
             np.testing.assert_allclose(estimates[led_id].cov, block, rtol=1e-8, atol=0)
@@ -693,8 +692,8 @@ class TestReintegration:
         est = TightlyCoupledEstimator(make_config(), LEDS, RX)
         est.start(states[0].copy(), exact_rss(states[0], LEDS, RX))
         est.step(pres[0], exact_rss(states[1], LEDS, RX), states[1].timestamp)
+        getattr(est.window.states, field)[0] += move
         x0 = est.window.states[0]
-        setattr(x0, field, getattr(x0, field) + move)
         bias = (x0.bias_acc.copy(), x0.bias_gyro.copy())
         est.step(pres[1], exact_rss(states[2], LEDS, RX), states[2].timestamp)
         fresh = preintegrate(streams[0], *bias, RX.dcm_body_to_vlp, NOISE,

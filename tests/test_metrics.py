@@ -3,7 +3,6 @@ import pytest
 
 from vlpnav.attitude import quat_from_euler
 from vlpnav.channel import SampleFlag
-from vlpnav.dataio import TruthArrays
 from vlpnav.metrics import (
     DisjointTimeRangesError,
     RunReport,
@@ -13,6 +12,7 @@ from vlpnav.metrics import (
     heading_error_deg,
     normal_angle_deg,
 )
+from vlpnav.state import StateArrays
 
 
 def make_truth(n=20, dt=1.0):
@@ -20,8 +20,8 @@ def make_truth(n=20, dt=1.0):
     pos = np.stack([0.3 * t, 0.1 * t, np.zeros(n)], axis=1)
     vel = np.tile([0.3, 0.1, 0.0], (n, 1))
     att = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-    eul = np.zeros((n, 3))
-    return TruthArrays(t, pos, vel, att, eul)
+    zeros = np.zeros((n, 3))
+    return StateArrays(t, pos, vel, att, zeros, zeros)
 
 
 class TestEvaluateRun:

@@ -1,0 +1,67 @@
+"""The one trajectory layout: ``StateArrays`` against ``NavState``, and the
+trajectory file that ``cli._write_trajectory`` writes and
+``dataio.load_trajectory`` reads."""
+
+import numpy as np
+
+from vlpnav.attitude import quat_from_euler
+from vlpnav.cli import _write_trajectory
+from vlpnav.dataio import load_trajectory
+from vlpnav.state import ERROR_DIM, NavState, StateArrays
+
+FIELDS = ("timestamps", "position", "velocity", "attitude", "bias_acc", "bias_gyro")
+
+
+def random_states(rng, n):
+    return [NavState(float(k) + rng.uniform(), rng.normal(size=3), rng.normal(size=3),
+                     quat_from_euler(*rng.uniform(-np.pi, np.pi, 3)),
+                     0.1 * rng.normal(size=3), 0.01 * rng.normal(size=3))
+            for k in range(n)]
+
+
+class TestStateArrays:
+    def test_perturb_matches_navstate_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        states = random_states(rng, 500)
+        dx = rng.uniform(-0.5, 0.5, (len(states), ERROR_DIM))  # attitude steps to ~0.5 rad
+        batched = StateArrays.of(states).perturb(dx)
+        one_by_one = StateArrays.of([s.perturb(d) for s, d in zip(states, dx)])
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(batched, name), getattr(one_by_one, name),
+                                          err_msg=name)
+
+    def test_append_rows_and_state_copies(self):
+        states = random_states(np.random.default_rng(8), 3)
+        traj = StateArrays.of([])
+        for s in states:
+            traj = traj.append(s)
+        assert len(traj) == 3
+        for k, s in enumerate(states):
+            # Rows hold the values as given; state(k) is a separate NavState.
+            for name in FIELDS[1:]:
+                np.testing.assert_array_equal(getattr(traj[k], name), getattr(s, name))
+            copy = traj.state(k)
+            assert copy.timestamp == s.timestamp
+            copy.position[0] += 1.0
+            assert traj.position[k, 0] == s.position[0]
+
+
+class TestTrajectoryFile:
+    def test_round_trip_keeps_biases(self, tmp_path):
+        traj = StateArrays.of(random_states(np.random.default_rng(9), 6))
+        assert np.all(traj.bias_acc != 0.0) and np.all(traj.bias_gyro != 0.0)
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory(path, traj)
+        back = load_trajectory(path)
+        for name in FIELDS:
+            written = np.vectorize(lambda v: float(f"{v:.12g}"))(getattr(traj, name))
+            np.testing.assert_array_equal(getattr(back, name), written, err_msg=name)
+
+    def test_truth_file_has_zero_biases(self, mini_dataset):
+        raw = np.loadtxt(mini_dataset / "truth.csv", delimiter=",", skiprows=1)
+        truth = load_trajectory(mini_dataset / "truth.csv")
+        assert raw.shape[1] == 14
+        np.testing.assert_array_equal(truth.timestamps, raw[:, 0])
+        np.testing.assert_array_equal(truth.attitude, raw[:, 7:11])
+        np.testing.assert_array_equal(truth.bias_acc, np.zeros((len(raw), 3)))
+        np.testing.assert_array_equal(truth.bias_gyro, np.zeros((len(raw), 3)))
