@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, replace
 from importlib import metadata as _metadata
 from pathlib import Path
@@ -165,7 +166,10 @@ def load_trajectory(path) -> StateArrays:
     """Read a ``trajectory.csv`` or ``truth.csv`` file: a header, then rows of
     at least 14 numbers, with biases in columns 15-20 if present (zero in a
     ``truth.csv``).  Raises ``ValueError`` on anything else."""
-    a = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # A file without rows is reported below, not as numpy's warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        a = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if a.shape[1] < 14:  # a file without rows reads as (0, 1)
         raise ValueError(f"{path}: expected rows of at least 14 numbers, "
                          f"read {a.shape[0]} rows of {a.shape[1]}")

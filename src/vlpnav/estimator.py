@@ -15,19 +15,22 @@ oldest state into the prior by Schur complement at the current
 linearization, so the prior always covers the window's oldest state and
 then every unknown LED (:class:`MarginalPrior`).
 
-Linearization is one stacked pass over the window (:func:`linearize`):
-every RSS sample through the batched Lambertian model, every IMU factor,
-the constraints of every state and the prior each become arrays of
-residuals, information and Jacobian blocks.  Each factor touches one
-state, two adjacent states or a state and an unknown LED, so
-:func:`normal_equations` reduces them to a block-tridiagonal Hessian over
-the states with a border of LED columns (:class:`NormalEquations`), and
-LM solves it by block elimination: the states first to last, then the
-LED block, then back-substitution, in time linear in the window length.
-The LED block's Schur complement gives the unknown LEDs' covariance.
-:func:`_marginalize_oldest` builds the same form over the two oldest
-states and the LEDs and eliminates the oldest state from its dense view;
-:func:`assemble_cost` is the dense view of the whole window.
+:func:`normal_equations` is the one evaluation of the factors: a
+stacked pass over the window in which every RSS sample (through the
+batched Lambertian model), every IMU factor and the constraints of every
+state become arrays of residuals, information and Jacobian blocks.  Each
+factor touches one state, two adjacent states or a state and an unknown
+LED, so the pass reduces them, with the prior, to a block-tridiagonal
+Hessian over the states with a border of LED columns
+(:class:`NormalEquations`), and sets the cost.  LM evaluates each trial
+point once this way: the cost decides the step, and an accepted point's
+equations give the next step, solved by block elimination (the states
+first to last, then the LED block, then back-substitution) in time
+linear in the window length.  The LED block's Schur complement gives
+the unknown LEDs' covariance.  :func:`_marginalize_oldest` takes the
+same pass over the factors of the oldest state, which spans the two
+oldest states and the LEDs, and eliminates the oldest state from its
+dense view; :func:`assemble_cost` is the dense view of the whole window.
 :func:`vlp_residual` and :func:`vlp_jacobian_row` state the RSS factor
 one sample at a time.
 
@@ -75,7 +78,6 @@ __all__ = [
     "ConstraintConfig",
     "EstimatorConfig",
     "LmOptions",
-    "Linearization",
     "LmReport",
     "MarginalPrior",
     "NormalEquations",
@@ -85,7 +87,6 @@ __all__ = [
     "assemble_cost",
     "dop",
     "estimate_unknown_leds",
-    "linearize",
     "normal_equations",
     "slide_and_marginalize",
     "solve_lm",
@@ -294,7 +295,7 @@ class SlidingWindow:
 
 
 # ---------------------------------------------------------------------------
-# Linearization
+# Normal equations
 
 #: Error dims of a state that RSS and constraint factors reach: position,
 #: velocity and attitude, the leading 9 of the 15.
@@ -311,15 +312,14 @@ class FactorRows:
     ``led`` is set and ``led[f]`` is not -1, the unknown LED ``led[f]``
     (its place in :attr:`SlidingWindow.led_ids`).  ``jac`` holds the
     (F, m, d) Jacobian of each state block, over the state's leading
-    ``d`` error dims, then the LED block's; it is empty when the factors
-    were evaluated for their cost alone.  Rows come in non-decreasing
+    ``d`` error dims, then the LED block's.  Rows come in non-decreasing
     state order.
     """
 
     r: np.ndarray
     info: np.ndarray
     states: tuple
-    jac: tuple = ()
+    jac: tuple
     led: np.ndarray | None = None
 
     def cost(self) -> float:
@@ -331,7 +331,7 @@ class FactorRows:
         Each entry sums its terms in factor order, as a loop over the
         factors would.
         """
-        if not self.jac or self.r.shape[0] == 0:
+        if self.r.shape[0] == 0:
             return
         JtW = [np.swapaxes(J, 1, 2) @ self.info for J in self.jac]
         g = [(A @ self.r[:, :, None])[:, :, 0] for A in JtW]
@@ -492,62 +492,29 @@ class NormalEquations:
         return np.concatenate([x.ravel(), x_led]), schur
 
 
-@dataclass
-class Linearization:
-    """Every factor of a window at its current values: see :func:`linearize`.
-
-    ``factors`` lists the unknown-LED weak prior, the IMU, RSS and
-    constraint rows in that order.  The marginal ``prior`` enters as its
-    quadratic at the deltas ``prior_d``.
-    """
-
-    factors: list
-    prior: MarginalPrior | None = None
-    prior_d: np.ndarray | None = None
-
-    def cost(self) -> float:
-        total = sum(rows.cost() for rows in self.factors)
-        if self.prior is not None:
-            d = self.prior_d
-            total += 0.5 * float(d @ self.prior.hessian @ d) + float(self.prior.gradient @ d)
-        return total
-
-    def add_to(self, ne: NormalEquations) -> None:
-        p = self.prior
-        if p is not None:
-            ne.add_prior(p.hessian, p.hessian @ self.prior_d + p.gradient)
-        for rows in self.factors:
-            rows.add_to(ne)
-
-
-def _rows(r, info, states, jac, jacobians: bool, led=None) -> FactorRows:
-    return FactorRows(r, info, tuple(states), tuple(jac) if jacobians else (), led)
-
-
-def _led_prior_rows(window: SlidingWindow, jacobians: bool, active: bool) -> FactorRows:
+def _led_prior_rows(window: SlidingWindow, active: bool) -> FactorRows:
     """Weak prior keeping unobserved unknown-LED blocks solvable (no rows
     unless ``active``)."""
     n = len(window.led_ids) if active else 0
     r = (window.led_xy - window.led_init)[:n]
     w = 1.0 / window.config.unknown_led_prior_sigma**2
     eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-    return _rows(r, w * eye, [], [eye], jacobians, led=np.arange(n))
+    return FactorRows(r, w * eye, (), (eye,), led=np.arange(n))
 
 
-def _imu_rows(factors, gravity, X: StateArrays, jacobians: bool) -> FactorRows:
+def _imu_rows(factors, gravity, X: StateArrays) -> FactorRows:
     """Rows of the IMU factors ``factors``; factor ``k`` joins states ``k`` and ``k + 1``."""
     n = len(factors)
     ks = np.arange(n)
     if n == 0:
         empty = np.zeros((0, ERROR_DIM, ERROR_DIM))
-        return _rows(np.zeros((0, ERROR_DIM)), empty, [ks, ks], [empty, empty], jacobians)
+        return FactorRows(np.zeros((0, ERROR_DIM)), empty, (ks, ks), (empty, empty))
     pres = PreintegratedStack.of(factors)
-    r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], gravity, jacobians)
-    return _rows(r, pres.information, [ks, ks + 1], [Jk, Jk1], jacobians)
+    r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], gravity)
+    return FactorRows(r, pres.information, (ks, ks + 1), (Jk, Jk1))
 
 
-def _rss_rows(window: SlidingWindow, n_states: int, X: StateArrays, R,
-              jacobians: bool) -> FactorRows:
+def _rss_rows(window: SlidingWindow, n_states: int, X: StateArrays, R) -> FactorRows:
     """One row per usable RSS sample of the first ``n_states`` states,
     through the batched Lambertian model.
 
@@ -567,26 +534,23 @@ def _rss_rows(window: SlidingWindow, n_states: int, X: StateArrays, R,
     lever_u = R @ window.rx.lever_arm_vlp
     model = lambertian(X.position[st] + lever_u[st], R[st, :, 2], led_pos[li],
                        table.normal[li], table.order[li], table.gain[li],
-                       window.rx.fov_cos(), gradients=jacobians)
+                       window.rx.fov_cos(), gradients=True)
     keep = model.valid & model.regular
     st, j = st[keep], led_of[li[keep]]
     r = (model.rss[keep] - samples["value"][keep])[:, None]
     info = (1.0 / samples["variance"][keep])[:, None, None]
-    jac = []
-    if jacobians:
-        dp_dr, dp_dphi = model.d_pos[keep], model.d_att[keep]
-        J = np.zeros((st.size, 1, NAV_DIM))
-        J[:, 0, 0:3] = dp_dr
-        # d r / d theta = -R^T (A - [lever_u x] B), A = dp_dphi, B = dp_dr
-        lever_swing = dp_dphi - np.cross(lever_u[st], dp_dr)
-        J[:, 0, 6:9] = -(np.swapaxes(R[st], 1, 2) @ lever_swing[:, :, None])[:, :, 0]
-        jac = [J, -dp_dr[:, None, :2]]
+    dp_dr, dp_dphi = model.d_pos[keep], model.d_att[keep]
+    J = np.zeros((st.size, 1, NAV_DIM))
+    J[:, 0, 0:3] = dp_dr
+    # d r / d theta = -R^T (A - [lever_u x] B), A = dp_dphi, B = dp_dr
+    lever_swing = dp_dphi - np.cross(lever_u[st], dp_dr)
+    J[:, 0, 6:9] = -(np.swapaxes(R[st], 1, 2) @ lever_swing[:, :, None])[:, :, 0]
     if not window.led_ids:
-        return _rows(r, info, [st], jac[:1], jacobians)
-    return _rows(r, info, [st], jac, jacobians, led=j)
+        return FactorRows(r, info, (st,), (J,))
+    return FactorRows(r, info, (st,), (J, -dp_dr[:, None, :2]), led=j)
 
 
-def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, jacobians: bool) -> FactorRows:
+def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R) -> FactorRows:
     """Height (``p_z - pd_height``) and NHC (lateral and vertical vehicle-frame
     velocity) rows of every state."""
     n = len(X.position)
@@ -610,59 +574,53 @@ def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R, jacobians: bool) 
             J.append(row)
     c = len(r)
     if c == 0:
-        return _rows(np.zeros((0, 1)), np.zeros((0, 1, 1)), [np.zeros(0, dtype=int)],
-                     [np.zeros((0, 1, NAV_DIM))], jacobians)
+        return FactorRows(np.zeros((0, 1)), np.zeros((0, 1, 1)), (np.zeros(0, dtype=int),),
+                          (np.zeros((0, 1, NAV_DIM)),))
     info = np.broadcast_to(1.0 / np.array(var)[None, :, None, None], (n, c, 1, 1))
-    return _rows(np.stack(r, axis=1).reshape(n * c, 1), info.reshape(n * c, 1, 1),
-                 [np.repeat(np.arange(n), c)], [np.stack(J, axis=1).reshape(n * c, 1, NAV_DIM)],
-                 jacobians)
+    return FactorRows(np.stack(r, axis=1).reshape(n * c, 1), info.reshape(n * c, 1, 1),
+                      (np.repeat(np.arange(n), c),),
+                      (np.stack(J, axis=1).reshape(n * c, 1, NAV_DIM),))
 
 
-def linearize(window: SlidingWindow, jacobians: bool = True,
-              n_states: int | None = None) -> Linearization:
-    """Evaluate every factor of the window at its current values, stacked.
+def normal_equations(window: SlidingWindow, n_states: int | None = None) -> NormalEquations:
+    """Gauss-Newton normal equations of the window at its current values,
+    in block form, and its cost; the estimator's one evaluation of its
+    factors.
 
-    RSS, IMU and constraint factors each go through one numpy pass over
-    the whole window.  Which factors take part is decided here, once, so
-    the cost-only pass (``jacobians=False``) and the Hessian pass score
-    the same function.  With ``n_states`` = k only the factors of the
-    first k states are evaluated: their RSS samples and constraint rows
-    and the IMU factors leaving them, plus the marginal prior.
+    Every factor is evaluated with its Jacobian in one stacked numpy pass
+    per kind: the unknown-LED weak prior, the IMU factors, every RSS
+    sample and the constraints of every state.  Which factors take part
+    is decided here, once, so every iterate is scored by the same
+    function.  ``cost`` is ``sum 0.5 r^T W r`` over those factors, then
+    the marginal prior's quadratic.  With ``n_states`` = k only the
+    factors of the first k states are evaluated (their RSS samples and
+    constraint rows and the IMU factors leaving them) plus the marginal
+    prior, and the equations span states 0..k.
     """
     k = window.n_states if n_states is None else n_states
     X = window.states[:k + 1]  # IMU factor k - 1 reaches state k
     R = quat_to_dcm_batch(X.attitude)
     cfg = window.config
-    lin = Linearization([
-        _led_prior_rows(window, jacobians, k == window.n_states),
-        _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X, jacobians),
-        _rss_rows(window, k, X, R, jacobians),
-        _constraint_rows(cfg.constraints, X[:k], R[:k], jacobians),
-    ])
-    if window.prior is not None:
-        lin.prior = window.prior
-        lin.prior_d = window.prior.delta(window)
-    return lin
-
-
-def normal_equations(window: SlidingWindow) -> NormalEquations:
-    """Gauss-Newton normal equations of the window at its current values,
-    in block form, with the cost of :func:`linearize`."""
-    lin = linearize(window)
-    ne = NormalEquations.zeros(window.n_states, len(window.led_ids))
-    lin.add_to(ne)
-    ne.cost = lin.cost()
+    factors = [
+        _led_prior_rows(window, k == window.n_states),
+        _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X),
+        _rss_rows(window, k, X, R),
+        _constraint_rows(cfg.constraints, X[:k], R[:k]),
+    ]
+    ne = NormalEquations.zeros(len(X), len(window.led_ids))
+    ne.cost = sum(rows.cost() for rows in factors)
+    p = window.prior
+    if p is not None:
+        d = p.delta(window)
+        ne.cost += 0.5 * float(d @ p.hessian @ d) + float(p.gradient @ d)
+        ne.add_prior(p.hessian, p.hessian @ d + p.gradient)
+    for rows in factors:
+        rows.add_to(ne)
     return ne
 
 
-def assemble_cost(window: SlidingWindow, with_hessian: bool = True):
-    """Dense view of :func:`normal_equations`: ``(H, g, cost)``.
-
-    ``cost`` is ``sum 0.5 r^T W r`` plus the prior quadratic.  ``H``/``g``
-    are ``None`` when ``with_hessian`` is False.
-    """
-    if not with_hessian:
-        return None, None, linearize(window, jacobians=False).cost()
+def assemble_cost(window: SlidingWindow):
+    """Dense view of :func:`normal_equations`: ``(H, g, cost)``."""
     ne = normal_equations(window)
     return ne.dense(), ne.g, ne.cost
 
@@ -696,12 +654,16 @@ def solve_lm(window: SlidingWindow) -> LmReport:
 
     Each step solves the block normal equations with ``lambda *
     clip(diag H)`` added to the diagonal (:meth:`NormalEquations.solve`).
-    Starts undamped (a pure GN step solves quadratic costs exactly);
-    damping engages only after a rejected step, or a singular or
-    non-finite system.  Convergence: relative
-    cost decrease below ``cost_reduction_tol`` or step norm below
-    ``step_norm_tol``.  If the damping parameter exhausts ``lambda_max``
-    the best iterate is kept and the report flags no convergence.  The
+    Each trial point is evaluated once, by :func:`normal_equations`: its
+    cost decides the step, and an accepted step keeps its equations for
+    the next one.  So the factors are evaluated once per trial point,
+    plus once at the start, and never for their cost alone.  Starts
+    undamped (a pure GN step solves quadratic costs exactly); damping
+    engages only after a rejected step, or a singular or non-finite
+    system.  Convergence: relative cost decrease below
+    ``cost_reduction_tol`` or step norm below ``step_norm_tol``.  If the
+    damping parameter exhausts ``lambda_max`` the best iterate is kept
+    and the report flags no convergence.  The
     controls are the window's ``config.lm``.
     """
     opts = window.config.lm
@@ -720,7 +682,8 @@ def solve_lm(window: SlidingWindow) -> LmReport:
             nx = ERROR_DIM * window.n_states
             window.states = window.states.perturb(dx[:nx].reshape(-1, ERROR_DIM))
             window.led_xy = window.led_xy + dx[nx:].reshape(-1, 2)
-            new_cost = linearize(window, jacobians=False).cost()
+            trial = normal_equations(window)
+            new_cost = trial.cost
         else:
             new_cost = math.inf
 
@@ -730,12 +693,11 @@ def solve_lm(window: SlidingWindow) -> LmReport:
                            default=0.0)
             report.iterations.append(LmIteration(new_cost, lam, step, True, led_step))
             decrease = cost - new_cost
-            cost = new_cost
+            cost, ne = new_cost, trial
             if decrease <= opts.cost_reduction_tol * max(cost, 1e-30) or (
                     step < opts.step_norm_tol):
                 report.converged = True
                 break
-            ne = normal_equations(window)
             lam = 0.0 if lam < 1e-12 else lam / opts.lambda_shrink
         else:
             if dx is not None:
@@ -789,15 +751,10 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     the new prior keeps the old one's LED part and has a zero state block.
     """
     prior = window.prior
-    c = window.config.constraints
-    if prior is None and not (window.imu_factors or (window.rss["state"] == 0).any()
-                              or c.use_height or c.use_nhc):
-        return None
     # These reach the two oldest states and the LEDs: the dense view is
     # [oldest, next, LEDs].  The old prior is folded in wholesale (re-centering
     # a quadratic on new linearization points is exact), so nothing is lost.
-    ne = NormalEquations.zeros(2, len(window.led_ids))
-    linearize(window, n_states=1).add_to(ne)
+    ne = normal_equations(window, n_states=1)
     reduced = schur_marginalize(ne.dense(), ne.g, ERROR_DIM)
     if reduced is not None:
         return MarginalPrior(*reduced, window.states.state(1), window.led_xy.copy())

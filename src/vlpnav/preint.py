@@ -317,12 +317,11 @@ def _mv(A, x):
     return (A @ x[:, :, None])[:, :, 0]
 
 
-def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays,
-                        gravity, jacobians: bool = True):
+def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays, gravity):
     """:func:`imu_residual` and its Jacobians of K factors at once.
 
     Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``.  Returns ``(r, Jk, Jk1)``:
-    (K, 15) residuals and (K, 15, 15) Jacobians, ``None`` unless asked for.
+    (K, 15) residuals and (K, 15, 15) Jacobians.
     """
     g = np.asarray(gravity, dtype=float)
     dt = pres.dt[:, None]
@@ -346,8 +345,6 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     r[:, 6:9] = 2.0 * (sign[:, 0] * q_err[:, 1:])
     r[:, 9:12] = x_k1.bias_acc - x_k.bias_acc
     r[:, 12:15] = x_k1.bias_gyro - x_k.bias_gyro
-    if not jacobians:
-        return r, None, None
 
     Jk = np.zeros((n, 15, 15))
     Jk1 = np.zeros((n, 15, 15))

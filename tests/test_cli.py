@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -361,9 +362,12 @@ class TestEvaluate:
         files[which] = tmp_path / "bad.csv"
         files[which].write_text(text)
         out = tmp_path / "eval"
-        assert main(["evaluate", "--trajectory", str(files["trajectory"]),
-                     "--truth", str(files["truth"]), "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evaluate", "--trajectory", str(files["trajectory"]),
+                         "--truth", str(files["truth"]), "--out", str(out)]) == 2
         assert not out.exists()
+        assert [str(w.message) for w in caught] == []
 
     def test_disjoint_ranges_exit_2(self, mini_dataset, tmp_path):
         truth = np.loadtxt(mini_dataset / "truth.csv", delimiter=",", skiprows=1)
