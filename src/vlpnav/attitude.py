@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Tolerance on the unit-norm invariant for quaternions entering dcm
@@ -124,68 +126,20 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def quat_left(q) -> np.ndarray:
-    """4x4 left-product matrix: ``quat_multiply(q, p) == quat_left(q) @ p``."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
-
-
-def quat_right(q) -> np.ndarray:
-    """4x4 right-product matrix: ``quat_multiply(p, q) == quat_right(q) @ p``."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
-
-
-def so3_right_jacobian(phi) -> np.ndarray:
-    """Right Jacobian of SO(3): ``exp(phi + d) ≈ exp(phi) exp(Jr(phi) d)``."""
-    phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    S = skew(phi)
-    if angle < 1e-6:
-        return np.eye(3) - 0.5 * S + (S @ S) / 6.0
-    return (
-        np.eye(3)
-        - ((1.0 - np.cos(angle)) / angle**2) * S
-        + ((angle - np.sin(angle)) / angle**3) * (S @ S)
-    )
-
-
-def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Quaternion of intrinsic z-y-x Euler angles (radians)."""
+def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
+    """Quaternion of intrinsic z-y-x Euler angles (radians); (N,) angles give (N, 4)."""
     cr, sr = np.cos(0.5 * roll), np.sin(0.5 * roll)
     cp, sp = np.cos(0.5 * pitch), np.sin(0.5 * pitch)
     cy, sy = np.cos(0.5 * yaw), np.sin(0.5 * yaw)
-    return np.array(
+    return np.stack(
         [
             cy * cp * cr + sy * sp * sr,
             cy * cp * sr - sy * sp * cr,
             cy * sp * cr + sy * cp * sr,
             sy * cp * cr - cy * sp * sr,
-        ]
+        ],
+        axis=-1,
     )
-
-
-def euler_from_quat(q) -> tuple[float, float, float]:
-    """(roll, pitch, yaw) in radians of ``q``, z-y-x convention."""
-    R = quat_to_dcm(q)
-    pitch = -np.arcsin(np.clip(R[2, 0], -1.0, 1.0))
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    return float(roll), float(pitch), float(yaw)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +193,37 @@ def quat_to_dcm_batch(q) -> np.ndarray:
         ],
         axis=1,
     ).reshape(-1, 3, 3)
+
+
+def euler_from_quat(q) -> np.ndarray:
+    """(N, 3) roll, pitch, yaw in radians of (N, 4) quaternions, z-y-x convention."""
+    R = quat_to_dcm_batch(q)
+    return np.column_stack([
+        np.arctan2(R[:, 2, 1], R[:, 2, 2]),
+        -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0)),
+        np.arctan2(R[:, 1, 0], R[:, 0, 0]),
+    ])
+
+
+def quat_chain(q0, half_angle) -> np.ndarray:
+    """(n + 1, 4) strapdown chain ``q_{i+1} = q_i (x) [1, half_angle_i]`` from ``q0``.
+
+    Each step is :func:`quat_multiply` on Python floats: the same products
+    and sums, and the same renormalization (``ndarray.dot``, as
+    ``np.linalg.norm`` takes it), so every quaternion matches bit for bit.
+    """
+    w1, x1, y1, z1 = np.asarray(q0, dtype=float).tolist()
+    out = [(w1, x1, y1, z1)]
+    buf = np.empty(4)
+    for x2, y2, z2 in np.asarray(half_angle, dtype=float).tolist():
+        buf[0] = w = w1 - x1 * x2 - y1 * y2 - z1 * z2
+        buf[1] = x = w1 * x2 + x1 + y1 * z2 - z1 * y2
+        buf[2] = y = w1 * y2 - x1 * z2 + y1 + z1 * x2
+        buf[3] = z = w1 * z2 + x1 * y2 - y1 * x2 + z1
+        norm = math.sqrt(buf.dot(buf))
+        w1, x1, y1, z1 = w / norm, x / norm, y / norm, z / norm
+        out.append((w1, x1, y1, z1))
+    return np.array(out)
 
 
 def quat_exp_batch(phi) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import quat_from_euler, quat_multiply, quat_to_dcm, quat_to_dcm_batch
+from .attitude import quat_chain, quat_from_euler, quat_to_dcm, quat_to_dcm_batch
 from .channel import (
     LedBeacon,
     LedTable,
@@ -177,8 +177,7 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
 
     def pose(X):
         pos = np.column_stack([X[:, :2], np.full(len(X), height)])
-        q = np.transpose(quat_from_euler(0.0, X[:, 2], X[:, 3]))
-        return pos, quat_to_dcm_batch(q)[:, :, 2]
+        return pos, quat_to_dcm_batch(quat_from_euler(0.0, X[:, 2], X[:, 3]))[:, :, 2]
 
     x0 = np.array([init_xy[0], init_xy[1], init_pitch, init_yaw], dtype=float)
     # Regularization keeps the unobservable heading (and near-flat pitch
@@ -281,8 +280,9 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     The attitude comes from integrating the gyroscope from the initial
     alignment (no feedback), matching the classic loose architecture;
     per-epoch RSS position fixes (computed with the INS attitude) update
-    a 6-state position/velocity filter.  Returns one row per epoch, with
-    zero biases (the filter estimates none).
+    a 6-state position/velocity filter.  The attitude and room-frame
+    accelerations of every IMU sample are built before the filter runs.
+    Returns one row per epoch, with zero biases (the filter estimates none).
     """
     x0 = initial_state(dataset, flags_by_epoch)
     gravity = dataset.gravity
@@ -297,7 +297,6 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     epoch_idx = 0
     p = x0.position.copy()
     v = np.zeros(3)
-    q = x0.attitude.copy()
     P = np.diag([0.05**2] * 3 + [0.05**2] * 3)
     # Process noise: accelerometer white noise plus attitude-drift-induced
     # acceleration error, lumped as an isotropic acceleration density.
@@ -305,28 +304,31 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     q_acc = (imu_man["accel_noise_density"] + 9.81 * imu_man["gyro_bias_instability"]
              * 50.0) ** 2
 
-    out_t, out_p, out_v, out_q = [], [], [], []
     ts = imu.timestamps
-    for i in range(ts.size - 1):
-        dt = float(ts[i + 1] - ts[i])
-        R = quat_to_dcm(q) @ R_bv
-        a_u = R @ imu.accel[i] + gravity
+    dts = np.diff(ts)
+    qs = quat_chain(x0.attitude, 0.5 * (R_bv @ imu.gyro[:-1, :, None])[:, :, 0] * dts[:, None])
+    Rs = quat_to_dcm_batch(qs)
+    acc_u = ((Rs[:-1] @ R_bv) @ imu.accel[:-1, :, None])[:, :, 0] + gravity
+
+    out_t, out_p, out_v, out_q = [], [], [], []
+    F = np.eye(6)
+    Q = np.zeros((6, 6))
+    for i, dt in enumerate(dts.tolist()):
+        a_u = acc_u[i]
         p = p + v * dt + 0.5 * a_u * dt**2
         v = v + a_u * dt
-        q = quat_multiply(q, np.concatenate(([1.0], 0.5 * (R_bv @ imu.gyro[i]) * dt)))
-        F = np.eye(6)
-        F[0:3, 3:6] = np.eye(3) * dt
-        Q = np.zeros((6, 6))
-        Q[3:6, 3:6] = q_acc * dt * np.eye(3)
-        Q[0:3, 0:3] = q_acc * dt**3 / 3.0 * np.eye(3)
+        F[0, 3] = F[1, 4] = F[2, 5] = dt
+        Q[3, 3] = Q[4, 4] = Q[5, 5] = q_acc * dt
+        Q[0, 0] = Q[1, 1] = Q[2, 2] = q_acc * dt**3 / 3.0
         P = F @ P @ F.T + Q
 
         while epoch_idx < len(epochs) and epochs[epoch_idx][0] <= ts[i + 1]:
             t_e, flagged = epochs[epoch_idx]
-            pd_guess = p + quat_to_dcm(q) @ rx.lever_arm_vlp
-            fix = solve_position_rss(flagged, led_map, rx, q, pd_guess, bounds=bounds)
+            lever_u = Rs[i + 1] @ rx.lever_arm_vlp
+            fix = solve_position_rss(flagged, led_map, rx, qs[i + 1], p + lever_u,
+                                     bounds=bounds)
             if fix.ok:
-                z = fix.position - quat_to_dcm(q) @ rx.lever_arm_vlp
+                z = fix.position - lever_u
                 H = np.hstack([np.eye(3), np.zeros((3, 3))])
                 R_meas = fix.cov + 1e-6 * np.eye(3)
                 S = H @ P @ H.T + R_meas
@@ -338,7 +340,7 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
             out_t.append(t_e)
             out_p.append(p.copy())
             out_v.append(v.copy())
-            out_q.append(q.copy())
+            out_q.append(qs[i + 1])
             epoch_idx += 1
 
     zeros = np.zeros((len(out_t), 3))

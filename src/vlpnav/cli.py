@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import euler_from_quat, quat_to_dcm
+from .attitude import euler_from_quat, quat_to_dcm_batch
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
 from .blockage import DetectionSpec, DrdDetector, annotate_epochs
 from .channel import SampleFlag
@@ -171,7 +171,7 @@ def _truth_flags(dataset: Dataset) -> dict:
 
 def _write_trajectory(path, traj: StateArrays):
     """Write ``traj`` as a trajectory file, the layout ``load_trajectory`` reads."""
-    euler = np.array([euler_from_quat(q) for q in traj.attitude])
+    euler = euler_from_quat(traj.attitude)
     np.savetxt(path, np.column_stack([traj.timestamps, traj.position, traj.velocity,
                                       traj.attitude, euler, traj.bias_acc, traj.bias_gyro]),
                fmt="%.12g", delimiter=",", header=TRAJ_HEADER, comments="")
@@ -251,8 +251,8 @@ def cmd_estimate(args) -> int:
             raise InputError("VLP-only produced no fixes; dataset unusable")
         q = np.array([[1.0, 0, 0, 0] if fx.attitude is None else fx.attitude for fx in fixes])
         # Report the navigation (IMU) center like the other modes.
-        p = np.array([fx.position - quat_to_dcm(qk) @ dataset.receiver.lever_arm_vlp
-                      for fx, qk in zip(fixes, q)])
+        p = (np.array([fx.position for fx in fixes])
+             - quat_to_dcm_batch(q) @ dataset.receiver.lever_arm_vlp)
         zeros = np.zeros_like(p)
         traj = StateArrays(np.array([fx.timestamp for fx in fixes]), p, zeros, q, zeros, zeros)
     else:

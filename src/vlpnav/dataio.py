@@ -78,7 +78,7 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     np.savetxt(out / "rss_epoch.csv", ep_rows, fmt="%.12g", delimiter=",",
                header="timestamp_s,led_id,value,variance,flag_truth", comments="")
 
-    euler = np.array([euler_from_quat(q) for q in truth.attitude])
+    euler = euler_from_quat(truth.attitude)
     truth_arr = np.column_stack(
         [truth.timestamps, truth.position, truth.velocity, truth.attitude, euler])
     np.savetxt(out / "truth.csv", truth_arr, fmt="%.12g", delimiter=",",
@@ -89,7 +89,6 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     scenario.to_json(out / "scenario.json")
 
     z = truth.position[:, 2]
-    roll0, pitch0, yaw0 = euler_from_quat(truth.attitude[0])
     manifest = {
         "format": MANIFEST_FORMAT,
         "package_version": _VERSION,
@@ -102,7 +101,7 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
         "raw_rate_hz": scenario.rss.raw_rate_hz,
         "rss_epoch_sigma": scenario.rss.epoch_sigma,
         "rss_raw_sigma": scenario.rss.raw_sigma,
-        "initial_heading_rad": yaw0,
+        "initial_heading_rad": float(euler[0, 2]),
         "room_min": list(scenario.room_min),
         "room_max": list(scenario.room_max),
         "vehicle_z_range": [float(z.min()), float(z.max())],

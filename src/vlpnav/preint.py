@@ -22,11 +22,10 @@ per-sample quantity is built in one numpy pass: the bias-removed VLP-
 frame samples, the rotations ``R_i`` of the running attitude,
 ``R_i [a_i]x``, and the stacks of ``F_i``, ``G_i`` and the noise inputs
 ``Q_i = G_i diag(sig) / dt_i G_i^T``.  Three recursions stay sequential
-because each step needs the last: the attitude chain (on Python floats,
-renormalized as :func:`quat_multiply` does), ``cov <- F_i cov F_i^T + Q_i``
-with ``J <- F_i J`` (one matrix product per step over the prebuilt
-stacks), and alpha/beta (cumulative sums in the loop's order).  The
-result equals the per-sample loop bit for bit.
+because each step needs the last: the attitude chain (:func:`quat_chain`),
+``cov <- F_i cov F_i^T + Q_i`` with ``J <- F_i J`` (one matrix product
+per step over the prebuilt stacks), and alpha/beta (cumulative sums in
+the loop's order).  The result equals the per-sample loop bit for bit.
 
 Gravity convention: every function takes the free-fall acceleration
 vector (e.g. ``[0, 0, -9.80665]`` in a z-up room frame).  A stationary,
@@ -35,17 +34,18 @@ level IMU measures the reaction ``-gravity``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .attitude import (
+    quat_chain,
     quat_conjugate,
     quat_conjugate_batch,
     quat_exp,
     quat_exp_batch,
+    quat_identity,
     quat_left_batch,
     quat_multiply,
     quat_multiply_batch,
@@ -168,27 +168,6 @@ class PreintegratedStack:
         return cls(*(np.array([getattr(p, name) for p in pres]) for name in _STACKED))
 
 
-def _attitude_chain(half_angle: np.ndarray) -> np.ndarray:
-    """(n + 1, 4) running products ``q_{i+1} = q_i (x) [1, half_angle_i]`` from identity.
-
-    Each step is :func:`quat_multiply` on Python floats: the same products
-    and sums, and the same renormalization (``ndarray.dot``, as
-    ``np.linalg.norm`` takes it), so every quaternion matches bit for bit.
-    """
-    w1, x1, y1, z1 = 1.0, 0.0, 0.0, 0.0
-    out = [(w1, x1, y1, z1)]
-    buf = np.empty(4)
-    for x2, y2, z2 in half_angle.tolist():
-        buf[0] = w = w1 - x1 * x2 - y1 * y2 - z1 * z2
-        buf[1] = x = w1 * x2 + x1 + y1 * z2 - z1 * y2
-        buf[2] = y = w1 * y2 - x1 * z2 + y1 + z1 * x2
-        buf[3] = z = w1 * z2 + x1 * y2 - y1 * x2 + z1
-        norm = math.sqrt(buf.dot(buf))
-        w1, x1, y1, z1 = w / norm, x / norm, y / norm, z / norm
-        out.append((w1, x1, y1, z1))
-    return np.array(out)
-
-
 def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
                  noise: ImuNoise, t_end: float | None = None) -> PreintegratedImu:
     """Integrate one epoch interval of IMU samples.
@@ -214,7 +193,7 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
 
     a = stream.accel @ R_bv.T - bias_acc
     w = stream.gyro @ R_bv.T - bias_gyro
-    gammas = _attitude_chain(0.5 * w * dts[:, None])
+    gammas = quat_chain(quat_identity(), 0.5 * w * dts[:, None])
     R = quat_to_dcm_batch(gammas[:-1])  # attitude at the start of each sample
     Ra = R @ skew_batch(a)
     Ra_vec = _mv(R, a)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import quat_from_euler, quat_multiply, quat_to_dcm
+from .attitude import quat_chain, quat_from_euler, quat_to_dcm_batch
 from .blockage import DetectionSpec
 from .channel import (
     LedBeacon,
@@ -304,7 +304,6 @@ class TruthStream:
     position: np.ndarray  # (N, 3)
     velocity: np.ndarray  # (N, 3)
     attitude: np.ndarray  # (N, 4) VLP-frame-to-room quaternions
-    accel_u: np.ndarray  # (N, 3) kinematic acceleration, room frame
     gyro_v: np.ndarray  # (N, 3) VLP-frame angular rate
     specific_force_b: np.ndarray  # (N, 3) ideal accelerometer, body frame
     gyro_b: np.ndarray  # (N, 3) ideal gyroscope, body frame
@@ -340,11 +339,12 @@ def ideal_imu_from_kinematics(quats, accel_u, gyro_v, gravity, dcm_body_to_vlp):
 
 
 def generate_trajectory(scenario: Scenario) -> TruthStream:
-    """Ground-truth pose/velocity/acceleration stream at the IMU rate.
+    """Ground-truth pose/velocity stream at the IMU rate, with ideal IMU.
 
     The analytic phase profile supplies ideal body-frame IMU samples;
     the emitted truth re-integrates them with the first-order strapdown
-    recursion so downstream consistency checks close exactly.
+    recursion so downstream consistency checks close exactly: attitude by
+    :func:`quat_chain`, velocity and position by running sums in a loop's order.
     """
     spec = scenario.trajectory
     det = scenario.detection
@@ -395,7 +395,7 @@ def generate_trajectory(scenario: Scenario) -> TruthStream:
     pitch_total = pitch + g_pitch
     pitch_rate_total = pitch_rate + g_pitch_rate
 
-    quats = np.array([quat_from_euler(0.0, th, ps) for th, ps in zip(pitch_total, yaw)])
+    quats = quat_from_euler(0.0, pitch_total, yaw)
     # Body rates for roll-free z-y-x attitude: w = yawrate * Ry(pitch)^T ez
     # + pitchrate * ey.
     gyro_v = np.stack(
@@ -412,19 +412,17 @@ def generate_trajectory(scenario: Scenario) -> TruthStream:
     specific_force_b, gyro_b = ideal_imu_from_kinematics(quats, acc, gyro_v, gravity, R_vb)
 
     # Reconcile: emitted truth is the strapdown integration of the ideal IMU.
-    p_m = np.zeros_like(pos)
-    v_m = np.zeros_like(vel)
-    q_m = np.zeros_like(quats)
-    a_m = np.zeros_like(acc)
-    p_m[0], v_m[0], q_m[0] = pos[0], vel[0], quats[0]
-    for i in range(n):
-        R = quat_to_dcm(q_m[i])
-        a_u = R @ (R_vb @ specific_force_b[i]) + gravity
-        a_m[i] = a_u
-        if i + 1 < n:
-            p_m[i + 1] = p_m[i] + v_m[i] * dt + 0.5 * a_u * dt**2
-            v_m[i + 1] = v_m[i] + a_u * dt
-            q_m[i + 1] = quat_multiply(q_m[i], np.concatenate(([1.0], 0.5 * gyro_v[i] * dt)))
+    q_m = quat_chain(quats[0], 0.5 * gyro_v[:-1] * dt)
+    R_m = quat_to_dcm_batch(q_m[:-1])
+    a_m = (R_m @ (R_vb @ specific_force_b[:-1, :, None]))[:, :, 0] + gravity
+    v_m = np.add.accumulate(np.concatenate([vel[:1], a_m * dt]))
+    # Each position step adds v dt, then a dt^2 / 2, so the sums round as a
+    # per-sample loop's do.
+    steps = np.empty((2 * n - 1, 3))
+    steps[0] = pos[0]
+    steps[1::2] = v_m[:-1] * dt
+    steps[2::2] = 0.5 * a_m * dt**2
+    p_m = np.add.accumulate(steps)[::2]
 
     room_min = np.asarray(scenario.room_min, dtype=float)
     room_max = np.asarray(scenario.room_max, dtype=float)
@@ -436,7 +434,6 @@ def generate_trajectory(scenario: Scenario) -> TruthStream:
         position=p_m,
         velocity=v_m,
         attitude=q_m,
-        accel_u=a_m,
         gyro_v=gyro_v,
         specific_force_b=specific_force_b,
         gyro_b=gyro_b,

@@ -5,17 +5,18 @@ from vlpnav.attitude import (
     InvalidQuaternionError,
     apply_small_angle,
     euler_from_quat,
+    quat_chain,
     quat_exp,
     quat_from_euler,
     quat_identity,
-    quat_left,
+    quat_left_batch,
     quat_log,
     quat_multiply,
     quat_normalize,
-    quat_right,
+    quat_right_batch,
     quat_to_dcm,
     skew,
-    so3_right_jacobian,
+    so3_right_jacobian_batch,
 )
 
 from _synthetic import dcm_to_quat
@@ -96,10 +97,23 @@ class TestQuatMultiply:
             assert abs(np.linalg.norm(quat_multiply(a, b)) - 1.0) < 1e-9
 
     def test_product_matrices(self):
-        for a, b in zip(random_quats(20, seed=9), random_quats(20, seed=10)):
-            ab = quat_multiply(a, b)
-            np.testing.assert_allclose(quat_left(a) @ b, ab, atol=1e-12)
-            np.testing.assert_allclose(quat_right(b) @ a, ab, atol=1e-12)
+        a, b = random_quats(20, seed=9), random_quats(20, seed=10)
+        ab = np.array([quat_multiply(ak, bk) for ak, bk in zip(a, b)])
+        np.testing.assert_allclose((quat_left_batch(a) @ b[:, :, None])[:, :, 0], ab, atol=1e-12)
+        np.testing.assert_allclose((quat_right_batch(b) @ a[:, :, None])[:, :, 0], ab, atol=1e-12)
+
+
+class TestQuatChain:
+    def test_matches_multiply_loop_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        q0 = random_quats(1, seed=19)[0]
+        half_angle = 0.5 * rng.normal(scale=0.05, size=(200, 3))
+        q = q0
+        expected = [q]
+        for h in half_angle:
+            q = quat_multiply(q, np.concatenate(([1.0], h)))
+            expected.append(q)
+        np.testing.assert_array_equal(quat_chain(q0, half_angle), np.array(expected))
 
 
 class TestApplySmallAngle:
@@ -165,21 +179,30 @@ class TestExpLog:
 
     def test_right_jacobian_first_order(self):
         rng = np.random.default_rng(16)
-        for _ in range(20):
-            phi = rng.normal(size=3)
-            d = 1e-6 * rng.normal(size=3)
+        phis = rng.normal(size=(20, 3))
+        ds = 1e-6 * rng.normal(size=(20, 3))
+        for phi, d, Jr in zip(phis, ds, so3_right_jacobian_batch(phis)):
             lhs = quat_exp(phi + d)
-            rhs = quat_multiply(quat_exp(phi), quat_exp(so3_right_jacobian(phi) @ d))
+            rhs = quat_multiply(quat_exp(phi), quat_exp(Jr @ d))
             assert np.linalg.norm(lhs - rhs) < 1e-11
 
 
 class TestEuler:
     def test_round_trip(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            roll, pitch, yaw = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), rng.uniform(-3, 3)
-            r, p, y = euler_from_quat(quat_from_euler(roll, pitch, yaw))
-            np.testing.assert_allclose([r, p, y], [roll, pitch, yaw], atol=1e-12)
+        angles = rng.uniform([-1.2, -1.2, -3.0], [1.2, 1.2, 3.0], size=(50, 3))
+        out = euler_from_quat(quat_from_euler(*angles.T))
+        np.testing.assert_allclose(out, angles, atol=1e-12)
+
+    def test_arrays_match_per_element_calls(self):
+        rng = np.random.default_rng(20)
+        roll, pitch, yaw = rng.uniform(-3.0, 3.0, size=(3, 100))
+        q = quat_from_euler(roll, pitch, yaw)
+        assert q.shape == (100, 4)
+        np.testing.assert_array_equal(
+            q, np.array([quat_from_euler(*a) for a in zip(roll, pitch, yaw)]))
+        np.testing.assert_array_equal(
+            euler_from_quat(q), np.vstack([euler_from_quat(qk[None]) for qk in q]))
 
     def test_pure_yaw(self):
         q = quat_from_euler(0.0, 0.0, np.pi / 2)

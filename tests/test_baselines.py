@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlpnav.attitude import quat_from_euler, quat_to_dcm
+from vlpnav.attitude import quat_from_euler, quat_multiply, quat_to_dcm
 from vlpnav.baselines import (
     initial_state,
+    run_loosely_coupled,
     solve_pose_tilt,
     solve_position_rss,
     static_leveling,
@@ -165,3 +166,23 @@ class TestInitialState:
         x1 = initial_state(ds, {})
         np.testing.assert_array_equal(x1.position, x0.position)
         np.testing.assert_array_equal(x1.attitude, x0.attitude)
+
+
+class TestLooselyCoupled:
+    def test_attitude_is_the_gyro_loop(self, mini_dataset):
+        """Each epoch's INS attitude is a per-sample ``quat_multiply`` loop
+        from the initial alignment, bit for bit."""
+        ds = load_dataset(mini_dataset)
+        traj = run_loosely_coupled(ds, {})
+        ts = ds.imu.timestamps
+        R_bv = ds.receiver.dcm_body_to_vlp
+        q = initial_state(ds, {}).attitude
+        chain = [q]
+        for i in range(ts.size - 1):
+            dt = float(ts[i + 1] - ts[i])
+            q = quat_multiply(q, np.concatenate(([1.0], 0.5 * (R_bv @ ds.imu.gyro[i]) * dt)))
+            chain.append(q)
+        # An epoch is output after the first sample that reaches its time.
+        idx = np.maximum(np.searchsorted(ts, traj.timestamps), 1)
+        assert len(traj.timestamps) == len(ds.epochs_by_time({}))
+        np.testing.assert_array_equal(traj.attitude, np.array(chain)[idx])
