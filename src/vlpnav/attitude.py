@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -211,19 +212,22 @@ def quat_chain(q0, half_angle) -> np.ndarray:
     Each step is :func:`quat_multiply` on Python floats: the same products
     and sums, and the same renormalization (``ndarray.dot``, as
     ``np.linalg.norm`` takes it), so every quaternion matches bit for bit.
+    The input is read through a flat iterator and the chain collected in
+    an ``array('d')``, 8 bytes per value, not as Python tuples.
     """
     w1, x1, y1, z1 = np.asarray(q0, dtype=float).tolist()
-    out = [(w1, x1, y1, z1)]
+    out = array("d", (w1, x1, y1, z1))
     buf = np.empty(4)
-    for x2, y2, z2 in np.asarray(half_angle, dtype=float).tolist():
+    it = iter(memoryview(np.ascontiguousarray(half_angle, dtype=float).ravel()))
+    for x2, y2, z2 in zip(it, it, it):
         buf[0] = w = w1 - x1 * x2 - y1 * y2 - z1 * z2
         buf[1] = x = w1 * x2 + x1 + y1 * z2 - z1 * y2
         buf[2] = y = w1 * y2 - x1 * z2 + y1 + z1 * x2
         buf[3] = z = w1 * z2 + x1 * y2 - y1 * x2 + z1
         norm = math.sqrt(buf.dot(buf))
         w1, x1, y1, z1 = w / norm, x / norm, y / norm, z / norm
-        out.append((w1, x1, y1, z1))
-    return np.array(out)
+        out.extend((w1, x1, y1, z1))
+    return np.frombuffer(out).reshape(-1, 4)
 
 
 def quat_exp_batch(phi) -> np.ndarray:

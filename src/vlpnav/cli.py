@@ -29,7 +29,7 @@ from .dataio import (
     load_trajectory,
     write_dataset,
 )
-from .estimator import TightlyCoupledEstimator, estimate_unknown_leds
+from .estimator import STOP_REASONS, TightlyCoupledEstimator, estimate_unknown_leds
 from .metrics import (
     DisjointTimeRangesError,
     detection_scores,
@@ -231,11 +231,12 @@ def cmd_estimate(args) -> int:
         led_cols = sorted(config.unknown_led_ids)
         for d in est.diagnostics:
             row = [d.epoch_id, d.timestamp, d.cost, d.iterations, int(d.converged),
-                   d.los_count, d.flagged_count, d.reintegrations]
+                   d.los_count, d.flagged_count, d.reintegrations, d.last_rho,
+                   STOP_REASONS.index(d.stop)]
             row.extend(d.led_dop.get(i, float("nan")) for i in led_cols)
             diag_rows.append(row)
         header = ("epoch,timestamp_s,cost,iterations,converged,los_count,flagged_count,"
-                  "reintegrations")
+                  "reintegrations,last_rho,stop")
         header += "".join(f",dop_led{i}" for i in led_cols)
         np.savetxt(out / "diagnostics.csv", np.asarray(diag_rows), fmt="%.12g",
                    delimiter=",", header=header, comments="")

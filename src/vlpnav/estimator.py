@@ -26,11 +26,15 @@ Hessian over the states with a border of LED columns
 point once this way: the cost decides the step, and an accepted point's
 equations give the next step, solved by block elimination (the states
 first to last, then the LED block, then back-substitution) in time
-linear in the window length.  The LED block's Schur complement gives
-the unknown LEDs' covariance.  :func:`_marginalize_oldest` takes the
-same pass over the factors of the oldest state, which spans the two
-oldest states and the LEDs, and eliminates the oldest state from its
-dense view; :func:`assemble_cost` is the dense view of the whole window.
+linear in the window length.  LM stops when the damped system's own
+predicted decrease is negligible, without evaluating that step, and
+damps by the gain ratio (Nielsen's rule).  The window keeps the pass of
+its final values: :func:`_marginalize_oldest` selects from it the rows
+of the oldest state's factors, which span the two oldest states and the
+LEDs, and eliminates the oldest state from their dense view, and
+:func:`estimate_unknown_leds` reads the unknown LEDs' covariance from
+the same pass (the LED block's Schur complement).  :func:`assemble_cost`
+is the dense view of the whole window.
 :func:`vlp_residual` and :func:`vlp_jacobian_row` state the RSS factor
 one sample at a time.
 
@@ -108,8 +112,6 @@ class LmOptions:
     cost_reduction_tol: float = 1e-8
     step_norm_tol: float = 1e-10
     lambda_init: float = 0.0
-    lambda_growth: float = 10.0
-    lambda_shrink: float = 10.0
     lambda_max: float = 1e8
 
 
@@ -254,7 +256,9 @@ class SlidingWindow:
     ``config.blocked_variance``).  The unknown LEDs ``led_ids`` (sorted
     ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2)
     and weak-prior centers ``led_init`` (L, 2), from the ``led_init``
-    guesses (id -> (x, y)) or else the map.
+    guesses (id -> (x, y)) or else the map.  ``equations`` is the
+    :class:`NormalEquations` of the current values that :func:`solve_lm`
+    leaves behind; :meth:`append` and a re-integration drop it.
     """
 
     def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig,
@@ -273,6 +277,7 @@ class SlidingWindow:
         self.led_init = np.array([led_init.get(i, self.led_map[i].position[:2])
                                   for i in self.led_ids], dtype=float).reshape(-1, 2)
         self.led_xy = self.led_init.copy()
+        self.equations: NormalEquations | None = None
 
     @property
     def n_states(self) -> int:
@@ -292,6 +297,7 @@ class SlidingWindow:
                         for s in rss if s.led_id in table_row], RSS_SAMPLE)
         self.rss = np.concatenate([self.rss, new])
         self.states = self.states.append(state)
+        self.equations = None
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +330,14 @@ class FactorRows:
 
     def cost(self) -> float:
         return 0.5 * float(np.sum(self.r[:, None, :] @ self.info @ self.r[:, :, None]))
+
+    def oldest(self) -> "FactorRows":
+        """The rows whose first state is the window's oldest, a prefix of
+        the rows; none when the factors touch no state."""
+        n = int(np.searchsorted(self.states[0], 0, side="right")) if self.states else 0
+        return FactorRows(self.r[:n], self.info[:n], tuple(k[:n] for k in self.states),
+                          tuple(J[:n] for J in self.jac),
+                          None if self.led is None else self.led[:n])
 
     def add_to(self, ne: "NormalEquations") -> None:
         """Accumulate ``J^T W J`` and ``J^T W r`` into the blocks of ``ne``.
@@ -378,7 +392,8 @@ class NormalEquations:
     and columns k + 1 and ``lower`` the blocks of rows k + 1 and columns
     k, ``arrow`` (N, 15, 2L) state-LED blocks (the LED-state ones are
     their transposes) and the ``led`` (2L, 2L) block.  ``g`` is the
-    gradient in the same order and ``cost`` the cost.
+    gradient in the same order and ``cost`` the cost.  ``rows`` are the
+    :class:`FactorRows` the equations were reduced from.
 
     ``lower`` is kept, not taken as the transpose of ``upper``: where the
     terms of an IMU factor's cross block cancel, ``J1^T W J0`` and
@@ -392,6 +407,7 @@ class NormalEquations:
     led: np.ndarray
     g: np.ndarray
     cost: float = 0.0
+    rows: tuple = ()
 
     @classmethod
     def zeros(cls, n_states: int, n_leds: int) -> "NormalEquations":
@@ -492,11 +508,10 @@ class NormalEquations:
         return np.concatenate([x.ravel(), x_led]), schur
 
 
-def _led_prior_rows(window: SlidingWindow, active: bool) -> FactorRows:
-    """Weak prior keeping unobserved unknown-LED blocks solvable (no rows
-    unless ``active``)."""
-    n = len(window.led_ids) if active else 0
-    r = (window.led_xy - window.led_init)[:n]
+def _led_prior_rows(window: SlidingWindow) -> FactorRows:
+    """Weak prior keeping unobserved unknown-LED blocks solvable."""
+    n = len(window.led_ids)
+    r = window.led_xy - window.led_init
     w = 1.0 / window.config.unknown_led_prior_sigma**2
     eye = np.broadcast_to(np.eye(2), (n, 2, 2))
     return FactorRows(r, w * eye, (), (eye,), led=np.arange(n))
@@ -514,9 +529,8 @@ def _imu_rows(factors, gravity, X: StateArrays) -> FactorRows:
     return FactorRows(r, pres.information, (ks, ks + 1), (Jk, Jk1))
 
 
-def _rss_rows(window: SlidingWindow, n_states: int, X: StateArrays, R) -> FactorRows:
-    """One row per usable RSS sample of the first ``n_states`` states,
-    through the batched Lambertian model.
+def _rss_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
+    """One row per usable RSS sample, through the batched Lambertian model.
 
     Samples out of the FOV, degenerate (PD at the LED) or grazing are
     left out.  Unknown LEDs use their current planar estimate.  With
@@ -524,7 +538,7 @@ def _rss_rows(window: SlidingWindow, n_states: int, X: StateArrays, R) -> Factor
     rows of known LEDs.
     """
     table = window.led_table
-    samples = window.rss[:np.searchsorted(window.rss["state"], n_states)]
+    samples = window.rss
     st, li = samples["state"], samples["led"]
     led_pos = table.position.copy()
     led_of = np.full(len(table.row), -1)
@@ -582,7 +596,7 @@ def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R) -> FactorRows:
                       (np.stack(J, axis=1).reshape(n * c, 1, NAV_DIM),))
 
 
-def normal_equations(window: SlidingWindow, n_states: int | None = None) -> NormalEquations:
+def normal_equations(window: SlidingWindow) -> NormalEquations:
     """Gauss-Newton normal equations of the window at its current values,
     in block form, and its cost; the estimator's one evaluation of its
     factors.
@@ -592,31 +606,41 @@ def normal_equations(window: SlidingWindow, n_states: int | None = None) -> Norm
     sample and the constraints of every state.  Which factors take part
     is decided here, once, so every iterate is scored by the same
     function.  ``cost`` is ``sum 0.5 r^T W r`` over those factors, then
-    the marginal prior's quadratic.  With ``n_states`` = k only the
-    factors of the first k states are evaluated (their RSS samples and
-    constraint rows and the IMU factors leaving them) plus the marginal
-    prior, and the equations span states 0..k.
+    the marginal prior's quadratic.
     """
-    k = window.n_states if n_states is None else n_states
-    X = window.states[:k + 1]  # IMU factor k - 1 reaches state k
+    X = window.states
     R = quat_to_dcm_batch(X.attitude)
     cfg = window.config
-    factors = [
-        _led_prior_rows(window, k == window.n_states),
-        _imu_rows(window.imu_factors[:k], cfg.gravity_vec, X),
-        _rss_rows(window, k, X, R),
-        _constraint_rows(cfg.constraints, X[:k], R[:k]),
-    ]
-    ne = NormalEquations.zeros(len(X), len(window.led_ids))
-    ne.cost = sum(rows.cost() for rows in factors)
+    rows = (
+        _led_prior_rows(window),
+        _imu_rows(window.imu_factors, cfg.gravity_vec, X),
+        _rss_rows(window, X, R),
+        _constraint_rows(cfg.constraints, X, R),
+    )
+    ne = _reduce(window, len(X), rows)
+    ne.cost += sum(r.cost() for r in rows)
+    return ne
+
+
+def _reduce(window: SlidingWindow, n_states: int, rows) -> NormalEquations:
+    """The marginal prior and ``rows`` accumulated over the window's first
+    ``n_states`` states and its LEDs; ``cost`` is the prior's."""
+    ne = NormalEquations.zeros(n_states, len(window.led_ids))
+    ne.rows = rows
     p = window.prior
     if p is not None:
         d = p.delta(window)
-        ne.cost += 0.5 * float(d @ p.hessian @ d) + float(p.gradient @ d)
+        ne.cost = 0.5 * float(d @ p.hessian @ d) + float(p.gradient @ d)
         ne.add_prior(p.hessian, p.hessian @ d + p.gradient)
-    for rows in factors:
-        rows.add_to(ne)
+    for r in rows:
+        r.add_to(ne)
     return ne
+
+
+def _equations(window: SlidingWindow) -> NormalEquations:
+    """The window's normal equations at its current values: the pass
+    :func:`solve_lm` kept, or else a fresh one."""
+    return normal_equations(window) if window.equations is None else window.equations
 
 
 def assemble_cost(window: SlidingWindow):
@@ -629,13 +653,25 @@ def assemble_cost(window: SlidingWindow):
 # Levenberg-Marquardt
 
 
+#: Why :func:`solve_lm` stopped (``LmReport.stop``); ``diagnostics.csv``
+#: writes a stop as its index here.
+STOP_REASONS = ("model", "step", "max_iterations", "damping")
+
+
 @dataclass
 class LmIteration:
+    """One evaluated trial point (a failed solve has ``step_norm`` 0): the
+    cost after it, the damping it was solved with, the decrease the
+    quadratic model ``predicted`` and the gain ratio ``rho``, the actual
+    decrease over the predicted one."""
+
     cost: float
     lam: float
     step_norm: float
     accepted: bool
     led_step: float = 0.0
+    rho: float = math.nan
+    predicted: float = math.nan
 
 
 @dataclass
@@ -643,6 +679,7 @@ class LmReport:
     converged: bool
     iterations: list[LmIteration] = field(default_factory=list)
     final_cost: float = math.nan
+    stop: str = "max_iterations"  # one of STOP_REASONS
 
     @property
     def n_accepted(self) -> int:
@@ -652,67 +689,76 @@ class LmReport:
 def solve_lm(window: SlidingWindow) -> LmReport:
     """Damped Gauss-Newton on the window; mutates it toward the optimum.
 
-    Each step solves the block normal equations with ``lambda *
+    Each step solves the block normal equations with ``shift = lambda *
     clip(diag H)`` added to the diagonal (:meth:`NormalEquations.solve`).
-    Each trial point is evaluated once, by :func:`normal_equations`: its
-    cost decides the step, and an accepted step keeps its equations for
-    the next one.  So the factors are evaluated once per trial point,
-    plus once at the start, and never for their cost alone.  Starts
-    undamped (a pure GN step solves quadratic costs exactly); damping
-    engages only after a rejected step, or a singular or non-finite
-    system.  Convergence: relative cost decrease below
-    ``cost_reduction_tol`` or step norm below ``step_norm_tol``.  If the
-    damping parameter exhausts ``lambda_max`` the best iterate is kept
-    and the report flags no convergence.  The
-    controls are the window's ``config.lm``.
+    The step's predicted decrease comes from that system itself: since
+    ``(H + diag(shift)) dx = -g`` it is ``0.5 (dx.(shift dx) - g.dx)``.
+    The solve stops, converged, when the predicted decrease is at most
+    ``cost_reduction_tol * cost`` (``model``) or the step norm is below
+    ``step_norm_tol`` (``step``), without evaluating that step.  Otherwise
+    the trial point is evaluated once, by :func:`normal_equations`: it is
+    accepted when its cost falls, and then its equations give the next
+    step.  So the factors are evaluated once per trial point, plus once
+    at the start, and never for their cost alone.  Damping follows
+    Nielsen's rule (Madsen, Nielsen & Tingleff 2004, sec. 3.2), with the
+    gain ratio ``rho`` (actual over predicted decrease): an accepted step
+    multiplies ``lambda`` by ``max(1/3, 1 - (2 rho - 1)^3)`` and resets
+    ``nu`` to 2; a rejected step, or a singular or non-finite system, sets
+    ``lambda`` to ``max(lambda nu, 1e-6)`` and doubles ``nu``.  The solve
+    starts undamped (``lambda_init`` 0: a pure GN step solves quadratic
+    costs exactly).  If ``lambda`` exceeds ``lambda_max`` (``damping``)
+    or ``max_iterations`` trial points pass, the best iterate is kept and
+    the report flags no convergence.  The window keeps the equations of
+    its final values (``window.equations``).  The controls are the
+    window's ``config.lm``.
     """
     opts = window.config.lm
     report = LmReport(converged=False)
     ne = normal_equations(window)
     cost = ne.cost
-    lam = opts.lambda_init
+    lam, nu = opts.lambda_init, 2.0
 
     for _ in range(opts.max_iterations):
+        shift = lam * np.clip(ne.diagonal(), 1e-12, None)
         try:
-            dx, _ = ne.solve(lam * np.clip(ne.diagonal(), 1e-12, None))
+            dx, _ = ne.solve(shift)
         except np.linalg.LinAlgError:
             dx = None
+        rho = predicted = math.nan
         if dx is not None and np.all(np.isfinite(dx)):
+            predicted = 0.5 * float(dx @ (shift * dx) - ne.g @ dx)
+            step = float(np.linalg.norm(dx))
+            model_done = predicted <= opts.cost_reduction_tol * max(cost, 1e-30)
+            if model_done or step < opts.step_norm_tol:
+                report.converged = True
+                report.stop = "model" if model_done else "step"
+                break
             saved = window.states, window.led_xy
             nx = ERROR_DIM * window.n_states
             window.states = window.states.perturb(dx[:nx].reshape(-1, ERROR_DIM))
             window.led_xy = window.led_xy + dx[nx:].reshape(-1, 2)
             trial = normal_equations(window)
-            new_cost = trial.cost
-        else:
-            new_cost = math.inf
-
-        if math.isfinite(new_cost) and new_cost <= cost:
-            step = float(np.linalg.norm(dx))
-            led_step = max((float(np.linalg.norm(d)) for d in window.led_xy - saved[1]),
-                           default=0.0)
-            report.iterations.append(LmIteration(new_cost, lam, step, True, led_step))
-            decrease = cost - new_cost
-            cost, ne = new_cost, trial
-            if decrease <= opts.cost_reduction_tol * max(cost, 1e-30) or (
-                    step < opts.step_norm_tol):
-                report.converged = True
-                break
-            lam = 0.0 if lam < 1e-12 else lam / opts.lambda_shrink
-        else:
-            if dx is not None:
-                window.states, window.led_xy = saved
-                if float(np.linalg.norm(dx)) < opts.step_norm_tol:
-                    # No usable step left: the iterate is at the numeric floor.
-                    report.converged = True
-                    break
-            report.iterations.append(LmIteration(cost, lam, 0.0, False))
-            lam = max(lam * opts.lambda_growth, 1e-6)
-            if lam > opts.lambda_max:
-                logger.warning("LM damping exhausted; returning best iterate")
-                break
+            rho = (cost - trial.cost) / predicted
+            if rho > 0.0:
+                led_step = max((float(np.linalg.norm(d)) for d in window.led_xy - saved[1]),
+                               default=0.0)
+                report.iterations.append(
+                    LmIteration(trial.cost, lam, step, True, led_step, rho, predicted))
+                cost, ne = trial.cost, trial
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                continue
+            window.states, window.led_xy = saved
+        report.iterations.append(LmIteration(cost, lam, 0.0, False, rho=rho,
+                                             predicted=predicted))
+        lam, nu = max(lam * nu, 1e-6), 2.0 * nu
+        if lam > opts.lambda_max:
+            logger.warning("LM damping exhausted; returning best iterate")
+            report.stop = "damping"
+            break
 
     report.final_cost = cost
+    window.equations = ne
     return report
 
 
@@ -747,14 +793,20 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     """Fold the prior and every factor touching the oldest state into a new
     prior over the next state and the LEDs.
 
-    On an indefinite marginal block the oldest state's factors are dropped:
-    the new prior keeps the old one's LED part and has a zero state block.
+    The factors are linearized once for the whole window: this reuses the
+    pass :func:`solve_lm` left on the window (or takes a fresh one) and
+    selects its rows of the oldest state, which are IMU factor 0 and the
+    oldest state's RSS samples and constraints, never the LED weak prior
+    (the window keeps it).  With the old prior they form a system over
+    the two oldest states and the LEDs, from whose dense view the oldest
+    state is eliminated.  On an indefinite marginal block the oldest
+    state's factors are dropped: the new prior keeps the old one's LED
+    part and has a zero state block.
     """
     prior = window.prior
-    # These reach the two oldest states and the LEDs: the dense view is
-    # [oldest, next, LEDs].  The old prior is folded in wholesale (re-centering
-    # a quadratic on new linearization points is exact), so nothing is lost.
-    ne = normal_equations(window, n_states=1)
+    # The old prior is folded in wholesale (re-centering a quadratic on new
+    # linearization points is exact), so nothing is lost.
+    ne = _reduce(window, 2, tuple(rows.oldest() for rows in _equations(window).rows))
     reduced = schur_marginalize(ne.dense(), ne.g, ERROR_DIM)
     if reduced is not None:
         return MarginalPrior(*reduced, window.states.state(1), window.led_xy.copy())
@@ -828,7 +880,8 @@ def estimate_unknown_leds(window: SlidingWindow,
     """Read back unknown-LED estimates and marginal covariances.
 
     The covariance is the inverse of the LED block's Schur complement,
-    with every state marginalized out of ``H + 1e-12 I``.  A LED is
+    with every state marginalized out of ``H + 1e-12 I``, where ``H`` is
+    the pass :func:`solve_lm` kept (or a fresh one).  A LED is
     flagged diverged when the optimizer failed to converge with its
     planar step still growing.  It is also flagged when its marginal
     covariance trace exceeds ``LED_COV_THRESHOLD`` (weak geometry; compare
@@ -838,7 +891,7 @@ def estimate_unknown_leds(window: SlidingWindow,
     if not window.led_ids:
         return out
     # The LED block's Schur complement is the inverse of their covariance.
-    cov_full = np.linalg.inv(normal_equations(window).solve(1e-12)[1])
+    cov_full = np.linalg.inv(_equations(window).solve(1e-12)[1])
     steps = [it.led_step for it in (report.iterations if report else []) if it.accepted]
     growing = len(steps) >= 3 and steps[-1] > steps[-2] > steps[-3] and steps[-1] > 1e-3
     non_conv = report is not None and not report.converged
@@ -864,6 +917,8 @@ class EpochDiagnostics:
     los_count: int
     flagged_count: int
     reintegrations: int = 0  # IMU factors re-preintegrated before this epoch's solve
+    last_rho: float = math.nan  # gain ratio of the solve's last trial point
+    stop: str = "max_iterations"  # LmReport.stop
     led_dop: dict = field(default_factory=dict)
 
 
@@ -926,6 +981,7 @@ class TightlyCoupledEstimator:
                 window.imu_factors[k] = preintegrate(
                     pre.stream, x.bias_acc, x.bias_gyro, window.rx.dcm_body_to_vlp,
                     self.config.imu_noise, t_end=pre.t_end)
+                window.equations = None
                 count += 1
         return count
 
@@ -947,6 +1003,8 @@ class TightlyCoupledEstimator:
             los_count=los,
             flagged_count=len(rss) - los,
             reintegrations=reintegrations,
+            last_rho=report.iterations[-1].rho if report.iterations else math.nan,
+            stop=report.stop,
             led_dop=led_dop,
         ))
         return report

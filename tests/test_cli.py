@@ -17,7 +17,7 @@ from vlpnav.cli import (
     run_tc,
 )
 from vlpnav.dataio import estimator_config_from_dict, load_dataset
-from vlpnav.estimator import LmIteration, LmReport, TightlyCoupledEstimator
+from vlpnav.estimator import STOP_REASONS, LmIteration, LmReport, TightlyCoupledEstimator
 from vlpnav.metrics import RunReport
 
 
@@ -141,6 +141,16 @@ class TestEstimate:
         assert col == 7
         # The mini run's biases stay far inside the first-order region.
         assert all(float(line.split(",")[col]) == 0 for line in lines[1:])
+
+    def test_diagnostics_record_lm_stop(self, tc_run):
+        lines = (tc_run / "diagnostics.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[8:10] == ["last_rho", "stop"]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        # Every mini epoch converges on its model, its last trial point
+        # accepted (rho > 0).
+        assert np.all(rows[:, 9] == STOP_REASONS.index("model"))
+        assert np.all(rows[:, 4] == 1) and np.all(rows[:, 8] > 0.0)
 
     def test_report_sane(self, tc_run):
         rep = RunReport.load(tc_run / "report.json")

@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestAssemble:
             assert e @ H @ e < 1e-12
 
 
+def count_calls(monkeypatch):
+    """Record every ``normal_equations`` pass and block solve from now on."""
+    passes, solves = [], []
+    solve = estimator.NormalEquations.solve
+
+    def counted_pass(window):
+        passes.append(window)
+        return normal_equations(window)
+
+    def counted_solve(ne, *args):
+        solves.append(ne)
+        return solve(ne, *args)
+
+    monkeypatch.setattr(estimator, "normal_equations", counted_pass)
+    monkeypatch.setattr(estimator.NormalEquations, "solve", counted_solve)
+    return passes, solves
+
+
 class TestSolveLm:
     def test_already_optimal_no_motion(self):
         window, states = build_exact_window()
@@ -253,7 +272,7 @@ class TestSolveLm:
         for k in range(window.n_states):
             assert np.max(np.abs(window.states.state(k).boxminus(before.state(k)))) < 1e-10
 
-    def test_pure_quadratic_one_undamped_step(self):
+    def test_pure_quadratic_one_undamped_step(self, monkeypatch):
         # Position-only quadratic: prior plus a height factor; attitude at
         # linearization so no retraction nonlinearity enters.
         config = make_config(constraints=ConstraintConfig(
@@ -263,13 +282,19 @@ class TestSolveLm:
         window.append(0, x_lin.copy(), None, [])
         window.prior = MarginalPrior(np.diag(np.full(ERROR_DIM, 25.0)), np.zeros(ERROR_DIM),
                                      x_lin.copy(), np.zeros((0, 2)))
+        passes, solves = count_calls(monkeypatch)
         report = solve_lm(window)
         # Linear least-squares oracle for the z component:
         # min 25 dz^2/2 + (z - 0.5)^2 / (2 * 4e-4), z = 0.2 + dz
         w_prior, w_h = 25.0, 1.0 / 0.02**2
         z_expected = (w_prior * 0.2 + w_h * 0.5) / (w_prior + w_h)
-        assert report.iterations[0].accepted
         assert window.states[0].position[2] == pytest.approx(z_expected, abs=1e-12)
+        # The second solve's model predicts nothing left to gain, so its
+        # step is never evaluated.
+        assert [it.accepted for it in report.iterations] == [True]
+        assert report.iterations[0].rho == pytest.approx(1.0, rel=1e-9)
+        assert (len(passes), len(solves)) == (2, 2)
+        assert report.converged and report.stop == "model"
 
     def test_recovers_truth_from_perturbed_init(self):
         window, truth = build_exact_window(n=5)
@@ -301,6 +326,34 @@ class TestSolveLm:
         monkeypatch.undo()
         assert len(calls) == len(report.iterations) + 1
         assert report.final_cost == normal_equations(window).cost
+
+    def test_damping_follows_nielsen(self, monkeypatch):
+        # The first two trial points and the fourth are spoiled (infinite
+        # cost), so their steps are rejected.
+        window, _ = build_exact_window(n=5)
+        rng = np.random.default_rng(2)
+        window.states = window.states.perturb(0.02 * rng.normal(size=(window.n_states, ERROR_DIM)))
+        calls = []
+
+        def spoiled(w):
+            ne = normal_equations(w)
+            calls.append(ne)
+            if len(calls) in (2, 3, 5):
+                ne.cost = math.inf
+            return ne
+
+        monkeypatch.setattr(estimator, "normal_equations", spoiled)
+        its = solve_lm(window).iterations
+        assert [it.accepted for it in its[:5]] == [False, False, True, False, True]
+        # A rejection sets lambda to max(lambda nu, 1e-6) and doubles nu (2, 4).
+        assert [its[0].lam, its[1].lam, its[2].lam] == [0.0, 1e-6, 4e-6]
+        assert its[0].rho == -math.inf and its[0].predicted > 0.0
+        # An acceptance scales lambda by max(1/3, 1 - (2 rho - 1)^3) and
+        # resets nu to 2.
+        rho = its[2].rho
+        assert rho == (its[1].cost - its[2].cost) / its[2].predicted
+        assert its[3].lam == its[2].lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        assert its[4].lam == max(its[3].lam * 2.0, 1e-6)
 
     def test_cost_non_increasing(self):
         window, _ = build_exact_window(n=5)
@@ -581,6 +634,25 @@ class TestBatchedLinearization:
             np.testing.assert_allclose(prior.gradient, g_ref, rtol=self.RTOL, atol=0)
             np.testing.assert_array_equal(prior.led_lin, window.led_xy)
 
+    def test_marginal_prior_from_kept_pass(self, monkeypatch):
+        # solve_lm leaves the pass of the window's final values; the
+        # marginalization selects the oldest state's rows from it without
+        # a pass of its own, and gets what a fresh pass gives, to the bit.
+        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+            solve_lm(window)
+            assert window.equations is not None
+            passes, _ = count_calls(monkeypatch)
+            kept = _marginalize_oldest(window)
+            assert passes == []
+            monkeypatch.undo()
+            window.equations = None
+            fresh = _marginalize_oldest(window)
+            np.testing.assert_array_equal(kept.hessian, fresh.hessian)
+            np.testing.assert_array_equal(kept.gradient, fresh.gradient)
+            H_ref, g_ref = loop_marginal_prior(window)
+            np.testing.assert_allclose(kept.hessian, H_ref, rtol=self.RTOL, atol=0)
+            np.testing.assert_allclose(kept.gradient, g_ref, rtol=self.RTOL, atol=0)
+
     def test_grazing_sample_left_out_of_cost(self):
         # A LED level with the photodiode: cos(psi) = 0 is inside a 90 deg
         # FOV but grazing, so the sample must not count.
@@ -674,7 +746,7 @@ class TestReintegration:
     FIELDS = ("alpha", "beta", "gamma", "cov", "dt", "bias_acc", "bias_gyro", "d_alpha_d_ba",
               "d_alpha_d_bg", "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg")
 
-    def run_with_bias_move(self, field, move):
+    def run_with_bias_move(self, field, move, window_size=8):
         """Three epochs; before the last, state 0's bias ``field`` moves by ``move``.
 
         The first interval loses its last sample, so its end time is not the
@@ -684,7 +756,7 @@ class TestReintegration:
         s0 = streams[0]
         streams[0] = ImuStream(s0.timestamps[:-1], s0.accel[:-1], s0.gyro[:-1])
         pres = preintegrate_chain(streams, states, RX)
-        est = TightlyCoupledEstimator(make_config(), LEDS, RX)
+        est = TightlyCoupledEstimator(make_config(window_size=window_size), LEDS, RX)
         est.start(states[0].copy(), exact_rss(states[0], LEDS, RX))
         est.step(pres[0], exact_rss(states[1], LEDS, RX), states[1].timestamp)
         getattr(est.window.states, field)[0] += move
@@ -706,6 +778,26 @@ class TestReintegration:
                                        atol=0, err_msg=name)
         assert est.window.imu_factors[1] is pres[1]
         assert [d.reintegrations for d in est.diagnostics] == [0, 0, 1]
+
+    def test_marginal_prior_uses_reintegrated_factor(self, monkeypatch):
+        # Window 2: the step that re-integrates factor 0 also slides it out.
+        # The pass the last solve kept holds the old factor; the prior must
+        # come from the new one.
+        seen = []
+
+        def marginalize(window):
+            seen.append((window.imu_factors[0], loop_marginal_prior(window)))
+            return _marginalize_oldest(window)
+
+        monkeypatch.setattr(estimator, "_marginalize_oldest", marginalize)
+        est, pres, _ = self.run_with_bias_move("bias_acc", np.array([0.18, -0.24, 0.0]),
+                                               window_size=2)
+        assert est.diagnostics[-1].reintegrations == 1
+        (pre, (H_ref, g_ref)), = seen
+        assert pre is not pres[0]
+        prior = est.window.prior
+        np.testing.assert_allclose(prior.hessian, H_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(prior.gradient, g_ref, rtol=1e-12, atol=0)
 
     def test_small_bias_move_keeps_factor(self):
         est, pres, _ = self.run_with_bias_move("bias_acc", np.array([0.05, 0.05, 0.0]))

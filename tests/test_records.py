@@ -36,8 +36,7 @@ class TestEstimatorConfig:
             constraints=ConstraintConfig(use_nhc=False, nhc_sigma=0.1, use_height=True,
                                          height_sigma=0.02, pd_height=0.3),
             lm=LmOptions(max_iterations=9, cost_reduction_tol=1e-7, step_norm_tol=1e-9,
-                         lambda_init=1e-3, lambda_growth=4.0, lambda_shrink=3.0,
-                         lambda_max=1e6),
+                         lambda_init=1e-3, lambda_max=1e6),
             prior=PriorConfig(position=0.3, velocity=0.1, rollpitch=0.05, heading=0.01,
                               bias_acc=0.03, bias_gyro=1e-3),
             unknown_led_ids=(2, 5), unknown_led_prior_sigma=5.0)
