@@ -221,7 +221,7 @@ def estimator_config_from_dict(d: dict, dataset: Dataset) -> EstimatorConfig:
     base it is laid over is the dataclass defaults except: IMU noise from
     the manifest's IMU characteristics (bias walk = instability *
     sqrt(2 / correlation time)), gravity from the manifest, the height
-    constraint on for planar datasets at the receiver's ``pd_height``,
+    constraint (to the receiver's ``pd_height``) on for planar datasets,
     and a 50-state window when ``d`` names unknown LEDs.  Raises
     ``ValueError`` on a key that names no field or a value of the wrong
     type.
@@ -237,8 +237,7 @@ def estimator_config_from_dict(d: dict, dataset: Dataset) -> EstimatorConfig:
             gyro_bias_walk=float(imu_man["gyro_bias_instability"] * walk),
         ),
         gravity=tuple(man["gravity"]),
-        constraints=ConstraintConfig(use_height=bool(man.get("planar", False)),
-                                     pd_height=dataset.receiver.pd_height),
+        constraints=ConstraintConfig(use_height=bool(man.get("planar", False))),
     )
     config = from_record(EstimatorConfig, d, base)
     if config.unknown_led_ids and "window_size" not in d:

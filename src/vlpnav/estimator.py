@@ -10,10 +10,12 @@ stacked nonlinear least-squares cost
 
 is minimized over the 15-dim error space of every state (plus 2-dim
 planar blocks for LEDs with unknown positions) with Levenberg-Marquardt;
-quaternions update through their minimal space.  Sliding folds the
-oldest state into the prior by Schur complement at the current
-linearization, so the prior always covers the window's oldest state and
-then every unknown LED (:class:`MarginalPrior`).
+quaternions update through their minimal space.  The prior is the
+window's only one: it starts as the initial-state prior and, for every
+unknown LED, a weak prior on its planar guess; sliding folds the oldest
+state into it by Schur complement at the current linearization, so it
+always covers the window's oldest state and then every unknown LED
+(:class:`MarginalPrior`).
 
 :func:`normal_equations` is the one evaluation of the factors: a
 stacked pass over the window in which every RSS sample (through the
@@ -122,8 +124,7 @@ class ConstraintConfig:
     use_nhc: bool = True
     nhc_sigma: float = 0.05  # m/s, lateral and vertical vehicle-frame velocity
     use_height: bool = False
-    height_sigma: float = 0.01  # m
-    pd_height: float = 0.0  # m, measured photodiode height for planar runs
+    height_sigma: float = 0.01  # m, about the receiver's pd_height
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class PriorConfig:
     bias_acc: float = 0.02
     bias_gyro: float = 2e-3
 
-    def sqrt_info_diag(self) -> np.ndarray:
+    def information_diag(self) -> np.ndarray:
         sig = np.array(
             [self.position] * 3 + [self.velocity] * 3
             + [self.rollpitch, self.rollpitch, self.heading]
@@ -224,12 +225,14 @@ def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
 
 @dataclass
 class MarginalPrior:
-    """Quadratic information carried over from marginalized variables, over
-    the window's oldest state (15 dims), then every unknown LED (2 each) in
-    :attr:`SlidingWindow.led_ids` order; a LED that no marginalized factor
-    saw has zero rows.  It adds ``0.5 d^T H d + g^T d`` to the cost, with
-    ``d = delta(window)``: the oldest state's error from ``state_lin``, then
-    each LED's offset from its row of ``led_lin`` (L, 2).
+    """The window's prior: the initial-state prior and the unknown LEDs'
+    weak priors, with the information of marginalized variables folded in.
+    It spans the window's oldest state (15 dims), then every unknown LED
+    (2 each) in :attr:`SlidingWindow.led_ids` order; a LED that no
+    marginalized factor saw keeps its weak prior's block alone.  It adds
+    ``0.5 d^T H d + g^T d`` to the cost, with ``d = delta(window)``: the
+    oldest state's error from ``state_lin``, then each LED's offset from
+    its row of ``led_lin`` (L, 2).
     """
 
     hessian: np.ndarray
@@ -238,7 +241,6 @@ class MarginalPrior:
     led_lin: np.ndarray
 
     def delta(self, window: "SlidingWindow") -> np.ndarray:
-        # The stored row, not a NavState copy: that would renormalize it.
         return np.concatenate([NavState.boxminus(window.states[0], self.state_lin),
                                (window.led_xy - self.led_lin).ravel()])
 
@@ -254,9 +256,9 @@ class SlidingWindow:
     IMU factor ``k`` joins states ``k`` and ``k + 1``.  ``rss`` holds the
     samples of LEDs on the map in state order (flagged ones at
     ``config.blocked_variance``).  The unknown LEDs ``led_ids`` (sorted
-    ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2)
-    and weak-prior centers ``led_init`` (L, 2), from the ``led_init``
-    guesses (id -> (x, y)) or else the map.  ``equations`` is the
+    ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2),
+    which start from the ``led_init`` guesses (id -> (x, y)) or else the
+    map.  ``prior`` is the window's one prior.  ``equations`` is the
     :class:`NormalEquations` of the current values that :func:`solve_lm`
     leaves behind; :meth:`append` and a re-integration drop it.
     """
@@ -274,9 +276,8 @@ class SlidingWindow:
         self.prior: MarginalPrior | None = None
         self.led_ids = sorted(config.unknown_led_ids)
         led_init = led_init or {}
-        self.led_init = np.array([led_init.get(i, self.led_map[i].position[:2])
-                                  for i in self.led_ids], dtype=float).reshape(-1, 2)
-        self.led_xy = self.led_init.copy()
+        self.led_xy = np.array([led_init.get(i, self.led_map[i].position[:2])
+                                for i in self.led_ids], dtype=float).reshape(-1, 2)
         self.equations: NormalEquations | None = None
 
     @property
@@ -318,8 +319,8 @@ class FactorRows:
     ``led`` is set and ``led[f]`` is not -1, the unknown LED ``led[f]``
     (its place in :attr:`SlidingWindow.led_ids`).  ``jac`` holds the
     (F, m, d) Jacobian of each state block, over the state's leading
-    ``d`` error dims, then the LED block's.  Rows come in non-decreasing
-    state order.
+    ``d`` error dims, then the LED block's.  Every factor touches a
+    state; rows come in non-decreasing state order.
     """
 
     r: np.ndarray
@@ -333,8 +334,8 @@ class FactorRows:
 
     def oldest(self) -> "FactorRows":
         """The rows whose first state is the window's oldest, a prefix of
-        the rows; none when the factors touch no state."""
-        n = int(np.searchsorted(self.states[0], 0, side="right")) if self.states else 0
+        the rows."""
+        n = int(np.searchsorted(self.states[0], 0, side="right"))
         return FactorRows(self.r[:n], self.info[:n], tuple(k[:n] for k in self.states),
                           tuple(J[:n] for J in self.jac),
                           None if self.led is None else self.led[:n])
@@ -508,15 +509,6 @@ class NormalEquations:
         return np.concatenate([x.ravel(), x_led]), schur
 
 
-def _led_prior_rows(window: SlidingWindow) -> FactorRows:
-    """Weak prior keeping unobserved unknown-LED blocks solvable."""
-    n = len(window.led_ids)
-    r = window.led_xy - window.led_init
-    w = 1.0 / window.config.unknown_led_prior_sigma**2
-    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-    return FactorRows(r, w * eye, (), (eye,), led=np.arange(n))
-
-
 def _imu_rows(factors, gravity, X: StateArrays) -> FactorRows:
     """Rows of the IMU factors ``factors``; factor ``k`` joins states ``k`` and ``k + 1``."""
     n = len(factors)
@@ -564,15 +556,16 @@ def _rss_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
     return FactorRows(r, info, (st,), (J, -dp_dr[:, None, :2]), led=j)
 
 
-def _constraint_rows(cfg: ConstraintConfig, X: StateArrays, R) -> FactorRows:
-    """Height (``p_z - pd_height``) and NHC (lateral and vertical vehicle-frame
-    velocity) rows of every state."""
+def _constraint_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
+    """Height (``p_z - pd_height``, the receiver's) and NHC (lateral and
+    vertical vehicle-frame velocity) rows of every state."""
+    cfg = window.config.constraints
     n = len(X.position)
     r, var, J = [], [], []
     if cfg.use_height:
         row = np.zeros((n, NAV_DIM))
         row[:, 2] = 1.0
-        r.append(X.position[:, 2] - cfg.pd_height)
+        r.append(X.position[:, 2] - window.rx.pd_height)
         var.append(cfg.height_sigma**2)
         J.append(row)
     if cfg.use_nhc:
@@ -602,20 +595,17 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
     factors.
 
     Every factor is evaluated with its Jacobian in one stacked numpy pass
-    per kind: the unknown-LED weak prior, the IMU factors, every RSS
-    sample and the constraints of every state.  Which factors take part
-    is decided here, once, so every iterate is scored by the same
-    function.  ``cost`` is ``sum 0.5 r^T W r`` over those factors, then
-    the marginal prior's quadratic.
+    per kind: the IMU factors, every RSS sample and the constraints of
+    every state.  Which factors take part is decided here, once, so every
+    iterate is scored by the same function.  ``cost`` is ``sum 0.5 r^T W
+    r`` over those factors, then the marginal prior's quadratic.
     """
     X = window.states
     R = quat_to_dcm_batch(X.attitude)
-    cfg = window.config
     rows = (
-        _led_prior_rows(window),
-        _imu_rows(window.imu_factors, cfg.gravity_vec, X),
+        _imu_rows(window.imu_factors, window.config.gravity_vec, X),
         _rss_rows(window, X, R),
-        _constraint_rows(cfg.constraints, X, R),
+        _constraint_rows(window, X, R),
     )
     ne = _reduce(window, len(X), rows)
     ne.cost += sum(r.cost() for r in rows)
@@ -796,12 +786,13 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     The factors are linearized once for the whole window: this reuses the
     pass :func:`solve_lm` left on the window (or takes a fresh one) and
     selects its rows of the oldest state, which are IMU factor 0 and the
-    oldest state's RSS samples and constraints, never the LED weak prior
-    (the window keeps it).  With the old prior they form a system over
-    the two oldest states and the LEDs, from whose dense view the oldest
-    state is eliminated.  On an indefinite marginal block the oldest
-    state's factors are dropped: the new prior keeps the old one's LED
-    part and has a zero state block.
+    oldest state's RSS samples and constraints.  With the old prior they
+    form a system over the two oldest states and the LEDs, from whose
+    dense view the oldest state is eliminated; a term on the LEDs alone,
+    such as their weak priors, passes through unchanged.  On an
+    indefinite marginal block the oldest state's factors are dropped: the
+    new prior keeps the old one's LED part and has a zero state block.
+    The new prior is linearized at the window's stored next state.
     """
     prior = window.prior
     # The old prior is folded in wholesale (re-centering a quadratic on new
@@ -941,11 +932,19 @@ class TightlyCoupledEstimator:
         self._epoch_counter = 0
 
     def start(self, state0: NavState, rss0: list[RssSample]) -> LmReport:
+        """Open the window with ``state0`` and solve it.
+
+        The window's prior starts diagonal: ``config.prior``'s widths on
+        ``state0`` and, for each unknown LED, a weak prior of
+        ``unknown_led_prior_sigma`` on its guess, which keeps a LED that no
+        sample reaches solvable.
+        """
         if self.window.n_states:
             raise RuntimeError("estimator already started")
         self.window.append(0, state0, None, rss0)
-        # A zero LED block: nothing is known of the LEDs beyond their weak prior.
-        info = np.pad(self.config.prior.sqrt_info_diag(), (0, 2 * len(self.window.led_ids)))
+        cfg = self.config
+        led_info = np.full(2 * len(self.window.led_ids), 1.0 / cfg.unknown_led_prior_sigma**2)
+        info = np.concatenate([cfg.prior.information_diag(), led_info])
         self.window.prior = MarginalPrior(np.diag(info), np.zeros(info.size), state0.copy(),
                                           self.window.led_xy.copy())
         return self._solve_and_record(rss0)
@@ -955,7 +954,6 @@ class TightlyCoupledEstimator:
             raise RuntimeError("estimator not started")
         self._epoch_counter += 1
         reintegrations = self._reintegrate()
-        # The stored row: a NavState copy would renormalize its attitude.
         seed = mechanize(pre, self.window.states[-1], self.config.gravity_vec, timestamp)
         if self.window.n_states >= self.config.window_size:
             self.smoothed.append(self.window.states.state(0))

@@ -169,12 +169,11 @@ class PreintegratedStack:
 
 
 def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
-                 noise: ImuNoise, t_end: float | None = None) -> PreintegratedImu:
+                 noise: ImuNoise, *, t_end: float) -> PreintegratedImu:
     """Integrate one epoch interval of IMU samples.
 
     Each sample integrates over the gap to the next timestamp; the last
-    sample integrates to ``t_end`` (default: the mean sample spacing past
-    the final timestamp).  Biases are VLP-frame.
+    sample integrates to ``t_end``.  Biases are VLP-frame.
     """
     bias_acc = np.asarray(bias_acc, dtype=float)
     bias_gyro = np.asarray(bias_gyro, dtype=float)
@@ -182,9 +181,6 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
 
     t = stream.timestamps
     n = t.size
-    if t_end is None:
-        spacing = np.mean(np.diff(t)) if n > 1 else 1e-2
-        t_end = float(t[-1] + spacing)
     if t_end <= t[-1]:
         raise ValueError("t_end must lie past the final sample")
     dts = np.empty(n)

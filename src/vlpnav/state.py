@@ -17,8 +17,6 @@ from .attitude import (
     quat_log,
     quat_multiply,
     quat_multiply_batch,
-    quat_normalize,
-    quat_normalize_batch,
 )
 
 #: Error-state dimension of one navigation state.
@@ -31,7 +29,10 @@ class NavState:
 
     ``position``/``velocity`` are room-frame (meters, m/s);
     ``attitude`` is the VLP-frame-to-room quaternion; biases are the
-    accelerometer and gyroscope biases expressed in the VLP frame.
+    accelerometer and gyroscope biases expressed in the VLP frame.  Every
+    field is stored as given, so a copy is exact; :meth:`perturb`
+    normalizes the attitude it returns, and ``quat_to_dcm`` rejects one
+    off unit norm where it is used.
     """
 
     timestamp: float
@@ -44,7 +45,7 @@ class NavState:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-        self.attitude = quat_normalize(np.asarray(self.attitude, dtype=float))
+        self.attitude = np.asarray(self.attitude, dtype=float)
         self.bias_acc = np.asarray(self.bias_acc, dtype=float)
         self.bias_gyro = np.asarray(self.bias_gyro, dtype=float)
 
@@ -91,8 +92,8 @@ class StateArrays:
     """A trajectory or a sliding window's states, stacked field by field:
     ``(N,)`` timestamps, ``(N, 3)`` position, velocity and biases, ``(N, 4)``
     attitude.  Rows hold the values as given: ``states[k]`` (1-D fields)
-    reads them bit for bit, while :meth:`state` builds a :class:`NavState`,
-    which renormalizes the quaternion."""
+    reads them and :meth:`state` copies them into a :class:`NavState`, both
+    bit for bit."""
 
     timestamps: np.ndarray
     position: np.ndarray
@@ -127,15 +128,15 @@ class StateArrays:
 
     def perturb(self, dx: np.ndarray) -> "StateArrays":
         """:meth:`NavState.perturb` of every row by its row of the (N, 15)
-        ``dx``, bit for bit: the attitude is normalized twice, as
-        ``quat_multiply`` and then ``NavState`` normalize it."""
+        ``dx``, bit for bit: the attitude is normalized once, by
+        ``quat_multiply_batch`` as ``quat_multiply`` does."""
         dx = np.asarray(dx, dtype=float)
         if dx.shape != (len(self), ERROR_DIM):
             raise ValueError(f"error vectors must be ({len(self)}, {ERROR_DIM})")
         dq = np.concatenate([np.ones((len(self), 1)), 0.5 * dx[:, 6:9]], axis=1)
         return StateArrays(self.timestamps, self.position + dx[:, 0:3],
                            self.velocity + dx[:, 3:6],
-                           quat_normalize_batch(quat_multiply_batch(self.attitude, dq)),
+                           quat_multiply_batch(self.attitude, dq),
                            self.bias_acc + dx[:, 9:12], self.bias_gyro + dx[:, 12:15])
 
 

@@ -64,9 +64,9 @@ NOISE = ImuNoise(accel_density=2.5e-3, gyro_density=3.6e-4,
                  accel_bias_walk=2e-4, gyro_bias_walk=2e-5)
 
 
-def make_rx(lever_arm=(0.0, 0.0, 0.0), fov_deg=90.0):
+def make_rx(lever_arm=(0.0, 0.0, 0.0), fov_deg=90.0, pd_height=0.0):
     return ReceiverConfig(area=1e-4, fov_half_angle=np.deg2rad(fov_deg),
-                          lever_arm=np.asarray(lever_arm, dtype=float))
+                          lever_arm=np.asarray(lever_arm, dtype=float), pd_height=pd_height)
 
 
 def make_leds(height=3.0, power=2e5):
@@ -130,13 +130,14 @@ def preintegrate_chain(streams, states, rx):
     ]
 
 
-def constraint_residuals(state: NavState, cfg: ConstraintConfig) -> np.ndarray:
+def constraint_residuals(state: NavState, cfg: ConstraintConfig,
+                         pd_height: float = 0.0) -> np.ndarray:
     """Stacked kinematic constraint residuals for one state.
 
     Height: ``p_z - pd_height``.  NHC: lateral and vertical components
     of the vehicle-frame velocity.
     """
-    return np.array([r for r, _, _ in _constraint_terms(state, cfg)], dtype=float)
+    return np.array([r for r, _, _ in _constraint_terms(state, cfg, pd_height)], dtype=float)
 
 
 def exact_rss(state, leds, rx, variance=0.01):
@@ -159,7 +160,7 @@ def exact_rss(state, leds, rx, variance=0.01):
 # with the per-factor constraint rows and IMU Jacobians it is built from.
 
 
-def _constraint_terms(state: NavState, cfg: ConstraintConfig):
+def _constraint_terms(state: NavState, cfg: ConstraintConfig, pd_height: float):
     """(residual, variance, 15-dim jacobian row) triples for one state.
 
     Height: ``p_z - pd_height``.  NHC: lateral and vertical components
@@ -169,7 +170,7 @@ def _constraint_terms(state: NavState, cfg: ConstraintConfig):
     if cfg.use_height:
         row = np.zeros(ERROR_DIM)
         row[2] = 1.0
-        out.append((state.position[2] - cfg.pd_height, cfg.height_sigma**2, row))
+        out.append((state.position[2] - pd_height, cfg.height_sigma**2, row))
     if cfg.use_nhc:
         R = quat_to_dcm(state.attitude)
         v_v = R.T @ state.velocity
@@ -273,7 +274,7 @@ def _loop_factors(window, state_ids, n_x, add):
                 blocks.append((led_col[led.led_id], led_block[None, :]))
             add(blocks, r, np.atleast_2d(1.0 / sample.variance))
     for k in state_ids:
-        for r, var, row in _constraint_terms(states[k], cfg.constraints):
+        for r, var, row in _constraint_terms(states[k], cfg.constraints, window.rx.pd_height):
             add([(ERROR_DIM * k, row[None, :])], r, np.atleast_2d(1.0 / var))
 
 
@@ -307,12 +308,6 @@ def loop_assemble_cost(window):
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
     if window.prior is not None:
         _add_loop_prior(window, n_x, H, g, cost)
-    w_led = 1.0 / window.config.unknown_led_prior_sigma**2
-    for j, d in enumerate(window.led_xy - window.led_init):
-        i0 = ERROR_DIM * n_x + 2 * j
-        cost[0] += 0.5 * w_led * float(d @ d)
-        H[i0:i0 + 2, i0:i0 + 2] += w_led * np.eye(2)
-        g[i0:i0 + 2] += w_led * d
     _loop_factors(window, range(n_x), n_x, _loop_adder(H, g, cost))
     return H, g, cost[0]
 
@@ -337,7 +332,7 @@ def loop_marginal_prior(window):
 # stacked one replaced, kept as its reference.
 
 
-def loop_preintegrate(stream, bias_acc, bias_gyro, dcm_body_to_vlp, noise, t_end=None):
+def loop_preintegrate(stream, bias_acc, bias_gyro, dcm_body_to_vlp, noise, *, t_end):
     """``preintegrate(...)`` with a dense 15x15 ``F`` and 15x12 ``G`` per sample."""
     bias_acc = np.asarray(bias_acc, dtype=float)
     bias_gyro = np.asarray(bias_gyro, dtype=float)
@@ -345,9 +340,6 @@ def loop_preintegrate(stream, bias_acc, bias_gyro, dcm_body_to_vlp, noise, t_end
 
     t = stream.timestamps
     n = t.size
-    if t_end is None:
-        spacing = np.mean(np.diff(t)) if n > 1 else 1e-2
-        t_end = float(t[-1] + spacing)
     if t_end <= t[-1]:
         raise ValueError("t_end must lie past the final sample")
     dts = np.empty(n)

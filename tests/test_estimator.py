@@ -165,9 +165,10 @@ class TestVlpJacobianRow:
 
 class TestConstraints:
     def test_height_zero_at_reference(self):
-        cfg = ConstraintConfig(use_nhc=False, use_height=True, pd_height=0.3)
+        cfg = ConstraintConfig(use_nhc=False, use_height=True)
         state = NavState(0.0, position=np.array([1.0, 1.0, 0.3]))
-        np.testing.assert_allclose(constraint_residuals(state, cfg), [0.0], atol=1e-15)
+        np.testing.assert_allclose(constraint_residuals(state, cfg, pd_height=0.3), [0.0],
+                                   atol=1e-15)
 
     def test_nhc_zero_for_forward_motion(self):
         cfg = ConstraintConfig(use_nhc=True)
@@ -276,8 +277,8 @@ class TestSolveLm:
         # Position-only quadratic: prior plus a height factor; attitude at
         # linearization so no retraction nonlinearity enters.
         config = make_config(constraints=ConstraintConfig(
-            use_nhc=False, use_height=True, height_sigma=0.02, pd_height=0.5))
-        window = fresh_window(config, leds=[])
+            use_nhc=False, use_height=True, height_sigma=0.02))
+        window = fresh_window(config, leds=[], rx=make_rx(pd_height=0.5))
         x_lin = NavState(0.0, position=np.array([1.0, 1.0, 0.2]))
         window.append(0, x_lin.copy(), None, [])
         window.prior = MarginalPrior(np.diag(np.full(ERROR_DIM, 25.0)), np.zeros(ERROR_DIM),
@@ -454,7 +455,7 @@ class TestSlideAndMarginalize:
         pres = preintegrate_chain(streams, states, rx)
         window = fresh_window(config)
         window.append(0, states[0].copy(), None, exact_rss(states[0], LEDS, rx))
-        window.prior = MarginalPrior(np.diag(config.prior.sqrt_info_diag()), np.zeros(ERROR_DIM),
+        window.prior = MarginalPrior(np.diag(config.prior.information_diag()), np.zeros(ERROR_DIM),
                                      states[0].copy(), np.zeros((0, 2)))
         from vlpnav.estimator import slide_and_marginalize
 
@@ -545,16 +546,43 @@ class TestUnknownLeds:
         assert not result.diverged
         assert np.linalg.norm(result.xy - LEDS[0].position[:2]) < 0.01
 
+    def test_unseen_led_keeps_its_weak_prior(self):
+        # LED 3 is unknown but no sample ever reaches it: through every
+        # slide, its block of the window's prior stays the weak prior that
+        # start() puts there, centred on its guess.
+        n, window_size = 8, 4
+        states, streams = build_chain(n)
+        pres = preintegrate_chain(streams, states, RX)
+        config = make_config(window_size=window_size, unknown_led_ids=(1, 3))
+        guess = LEDS[2].position[:2] + np.array([0.2, -0.1])
+        est = TightlyCoupledEstimator(config, LEDS, RX,
+                                      led_init={1: LEDS[0].position[:2], 3: guess})
+        seen = [led for led in LEDS if led.led_id != 3]
+        est.start(states[0].copy(), exact_rss(states[0], seen, RX))
+        w = 1.0 / config.unknown_led_prior_sigma**2
+        e = ERROR_DIM + 2  # the prior's rows of LED 3, after the state's and LED 1's
+        slides = 0
+        for k in range(1, n):
+            slides += est.window.n_states == window_size
+            est.step(pres[k - 1], exact_rss(states[k], seen, RX), states[k].timestamp)
+            prior = est.window.prior
+            np.testing.assert_array_equal(prior.hessian[e:, e:], w * np.eye(2))
+            np.testing.assert_array_equal(prior.hessian[e:, :e], 0.0)
+            np.testing.assert_array_equal(prior.hessian[:e, e:], 0.0)
+            np.testing.assert_array_equal(prior.gradient[e:], w * (prior.led_lin[1] - guess))
+        assert slides >= 3
+
     def test_stationary_geometry_flagged(self):
         # All observations from one spot: the LED direction never changes,
-        # so its planar block keeps the weak prior covariance (>> 1 m^2).
+        # so across it the planar block keeps the covariance of the initial
+        # prior's LED block (>> 1 m^2).
         unknown_id = LEDS[0].led_id
         config = make_config(window_size=10, unknown_led_ids=(unknown_id,))
-        window = fresh_window(config, led_init={unknown_id: LEDS[0].position[:2] + 0.3})
+        est = TightlyCoupledEstimator(config, LEDS, RX,
+                                      led_init={unknown_id: LEDS[0].position[:2] + 0.3})
         state = NavState(0.0, position=np.array([1.5, 1.5, 0.0]))
-        window.append(0, state, None, exact_rss(state, LEDS, RX))
-        report = solve_lm(window)
-        result = estimate_unknown_leds(window, report)[unknown_id]
+        report = est.start(state, exact_rss(state, LEDS, RX))
+        result = estimate_unknown_leds(est.window, report)[unknown_id]
         assert result.diverged or result.cov_trace > 1.0
 
 
@@ -570,7 +598,7 @@ def build_rich_window(unseen_led=False):
     factor of the oldest state reaches it.
     """
     rng = np.random.default_rng(11)
-    rx = make_rx(lever_arm=(0.15, -0.05, 0.08), fov_deg=60.0)
+    rx = make_rx(lever_arm=(0.15, -0.05, 0.08), fov_deg=60.0, pd_height=0.05)
     states, streams = build_chain(5, bias_acc=[0.01, -0.02, 0.005],
                                   bias_gyro=[1e-3, 2e-3, -1e-3])
     pres = preintegrate_chain(streams, states, rx)
@@ -580,8 +608,7 @@ def build_rich_window(unseen_led=False):
         LedBeacon(led_id=8, position=np.array([12.0, 1.5, 3.0]), power=2e5),  # outside FOV
         LedBeacon(led_id=9, position=pd2, power=2e5),  # at epoch 2's photodiode
     ]
-    config = make_config(constraints=ConstraintConfig(use_nhc=True, use_height=True,
-                                                      pd_height=0.05),
+    config = make_config(constraints=ConstraintConfig(use_nhc=True, use_height=True),
                          unknown_led_ids=(1, 3) if unseen_led else (1,))
     window = fresh_window(config, leds=leds, rx=rx, led_init={
         1: LEDS[0].position[:2] + np.array([0.2, -0.15]),
@@ -598,8 +625,13 @@ def build_rich_window(unseen_led=False):
     n = ERROR_DIM + 2 * len(window.led_ids)
     A = rng.normal(size=(n, n))
     led_lin = np.array([LEDS[0].position[:2], LEDS[2].position[:2]])[:len(window.led_ids)]
-    window.prior = MarginalPrior(A @ A.T + np.eye(n), rng.normal(size=n), states[0].copy(),
-                                 led_lin)
+    hessian, gradient = A @ A.T + np.eye(n), rng.normal(size=n)
+    # The LEDs' weak priors on their guesses, as TightlyCoupledEstimator.start
+    # puts them in the window's prior, re-centred on led_lin.
+    w = 1.0 / config.unknown_led_prior_sigma**2
+    hessian[ERROR_DIM:, ERROR_DIM:] += w * np.eye(n - ERROR_DIM)
+    gradient[ERROR_DIM:] += w * (led_lin - window.led_xy).ravel()
+    window.prior = MarginalPrior(hessian, gradient, states[0].copy(), led_lin)
     return window
 
 

@@ -158,13 +158,6 @@ class TestStackedMatchesLoop:
         assert pre.t_end == 0.26
         assert pre.dt == pytest.approx(0.01)
 
-    def test_default_t_end(self):
-        rng = np.random.default_rng(23)
-        stream = random_motion_stream(rng, n=120)
-        R_bv = quat_to_dcm(quat_from_euler(0.0, 0.05, 1.2))
-        pre = self.assert_matches(stream, [0.02, -0.01, 0.0], [0.0, 1e-3, -1e-3], R_bv, None)
-        assert pre.t_end == pytest.approx(stream.timestamps[-1] + 1.0 / 200.0)
-
 
 class TestBiasCorrected:
     def test_identity_at_linearization(self):

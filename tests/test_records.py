@@ -34,7 +34,7 @@ class TestEstimatorConfig:
             base, window_size=7, blocked_variance=50.0, gravity=(0.0, 0.0, -9.8),
             imu_noise=ImuNoise(1e-3, 2e-4, 3e-5, 4e-6),
             constraints=ConstraintConfig(use_nhc=False, nhc_sigma=0.1, use_height=True,
-                                         height_sigma=0.02, pd_height=0.3),
+                                         height_sigma=0.02),
             lm=LmOptions(max_iterations=9, cost_reduction_tol=1e-7, step_norm_tol=1e-9,
                          lambda_init=1e-3, lambda_max=1e6),
             prior=PriorConfig(position=0.3, velocity=0.1, rollpitch=0.05, heading=0.01,
@@ -77,6 +77,7 @@ class TestEstimatorConfig:
         ({"constraints": {"use_nhc": 0}}, "expected bool"),
         ({"gravity": 9.8}, "expected a list"),
         ({"unknown_led_ids": ["a"]}, "expected int"),
+        ({"constraints": {"pd_height": 0.3}}, "unknown field"),  # the receiver's
     ])
     def test_bad_record_rejected(self, mini, d, message):
         with pytest.raises(ValueError, match=message):

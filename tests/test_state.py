@@ -4,7 +4,7 @@ trajectory file that ``cli._write_trajectory`` writes and
 
 import numpy as np
 
-from vlpnav.attitude import quat_from_euler
+from vlpnav.attitude import quat_from_euler, quat_normalize
 from vlpnav.cli import _write_trajectory
 from vlpnav.dataio import load_trajectory
 from vlpnav.state import ERROR_DIM, NavState, StateArrays
@@ -44,6 +44,17 @@ class TestStateArrays:
             assert copy.timestamp == s.timestamp
             copy.position[0] += 1.0
             assert traj.position[k, 0] == s.position[0]
+
+    def test_copies_keep_attitude_bits(self):
+        # An attitude a rounding off unit norm, which renormalizing changes.
+        q = quat_from_euler(0.3, -0.2, 1.1) * (1.0 + 2.0**-50)
+        assert not np.array_equal(quat_normalize(q), q)
+        state = NavState(0.0, attitude=q)
+        np.testing.assert_array_equal(state.attitude, q)
+        np.testing.assert_array_equal(state.copy().attitude, q)
+        traj = StateArrays.of([state])
+        np.testing.assert_array_equal(traj.attitude[0], q)
+        np.testing.assert_array_equal(traj.state(0).attitude, q)
 
 
 class TestTrajectoryFile:
