@@ -150,8 +150,15 @@ def _write_tags(path, tag_rows):
                header="timestamp_s,led_id,tag,counter", comments="")
 
 
+def _load_dataset(path) -> Dataset:
+    try:
+        return load_dataset(path)
+    except ValueError as e:
+        raise InputError(f"malformed dataset: {e}") from e
+
+
 def cmd_detect(args) -> int:
-    dataset = load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset)
     flags, tag_rows = run_detection(dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,7 +211,7 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
 
 
 def cmd_estimate(args) -> int:
-    dataset = load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset)
     config = _estimator_config(args, dataset)
     unknown_init = _unknown_init(args, dataset, config)
 

@@ -161,22 +161,33 @@ class Dataset:
         return np.asarray(self.manifest["gravity"], dtype=float)
 
 
-def load_trajectory(path) -> StateArrays:
-    """Read a ``trajectory.csv`` or ``truth.csv`` file: a header, then rows of
-    at least 14 numbers, with biases in columns 15-20 if present (zero in a
-    ``truth.csv``).  Raises ``ValueError`` on anything else."""
+def _read_rows(path, columns: int, exact: bool = True) -> np.ndarray:
+    """The rows of a CSV file after its header line.  Raises ``ValueError``
+    naming the file unless it has a row and every row has ``columns``
+    numbers (at least that many when not ``exact``)."""
     with warnings.catch_warnings():
         # A file without rows is reported below, not as numpy's warning.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         a = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if a.shape[1] < 14:  # a file without rows reads as (0, 1)
-        raise ValueError(f"{path}: expected rows of at least 14 numbers, "
-                         f"read {a.shape[0]} rows of {a.shape[1]}")
+    if len(a) == 0 or (a.shape[1] != columns if exact else a.shape[1] < columns):
+        raise ValueError(f"{path}: expected rows of {'' if exact else 'at least '}{columns} "
+                         f"numbers, read {a.shape[0]} rows of {a.shape[1]}")
+    return a
+
+
+def load_trajectory(path) -> StateArrays:
+    """Read a ``trajectory.csv`` or ``truth.csv`` file: a header, then rows of
+    at least 14 numbers, with biases in columns 15-20 if present (zero in a
+    ``truth.csv``).  Raises ``ValueError`` on anything else."""
+    a = _read_rows(path, 14, exact=False)
     biases = a[:, 14:20] if a.shape[1] >= 20 else np.zeros((len(a), 6))
     return StateArrays(a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:11], biases[:, :3], biases[:, 3:])
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset directory.  Raises ``ValueError`` naming the file when
+    ``imu.csv``, ``rss_raw.csv`` or ``rss_epoch.csv`` has no rows or rows of
+    the wrong length."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
@@ -184,10 +195,10 @@ def load_dataset(path) -> Dataset:
     leds = [LedBeacon.from_record(r) for r in json.loads((path / "leds.json").read_text())]
     receiver = ReceiverConfig.from_record(manifest["receiver"])
 
-    imu_arr = np.loadtxt(path / "imu.csv", delimiter=",", skiprows=1)
+    imu_arr = _read_rows(path / "imu.csv", 7)
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
 
-    raw_arr = np.loadtxt(path / "rss_raw.csv", delimiter=",", skiprows=1)
+    raw_arr = _read_rows(path / "rss_raw.csv", 3)
     raw_times: dict[int, np.ndarray] = {}
     raw_values: dict[int, np.ndarray] = {}
     for led_id in np.unique(raw_arr[:, 1]).astype(int):
@@ -195,11 +206,10 @@ def load_dataset(path) -> Dataset:
         raw_times[int(led_id)] = raw_arr[mask, 0]
         raw_values[int(led_id)] = raw_arr[mask, 2]
 
-    ep_arr = np.loadtxt(path / "rss_epoch.csv", delimiter=",", skiprows=1)
     epoch_samples = [
         RssSample(timestamp=float(r[0]), led_id=int(r[1]), value=float(r[2]),
                   variance=float(r[3]), flag=_FLAGS[int(r[4])])
-        for r in np.atleast_2d(ep_arr)
+        for r in _read_rows(path / "rss_epoch.csv", 5)
     ]
 
     truth = load_trajectory(path / "truth.csv") if (path / "truth.csv").exists() else None

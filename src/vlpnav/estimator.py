@@ -26,16 +26,15 @@ LED, so the pass reduces them, with the prior, to a block-tridiagonal
 Hessian over the states with a border of LED columns
 (:class:`NormalEquations`), and sets the cost.  LM evaluates each trial
 point once this way: the cost decides the step, and an accepted point's
-equations give the next step, solved by block elimination (the states
-first to last, then the LED block, then back-substitution) in time
+equations give the next step, solved by block elimination in time
 linear in the window length.  LM stops when the damped system's own
 predicted decrease is negligible, without evaluating that step, and
-damps by the gain ratio (Nielsen's rule).  The window keeps the pass of
-its final values: :func:`_marginalize_oldest` selects from it the rows
-of the oldest state's factors, which span the two oldest states and the
-LEDs, and eliminates the oldest state from their dense view, and
-:func:`estimate_unknown_leds` reads the unknown LEDs' covariance from
-the same pass (the LED block's Schur complement).  :func:`assemble_cost`
+damps by the gain ratio (Nielsen's rule).  The elimination's forward
+pass, :meth:`NormalEquations.eliminate`, is the one Schur step.  The
+window keeps the pass of its final values: :func:`_marginalize_oldest`
+takes the rows of the oldest state's factors from it and eliminates
+that state by one step, and :func:`estimate_unknown_leds` inverts the
+LED block left once every state is eliminated.  :func:`assemble_cost`
 is the dense view of the whole window.
 :func:`vlp_residual` and :func:`vlp_jacobian_row` state the RSS factor
 one sample at a time.
@@ -467,33 +466,29 @@ class NormalEquations:
         i = np.arange(ERROR_DIM)
         return np.concatenate([self.diag[:, i, i].ravel(), np.diag(self.led)])
 
-    def solve(self, shift=0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Solve ``(H + diag(shift)) dx = -g`` by block elimination.
-
-        The states are eliminated first to last, each 15x15 pivot by an LU
-        solve, carrying the LED border along; then the LED block is solved
-        and the states are back-substituted.  No symmetry is assumed.
-        Returns ``dx`` and the LED block's Schur complement (the LEDs'
-        information with every state marginalized out).  A singular pivot
-        raises ``LinAlgError``; a non-finite system gives a non-finite
-        ``dx``.
-        """
+    def eliminate(self, shift=0.0, count=None):
+        """Eliminate the first ``count`` states (default all) from
+        ``(H + diag(shift)) dx = -g``, first to last, each 15x15 pivot by an
+        LU solve; no symmetry is assumed.  Returns ``(X, S, R, B, C)``:
+        ``X`` the solved pivot rows ``[upper | arrow | rhs]`` of the
+        eliminated states, then what is left, the Schur complement with
+        gradient ``-rhs``: per remaining state its pivot ``S``, rows ``R``
+        and LED rows' block ``B``, and the LED rows ``C`` (``[led | rhs]``).
+        A singular pivot raises ``LinAlgError``."""
         e, (n, _, l2) = ERROR_DIM, self.arrow.shape
+        count = n if count is None else count
         shift = np.broadcast_to(shift, self.g.shape)
         i = np.arange(e)
         S = self.diag.copy()
         S[:, i, i] += shift[:e * n].reshape(n, e)
-        # As the forward pass reduces them: per state, the row blocks
-        # [upper | arrow | rhs] and the LED rows' block ``B``; the LED rows
-        # [led | rhs].
         R = np.zeros((n, e, e + l2 + 1))
         R[:-1, :, :e] = self.upper
         R[:, :, e:-1] = self.arrow
         R[:, :, -1] = -self.g_x
         B = np.swapaxes(self.arrow, 1, 2).copy()
         C = np.concatenate([self.led + np.diag(shift[e * n:]), -self.g[e * n:, None]], axis=1)
-        X = np.empty_like(R)
-        for k in range(n):
+        X = np.empty_like(R[:count])
+        for k in range(count):
             X[k] = np.linalg.solve(S[k], R[k])
             C -= B[k] @ X[k, :, e:]
             if k + 1 < n:
@@ -501,12 +496,18 @@ class NormalEquations:
                 S[k + 1] -= LX[:, :e]
                 R[k + 1, :, e:] -= LX[:, e:]
                 B[k + 1] -= B[k] @ X[k, :, :e]
-        schur = C[:, :-1]
-        x_led = np.linalg.solve(schur, C[:, -1]) if l2 else np.zeros(0)
-        x = X[:, :, -1] - X[:, :, e:-1] @ x_led
-        for k in range(n - 2, -1, -1):
-            x[k] -= X[k, :, :e] @ x[k + 1]
-        return np.concatenate([x.ravel(), x_led]), schur
+        return X, S[count:], R[count:], B[count:], C
+
+    def solve(self, shift=0.0) -> np.ndarray:
+        """Solve ``(H + diag(shift)) dx = -g``: :meth:`eliminate` every state,
+        solve the LED block, back-substitute.  Non-finite input gives a
+        non-finite ``dx``."""
+        X, _, _, _, C = self.eliminate(shift)
+        x_led = np.linalg.solve(C[:, :-1], C[:, -1]) if len(C) else np.zeros(0)
+        x = X[:, :, -1] - X[:, :, ERROR_DIM:-1] @ x_led
+        for k in range(len(x) - 2, -1, -1):
+            x[k] -= X[k, :, :ERROR_DIM] @ x[k + 1]
+        return np.concatenate([x.ravel(), x_led])
 
 
 def _imu_rows(factors, gravity, X: StateArrays) -> FactorRows:
@@ -711,7 +712,7 @@ def solve_lm(window: SlidingWindow) -> LmReport:
     for _ in range(opts.max_iterations):
         shift = lam * np.clip(ne.diagonal(), 1e-12, None)
         try:
-            dx, _ = ne.solve(shift)
+            dx = ne.solve(shift)
         except np.linalg.LinAlgError:
             dx = None
         rho = predicted = math.nan
@@ -756,27 +757,23 @@ def solve_lm(window: SlidingWindow) -> LmReport:
 # Marginalization
 
 
-def schur_marginalize(H: np.ndarray, g: np.ndarray, n_marg: int):
-    """Eliminate the leading ``n_marg`` dims of a quadratic (H, g).
+def _indefinite(pivot: np.ndarray) -> bool:
+    """Whether a block's symmetric part has an eigenvalue below -1e-9 x its largest one."""
+    w = np.linalg.eigvalsh(0.5 * (pivot + pivot.T))
+    return w[0] < -1e-9 * max(np.abs(w).max(), 1e-30)
 
-    Returns the reduced ``(H', g')`` over the remaining dims, or ``None``
-    when the marginal block is indefinite (negative eigenvalue beyond
-    round-off), in which case the caller should drop the factors instead.
-    """
-    Hmm = 0.5 * (H[:n_marg, :n_marg] + H[:n_marg, :n_marg].T)
-    Hmr = H[:n_marg, n_marg:]
-    Hrr = H[n_marg:, n_marg:]
-    gm = g[:n_marg]
-    gr = g[n_marg:]
-    w, V = np.linalg.eigh(Hmm)
-    scale = max(np.max(np.abs(w)), 1e-30)
-    if np.min(w) < -1e-9 * scale:
+
+def schur_marginalize(H: np.ndarray, g: np.ndarray, n_marg: int):
+    """Eliminate the leading ``n_marg`` dims of a quadratic (H, g), the
+    dense form of :meth:`NormalEquations.eliminate`'s step: the reduced
+    ``(H', g')`` (``H'`` symmetrized), or ``None`` when the marginal block
+    is indefinite and the caller should drop the factors instead."""
+    if _indefinite(H[:n_marg, :n_marg]):
         return None
-    inv_w = np.where(w > 1e-12 * scale, 1.0 / np.maximum(w, 1e-300), 0.0)
-    Hmm_inv = (V * inv_w) @ V.T
-    H_new = Hrr - Hmr.T @ Hmm_inv @ Hmr
-    g_new = gr - Hmr.T @ Hmm_inv @ gm
-    return 0.5 * (H_new + H_new.T), g_new
+    Hg = np.column_stack([H, g])
+    Y = np.linalg.solve(H[:n_marg, :n_marg], Hg[:n_marg, n_marg:])
+    reduced = Hg[n_marg:, n_marg:] - H[n_marg:, :n_marg] @ Y
+    return 0.5 * (reduced[:, :-1] + reduced[:, :-1].T), reduced[:, -1]
 
 
 def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
@@ -787,20 +784,22 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     pass :func:`solve_lm` left on the window (or takes a fresh one) and
     selects its rows of the oldest state, which are IMU factor 0 and the
     oldest state's RSS samples and constraints.  With the old prior they
-    form a system over the two oldest states and the LEDs, from whose
-    dense view the oldest state is eliminated; a term on the LEDs alone,
-    such as their weak priors, passes through unchanged.  On an
-    indefinite marginal block the oldest state's factors are dropped: the
-    new prior keeps the old one's LED part and has a zero state block.
-    The new prior is linearized at the window's stored next state.
+    form a system over the two oldest states and the LEDs; its first
+    :meth:`NormalEquations.eliminate` step leaves the new prior, in which
+    a term on the LEDs alone passes through unchanged.  On an indefinite
+    marginal block the oldest state's factors are dropped: the new prior
+    keeps the old one's LED part and has a zero state block.  The new
+    prior is linearized at the window's stored next state.
     """
     prior = window.prior
     # The old prior is folded in wholesale (re-centering a quadratic on new
     # linearization points is exact), so nothing is lost.
     ne = _reduce(window, 2, tuple(rows.oldest() for rows in _equations(window).rows))
-    reduced = schur_marginalize(ne.dense(), ne.g, ERROR_DIM)
-    if reduced is not None:
-        return MarginalPrior(*reduced, window.states.state(1), window.led_xy.copy())
+    if not _indefinite(ne.diag[0]):
+        _, (S,), (R,), (B,), C = ne.eliminate(count=1)
+        H = np.block([[S, R[:, ERROR_DIM:-1]], [B, C[:, :-1]]])
+        return MarginalPrior(0.5 * (H + H.T), -np.concatenate([R[:, -1], C[:, -1]]),
+                             window.states.state(1), window.led_xy.copy())
     logger.warning("indefinite marginal block; dropping factors of epoch %d",
                    window.epoch_ids[0])
     if prior is None:
@@ -870,19 +869,19 @@ def estimate_unknown_leds(window: SlidingWindow,
                           report: LmReport | None = None) -> dict[int, LedEstimate]:
     """Read back unknown-LED estimates and marginal covariances.
 
-    The covariance is the inverse of the LED block's Schur complement,
-    with every state marginalized out of ``H + 1e-12 I``, where ``H`` is
-    the pass :func:`solve_lm` kept (or a fresh one).  A LED is
-    flagged diverged when the optimizer failed to converge with its
-    planar step still growing.  It is also flagged when its marginal
-    covariance trace exceeds ``LED_COV_THRESHOLD`` (weak geometry; compare
-    a DOP map).
+    The covariance is the inverse of the LED block that
+    :meth:`NormalEquations.eliminate` leaves after eliminating every state
+    from ``H + 1e-12 I``, where ``H`` is the pass :func:`solve_lm` kept
+    (or a fresh one).  A LED is flagged diverged when the optimizer failed
+    to converge with its planar step still growing.  It is also flagged
+    when its marginal covariance trace exceeds ``LED_COV_THRESHOLD`` (weak
+    geometry; compare a DOP map).
     """
     out = {}
     if not window.led_ids:
         return out
     # The LED block's Schur complement is the inverse of their covariance.
-    cov_full = np.linalg.inv(_equations(window).solve(1e-12)[1])
+    cov_full = np.linalg.inv(_equations(window).eliminate(1e-12)[-1][:, :-1])
     steps = [it.led_step for it in (report.iterations if report else []) if it.accepted]
     growing = len(steps) >= 3 and steps[-1] > steps[-2] > steps[-3] and steps[-1] > 1e-3
     non_conv = report is not None and not report.converged

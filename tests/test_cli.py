@@ -120,6 +120,26 @@ class TestDetect:
         assert not out.exists()
 
 
+class TestMalformedDataset:
+    @pytest.mark.parametrize("name", ["rss_epoch.csv", "rss_raw.csv", "imu.csv"])
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_header_only_file_exit_2(self, mini_dataset, tmp_path, command, name):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        header = (data / name).read_text().splitlines()[0]
+        (data / name).write_text(header + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_detect_one_raw_row(self, mini_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        lines = (data / "rss_raw.csv").read_text().splitlines()
+        (data / "rss_raw.csv").write_text("\n".join(lines[:2]) + "\n")
+        assert main(["detect", "--dataset", str(data), "--out", str(tmp_path / "det")]) == 0
+
+
 @pytest.fixture(scope="module")
 def tc_run(mini_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "tc"

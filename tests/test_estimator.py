@@ -1,6 +1,7 @@
 import logging
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -635,6 +636,18 @@ def build_rich_window(unseen_led=False):
     return window
 
 
+def exact_schur_hessian(H, n_marg):
+    """The Schur complement of ``H``'s leading ``n_marg`` dims, symmetrized,
+    computed in exact rational arithmetic and rounded once at the end."""
+    A = [[Fraction(x) for x in row] for row in H.tolist()]
+    for k in range(n_marg):
+        for i in range(k + 1, len(A)):
+            f = A[i][k] / A[k][k]
+            A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    rest = range(n_marg, len(A))
+    return np.array([[float((A[i][j] + A[j][i]) / 2) for j in rest] for i in rest])
+
+
 class TestBatchedLinearization:
     """The stacked linearization against the per-factor loop it replaced."""
 
@@ -685,6 +698,18 @@ class TestBatchedLinearization:
             np.testing.assert_allclose(kept.hessian, H_ref, rtol=self.RTOL, atol=0)
             np.testing.assert_allclose(kept.gradient, g_ref, rtol=self.RTOL, atol=0)
 
+    def test_marginal_prior_matches_exact_elimination(self):
+        # The two-state system is ill-conditioned (the bias random walk
+        # ties the two states' biases tightly), so the reference eliminates
+        # the oldest state of the same float matrix in exact rational
+        # arithmetic.  An LU step is within 2e-11 of its largest entry.
+        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+            rows = tuple(r.oldest() for r in normal_equations(window).rows)
+            ne = estimator._reduce(window, 2, rows)
+            H_ref = exact_schur_hessian(ne.dense(), ERROR_DIM)
+            prior = _marginalize_oldest(window)
+            assert np.abs(prior.hessian - H_ref).max() < 1e-10 * np.abs(H_ref).max()
+
     def test_grazing_sample_left_out_of_cost(self):
         # A LED level with the photodiode: cos(psi) = 0 is inside a 90 deg
         # FOV but grazing, so the sample must not count.
@@ -729,7 +754,8 @@ class TestBlockSolve:
         window = self.WINDOWS[name]()
         ne = normal_equations(window)
         shift = lam * np.clip(ne.diagonal(), 1e-12, None)
-        dx, schur = ne.solve(shift)
+        dx = ne.solve(shift)
+        schur = ne.eliminate(shift)[-1][:, :-1]
         np.testing.assert_array_equal(ne.diagonal(), np.diag(ne.dense()))
         A = ne.dense() + np.diag(shift)
         np.testing.assert_allclose(dx, np.linalg.solve(A, -ne.g), rtol=1e-10, atol=0)
@@ -749,7 +775,7 @@ class TestBlockSolve:
         def backward_error(x):
             return np.linalg.norm(H @ x + ne.g) / (np.linalg.norm(H, 2) * np.linalg.norm(x))
 
-        dx, _ = ne.solve()
+        dx = ne.solve()
         assert backward_error(dx) < 1e-15
         np.testing.assert_allclose(dx, np.linalg.solve(H, -ne.g), rtol=1e-6, atol=0)
 
