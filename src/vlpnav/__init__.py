@@ -6,7 +6,7 @@ detects light blockages on the raw RSS stream, and ships a deterministic
 simulator plus reference baselines for comparison runs.
 """
 
-from .channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag
+from .channel import EPOCH_RSS, LedBeacon, ReceiverConfig, SampleFlag
 from .estimator import (
     ConstraintConfig,
     EstimatorConfig,
@@ -18,6 +18,7 @@ from .simulator import Scenario, reference_scenarios
 from .state import NavState
 
 __all__ = [
+    "EPOCH_RSS",
     "ConstraintConfig",
     "EstimatorConfig",
     "ImuNoise",
@@ -26,7 +27,6 @@ __all__ = [
     "NavState",
     "PreintegratedImu",
     "ReceiverConfig",
-    "RssSample",
     "SampleFlag",
     "Scenario",
     "SlidingWindow",

@@ -70,7 +70,8 @@ def _inside(p, bounds, margin=0.5) -> bool:
 def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, pose, x,
                   regularizer, bounds,
                   limits=None) -> tuple[PositionFix, np.ndarray, np.ndarray | None]:
-    """Gauss-Newton fit of the parameters ``x`` (d,) to one epoch's LOS samples.
+    """Gauss-Newton fit of the parameters ``x`` (d,) to the LOS rows of one
+    epoch's samples (``EPOCH_RSS``).
 
     ``pose`` maps a (K, d) stack of parameters to photodiode positions and
     room-frame normals, each (K, 3).  Each iteration is one
@@ -80,16 +81,16 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
     ``limits`` (lo, hi) clip ``x`` after each capped step.  Returns the
     fix (no covariance or attitude), the final ``x`` and normal matrix.
     """
-    usable = [s for s in samples if s.flag is SampleFlag.LOS]
+    usable = samples[samples["flag"] == SampleFlag.LOS]
     d = x.size
-    failed = PositionFix(samples[0].timestamp if samples else 0.0, None, None,
+    failed = PositionFix(float(samples["timestamp"][0]) if len(samples) else 0.0, None, None,
                          len(usable), np.inf)
     if len(usable) < d:
         return failed, x, None
     table = LedTable.of(led_map.values(), rx)
-    li = np.array([table.row[s.led_id] for s in usable])
-    value = np.array([s.value for s in usable])
-    sigma = np.sqrt([s.variance for s in usable])
+    li = np.array([table.row[i] for i in usable["led_id"].tolist()])
+    value = usable["value"]
+    sigma = np.sqrt(usable["variance"])
 
     def residuals(pos, normal):
         """Whitened residuals (K, S) of K poses, NaN out of the FOV."""
@@ -129,7 +130,7 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
             or np.linalg.norm(step) > 0.05 or not _inside(pos[0], bounds)):
         return failed, x, None
     rms = float(np.sqrt(np.mean(r[good] ** 2)))
-    return PositionFix(usable[0].timestamp, pos[0], None, len(usable), rms), x, H
+    return PositionFix(float(usable["timestamp"][0]), pos[0], None, len(usable), rms), x, H
 
 
 def solve_position_rss(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig,
@@ -191,10 +192,10 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
     return fix
 
 
-def initial_state(dataset, flags: dict) -> NavState:
+def initial_state(dataset, flags) -> NavState:
     """First-epoch state: leveling + manifest heading + RSS position fix.
 
-    ``flags`` maps (timestamp, led_id) -> SampleFlag, as for
+    ``flags`` holds a SampleFlag code per epoch sample, as for
     :meth:`Dataset.epochs_by_time`.
     """
     t0, samples0 = dataset.epochs_by_time(flags)[0]
@@ -223,7 +224,7 @@ def initial_state(dataset, flags: dict) -> NavState:
 def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
     """Per-epoch snapshot fixes over a whole dataset.
 
-    ``flags_by_epoch`` maps (timestamp, led_id) -> SampleFlag from the
+    ``flags_by_epoch`` holds a SampleFlag code per epoch sample, from the
     detector (or all-LOS for the no-detection control).  Returns a list
     of PositionFix (photodiode positions).
     """

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag
+from .channel import LedBeacon, ReceiverConfig, SampleFlag
 
 
 class UndefinedRatioError(ValueError):
@@ -112,30 +112,21 @@ def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
     reachable height range, not the full room, or near-ceiling poses
     inflate the bound.
     """
-    room_min = np.asarray(room_min, dtype=float)
-    room_max = np.asarray(room_max, dtype=float)
-    max_tilt = np.deg2rad(cfg.max_tilt_deg)
-    best = 0.0
-    xs, ys, zs = (np.linspace(room_min[i], room_max[i], THRESHOLD_GRID) for i in range(3))
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                d = led.position - np.array([x, y, z])
-                dist = float(np.linalg.norm(d))
-                if dist < 1e-6:
-                    continue
-                cos_theta = float(led.normal @ d / dist)
-                if cos_theta <= 1e-3:
-                    continue
-                psi_geom = np.arccos(np.clip(d[2] / dist, -1.0, 1.0))
-                psi = min(psi_geom + max_tilt, PSI_CAP)
-                cos_psi = np.cos(psi)
-                thr = np.tan(psi) * cfg.omega_max + (
-                    1.0 / (dist * cos_psi)
-                    + led.order / (dist * cos_theta)
-                    + (3.0 + led.order) / dist
-                ) * cfg.v_max
-                best = max(best, float(thr))
+    axes = (np.linspace(room_min[i], room_max[i], THRESHOLD_GRID) for i in range(3))
+    d = led.position - np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    # Row-by-row dot products, so each grid point rounds as a one-point evaluation.
+    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_theta = (d[:, None, :] @ led.normal[:, None])[:, 0, 0] / dist
+        psi = np.minimum(np.arccos(np.clip(d[:, 2] / dist, -1.0, 1.0))
+                         + np.deg2rad(cfg.max_tilt_deg), PSI_CAP)
+        cos_psi = np.cos(psi)
+        thr = np.tan(psi) * cfg.omega_max + (
+            1.0 / (dist * cos_psi)
+            + led.order / (dist * cos_theta)
+            + (3.0 + led.order) / dist
+        ) * cfg.v_max
+    best = float(thr[(dist >= 1e-6) & (cos_theta > 1e-3)].max(initial=0.0))
     if best == 0.0:
         raise ValueError("no valid geometry inside the box for this LED")
     return best
@@ -221,9 +212,9 @@ class DrdDetector:
         return out
 
 
-def annotate_epochs(samples: list[RssSample], raw_times, raw_tags,
-                    window: float) -> list[RssSample]:
-    """Flag epoch samples from one LED's raw detector tags.
+def annotate_epochs(times, tag_times, tags, window: float) -> np.ndarray:
+    """:class:`SampleFlag` codes of one LED's epoch samples at ``times``,
+    from the detector ``tags`` of its raw samples at ``tag_times``.
 
     An epoch centered at ``t`` summarizes the demodulation window
     ``[t - window/2, t + window/2)``; if any raw sample inside it is
@@ -232,18 +223,9 @@ def annotate_epochs(samples: list[RssSample], raw_times, raw_tags,
     coverage are flagged OUT_OF_FOV, the invalid-measurement marker.
     Variances are kept; the estimator down-weights flagged samples.
     """
-    raw_times = np.asarray(raw_times, dtype=float)
-    raw_tags = np.asarray(raw_tags, dtype=bool)
-    out = []
-    for s in samples:
-        lo = np.searchsorted(raw_times, s.timestamp - window / 2.0, side="left")
-        hi = np.searchsorted(raw_times, s.timestamp + window / 2.0, side="left")
-        if hi <= lo:
-            flag = SampleFlag.OUT_OF_FOV
-        elif raw_tags[lo:hi].any():
-            flag = SampleFlag.BLOCKED
-        else:
-            flag = SampleFlag.LOS
-        out.append(RssSample(timestamp=s.timestamp, led_id=s.led_id, value=s.value,
-                             variance=s.variance, flag=flag))
-    return out
+    times = np.asarray(times, dtype=float)
+    lo = np.searchsorted(tag_times, times - window / 2.0, side="left")
+    hi = np.searchsorted(tag_times, times + window / 2.0, side="left")
+    tagged = np.concatenate([[0], np.cumsum(tags)])
+    return np.where(hi <= lo, SampleFlag.OUT_OF_FOV,
+                    np.where(tagged[hi] > tagged[lo], SampleFlag.BLOCKED, SampleFlag.LOS))

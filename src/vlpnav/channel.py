@@ -41,12 +41,19 @@ class GrazingIncidenceError(ValueError):
     """Incidence or irradiance angle too close to 90 deg for derivatives."""
 
 
-class SampleFlag(enum.Enum):
-    """Validity classification of one RSS sample."""
+class SampleFlag(enum.IntEnum):
+    """Validity classification of one RSS sample; the values are the
+    ``flag_truth`` codes of ``rss_epoch.csv``."""
 
-    LOS = "los"
-    BLOCKED = "blocked"
-    OUT_OF_FOV = "out_of_fov"
+    LOS = 0
+    BLOCKED = 1
+    OUT_OF_FOV = 2
+
+
+#: Epoch RSS samples, the rows of ``rss_epoch.csv``: one demodulated LED
+#: amplitude at one epoch, its variance and its :class:`SampleFlag` code.
+EPOCH_RSS = np.dtype([("timestamp", float), ("led_id", int), ("value", float),
+                      ("variance", float), ("flag", int)])
 
 
 def _unit3(v, name: str) -> np.ndarray:
@@ -167,23 +174,6 @@ class ReceiverConfig:
         c = np.cos(self.fov_half_angle)
         # cos(pi/2) rounds to ~6e-17; snap so grazing rays sit on the boundary
         return 0.0 if abs(c) < 1e-12 else float(c)
-
-
-@dataclass
-class RssSample:
-    """One demodulated LED amplitude at one epoch."""
-
-    timestamp: float
-    led_id: int
-    value: float
-    variance: float
-    flag: SampleFlag = SampleFlag.LOS
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("RSS value must be non-negative")
-        if self.variance <= 0.0:
-            raise ValueError("RSS variance must be positive")
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
     imu = synthesize_imu(truth, scenario)
     raw, epoch = synthesize_rss(truth, scenario)
     write_dataset(args.out, scenario, truth, imu, raw, epoch)
-    n_epochs = len({s.timestamp for s in epoch.samples})
+    n_epochs = np.unique(epoch.samples["timestamp"]).size
     print(f"dataset '{scenario.name}' seed {scenario.seed}: "
           f"{truth.duration:.1f} s, {n_epochs} epochs -> {args.out}")
     return EXIT_OK
@@ -118,35 +118,31 @@ def build_detector(dataset: Dataset) -> DrdDetector:
 def run_detection(dataset: Dataset):
     """DRD over the raw streams; returns epoch flags and tag CSV rows.
 
-    Epoch flags map (timestamp, led_id) -> SampleFlag, derived causally
-    from the raw tags (ground-truth labels are never consulted).
+    The flags are one :class:`SampleFlag` code per row of
+    ``dataset.epoch_samples``, derived causally from the raw tags
+    (ground-truth labels are never consulted); the samples of an LED
+    without a raw stream stay LOS.  The tag rows ``(timestamp, led_id,
+    tag, counter)`` are sorted by time, then LED.
     """
     detector = build_detector(dataset)
     window = float(dataset.manifest["epoch_window_s"])
-    flags = {}
-    tag_rows = []
-    by_led = {}
-    for s in dataset.epoch_samples:
-        by_led.setdefault(s.led_id, []).append(s)
-    for led_id in sorted(dataset.raw_times):
-        t = dataset.raw_times[led_id]
-        v = dataset.raw_values[led_id]
-        try:
-            out = detector.run(t, np.full(t.shape, led_id), v)
-        except ValueError as e:
-            raise InputError(f"rss_raw.csv in {dataset.path}: {e}") from e
-        tt, tags, counters = out[led_id]
-        for a, b, c in zip(tt, tags, counters):
-            tag_rows.append((a, led_id, int(b), int(c)))
-        annotated = annotate_epochs(by_led.get(led_id, []), tt, tags, window)
-        for s in annotated:
-            flags[(s.timestamp, s.led_id)] = s.flag
-    tag_rows.sort(key=lambda r: (r[0], r[1]))
-    return flags, tag_rows
+    raw = dataset.raw
+    try:
+        out = detector.run(raw[:, 0], raw[:, 1], raw[:, 2])
+    except ValueError as e:
+        raise InputError(f"rss_raw.csv in {dataset.path}: {e}") from e
+    samples = dataset.epoch_samples
+    flags = np.full(len(samples), SampleFlag.LOS)
+    for led_id, (t, tags, _) in out.items():
+        rows = samples["led_id"] == led_id
+        flags[rows] = annotate_epochs(samples["timestamp"][rows], t, tags, window)
+    tag_rows = np.vstack([np.column_stack([t, np.full(t.shape, led_id), tags, counters])
+                          for led_id, (t, tags, counters) in out.items()])
+    return flags, tag_rows[np.lexsort((tag_rows[:, 1], tag_rows[:, 0]))]
 
 
 def _write_tags(path, tag_rows):
-    np.savetxt(path, np.asarray(tag_rows, dtype=float), fmt="%.12g", delimiter=",",
+    np.savetxt(path, tag_rows, fmt="%.12g", delimiter=",",
                header="timestamp_s,led_id,tag,counter", comments="")
 
 
@@ -163,17 +159,14 @@ def cmd_detect(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_tags(out / "drd_tags.csv", tag_rows)
-    n_blocked = sum(1 for f in flags.values() if f is not SampleFlag.LOS)
-    print(f"detector: {n_blocked} flagged epochs of {len(flags)} -> {out / 'drd_tags.csv'}")
+    n_blocked = np.count_nonzero(flags != SampleFlag.LOS)
+    print(f"detector: {n_blocked} flagged epoch samples of {len(flags)} "
+          f"-> {out / 'drd_tags.csv'}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # estimate
-
-
-def _truth_flags(dataset: Dataset) -> dict:
-    return {(s.timestamp, s.led_id): s.flag for s in dataset.epoch_samples}
 
 
 def _write_trajectory(path, traj: StateArrays):
@@ -216,7 +209,8 @@ def cmd_estimate(args) -> int:
     unknown_init = _unknown_init(args, dataset, config)
 
     t_start = time.perf_counter()
-    flags, tag_rows = ({}, None) if args.no_drd else run_detection(dataset)
+    flags, tag_rows = ((np.full(len(dataset.epoch_samples), SampleFlag.LOS), None)
+                       if args.no_drd else run_detection(dataset))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if tag_rows is not None:
@@ -274,7 +268,7 @@ def cmd_estimate(args) -> int:
                               est_attitudes=traj.attitude, runtime_s=runtime,
                               n_fix_failures=n_fix_failures)
         if not args.no_drd:
-            prec, rec = detection_scores(flags, _truth_flags(dataset))
+            prec, rec = detection_scores(flags, dataset.epoch_samples["flag"])
             report.detection_precision = prec
             report.detection_recall = rec
         for led_id, res in led_results.items():

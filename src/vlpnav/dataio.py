@@ -25,13 +25,14 @@ from importlib import metadata as _metadata
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.recfunctions import unstructured_to_structured
 
 from .attitude import euler_from_quat
-from .channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag
+from .channel import EPOCH_RSS, LedBeacon, ReceiverConfig, SampleFlag
 from .estimator import ConstraintConfig, EstimatorConfig
 from .preint import ImuNoise, ImuStream
 from .records import from_record, to_record
-from .simulator import EpochRss, RawRss, Scenario, TruthStream
+from .simulator import EpochRss, Scenario, TruthStream
 from .state import StateArrays
 
 try:
@@ -49,8 +50,12 @@ def _sha256(path: Path) -> str:
 
 
 def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStream,
-                  raw: RawRss, epoch: EpochRss) -> dict:
-    """Write a complete dataset directory; returns the manifest dict."""
+                  raw: np.ndarray, epoch: EpochRss) -> dict:
+    """Write a complete dataset directory; returns the manifest dict.
+
+    ``raw`` and ``epoch.samples`` are written as they are: the rows of
+    ``rss_raw.csv`` and ``rss_epoch.csv``, as :func:`synthesize_rss`
+    returns them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -58,24 +63,9 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     np.savetxt(out / "imu.csv", imu_arr, fmt="%.12g", delimiter=",",
                header="timestamp_s,ax,ay,az,gx,gy,gz", comments="")
 
-    rows = []
-    for led_id in sorted(raw.times):
-        t = raw.times[led_id]
-        v = raw.values[led_id]
-        rows.append(np.column_stack([t, np.full(t.shape, led_id), v]))
-    raw_arr = np.vstack(rows)
-    order = np.lexsort((raw_arr[:, 1], raw_arr[:, 0]))
-    np.savetxt(out / "rss_raw.csv", raw_arr[order], fmt="%.12g", delimiter=",",
+    np.savetxt(out / "rss_raw.csv", raw, fmt="%.12g", delimiter=",",
                header="timestamp_s,led_id,value", comments="")
-
-    ep_rows = np.array(
-        [
-            [s.timestamp, s.led_id, s.value, s.variance,
-             {"los": 0, "blocked": 1, "out_of_fov": 2}[s.flag.value]]
-            for s in epoch.samples
-        ]
-    )
-    np.savetxt(out / "rss_epoch.csv", ep_rows, fmt="%.12g", delimiter=",",
+    np.savetxt(out / "rss_epoch.csv", epoch.samples, fmt="%.12g", delimiter=",",
                header="timestamp_s,led_id,value,variance,flag_truth", comments="")
 
     euler = euler_from_quat(truth.attitude)
@@ -125,36 +115,31 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     return manifest
 
 
-_FLAGS = {0: SampleFlag.LOS, 1: SampleFlag.BLOCKED, 2: SampleFlag.OUT_OF_FOV}
-
-
 @dataclass
 class Dataset:
-    """In-memory view of a dataset directory."""
+    """In-memory view of a dataset directory: ``raw`` holds the rows of
+    ``rss_raw.csv`` (timestamp, led_id, value) and ``epoch_samples`` those
+    of ``rss_epoch.csv``, with the ground-truth flags."""
 
     path: Path
     manifest: dict
     leds: list
     receiver: ReceiverConfig
     imu: ImuStream
-    raw_times: dict
-    raw_values: dict
-    epoch_samples: list  # RssSample with ground-truth flags
+    raw: np.ndarray  # (M, 3)
+    epoch_samples: np.ndarray  # EPOCH_RSS
     truth: StateArrays | None  # zero biases
 
-    @property
-    def epoch_times(self) -> np.ndarray:
-        return np.unique([s.timestamp for s in self.epoch_samples])
-
-    def epochs_by_time(self, flags: dict) -> list[tuple[float, list]]:
-        """Epoch samples grouped by timestamp, in time order, each carrying
-        its flag from ``flags`` ((timestamp, led_id) -> SampleFlag, LOS
-        where absent).  The ground-truth labels are never read."""
-        by_t: dict[float, list] = {}
-        for s in self.epoch_samples:
-            flag = flags.get((s.timestamp, s.led_id), SampleFlag.LOS)
-            by_t.setdefault(s.timestamp, []).append(replace(s, flag=flag))
-        return sorted(by_t.items())
+    def epochs_by_time(self, flags) -> list[tuple[float, np.ndarray]]:
+        """Epoch samples grouped by timestamp, in time order (an epoch's rows
+        in file order), with the flag column replaced by ``flags``, one
+        :class:`SampleFlag` code per row of ``epoch_samples``.  The
+        ground-truth labels are never read."""
+        rows = self.epoch_samples.copy()
+        rows["flag"] = flags
+        rows = rows[np.argsort(rows["timestamp"], kind="stable")]
+        times, first = np.unique(rows["timestamp"], return_index=True)
+        return list(zip(times.tolist(), np.split(rows, first[1:])))
 
     @property
     def gravity(self) -> np.ndarray:
@@ -184,10 +169,19 @@ def load_trajectory(path) -> StateArrays:
     return StateArrays(a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:11], biases[:, :3], biases[:, 3:])
 
 
+def _require(ok, path, what: str) -> None:
+    if not np.all(ok):
+        raise ValueError(f"{path}: {what}")
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset directory.  Raises ``ValueError`` naming the file when
     ``imu.csv``, ``rss_raw.csv`` or ``rss_epoch.csv`` has no rows or rows of
-    the wrong length."""
+    the wrong length, when an RSS file names an LED that is not in
+    ``leds.json``, when ``rss_epoch.csv`` holds a negative value, a
+    variance that is not positive or a flag that is not a
+    :class:`SampleFlag` code, and when ``imu.csv`` leaves the interval
+    between two epochs without a sample."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
@@ -198,25 +192,26 @@ def load_dataset(path) -> Dataset:
     imu_arr = _read_rows(path / "imu.csv", 7)
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
 
-    raw_arr = _read_rows(path / "rss_raw.csv", 3)
-    raw_times: dict[int, np.ndarray] = {}
-    raw_values: dict[int, np.ndarray] = {}
-    for led_id in np.unique(raw_arr[:, 1]).astype(int):
-        mask = raw_arr[:, 1].astype(int) == led_id
-        raw_times[int(led_id)] = raw_arr[mask, 0]
-        raw_values[int(led_id)] = raw_arr[mask, 2]
-
-    epoch_samples = [
-        RssSample(timestamp=float(r[0]), led_id=int(r[1]), value=float(r[2]),
-                  variance=float(r[3]), flag=_FLAGS[int(r[4])])
-        for r in _read_rows(path / "rss_epoch.csv", 5)
-    ]
+    led_ids = [led.led_id for led in leds]
+    raw = _read_rows(path / "rss_raw.csv", 3)
+    _require(np.isin(raw[:, 1], led_ids), path / "rss_raw.csv", "an LED id is not in leds.json")
+    ep_path = path / "rss_epoch.csv"
+    ep = _read_rows(ep_path, 5)
+    _require(np.isin(ep[:, 1], led_ids), ep_path, "an LED id is not in leds.json")
+    _require(ep[:, 2] >= 0.0, ep_path, "an RSS value is negative")
+    _require(ep[:, 3] > 0.0, ep_path, "an RSS variance is not positive")
+    _require(np.isin(ep[:, 4], list(SampleFlag)), ep_path,
+             f"a flag_truth is not one of {[int(f) for f in SampleFlag]}")
+    epoch_samples = unstructured_to_structured(ep, dtype=EPOCH_RSS)
+    # Each epoch interval [t_{k-1}, t_k) must hold an IMU sample to pre-integrate.
+    first = np.searchsorted(imu.timestamps, np.unique(ep[:, 0]))
+    _require(np.diff(first) > 0, path / "imu.csv",
+             "no IMU sample between two epochs of rss_epoch.csv")
 
     truth = load_trajectory(path / "truth.csv") if (path / "truth.csv").exists() else None
 
     return Dataset(path=path, manifest=manifest, leds=leds, receiver=receiver, imu=imu,
-                   raw_times=raw_times, raw_values=raw_values,
-                   epoch_samples=epoch_samples, truth=truth)
+                   raw=raw, epoch_samples=epoch_samples, truth=truth)
 
 
 # ---------------------------------------------------------------------------

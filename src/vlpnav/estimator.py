@@ -59,7 +59,6 @@ from .channel import (
     LedBeacon,
     LedTable,
     ReceiverConfig,
-    RssSample,
     SampleFlag,
     lambertian,
     predict_rss,
@@ -177,9 +176,10 @@ class EstimatorConfig:
 # Factors
 
 
-def vlp_residual(state: NavState, sample: RssSample, led: LedBeacon, rx: ReceiverConfig,
+def vlp_residual(state: NavState, value: float, led: LedBeacon, rx: ReceiverConfig,
                  led_xy=None) -> float | None:
-    """Predicted-minus-measured RSS at the lever-arm-corrected PD position.
+    """Predicted RSS at the lever-arm-corrected PD position minus the
+    measured ``value``.
 
     Returns ``None`` when the predicted geometry falls outside the FOV;
     the caller skips the factor for that iterate.
@@ -191,7 +191,7 @@ def vlp_residual(state: NavState, sample: RssSample, led: LedBeacon, rx: Receive
     pred = predict_rss(pd_pos, state.attitude, led, rx)
     if pred is None:
         return None
-    return pred - sample.value
+    return pred - value
 
 
 def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
@@ -253,8 +253,8 @@ class SlidingWindow:
 
     ``states`` is a :class:`StateArrays`, one row per epoch of ``epoch_ids``;
     IMU factor ``k`` joins states ``k`` and ``k + 1``.  ``rss`` holds the
-    samples of LEDs on the map in state order (flagged ones at
-    ``config.blocked_variance``).  The unknown LEDs ``led_ids`` (sorted
+    samples (``EPOCH_RSS`` rows) of LEDs on the map in state order, flagged
+    ones at ``config.blocked_variance``.  The unknown LEDs ``led_ids`` (sorted
     ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2),
     which start from the ``led_init`` guesses (id -> (x, y)) or else the
     map.  ``prior`` is the window's one prior.  ``equations`` is the
@@ -284,17 +284,20 @@ class SlidingWindow:
         return len(self.states)
 
     def append(self, epoch_id: int, state: NavState, pre: PreintegratedImu | None,
-               rss: list[RssSample]) -> None:
+               rss: np.ndarray) -> None:
         if self.n_states and pre is None:
             raise ValueError("non-initial states need an IMU factor")
         self.epoch_ids.append(epoch_id)
         if pre is not None:
             self.imu_factors.append(pre)
         table_row = self.led_table.row
-        blocked = self.config.blocked_variance
-        new = np.array([(self.n_states, table_row[s.led_id], s.value,
-                         s.variance if s.flag is SampleFlag.LOS else blocked)
-                        for s in rss if s.led_id in table_row], RSS_SAMPLE)
+        rss = rss[np.isin(rss["led_id"], list(table_row))]
+        new = np.empty(len(rss), RSS_SAMPLE)
+        new["state"] = self.n_states
+        new["led"] = [table_row[i] for i in rss["led_id"].tolist()]
+        new["value"] = rss["value"]
+        new["variance"] = np.where(rss["flag"] == SampleFlag.LOS, rss["variance"],
+                                   self.config.blocked_variance)
         self.rss = np.concatenate([self.rss, new])
         self.states = self.states.append(state)
         self.equations = None
@@ -810,7 +813,7 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
 
 
 def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: NavState,
-                          pre: PreintegratedImu, rss: list[RssSample]) -> None:
+                          pre: PreintegratedImu, rss: np.ndarray) -> None:
     """Append a new epoch; if the window is full, marginalize the oldest."""
     if window.n_states >= window.config.window_size:
         window.prior = _marginalize_oldest(window)
@@ -930,7 +933,7 @@ class TightlyCoupledEstimator:
         self.diagnostics: list[EpochDiagnostics] = []
         self._epoch_counter = 0
 
-    def start(self, state0: NavState, rss0: list[RssSample]) -> LmReport:
+    def start(self, state0: NavState, rss0: np.ndarray) -> LmReport:
         """Open the window with ``state0`` and solve it.
 
         The window's prior starts diagonal: ``config.prior``'s widths on
@@ -948,7 +951,7 @@ class TightlyCoupledEstimator:
                                           self.window.led_xy.copy())
         return self._solve_and_record(rss0)
 
-    def step(self, pre: PreintegratedImu, rss: list[RssSample], timestamp: float) -> LmReport:
+    def step(self, pre: PreintegratedImu, rss: np.ndarray, timestamp: float) -> LmReport:
         if not self.window.n_states:
             raise RuntimeError("estimator not started")
         self._epoch_counter += 1
@@ -982,11 +985,11 @@ class TightlyCoupledEstimator:
                 count += 1
         return count
 
-    def _solve_and_record(self, rss: list[RssSample], reintegrations: int = 0) -> LmReport:
+    def _solve_and_record(self, rss: np.ndarray, reintegrations: int = 0) -> LmReport:
         report = solve_lm(self.window)
         last = self.window.states.state(-1)
         self.causal.append(last)
-        los = sum(1 for s in rss if s.flag is SampleFlag.LOS)
+        los = np.count_nonzero(rss["flag"] == SampleFlag.LOS)
         led_dop = {}
         if self.window.n_states >= 3:
             pts = self.window.states.position[:, :2]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .attitude import quat_to_dcm
+from .channel import SampleFlag
 
 #: Maximum allowed timestamp skew when pairing estimates with truth.
 MAX_TIME_SKEW = 1e-3
@@ -143,22 +144,18 @@ def evaluate_run(mode: str, est_times, est_positions, truth, est_attitudes=None,
 
 
 def detection_scores(flags_est, flags_truth) -> tuple[float, float]:
-    """Epoch-level precision/recall of the BLOCKED class.
+    """Epoch-level precision/recall of the BLOCKED class, any flag but LOS
+    counting as blocked.
 
-    Both arguments map (timestamp, led_id) to a flag; truth labels come
-    from the simulator schedule, estimates from the detector.
+    The arguments are aligned :class:`SampleFlag` code columns, one entry
+    per epoch sample; truth labels come from the simulator schedule,
+    estimates from the detector.
     """
-    tp = fp = fn = 0
-    for key, truth_flag in flags_truth.items():
-        est_blocked = flags_est.get(key) is not None and (
-            flags_est[key].value != "los")
-        truth_blocked = truth_flag.value != "los"
-        if est_blocked and truth_blocked:
-            tp += 1
-        elif est_blocked and not truth_blocked:
-            fp += 1
-        elif truth_blocked and not est_blocked:
-            fn += 1
+    est_blocked = np.asarray(flags_est) != SampleFlag.LOS
+    truth_blocked = np.asarray(flags_truth) != SampleFlag.LOS
+    tp = np.count_nonzero(est_blocked & truth_blocked)
+    fp = np.count_nonzero(est_blocked & ~truth_blocked)
+    fn = np.count_nonzero(truth_blocked & ~est_blocked)
     precision = tp / (tp + fp) if (tp + fp) else float("nan")
     recall = tp / (tp + fn) if (tp + fn) else float("nan")
     return precision, recall

@@ -34,9 +34,9 @@ import numpy as np
 from .attitude import quat_chain, quat_from_euler, quat_to_dcm_batch
 from .blockage import DetectionSpec
 from .channel import (
+    EPOCH_RSS,
     LedBeacon,
     ReceiverConfig,
-    RssSample,
     SampleFlag,
     gain_constant,
     lambertian,
@@ -484,18 +484,10 @@ def synthesize_imu(truth: TruthStream, scenario: Scenario,
 
 
 @dataclass
-class RawRss:
-    """High-rate per-LED demodulated amplitudes (already noise-injected)."""
-
-    times: dict  # led_id -> (M,)
-    values: dict  # led_id -> (M,)
-
-
-@dataclass
 class EpochRss:
     """Low-rate positioning samples with ground-truth labels."""
 
-    samples: list  # RssSample, flag = ground-truth label
+    samples: np.ndarray  # EPOCH_RSS rows, flag = ground-truth label
     window: float  # demodulation window length, s
 
 
@@ -538,7 +530,8 @@ def _signal_series(truth: TruthStream, scenario: Scenario, times) -> dict:
 
 
 def synthesize_rss(truth: TruthStream, scenario: Scenario,
-                   seed_seq: np.random.SeedSequence | None = None) -> tuple[RawRss, EpochRss]:
+                   seed_seq: np.random.SeedSequence | None = None
+                   ) -> tuple[np.ndarray, EpochRss]:
     """Raw high-rate streams and windowed epoch samples.
 
     Raw: LOS amplitude at the instantaneous pose, zeroed inside blockage
@@ -546,7 +539,9 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
     window-center amplitude scaled by the window's unblocked fraction,
     plus epoch noise; a blockage covering half the demodulation window
     halves the epoch value while clean epochs carry exactly the
-    instantaneous channel value.
+    instantaneous channel value.  Returns the raw rows ``(timestamp,
+    led_id, value)`` and the epoch samples, each sorted by ``(timestamp,
+    led_id)``: the tables of ``rss_raw.csv`` and ``rss_epoch.csv``.
     """
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(scenario.seed).spawn(2)[1]
@@ -554,8 +549,8 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
     duration = truth.timestamps[-1]
 
     raw_dt = 1.0 / rss.raw_rate_hz
-    raw_times = np.arange(0.0, duration, raw_dt)
-    signals = _signal_series(truth, scenario, raw_times)
+    raw_t = np.arange(0.0, duration, raw_dt)
+    signals = _signal_series(truth, scenario, raw_t)
 
     schedule = {}
     for led_id, start, end in scenario.blockages:
@@ -563,9 +558,8 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
 
     led_ids = sorted(signals)
     children = seed_seq.spawn(2 * len(led_ids))
-    raw_times_map = {}
-    raw_values_map = {}
-    epoch_samples = []
+    raw_rows = []
+    epoch_rows = []
 
     window = 1.0 / rss.epoch_rate_hz
     centers = np.arange(window / 2.0, duration - window / 2.0 + 1e-9, window)
@@ -575,17 +569,16 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
     for idx, led_id in enumerate(led_ids):
         p, _ = signals[led_id]
         p_center, valid_center = center_signals[led_id]
-        blocked = _blocked_mask(raw_times, schedule.get(led_id, []))
+        blocked = _blocked_mask(raw_t, schedule.get(led_id, []))
         clean = np.where(blocked, 0.0, p)
         rng_raw = np.random.default_rng(children[2 * idx])
         raw = np.clip(clean + rng_raw.normal(size=clean.shape) * rss.raw_sigma, 0.0, None)
-        raw_times_map[led_id] = raw_times.copy()
-        raw_values_map[led_id] = raw
+        raw_rows.append(np.column_stack([raw_t, np.full(raw_t.shape, led_id), raw]))
 
         rng_epoch = np.random.default_rng(children[2 * idx + 1])
         for j, t_c in enumerate(centers):
-            lo = np.searchsorted(raw_times, t_c - window / 2.0, side="left")
-            hi = np.searchsorted(raw_times, t_c + window / 2.0, side="left")
+            lo = np.searchsorted(raw_t, t_c - window / 2.0, side="left")
+            hi = np.searchsorted(raw_t, t_c + window / 2.0, side="left")
             frac_clear = 1.0 - float(np.mean(blocked[lo:hi]))
             value = max(frac_clear * p_center[j]
                         + float(rng_epoch.normal()) * rss.epoch_sigma, 0.0)
@@ -597,12 +590,12 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
                 flag = SampleFlag.OUT_OF_FOV
             else:
                 flag = SampleFlag.LOS
-            epoch_samples.append(RssSample(timestamp=float(t_c), led_id=led_id,
-                                           value=value, variance=variance, flag=flag))
+            epoch_rows.append((t_c, led_id, value, variance, flag))
 
-    epoch_samples.sort(key=lambda s: (s.timestamp, s.led_id))
-    return (RawRss(times=raw_times_map, values=raw_values_map),
-            EpochRss(samples=epoch_samples, window=window))
+    raw = np.vstack(raw_rows)
+    samples = np.array(epoch_rows, EPOCH_RSS)
+    return (raw[np.lexsort((raw[:, 1], raw[:, 0]))],
+            EpochRss(samples[np.lexsort((samples["led_id"], samples["timestamp"]))], window))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ module.
 
 Also here: the loop forms the stacked library code replaced (normal
 equations, marginal prior, pre-integration), kept as their references,
+the loop over the grid that the reachable-box DRD threshold replaced,
 and single-case oracles the library no longer needs (angular-form RSS,
 planar Jacobians, pose thresholds, a one-stream DRD run, first-order
 bias correction).
@@ -27,14 +28,15 @@ from vlpnav.attitude import (
     skew,
     so3_right_jacobian_batch,
 )
-from vlpnav.blockage import BlockageState, DetectionSpec, drd_step
+from vlpnav.blockage import PSI_CAP, THRESHOLD_GRID, BlockageState, DetectionSpec, drd_step
 from vlpnav.channel import (
+    EPOCH_RSS,
     GRAZING_COS_FLOOR,
     DegenerateGeometryError,
     GrazingIncidenceError,
     LedBeacon,
     ReceiverConfig,
-    RssSample,
+    SampleFlag,
     gain_constant,
     los_geometry,
     predict_rss,
@@ -140,18 +142,18 @@ def constraint_residuals(state: NavState, cfg: ConstraintConfig,
     return np.array([r for r, _, _ in _constraint_terms(state, cfg, pd_height)], dtype=float)
 
 
+def rss_rows(rows) -> np.ndarray:
+    """``EPOCH_RSS`` samples from ``(timestamp, led_id, value, variance)``
+    tuples, LOS, or ``(..., flag)`` tuples."""
+    return np.array([tuple(r) + (SampleFlag.LOS,) * (5 - len(r)) for r in rows], EPOCH_RSS)
+
+
 def exact_rss(state, leds, rx, variance=0.01):
-    """Noise-free RSS samples at a state (lever-arm corrected)."""
+    """Noise-free RSS samples (``EPOCH_RSS``) at a state (lever-arm corrected)."""
     R = quat_to_dcm(state.attitude)
     pd = state.position + R @ rx.lever_arm_vlp
-    out = []
-    for led in leds:
-        p = predict_rss(pd, state.attitude, led, rx)
-        if p is None:
-            continue
-        out.append(RssSample(timestamp=state.timestamp, led_id=led.led_id,
-                             value=p, variance=variance))
-    return out
+    predicted = ((led.led_id, predict_rss(pd, state.attitude, led, rx)) for led in leds)
+    return rss_rows((state.timestamp, i, p, variance) for i, p in predicted if p is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +262,9 @@ def _loop_factors(window, state_ids, n_x, add):
     for k in state_ids:
         for s in window.rss[window.rss["state"] == k]:
             led = led_of_row[s["led"]]
-            sample = RssSample(states[k].timestamp, led.led_id, s["value"], s["variance"])
             led_xy = led_xy_of.get(led.led_id)
             try:
-                r = vlp_residual(states[k], sample, led, window.rx, led_xy)
+                r = vlp_residual(states[k], s["value"], led, window.rx, led_xy)
                 if r is None:
                     continue
                 row, led_block = vlp_jacobian_row(states[k], led, window.rx, led_xy)
@@ -272,7 +273,7 @@ def _loop_factors(window, state_ids, n_x, add):
             blocks = [(ERROR_DIM * k, row[None, :])]
             if led_block is not None:
                 blocks.append((led_col[led.led_id], led_block[None, :]))
-            add(blocks, r, np.atleast_2d(1.0 / sample.variance))
+            add(blocks, r, np.atleast_2d(1.0 / s["variance"]))
     for k in state_ids:
         for r, var, row in _constraint_terms(states[k], cfg.constraints, window.rx.pd_height):
             add([(ERROR_DIM * k, row[None, :])], r, np.atleast_2d(1.0 / var))
@@ -485,6 +486,38 @@ def threshold_3d(pd_pos, q, led: LedBeacon, rx: ReceiverConfig, v_max: float,
     dp_dr, dp_dphi = rss_jacobian(pd_pos, q, led, rx)
     p = predict_rss(pd_pos, q, led, rx)
     return float(np.linalg.norm(dp_dphi / p) * omega_max + np.linalg.norm(dp_dr / p) * v_max)
+
+
+def loop_static_threshold_3d(room_min, room_max, led: LedBeacon, cfg: DetectionSpec) -> float:
+    """``blockage.static_threshold_3d`` one grid point at a time: the loop
+    form the array pass replaced, kept as its reference."""
+    room_min = np.asarray(room_min, dtype=float)
+    room_max = np.asarray(room_max, dtype=float)
+    max_tilt = np.deg2rad(cfg.max_tilt_deg)
+    best = 0.0
+    xs, ys, zs = (np.linspace(room_min[i], room_max[i], THRESHOLD_GRID) for i in range(3))
+    for x in xs:
+        for y in ys:
+            for z in zs:
+                d = led.position - np.array([x, y, z])
+                dist = float(np.linalg.norm(d))
+                if dist < 1e-6:
+                    continue
+                cos_theta = float(led.normal @ d / dist)
+                if cos_theta <= 1e-3:
+                    continue
+                psi_geom = np.arccos(np.clip(d[2] / dist, -1.0, 1.0))
+                psi = min(psi_geom + max_tilt, PSI_CAP)
+                cos_psi = np.cos(psi)
+                thr = np.tan(psi) * cfg.omega_max + (
+                    1.0 / (dist * cos_psi)
+                    + led.order / (dist * cos_theta)
+                    + (3.0 + led.order) / dist
+                ) * cfg.v_max
+                best = max(best, float(thr))
+    if best == 0.0:
+        raise ValueError("no valid geometry inside the box for this LED")
+    return best
 
 
 def detect_stream(times, values, threshold: float, cfg: DetectionSpec) -> tuple[np.ndarray, int]:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,10 +9,10 @@ from vlpnav.baselines import (
     solve_position_rss,
     static_leveling,
 )
-from vlpnav.channel import RssSample, SampleFlag, predict_rss
+from vlpnav.channel import SampleFlag, predict_rss
 from vlpnav.dataio import load_dataset
 
-from _synthetic import exact_rss, make_leds, make_rx
+from _synthetic import exact_rss, make_leds, make_rx, rss_rows
 from vlpnav.state import NavState
 
 LEDS = make_leds()
@@ -67,7 +65,7 @@ class TestSolvePositionRss:
 
     def test_degenerate_noise_rejected_by_bounds(self):
         # Absurd measurements push the solution out of the room.
-        samples = [RssSample(0.0, led.led_id, 1e-9, 1e-6) for led in LEDS]
+        samples = rss_rows((0.0, led.led_id, 1e-9, 1e-6) for led in LEDS)
         fix = solve_position_rss(samples, LED_MAP, RX, np.array([1.0, 0, 0, 0]),
                                  np.array([1.5, 1.5, 0.3]), bounds=BOUNDS)
         assert not fix.ok or np.all(fix.position < BOUNDS[1] + 0.5)
@@ -122,7 +120,7 @@ class TestOutOfFovStart:
         # A LOS-flagged sample of a LED outside the FOV everywhere near the
         # room has no prediction: it must stay out of the fit and the RMS.
         far = LedBeacon(led_id=7, position=np.array([6.0, 6.0, 3.0]), power=LEDS[0].power)
-        fix = solve_position_rss(samples + [RssSample(0.0, 7, 0.5, 1e-6)],
+        fix = solve_position_rss(np.concatenate([samples, rss_rows([(0.0, 7, 0.5, 1e-6)])]),
                                  {**LED_MAP, 7: far}, rx, level.attitude, start, bounds=BOUNDS)
         assert fix.ok
         assert np.linalg.norm(fix.position - pd) < 1e-6
@@ -146,7 +144,7 @@ class TestOutOfFovStart:
 class TestInitialState:
     def test_near_truth_on_mini_dataset(self, mini_dataset):
         ds = load_dataset(mini_dataset)
-        x0 = initial_state(ds, {})
+        x0 = initial_state(ds, np.full(len(ds.epoch_samples), SampleFlag.LOS))
         t0 = x0.timestamp
         k = int(np.argmin(np.abs(ds.truth.timestamps - t0)))
         # The corner start has weak vertical geometry; the initialization
@@ -159,11 +157,11 @@ class TestInitialState:
     def test_ignores_ground_truth_labels(self, mini_dataset):
         """The first fix uses the flags it is given, never the dataset's labels."""
         ds = load_dataset(mini_dataset)
-        x0 = initial_state(ds, {})
+        los = np.full(len(ds.epoch_samples), SampleFlag.LOS)
+        x0 = initial_state(ds, los)
         t0 = x0.timestamp
-        ds.epoch_samples = [replace(s, flag=SampleFlag.BLOCKED) if s.timestamp == t0 else s
-                            for s in ds.epoch_samples]
-        x1 = initial_state(ds, {})
+        ds.epoch_samples["flag"][ds.epoch_samples["timestamp"] == t0] = SampleFlag.BLOCKED
+        x1 = initial_state(ds, los)
         np.testing.assert_array_equal(x1.position, x0.position)
         np.testing.assert_array_equal(x1.attitude, x0.attitude)
 
@@ -173,10 +171,11 @@ class TestLooselyCoupled:
         """Each epoch's INS attitude is a per-sample ``quat_multiply`` loop
         from the initial alignment, bit for bit."""
         ds = load_dataset(mini_dataset)
-        traj = run_loosely_coupled(ds, {})
+        los = np.full(len(ds.epoch_samples), SampleFlag.LOS)
+        traj = run_loosely_coupled(ds, los)
         ts = ds.imu.timestamps
         R_bv = ds.receiver.dcm_body_to_vlp
-        q = initial_state(ds, {}).attitude
+        q = initial_state(ds, los).attitude
         chain = [q]
         for i in range(ts.size - 1):
             dt = float(ts[i + 1] - ts[i])
@@ -184,5 +183,5 @@ class TestLooselyCoupled:
             chain.append(q)
         # An epoch is output after the first sample that reaches its time.
         idx = np.maximum(np.searchsorted(ts, traj.timestamps), 1)
-        assert len(traj.timestamps) == len(ds.epochs_by_time({}))
+        assert len(traj.timestamps) == len(ds.epochs_by_time(los))
         np.testing.assert_array_equal(traj.attitude, np.array(chain)[idx])

@@ -13,9 +13,9 @@ from vlpnav.blockage import (
     static_threshold_3d,
     threshold_2d,
 )
-from vlpnav.channel import LedBeacon, ReceiverConfig, RssSample, SampleFlag, predict_rss
+from vlpnav.channel import LedBeacon, ReceiverConfig, SampleFlag, predict_rss
 
-from _synthetic import detect_stream, threshold_3d
+from _synthetic import detect_stream, loop_static_threshold_3d, threshold_3d
 
 RX = ReceiverConfig(area=1e-4, fov_half_angle=np.pi / 2)
 LED = LedBeacon(led_id=0, position=np.array([0.0, 0.0, 2.0]), power=10.0)
@@ -182,35 +182,53 @@ class TestStaticThreshold:
                 continue
             assert local <= thr * 1.25  # grid max with modest safety slack
 
+    def test_matches_loop_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        boxes = [([-2, -2, 0], [2, 2, 1]), ([0, 0, 0], [5, 5, 0.6]),
+                 ([0, 0, 0.3], [3.8, 6.3, 0.3])]
+        for room_min, room_max in boxes:
+            for _ in range(8):
+                normal = rng.normal(size=3) * [0.3, 0.3, 0.0] + [0.0, 0.0, 1.0]
+                led = LedBeacon(led_id=0, position=rng.uniform([-1, -1, 1.5], [5, 5, 5]),
+                                power=10.0, order=rng.uniform(1.0, 3.0),
+                                normal=normal / np.linalg.norm(normal))
+                cfg = DetectionSpec(v_max=rng.uniform(0.2, 1.0), omega_max=rng.uniform(0.0, 1.0),
+                                    max_tilt_deg=rng.uniform(0.0, 40.0))
+                assert (static_threshold_3d(room_min, room_max, led, RX, cfg)
+                        == loop_static_threshold_3d(room_min, room_max, led, cfg))
+
 
 class TestAnnotateEpochs:
-    def make_epoch(self, t, value=1.0):
-        return RssSample(timestamp=t, led_id=0, value=value, variance=0.01)
-
     def test_clean_window_is_los(self):
         raw_t = np.arange(0.0, 2.0, 1 / 120)
         tags = np.zeros(raw_t.shape, dtype=bool)
-        out = annotate_epochs([self.make_epoch(0.5)], raw_t, tags, window=1.0)
-        assert out[0].flag is SampleFlag.LOS
+        assert list(annotate_epochs([0.5], raw_t, tags, window=1.0)) == [SampleFlag.LOS]
 
     def test_half_blocked_window_flagged(self):
         raw_t = np.arange(0.0, 2.0, 1 / 120)
         tags = (raw_t >= 0.5) & (raw_t < 1.0)
-        out = annotate_epochs([self.make_epoch(0.5, value=0.5)], raw_t, tags, window=1.0)
-        assert out[0].flag is SampleFlag.BLOCKED
+        assert list(annotate_epochs([0.5], raw_t, tags, window=1.0)) == [SampleFlag.BLOCKED]
 
     def test_blockage_spanning_two_windows(self):
         raw_t = np.arange(0.0, 3.0, 1 / 120)
         tags = (raw_t >= 0.8) & (raw_t < 1.2)
-        out = annotate_epochs([self.make_epoch(0.5), self.make_epoch(1.5)], raw_t, tags, 1.0)
-        assert out[0].flag is SampleFlag.BLOCKED
-        assert out[1].flag is SampleFlag.BLOCKED
+        out = annotate_epochs([0.5, 1.5, 2.5], raw_t, tags, 1.0)
+        assert list(out) == [SampleFlag.BLOCKED, SampleFlag.BLOCKED, SampleFlag.LOS]
+
+    def test_window_edges(self):
+        # An epoch at t covers [t - 1/2, t + 1/2): its first raw sample
+        # counts, the one at its end belongs to the next epoch.
+        raw_t = np.arange(240) / 120
+        blocked, los = SampleFlag.BLOCKED, SampleFlag.LOS
+        for i, expected in ((0, [blocked, los]), (119, [blocked, los]), (120, [los, blocked])):
+            tags = np.zeros(raw_t.shape, dtype=bool)
+            tags[i] = True
+            assert list(annotate_epochs([0.5, 1.5], raw_t, tags, window=1.0)) == expected
 
     def test_missing_coverage_invalid(self):
         raw_t = np.arange(0.0, 1.0, 1 / 120)
         tags = np.zeros(raw_t.shape, dtype=bool)
-        out = annotate_epochs([self.make_epoch(5.0)], raw_t, tags, window=1.0)
-        assert out[0].flag is SampleFlag.OUT_OF_FOV
+        assert list(annotate_epochs([5.0], raw_t, tags, window=1.0)) == [SampleFlag.OUT_OF_FOV]
 
 
 class TestDetectorScene:

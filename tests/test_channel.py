@@ -7,8 +7,6 @@ from vlpnav.channel import (
     GrazingIncidenceError,
     LedBeacon,
     ReceiverConfig,
-    RssSample,
-    SampleFlag,
     los_geometry,
     predict_rss,
     receiver_normal,
@@ -281,11 +279,3 @@ class TestTypes:
             ReceiverConfig(area=-1e-4, fov_half_angle=1.0)
         with pytest.raises(ValueError):
             ReceiverConfig(area=1e-4, fov_half_angle=2.0)
-
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            RssSample(timestamp=0.0, led_id=0, value=-1.0, variance=1.0)
-        with pytest.raises(ValueError):
-            RssSample(timestamp=0.0, led_id=0, value=1.0, variance=0.0)
-        s = RssSample(timestamp=0.0, led_id=0, value=1.0, variance=0.01, flag=SampleFlag.BLOCKED)
-        assert s.flag is SampleFlag.BLOCKED

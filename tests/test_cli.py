@@ -14,8 +14,10 @@ from vlpnav.cli import (
     _estimator_config,
     build_parser,
     main,
+    run_detection,
     run_tc,
 )
+from vlpnav.channel import SampleFlag
 from vlpnav.dataio import estimator_config_from_dict, load_dataset
 from vlpnav.estimator import STOP_REASONS, LmIteration, LmReport, TightlyCoupledEstimator
 from vlpnav.metrics import RunReport
@@ -40,7 +42,7 @@ class TestSimulate:
         ds = load_dataset(mini_dataset)
         duration = ds.imu.timestamps[-1]
         # 1 Hz epochs with half-window margins at both ends.
-        assert len(ds.epoch_times) == int(np.floor(duration))
+        assert np.unique(ds.epoch_samples["timestamp"]).size == int(np.floor(duration))
 
     def test_same_seed_identical_hashes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -132,12 +134,71 @@ class TestMalformedDataset:
         assert main([command, "--dataset", str(data), "--out", str(out)]) == 2
         assert not out.exists()
 
+    #: The file, the column of its first row to overwrite and the value; a
+    #: column of None keeps the header and the first row only.
+    BAD_ROWS = {
+        "flag_truth_3": ("rss_epoch.csv", 4, "3"),
+        "epoch_led_off_map": ("rss_epoch.csv", 1, "9"),
+        "raw_led_off_map": ("rss_raw.csv", 1, "9"),
+        "negative_value": ("rss_epoch.csv", 2, "-0.5"),
+        "zero_variance": ("rss_epoch.csv", 3, "0"),
+        "imu_one_row": ("imu.csv", None, None),
+    }
+
+    @pytest.mark.parametrize("case", BAD_ROWS)
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_bad_row_exit_2(self, mini_dataset, tmp_path, command, case):
+        name, col, value = self.BAD_ROWS[case]
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        lines = (data / name).read_text().splitlines()
+        if col is None:
+            lines = lines[:2]
+        else:
+            row = lines[1].split(",")
+            row[col] = value
+            lines[1] = ",".join(row)
+        (data / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_detect_one_raw_row(self, mini_dataset, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(mini_dataset, data)
         lines = (data / "rss_raw.csv").read_text().splitlines()
         (data / "rss_raw.csv").write_text("\n".join(lines[:2]) + "\n")
         assert main(["detect", "--dataset", str(data), "--out", str(tmp_path / "det")]) == 0
+
+
+class TestEpochSamples:
+    def test_led_without_raw_stream_stays_los(self, mini_dataset):
+        ds = load_dataset(mini_dataset)
+        flags, tags = run_detection(ds)
+        ds.raw = ds.raw[ds.raw[:, 1] != 2]
+        flags_cut, tags_cut = run_detection(ds)
+        led2 = ds.epoch_samples["led_id"] == 2
+        assert led2.any() and np.all(flags_cut[led2] == SampleFlag.LOS)
+        np.testing.assert_array_equal(flags_cut[~led2], flags[~led2])
+        np.testing.assert_array_equal(tags_cut, tags[tags[:, 1] != 2])
+
+    def test_epochs_out_of_time_order(self, mini_dataset, tmp_path):
+        """Epoch blocks stored in reverse time order, each block's rows in
+        file order, give the sorted file's trajectory to the byte."""
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        header, *rows = (data / "rss_epoch.csv").read_text().splitlines()
+        blocks = {}
+        for row in rows:
+            blocks.setdefault(row.split(",")[0], []).append(row)
+        reordered = [row for t in reversed(list(blocks)) for row in blocks[t]]
+        assert reordered != rows
+        (data / "rss_epoch.csv").write_text("\n".join([header, *reordered]) + "\n")
+        outs = [tmp_path / "sorted", tmp_path / "reordered"]
+        for d, out in zip((mini_dataset, data), outs):
+            assert main(["estimate", "--dataset", str(d), "--mode", "tc", "--out", str(out)]) == 0
+        assert ((outs[0] / "trajectory.csv").read_bytes()
+                == (outs[1] / "trajectory.csv").read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +394,8 @@ class TestRunTc:
     def run(self, mini_dataset):
         ds = load_dataset(mini_dataset)
         config = replace(estimator_config_from_dict({}, ds), unknown_led_ids=(self.UNKNOWN,))
-        return run_tc(ds, config, {}, unknown_init={self.UNKNOWN: np.array([2.3, 2.6])})
+        return run_tc(ds, config, np.full(len(ds.epoch_samples), SampleFlag.LOS),
+                      unknown_init={self.UNKNOWN: np.array([2.3, 2.6])})
 
     def test_returns_last_report_and_led_kept(self, mini_dataset):
         est, leds, report = self.run(mini_dataset)

@@ -1,6 +1,5 @@
 import logging
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from vlpnav import estimator
 from vlpnav.attitude import quat_from_euler, quat_to_dcm
-from vlpnav.channel import DegenerateGeometryError, LedBeacon, RssSample, SampleFlag
+from vlpnav.channel import DegenerateGeometryError, LedBeacon, SampleFlag
 from vlpnav.estimator import (
     ConstraintConfig,
     EstimatorConfig,
@@ -39,6 +38,7 @@ from _synthetic import (
     make_leds,
     make_rx,
     preintegrate_chain,
+    rss_rows,
 )
 
 LEDS = make_leds()
@@ -60,23 +60,22 @@ def fresh_window(config=None, leds=LEDS, rx=RX, led_init=None):
     return SlidingWindow(config or make_config(), leds, rx, led_init)
 
 
-def sample_for(state, led, rx, variance=0.01):
-    return exact_rss(state, [led], rx, variance)[0]
+def value_for(state, led, rx):
+    return exact_rss(state, [led], rx)["value"][0]
 
 
 class TestVlpResidual:
     def test_zero_when_measurement_matches(self):
         state = NavState(0.0, position=np.array([1.0, 1.2, 0.0]))
-        s = sample_for(state, LEDS[0], RX)
-        assert vlp_residual(state, s, LEDS[0], RX) == pytest.approx(0.0, abs=1e-15)
+        value = value_for(state, LEDS[0], RX)
+        assert vlp_residual(state, value, LEDS[0], RX) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_lever_arm_equals_channel_residual(self):
         from vlpnav.channel import predict_rss
 
         state = NavState(0.0, position=np.array([0.8, 0.9, 0.1]),
                          attitude=quat_from_euler(0.05, -0.04, 0.7))
-        s = RssSample(0.0, LEDS[0].led_id, 0.5, 0.01)
-        r = vlp_residual(state, s, LEDS[0], RX)
+        r = vlp_residual(state, 0.5, LEDS[0], RX)
         expected = predict_rss(state.position, state.attitude, LEDS[0], RX) - 0.5
         assert r == pytest.approx(expected, abs=1e-15)
 
@@ -86,8 +85,7 @@ class TestVlpResidual:
         rx = make_rx(lever_arm=(0.2, 0.0, 0.1))
         state = NavState(0.0, position=np.array([1.0, 1.0, 0.0]),
                          attitude=quat_from_euler(0.0, 0.0, np.pi / 2))
-        s = RssSample(0.0, LEDS[1].led_id, 0.3, 0.01)
-        r = vlp_residual(state, s, LEDS[1], rx)
+        r = vlp_residual(state, 0.3, LEDS[1], rx)
         # Geometry oracle: rotate the lever arm explicitly.
         pd = state.position + quat_to_dcm(state.attitude) @ rx.dcm_body_to_vlp @ rx.lever_arm
         expected = predict_rss(pd, state.attitude, LEDS[1], rx) - 0.3
@@ -99,8 +97,7 @@ class TestVlpResidual:
     def test_out_of_fov_marker(self):
         rx = make_rx(fov_deg=20.0)
         state = NavState(0.0, position=np.array([3.0, 0.2, 0.0]))
-        s = RssSample(0.0, LEDS[2].led_id, 0.1, 0.01)
-        assert vlp_residual(state, s, LEDS[2], rx) is None
+        assert vlp_residual(state, 0.1, LEDS[2], rx) is None
 
 
 class TestVlpJacobianRow:
@@ -118,15 +115,15 @@ class TestVlpJacobianRow:
                                          rng.uniform(-np.pi, np.pi)),
             )
             led = LEDS[int(rng.integers(len(LEDS)))]
-            s = sample_for(state, led, rx)
+            value = value_for(state, led, rx)
             row, _ = vlp_jacobian_row(state, led, rx)
             h = 1e-6
             fd = np.zeros(ERROR_DIM)
             for i in range(ERROR_DIM):
                 e = np.zeros(ERROR_DIM)
                 e[i] = h
-                rp = vlp_residual(state.perturb(e), s, led, rx)
-                rm = vlp_residual(state.perturb(-e), s, led, rx)
+                rp = vlp_residual(state.perturb(e), value, led, rx)
+                rm = vlp_residual(state.perturb(-e), value, led, rx)
                 fd[i] = (rp - rm) / (2 * h)
             scale = max(np.max(np.abs(fd)), 1e-9)
             assert np.max(np.abs(row - fd)) / scale < 1e-5
@@ -152,15 +149,15 @@ class TestVlpJacobianRow:
         row, block = vlp_jacobian_row(state, LEDS[0], RX, led_xy=LEDS[0].position[:2])
         assert block is not None and block.shape == (2,)
         # FD against the LED planar position.
-        s = sample_for(state, LEDS[0], RX)
+        value = value_for(state, LEDS[0], RX)
         h = 1e-6
         for i in range(2):
             xy_p = LEDS[0].position[:2].copy()
             xy_p[i] += h
             xy_m = LEDS[0].position[:2].copy()
             xy_m[i] -= h
-            fd = (vlp_residual(state, s, LEDS[0], RX, xy_p)
-                  - vlp_residual(state, s, LEDS[0], RX, xy_m)) / (2 * h)
+            fd = (vlp_residual(state, value, LEDS[0], RX, xy_p)
+                  - vlp_residual(state, value, LEDS[0], RX, xy_m)) / (2 * h)
             assert block[i] == pytest.approx(fd, rel=1e-5)
 
 
@@ -207,13 +204,12 @@ class TestAssemble:
     def test_single_vlp_factor_outer_product(self):
         window = fresh_window()
         state = NavState(0.0, position=np.array([1.2, 0.8, 0.0]))
-        s = RssSample(0.0, LEDS[0].led_id, 0.4, variance=0.02)
-        window.append(0, state, None, [s])
+        window.append(0, state, None, rss_rows([(0.0, LEDS[0].led_id, 0.4, 0.02)]))
         H, g, cost = assemble_cost(window)
         row, _ = vlp_jacobian_row(state, LEDS[0], RX)
         expected = np.outer(row, row) / 0.02
         np.testing.assert_allclose(H, expected, atol=1e-18)
-        r = vlp_residual(state, s, LEDS[0], RX)
+        r = vlp_residual(state, 0.4, LEDS[0], RX)
         assert cost == pytest.approx(0.5 * r * r / 0.02)
 
     def test_blocked_flag_downweights_cost(self):
@@ -222,8 +218,8 @@ class TestAssemble:
         costs = {}
         for flag in (SampleFlag.LOS, SampleFlag.BLOCKED):
             window = fresh_window()
-            s = RssSample(0.0, LEDS[0].led_id, 0.4, variance=var_los, flag=flag)
-            window.append(0, state.copy(), None, [s])
+            window.append(0, state.copy(), None,
+                          rss_rows([(0.0, LEDS[0].led_id, 0.4, var_los, flag)]))
             _, _, costs[flag] = assemble_cost(window)
         ratio = costs[SampleFlag.LOS] / costs[SampleFlag.BLOCKED]
         assert ratio == pytest.approx(99.0 / var_los, rel=1e-12)
@@ -281,7 +277,7 @@ class TestSolveLm:
             use_nhc=False, use_height=True, height_sigma=0.02))
         window = fresh_window(config, leds=[], rx=make_rx(pd_height=0.5))
         x_lin = NavState(0.0, position=np.array([1.0, 1.0, 0.2]))
-        window.append(0, x_lin.copy(), None, [])
+        window.append(0, x_lin.copy(), None, rss_rows([]))
         window.prior = MarginalPrior(np.diag(np.full(ERROR_DIM, 25.0)), np.zeros(ERROR_DIM),
                                      x_lin.copy(), np.zeros((0, 2)))
         passes, solves = count_calls(monkeypatch)
@@ -476,10 +472,8 @@ class TestSlideAndMarginalize:
         pres = preintegrate_chain(streams, states, RX)
         rss = []
         for s in states:
-            epoch = []
-            for smp in exact_rss(s, LEDS, RX):
-                noisy = max(smp.value + 0.003 * rng.normal(), 1e-6)
-                epoch.append(RssSample(smp.timestamp, smp.led_id, noisy, 0.003**2))
+            epoch = exact_rss(s, LEDS, RX, variance=0.003**2)
+            epoch["value"] = [max(v + 0.003 * rng.normal(), 1e-6) for v in epoch["value"]]
             rss.append(epoch)
 
         def run(window_size):
@@ -615,13 +609,14 @@ def build_rich_window(unseen_led=False):
         1: LEDS[0].position[:2] + np.array([0.2, -0.15]),
         3: LEDS[2].position[:2] + np.array([-0.1, 0.1])})
     for k, s in enumerate(states):
-        epoch = [RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()),
-                           x.variance) for x in exact_rss(s, LEDS, rx)]
-        epoch += [RssSample(s.timestamp, 8, 0.1, 0.01), RssSample(s.timestamp, 9, 0.5, 0.01)]
+        epoch = exact_rss(s, LEDS, rx)
+        epoch["value"] = [v * (1.0 + 0.05 * rng.normal()) for v in epoch["value"]]
+        epoch = np.concatenate([epoch, rss_rows([(s.timestamp, 8, 0.1, 0.01),
+                                                 (s.timestamp, 9, 0.5, 0.01)])])
         if k == 1:
-            epoch[2] = replace(epoch[2], flag=SampleFlag.BLOCKED)
+            epoch["flag"][2] = SampleFlag.BLOCKED
         if k == 0 and unseen_led:
-            epoch = [x for x in epoch if x.led_id != 3]
+            epoch = epoch[epoch["led_id"] != 3]
         window.append(k, start[k], pres[k - 1] if k else None, epoch)
     n = ERROR_DIM + 2 * len(window.led_ids)
     A = rng.normal(size=(n, n))
@@ -659,9 +654,9 @@ class TestBatchedLinearization:
         epoch1, epoch2 = (window.rss[window.rss["state"] == k] for k in (1, 2))
         assert epoch1["variance"][2] == window.config.blocked_variance  # flagged
         assert list(epoch2["led"][-2:]) == [window.led_table.row[8], window.led_table.row[9]]
-        assert vlp_residual(s2, RssSample(0.0, 8, 0.1, 0.01), window.led_map[8], rx) is None
+        assert vlp_residual(s2, 0.1, window.led_map[8], rx) is None
         with pytest.raises(DegenerateGeometryError):
-            vlp_residual(s2, RssSample(0.0, 9, 0.5, 0.01), window.led_map[9], rx)
+            vlp_residual(s2, 0.5, window.led_map[9], rx)
 
     def test_assemble_matches_loop(self):
         for window in (build_rich_window(), build_rich_window(unseen_led=True)):
@@ -716,11 +711,11 @@ class TestBatchedLinearization:
         leds = LEDS + [LedBeacon(led_id=7, position=np.array([3.0, 1.5, 0.0]), power=2e5)]
         state = NavState(0.0, position=np.array([1.2, 1.5, 0.0]))
         samples = exact_rss(state, LEDS, RX)
-        samples = [RssSample(x.timestamp, x.led_id, 1.1 * x.value, x.variance) for x in samples]
+        samples["value"] *= 1.1
         costs = []
-        for extra in ([], [RssSample(0.0, 7, 0.3, 0.01)]):
+        for extra in ([], [(0.0, 7, 0.3, 0.01)]):
             window = fresh_window(leds=leds)
-            window.append(0, state.copy(), None, samples + extra)
+            window.append(0, state.copy(), None, np.concatenate([samples, rss_rows(extra)]))
             costs.append(assemble_cost(window)[2])
         assert costs[1] == costs[0]
 
@@ -732,9 +727,9 @@ def build_single_state_window():
                           led_init={1: LEDS[0].position[:2] + np.array([0.1, -0.2])})
     state = NavState(0.0, position=np.array([1.2, 0.9, 0.1]),
                      attitude=quat_from_euler(0.05, -0.03, 0.4))
-    window.append(0, state, None, [
-        RssSample(x.timestamp, x.led_id, x.value * (1.0 + 0.05 * rng.normal()), x.variance)
-        for x in exact_rss(state, LEDS, RX)])
+    samples = exact_rss(state, LEDS, RX)
+    samples["value"] = [v * (1.0 + 0.05 * rng.normal()) for v in samples["value"]]
+    window.append(0, state, None, samples)
     A = rng.normal(size=(ERROR_DIM + 2, ERROR_DIM + 2))
     window.prior = MarginalPrior(A @ A.T + np.eye(ERROR_DIM + 2), rng.normal(size=ERROR_DIM + 2),
                                  state.perturb(0.01 * rng.normal(size=ERROR_DIM)),

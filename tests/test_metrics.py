@@ -97,25 +97,22 @@ class TestAngles:
 
 class TestDetectionScores:
     def test_precision_recall(self):
-        truth = {
-            (1.0, 1): SampleFlag.BLOCKED,
-            (2.0, 1): SampleFlag.BLOCKED,
-            (3.0, 1): SampleFlag.LOS,
-            (4.0, 1): SampleFlag.LOS,
-        }
-        est = {
-            (1.0, 1): SampleFlag.BLOCKED,   # true positive
-            (2.0, 1): SampleFlag.LOS,       # missed
-            (3.0, 1): SampleFlag.BLOCKED,   # false positive
-            (4.0, 1): SampleFlag.LOS,
-        }
+        truth = np.array([SampleFlag.BLOCKED, SampleFlag.BLOCKED, SampleFlag.LOS,
+                          SampleFlag.LOS, SampleFlag.OUT_OF_FOV])
+        est = np.array([
+            SampleFlag.BLOCKED,     # true positive
+            SampleFlag.LOS,         # missed
+            SampleFlag.BLOCKED,     # false positive
+            SampleFlag.LOS,
+            SampleFlag.OUT_OF_FOV,  # any flag but LOS counts as blocked: true positive
+        ])
         precision, recall = detection_scores(est, truth)
-        assert precision == pytest.approx(0.5)
-        assert recall == pytest.approx(0.5)
+        assert precision == pytest.approx(2 / 3)
+        assert recall == pytest.approx(2 / 3)
 
     def test_perfect(self):
-        truth = {(1.0, 1): SampleFlag.BLOCKED, (2.0, 1): SampleFlag.LOS}
-        precision, recall = detection_scores(dict(truth), truth)
+        truth = np.array([SampleFlag.BLOCKED, SampleFlag.LOS])
+        precision, recall = detection_scores(truth.copy(), truth)
         assert precision == 1.0 and recall == 1.0
 
 

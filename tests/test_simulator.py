@@ -174,7 +174,7 @@ class TestSynthesizeRss:
         lever = sc.receiver.lever_arm_vlp
         pd = truth.position[0] + quat_to_dcm(truth.attitude[0]) @ lever
         for led in sc.leds:
-            vals = raw.values[led.led_id]
+            vals = raw[raw[:, 1] == led.led_id, 2]
             expected = predict_rss(pd, truth.attitude[0], led, sc.receiver)
             np.testing.assert_allclose(vals, expected, rtol=1e-6)
 
@@ -186,11 +186,11 @@ class TestSynthesizeRss:
                           blockages=((5, 2.0, 2.5),), initial_dwell=6.0)
         truth = generate_trajectory(sc)
         _, epoch = synthesize_rss(truth, sc)
-        led5 = [s for s in epoch.samples if s.led_id == 5]
-        los = [s for s in led5 if s.flag is SampleFlag.LOS]
-        half = [s for s in led5 if s.timestamp == pytest.approx(2.5)]
-        assert half[0].flag is SampleFlag.BLOCKED
-        assert half[0].value == pytest.approx(0.5 * los[0].value, rel=2e-2)
+        led5 = epoch.samples[epoch.samples["led_id"] == 5]
+        los = led5[led5["flag"] == SampleFlag.LOS]
+        half = led5[np.isclose(led5["timestamp"], 2.5)]
+        assert half["flag"][0] == SampleFlag.BLOCKED
+        assert half["value"][0] == pytest.approx(0.5 * los["value"][0], rel=2e-2)
 
     def test_epoch_labels_exact_overlap_rule(self):
         sc = scenario_for(((2.5, 2.5, 0.0), (2.5, 2.5, 0.0)), (0.3,),
@@ -198,11 +198,11 @@ class TestSynthesizeRss:
         truth = generate_trajectory(sc)
         _, epoch = synthesize_rss(truth, sc)
         for s in epoch.samples:
-            if s.led_id != 5:
-                assert s.flag is SampleFlag.LOS
+            if s["led_id"] != 5:
+                assert s["flag"] == SampleFlag.LOS
                 continue
-            overlaps = (s.timestamp - 0.5) < 3.1 and (s.timestamp + 0.5) > 2.6
-            assert (s.flag is SampleFlag.BLOCKED) == overlaps
+            overlaps = (s["timestamp"] - 0.5) < 3.1 and (s["timestamp"] + 0.5) > 2.6
+            assert (s["flag"] == SampleFlag.BLOCKED) == overlaps
 
     def test_determinism_bit_identical(self):
         sc = reference_scenarios()["mini"]
@@ -214,10 +214,8 @@ class TestSynthesizeRss:
         np.testing.assert_array_equal(i1.gyro, i2.gyro)
         r1, e1 = synthesize_rss(t1, sc)
         r2, e2 = synthesize_rss(t2, sc)
-        for lid in r1.values:
-            np.testing.assert_array_equal(r1.values[lid], r2.values[lid])
-        assert [(s.timestamp, s.led_id, s.value) for s in e1.samples] == (
-            [(s.timestamp, s.led_id, s.value) for s in e2.samples])
+        np.testing.assert_array_equal(r1, r2)
+        np.testing.assert_array_equal(e1.samples, e2.samples)
 
     def test_different_seed_differs(self):
         sc1 = reference_scenarios(seed=1)["mini"]
