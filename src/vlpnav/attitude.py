@@ -10,6 +10,12 @@ Conventions used throughout the package:
   is ``dphi_u = -dcm(q) @ dphi``.
 * Euler angles are intrinsic z-y-x (yaw, pitch, roll):
   ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
+
+Shapes: each map takes one quaternion ``(4,)`` or vector ``(3,)``, or a
+``(K, 4)`` / ``(K, 3)`` stack, and returns one value or a stack of ``K``
+(matrices as ``(K, 3, 3)`` / ``(K, 4, 4)``).  Every row of a stack is
+rounded as a one-value call rounds it.  :func:`quat_log` takes one
+quaternion only.
 """
 
 from __future__ import annotations
@@ -32,58 +38,60 @@ def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms over the last axis, each rounded as ``np.linalg.norm`` rounds a
+    single vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def quat_normalize(q) -> np.ndarray:
     """Scale ``q`` to unit norm. Preserves sign (no canonicalization)."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n < 1e-12:
+    n = _norms(q)
+    if np.any(n < 1e-12):
         raise InvalidQuaternionError("cannot normalize a near-zero quaternion")
-    return q / n
+    return q / n[..., None]
 
 
 def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product ``a ⊗ b``, renormalized."""
-    w1, x1, y1, z1 = np.asarray(a, dtype=float)
-    w2, x2, y2, z2 = np.asarray(b, dtype=float)
-    out = np.array(
+    w1, x1, y1, z1 = np.asarray(a, dtype=float).T
+    w2, x2, y2, z2 = np.asarray(b, dtype=float).T
+    out = np.stack(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+        ],
+        axis=-1,
     )
     return quat_normalize(out)
 
 
-def _check_unit(q: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.norm(q) - 1.0) > QUAT_NORM_TOL:
-        raise InvalidQuaternionError(
-            f"quaternion norm {np.linalg.norm(q):.9f} deviates more than {QUAT_NORM_TOL}"
-        )
-    return q
-
-
 def quat_to_dcm(q) -> np.ndarray:
-    """Rotation matrix of ``q``; column j is the image of child axis j.
+    """Rotation matrix of unit ``q``; column j is the image of child axis j.
 
     The result maps child-frame (v) vectors into the parent frame (u).
     """
-    q = _check_unit(np.asarray(q, dtype=float))
-    w, x, y, z = q
-    return np.array(
+    q = np.asarray(q, dtype=float)
+    norm_err = np.abs(_norms(q) - 1.0)
+    if np.any(norm_err > QUAT_NORM_TOL):
+        raise InvalidQuaternionError(
+            f"quaternion norm deviates {np.max(norm_err):.3g} from 1, more than {QUAT_NORM_TOL}")
+    w, x, y, z = q.T
+    return np.stack(
         [
-            [w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z],
-        ]
-    )
-
+            w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z,
+        ],
+        axis=-1,
+    ).reshape(q.shape[:-1] + (3, 3))
 
 
 def apply_small_angle(q, dphi) -> np.ndarray:
@@ -93,19 +101,22 @@ def apply_small_angle(q, dphi) -> np.ndarray:
     ``|dphi|``; use :func:`quat_exp` for large angles.
     """
     dphi = np.asarray(dphi, dtype=float)
-    dq = np.concatenate(([1.0], 0.5 * dphi))
+    dq = np.concatenate([np.ones(dphi.shape[:-1] + (1,)), 0.5 * dphi], axis=-1)
     return quat_multiply(q, dq)
 
 
 def quat_exp(phi) -> np.ndarray:
     """Exact axis-angle exponential: rotation vector ``phi`` to quaternion."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    if angle < 1e-12:
-        return quat_normalize(np.concatenate(([1.0], 0.5 * phi)))
-    axis = phi / angle
+    angle = _norms(phi)
+    small = angle < 1e-12
     half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vec = np.where(small[..., None], 0.5 * phi,
+                       np.sin(half)[..., None] * (phi / angle[..., None]))
+    out = np.concatenate([np.where(small, 1.0, np.cos(half))[..., None], vec], axis=-1)
+    out[small] /= _norms(out[small])[..., None]
+    return out
 
 
 def quat_log(q) -> np.ndarray:
@@ -123,8 +134,50 @@ def quat_log(q) -> np.ndarray:
 
 def skew(v) -> np.ndarray:
     """Antisymmetric matrix with ``skew(v) @ w == cross(v, w)``."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    v = np.asarray(v, dtype=float)
+    x, y, z = v.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
+                    axis=-1).reshape(v.shape[:-1] + (3, 3))
+
+
+def quat_left(q) -> np.ndarray:
+    """Left-product matrix: ``quat_left(a) @ b`` is ``a ⊗ b``, unnormalized."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    return np.stack([w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w],
+                    axis=-1).reshape(q.shape[:-1] + (4, 4))
+
+
+def quat_right(q) -> np.ndarray:
+    """Right-product matrix: ``quat_right(b) @ a`` is ``a ⊗ b``, unnormalized."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    return np.stack([w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w],
+                    axis=-1).reshape(q.shape[:-1] + (4, 4))
+
+
+def so3_right_jacobian(phi) -> np.ndarray:
+    """Right Jacobian of SO(3): ``exp(phi + d) ≈ exp(phi) ⊗ exp(J_r(phi) d)``."""
+    phi = np.asarray(phi, dtype=float)
+    angle = _norms(phi)
+    S = skew(phi)
+    SS = S @ S
+    small = angle < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(small, 0.5, (1.0 - np.cos(angle)) / angle**2)
+        b = np.where(small, 1.0 / 6.0, (angle - np.sin(angle)) / angle**3)
+    return np.eye(3) - a[..., None, None] * S + b[..., None, None] * SS
+
+
+def euler_from_quat(q) -> np.ndarray:
+    """Roll, pitch, yaw in radians, z-y-x convention, in the last axis."""
+    R = quat_to_dcm(q)
+    return np.stack([
+        np.arctan2(R[..., 2, 1], R[..., 2, 2]),
+        -np.arcsin(np.clip(R[..., 2, 0], -1.0, 1.0)),
+        np.arctan2(R[..., 1, 0], R[..., 0, 0]),
+    ], axis=-1)
 
 
 def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
@@ -143,75 +196,12 @@ def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
     )
 
 
-# ---------------------------------------------------------------------------
-# Stacked forms: the same maps over a leading axis of K quaternions or
-# vectors, for the batched factor linearization.
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Row norms, rounded as ``np.linalg.norm`` rounds a single vector."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def quat_normalize_batch(q) -> np.ndarray:
-    """Row-wise :func:`quat_normalize`, rounded as it rounds."""
-    return q / _norms(q)[:, None]
-
-
-def quat_conjugate_batch(q) -> np.ndarray:
-    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_multiply_batch(a, b) -> np.ndarray:
-    """Row-wise Hamilton products ``a[k] ⊗ b[k]``, renormalized."""
-    w1, x1, y1, z1 = np.asarray(a, dtype=float).T
-    w2, x2, y2, z2 = np.asarray(b, dtype=float).T
-    out = np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=1,
-    )
-    return quat_normalize_batch(out)
-
-
-def quat_to_dcm_batch(q) -> np.ndarray:
-    """(K, 3, 3) rotation matrices of (K, 4) unit quaternions."""
-    q = np.asarray(q, dtype=float)
-    norm_err = np.abs(np.linalg.norm(q, axis=1) - 1.0)
-    if np.any(norm_err > QUAT_NORM_TOL):
-        raise InvalidQuaternionError(
-            f"quaternion norm deviates {np.max(norm_err):.3g} from 1, more than {QUAT_NORM_TOL}")
-    w, x, y, z = q.T
-    return np.stack(
-        [
-            w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
-            2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x),
-            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z,
-        ],
-        axis=1,
-    ).reshape(-1, 3, 3)
-
-
-def euler_from_quat(q) -> np.ndarray:
-    """(N, 3) roll, pitch, yaw in radians of (N, 4) quaternions, z-y-x convention."""
-    R = quat_to_dcm_batch(q)
-    return np.column_stack([
-        np.arctan2(R[:, 2, 1], R[:, 2, 2]),
-        -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0)),
-        np.arctan2(R[:, 1, 0], R[:, 0, 0]),
-    ])
-
-
 def quat_chain(q0, half_angle) -> np.ndarray:
     """(n + 1, 4) strapdown chain ``q_{i+1} = q_i (x) [1, half_angle_i]`` from ``q0``.
 
     Each step is :func:`quat_multiply` on Python floats: the same products
-    and sums, and the same renormalization (``ndarray.dot``, as
-    ``np.linalg.norm`` takes it), so every quaternion matches bit for bit.
+    and sums, and the same renormalization (``ndarray.dot``, rounded as
+    :func:`quat_normalize`'s norm), so every quaternion matches bit for bit.
     The input is read through a flat iterator and the chain collected in
     an ``array('d')``, 8 bytes per value, not as Python tuples.
     """
@@ -228,50 +218,3 @@ def quat_chain(q0, half_angle) -> np.ndarray:
         w1, x1, y1, z1 = w / norm, x / norm, y / norm, z / norm
         out.extend((w1, x1, y1, z1))
     return np.frombuffer(out).reshape(-1, 4)
-
-
-def quat_exp_batch(phi) -> np.ndarray:
-    """Row-wise :func:`quat_exp` of (K, 3) rotation vectors."""
-    phi = np.asarray(phi, dtype=float)
-    angle = _norms(phi)
-    small = angle < 1e-12
-    half = 0.5 * angle
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vec = np.where(small[:, None], 0.5 * phi, np.sin(half)[:, None] * (phi / angle[:, None]))
-    out = np.concatenate([np.where(small, 1.0, np.cos(half))[:, None], vec], axis=1)
-    out[small] /= _norms(out[small])[:, None]
-    return out
-
-
-def skew_batch(v) -> np.ndarray:
-    """(K, 3, 3) antisymmetric matrices of (K, 3) vectors."""
-    x, y, z = np.asarray(v, dtype=float).T
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
-
-
-def quat_left_batch(q) -> np.ndarray:
-    """(K, 4, 4) stack of :func:`quat_left`."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    return np.stack([w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w],
-                    axis=1).reshape(-1, 4, 4)
-
-
-def quat_right_batch(q) -> np.ndarray:
-    """(K, 4, 4) stack of :func:`quat_right`."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    return np.stack([w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w],
-                    axis=1).reshape(-1, 4, 4)
-
-
-def so3_right_jacobian_batch(phi) -> np.ndarray:
-    """(K, 3, 3) stack of :func:`so3_right_jacobian`."""
-    phi = np.asarray(phi, dtype=float)
-    angle = _norms(phi)
-    S = skew_batch(phi)
-    SS = S @ S
-    small = angle < 1e-6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(small, 0.5, (1.0 - np.cos(angle)) / angle**2)
-        b = np.where(small, 1.0 / 6.0, (angle - np.sin(angle)) / angle**3)
-    return np.eye(3) - a[:, None, None] * S + b[:, None, None] * SS

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import quat_chain, quat_from_euler, quat_to_dcm, quat_to_dcm_batch
+from .attitude import quat_chain, quat_from_euler, quat_to_dcm
 from .channel import (
     LedBeacon,
     LedTable,
@@ -50,7 +50,6 @@ class PositionFix:
     timestamp: float
     position: np.ndarray | None  # photodiode position, room frame
     cov: np.ndarray | None
-    n_used: int
     resid_rms: float
     attitude: np.ndarray | None = None  # tilt variant only
     held: bool = False  # repeated last fix (no valid snapshot this epoch)
@@ -84,7 +83,7 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
     usable = samples[samples["flag"] == SampleFlag.LOS]
     d = x.size
     failed = PositionFix(float(samples["timestamp"][0]) if len(samples) else 0.0, None, None,
-                         len(usable), np.inf)
+                         np.inf)
     if len(usable) < d:
         return failed, x, None
     table = LedTable.of(led_map.values(), rx)
@@ -130,7 +129,7 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
             or np.linalg.norm(step) > 0.05 or not _inside(pos[0], bounds)):
         return failed, x, None
     rms = float(np.sqrt(np.mean(r[good] ** 2)))
-    return PositionFix(float(usable["timestamp"][0]), pos[0], None, len(usable), rms), x, H
+    return PositionFix(float(usable["timestamp"][0]), pos[0], None, rms), x, H
 
 
 def solve_position_rss(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig,
@@ -178,7 +177,7 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
 
     def pose(X):
         pos = np.column_stack([X[:, :2], np.full(len(X), height)])
-        return pos, quat_to_dcm_batch(quat_from_euler(0.0, X[:, 2], X[:, 3]))[:, :, 2]
+        return pos, receiver_normal(quat_from_euler(0.0, X[:, 2], X[:, 3]))
 
     x0 = np.array([init_xy[0], init_xy[1], init_pitch, init_yaw], dtype=float)
     # Regularization keeps the unobservable heading (and near-flat pitch
@@ -264,8 +263,7 @@ def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
         elif last_fix is not None:
             # A 1 Hz output must produce something during outages: repeat
             # the previous fix and mark it held.
-            fix = PositionFix(timestamp=t, position=last_fix.position.copy(),
-                              cov=last_fix.cov, n_used=fix.n_used,
+            fix = PositionFix(timestamp=t, position=last_fix.position.copy(), cov=last_fix.cov,
                               resid_rms=np.inf, attitude=last_fix.attitude, held=True)
         fixes.append(fix)
     return fixes
@@ -308,7 +306,7 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     ts = imu.timestamps
     dts = np.diff(ts)
     qs = quat_chain(x0.attitude, 0.5 * (R_bv @ imu.gyro[:-1, :, None])[:, :, 0] * dts[:, None])
-    Rs = quat_to_dcm_batch(qs)
+    Rs = quat_to_dcm(qs)
     acc_u = ((Rs[:-1] @ R_bv) @ imu.accel[:-1, :, None])[:, :, 0] + gravity
 
     out_t, out_p, out_v, out_q = [], [], [], []

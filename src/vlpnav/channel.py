@@ -187,12 +187,13 @@ class LosGeometry:
 
 
 def receiver_normal(q) -> np.ndarray:
-    """Room-frame photodiode normal for attitude ``q`` (third DCM column).
+    """Room-frame photodiode normal for attitude ``q`` (third DCM column),
+    of one quaternion or a ``(K, 4)`` stack.
 
     Componentwise for q = [q0, q1, q2, q3]:
     ``[2(q1 q3 + q0 q2), 2(q2 q3 - q0 q1), q0^2 - q1^2 - q2^2 + q3^2]``.
     """
-    return quat_to_dcm(q)[:, 2]
+    return quat_to_dcm(q)[..., 2]
 
 
 def los_geometry(pd_pos, q, led: LedBeacon) -> LosGeometry:
@@ -272,8 +273,11 @@ def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: flo
     are its one-pose views.  The products are grouped as the simulator
     has always grouped them, so its datasets stay byte-identical.
     """
-    pd_normal = np.asarray(pd_normal, dtype=float)
-    led_normal = np.asarray(led_normal, dtype=float)
+    # einsum sums a strided operand in another order than a contiguous
+    # one, so the normals are read in C order: a DCM column (a strided
+    # view) and its copy give the same bits.
+    pd_normal = np.ascontiguousarray(pd_normal, dtype=float)
+    led_normal = np.ascontiguousarray(led_normal, dtype=float)
     d = np.asarray(led_pos, dtype=float) - np.asarray(pd_pos, dtype=float)
     dist = np.linalg.norm(d, axis=1)
     m = np.asarray(order, dtype=float)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import euler_from_quat, quat_to_dcm_batch
+from .attitude import euler_from_quat, quat_to_dcm
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
 from .blockage import DetectionSpec, DrdDetector, annotate_epochs
 from .channel import SampleFlag
@@ -254,7 +254,7 @@ def cmd_estimate(args) -> int:
         q = np.array([[1.0, 0, 0, 0] if fx.attitude is None else fx.attitude for fx in fixes])
         # Report the navigation (IMU) center like the other modes.
         p = (np.array([fx.position for fx in fixes])
-             - quat_to_dcm_batch(q) @ dataset.receiver.lever_arm_vlp)
+             - quat_to_dcm(q) @ dataset.receiver.lever_arm_vlp)
         zeros = np.zeros_like(p)
         traj = StateArrays(np.array([fx.timestamp for fx in fixes]), p, zeros, q, zeros, zeros)
     else:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attitude import quat_to_dcm, quat_to_dcm_batch, skew, skew_batch
+from .attitude import quat_to_dcm, skew
 from .channel import (
     LedBeacon,
     LedTable,
@@ -575,7 +575,7 @@ def _constraint_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
     if cfg.use_nhc:
         Rt = np.swapaxes(R, 1, 2)
         v_v = (Rt @ X.velocity[:, :, None])[:, :, 0]
-        S = skew_batch(v_v)
+        S = skew(v_v)
         for axis in (1, 2):
             row = np.zeros((n, NAV_DIM))
             row[:, 3:6] = Rt[:, axis]
@@ -605,7 +605,7 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
     r`` over those factors, then the marginal prior's quadratic.
     """
     X = window.states
-    R = quat_to_dcm_batch(X.attitude)
+    R = quat_to_dcm(X.attitude)
     rows = (
         _imu_rows(window.imu_factors, window.config.gravity_vec, X),
         _rss_rows(window, X, R),

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import quat_to_dcm
-from .channel import SampleFlag
+from .attitude import euler_from_quat
+from .channel import SampleFlag, receiver_normal
 
 #: Maximum allowed timestamp skew when pairing estimates with truth.
 MAX_TIME_SKEW = 1e-3
@@ -83,22 +83,26 @@ def cdf_table(errors) -> list:
     return [(float(e), float((i + 1) / n)) for i, e in enumerate(errors)]
 
 
-def normal_angle_deg(q_est, q_true) -> float:
+def _row_dot(a, b):
+    """Dot products over the last axis, each rounded as ``ndarray.dot``
+    rounds one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def normal_angle_deg(q_est, q_true):
     """Angle between estimated and true photodiode normals (inclination), as
     ``atan2(|n_e x n_t|, n_e . n_t)``: ``arccos`` of the dot product would
-    lose about 1e-8 deg near zero."""
-    n_e = quat_to_dcm(q_est)[:, 2]
-    n_t = quat_to_dcm(q_true)[:, 2]
-    return float(np.rad2deg(np.arctan2(np.linalg.norm(np.cross(n_e, n_t)), n_e @ n_t)))
+    lose about 1e-8 deg near zero.  One angle per row of ``(K, 4)`` stacks."""
+    n_e = receiver_normal(q_est)
+    n_t = receiver_normal(q_true)
+    cross = np.cross(n_e, n_t)
+    return np.rad2deg(np.arctan2(np.sqrt(_row_dot(cross, cross)), _row_dot(n_e, n_t)))
 
 
-def heading_error_deg(q_est, q_true) -> float:
-    R_e = quat_to_dcm(q_est)
-    R_t = quat_to_dcm(q_true)
-    yaw_e = np.arctan2(R_e[1, 0], R_e[0, 0])
-    yaw_t = np.arctan2(R_t[1, 0], R_t[0, 0])
-    d = (yaw_e - yaw_t + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.rad2deg(abs(d)))
+def heading_error_deg(q_est, q_true):
+    """Absolute yaw difference, wrapped to [0, 180] deg; per row of stacks."""
+    d = euler_from_quat(q_est)[..., 2] - euler_from_quat(q_true)[..., 2]
+    return np.rad2deg(np.abs((d + np.pi) % (2.0 * np.pi) - np.pi))
 
 
 def evaluate_run(mode: str, est_times, est_positions, truth, est_attitudes=None,
@@ -120,12 +124,12 @@ def evaluate_run(mode: str, est_times, est_positions, truth, est_attitudes=None,
     err_2d = np.linalg.norm(err_vec[:, :2], axis=1)
     err_3d = np.linalg.norm(err_vec, axis=1)
 
-    incl = head = []
+    incl = head = np.empty(0)
     if est_attitudes is not None:
         qa = np.atleast_2d(np.asarray(est_attitudes, dtype=float))[keep]
         qt = truth.attitude[nearest[keep]]
-        incl = [normal_angle_deg(a, b) for a, b in zip(qa, qt)]
-        head = [heading_error_deg(a, b) for a, b in zip(qa, qt)]
+        incl = normal_angle_deg(qa, qt)
+        head = heading_error_deg(qa, qt)
 
     return RunReport(
         mode=mode,
@@ -134,9 +138,9 @@ def evaluate_run(mode: str, est_times, est_positions, truth, est_attitudes=None,
         max_2d=float(err_2d.max()),
         mean_3d=float(err_3d.mean()),
         max_3d=float(err_3d.max()),
-        mean_inclination_deg=float(np.mean(incl)) if len(incl) else float("nan"),
-        max_inclination_deg=float(np.max(incl)) if len(incl) else float("nan"),
-        mean_heading_deg=float(np.mean(head)) if len(head) else float("nan"),
+        mean_inclination_deg=float(np.mean(incl)) if incl.size else float("nan"),
+        max_inclination_deg=float(np.max(incl)) if incl.size else float("nan"),
+        mean_heading_deg=float(np.mean(head)) if head.size else float("nan"),
         cdf=cdf_table(err_3d),
         runtime_s=runtime_s,
         n_fix_failures=n_fix_failures,

@@ -42,18 +42,14 @@ import numpy as np
 from .attitude import (
     quat_chain,
     quat_conjugate,
-    quat_conjugate_batch,
     quat_exp,
-    quat_exp_batch,
     quat_identity,
-    quat_left_batch,
+    quat_left,
     quat_multiply,
-    quat_multiply_batch,
-    quat_right_batch,
+    quat_right,
     quat_to_dcm,
-    quat_to_dcm_batch,
-    skew_batch,
-    so3_right_jacobian_batch,
+    skew,
+    so3_right_jacobian,
 )
 from .state import NavState, StateArrays
 
@@ -190,8 +186,8 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
     a = stream.accel @ R_bv.T - bias_acc
     w = stream.gyro @ R_bv.T - bias_gyro
     gammas = quat_chain(quat_identity(), 0.5 * w * dts[:, None])
-    R = quat_to_dcm_batch(gammas[:-1])  # attitude at the start of each sample
-    Ra = R @ skew_batch(a)
+    R = quat_to_dcm(gammas[:-1])  # attitude at the start of each sample
+    Ra = R @ skew(a)
     Ra_vec = _mv(R, a)
 
     dt = dts[:, None, None]
@@ -203,7 +199,7 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
     F[:, 0:3, 9:12] = 0.5 * R * dt2
     F[:, 3:6, 6:9] = -Ra * dt
     F[:, 3:6, 9:12] = R * dt
-    F[:, 6:9, 6:9] = eye - skew_batch(w) * dt
+    F[:, 6:9, 6:9] = eye - skew(w) * dt
     F[:, 6:9, 12:15] = eye * dt
 
     G = np.zeros((n, 15, 12))
@@ -305,12 +301,12 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     alpha = pres.alpha + _mv(pres.d_alpha_d_ba, dba) + _mv(pres.d_alpha_d_bg, dbg)
     beta = pres.beta + _mv(pres.d_beta_d_ba, dba) + _mv(pres.d_beta_d_bg, dbg)
     phi0 = _mv(pres.d_gamma_d_bg, dbg)
-    gamma_c = quat_multiply_batch(pres.gamma, quat_exp_batch(phi0))
-    R_ku = np.swapaxes(quat_to_dcm_batch(x_k.attitude), 1, 2)
+    gamma_c = quat_multiply(pres.gamma, quat_exp(phi0))
+    R_ku = np.swapaxes(quat_to_dcm(x_k.attitude), 1, 2)
     dp = x_k1.position - x_k.position - 0.5 * g * dt**2 - x_k.velocity * dt
     dv = x_k1.velocity - g * dt - x_k.velocity
-    q_rel = quat_multiply_batch(quat_conjugate_batch(x_k.attitude), x_k1.attitude)
-    q_err = quat_multiply_batch(q_rel, quat_conjugate_batch(gamma_c))
+    q_rel = quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude)
+    q_err = quat_multiply(q_rel, quat_conjugate(gamma_c))
     sign = np.where(q_err[:, 0] < 0.0, -1.0, 1.0)[:, None, None]
 
     n = dt.shape[0]
@@ -325,22 +321,22 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     Jk1 = np.zeros((n, 15, 15))
     Jk[:, 0:3, 0:3] = -R_ku
     Jk[:, 0:3, 3:6] = -R_ku * dt[:, :, None]
-    Jk[:, 0:3, 6:9] = skew_batch(_mv(R_ku, dp))
+    Jk[:, 0:3, 6:9] = skew(_mv(R_ku, dp))
     Jk[:, 0:3, 9:12] = -pres.d_alpha_d_ba
     Jk[:, 0:3, 12:15] = -pres.d_alpha_d_bg
     Jk1[:, 0:3, 0:3] = R_ku
 
     Jk[:, 3:6, 3:6] = -R_ku
-    Jk[:, 3:6, 6:9] = skew_batch(_mv(R_ku, dv))
+    Jk[:, 3:6, 6:9] = skew(_mv(R_ku, dv))
     Jk[:, 3:6, 9:12] = -pres.d_beta_d_ba
     Jk[:, 3:6, 12:15] = -pres.d_beta_d_bg
     Jk1[:, 3:6, 3:6] = R_ku
 
-    rel_gc = (quat_left_batch(q_rel)
-              @ quat_right_batch(quat_conjugate_batch(gamma_c)))[:, 1:4, 1:4]
-    Jk[:, 6:9, 6:9] = -sign * quat_right_batch(q_err)[:, 1:4, 1:4]
+    rel_gc = (quat_left(q_rel)
+              @ quat_right(quat_conjugate(gamma_c)))[:, 1:4, 1:4]
+    Jk[:, 6:9, 6:9] = -sign * quat_right(q_err)[:, 1:4, 1:4]
     Jk1[:, 6:9, 6:9] = sign * rel_gc
-    Jk[:, 6:9, 12:15] = -sign * rel_gc @ (so3_right_jacobian_batch(phi0) @ pres.d_gamma_d_bg)
+    Jk[:, 6:9, 12:15] = -sign * rel_gc @ (so3_right_jacobian(phi0) @ pres.d_gamma_d_bg)
 
     eye = np.eye(3)
     Jk[:, 9:12, 9:12] = -eye

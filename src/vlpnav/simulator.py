@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import quat_chain, quat_from_euler, quat_to_dcm_batch
+from .attitude import quat_chain, quat_conjugate, quat_from_euler, quat_to_dcm
 from .blockage import DetectionSpec
 from .channel import (
     EPOCH_RSS,
@@ -40,6 +40,7 @@ from .channel import (
     SampleFlag,
     gain_constant,
     lambertian,
+    receiver_normal,
 )
 from .preint import ImuStream
 from .records import from_record, to_record
@@ -334,7 +335,7 @@ def ideal_imu_from_kinematics(quats, accel_u, gyro_v, gravity, dcm_body_to_vlp):
     gyro_v = np.asarray(gyro_v, dtype=float)
     gravity = np.asarray(gravity, dtype=float)
     R_vb = np.asarray(dcm_body_to_vlp, dtype=float)
-    f_v = _rotate_vec(quats * np.array([1.0, -1.0, -1.0, -1.0]), accel_u - gravity[None, :])
+    f_v = _rotate_vec(quat_conjugate(quats), accel_u - gravity[None, :])
     return f_v @ R_vb, gyro_v @ R_vb
 
 
@@ -413,7 +414,7 @@ def generate_trajectory(scenario: Scenario) -> TruthStream:
 
     # Reconcile: emitted truth is the strapdown integration of the ideal IMU.
     q_m = quat_chain(quats[0], 0.5 * gyro_v[:-1] * dt)
-    R_m = quat_to_dcm_batch(q_m[:-1])
+    R_m = quat_to_dcm(q_m[:-1])
     a_m = (R_m @ (R_vb @ specific_force_b[:-1, :, None]))[:, :, 0] + gravity
     v_m = np.add.accumulate(np.concatenate([vel[:1], a_m * dt]))
     # Each position step adds v dt, then a dt^2 / 2, so the sums round as a
@@ -517,9 +518,7 @@ def _signal_series(truth: TruthStream, scenario: Scenario, times) -> dict:
     poses, quats = _interpolate_poses(truth, np.asarray(times, dtype=float))
     lever = rx.lever_arm_vlp
     pd_pos = poses + _rotate_vec(quats, np.broadcast_to(lever, poses.shape).copy())
-    w, x, y, z = quats.T
-    n_u = np.stack(
-        [2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w**2 - x**2 - y**2 + z**2], axis=1)
+    n_u = receiver_normal(quats)
     fov_cos = rx.fov_cos()
     out = {}
     for led in scenario.leds:

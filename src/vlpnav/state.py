@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import (
-    apply_small_angle,
-    quat_conjugate,
-    quat_log,
-    quat_multiply,
-    quat_multiply_batch,
-)
+from .attitude import apply_small_angle, quat_conjugate, quat_log, quat_multiply
 
 #: Error-state dimension of one navigation state.
 ERROR_DIM = 15
@@ -128,15 +122,13 @@ class StateArrays:
 
     def perturb(self, dx: np.ndarray) -> "StateArrays":
         """:meth:`NavState.perturb` of every row by its row of the (N, 15)
-        ``dx``, bit for bit: the attitude is normalized once, by
-        ``quat_multiply_batch`` as ``quat_multiply`` does."""
+        ``dx``, bit for bit."""
         dx = np.asarray(dx, dtype=float)
         if dx.shape != (len(self), ERROR_DIM):
             raise ValueError(f"error vectors must be ({len(self)}, {ERROR_DIM})")
-        dq = np.concatenate([np.ones((len(self), 1)), 0.5 * dx[:, 6:9]], axis=1)
         return StateArrays(self.timestamps, self.position + dx[:, 0:3],
                            self.velocity + dx[:, 3:6],
-                           quat_multiply_batch(self.attitude, dq),
+                           apply_small_angle(self.attitude, dx[:, 6:9]),
                            self.bias_acc + dx[:, 9:12], self.bias_gyro + dx[:, 12:15])
 
 

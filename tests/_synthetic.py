@@ -20,13 +20,13 @@ import numpy as np
 from vlpnav.attitude import (
     quat_conjugate,
     quat_identity,
-    quat_left_batch,
+    quat_left,
     quat_multiply,
     quat_normalize,
-    quat_right_batch,
+    quat_right,
     quat_to_dcm,
     skew,
-    so3_right_jacobian_batch,
+    so3_right_jacobian,
 )
 from vlpnav.blockage import PSI_CAP, THRESHOLD_GRID, BlockageState, DetectionSpec, drd_step
 from vlpnav.channel import (
@@ -217,15 +217,15 @@ def imu_residual_jacobians(pre: PreintegratedImu, x_k: NavState, x_k1: NavState,
     q_rel = quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude)
     q_err = quat_multiply(q_rel, quat_conjugate(gamma_c))
     sign = -1.0 if q_err[0] < 0.0 else 1.0
-    L_rel = quat_left_batch(q_rel[None])[0]
-    R_gc = quat_right_batch(quat_conjugate(gamma_c)[None])[0]
-    Jk[6:9, 6:9] = -sign * quat_right_batch(q_err[None])[0, 1:4, 1:4]
+    L_rel = quat_left(q_rel)
+    R_gc = quat_right(quat_conjugate(gamma_c))
+    Jk[6:9, 6:9] = -sign * quat_right(q_err)[1:4, 1:4]
     Jk1[6:9, 6:9] = sign * (L_rel @ R_gc)[1:4, 1:4]
     # Bias-gyro sensitivity through the corrected gamma; the right
     # Jacobian accounts for a nonzero current correction angle.
     phi0 = pre.d_gamma_d_bg @ dbg
     Jk[6:9, 12:15] = -sign * (L_rel @ R_gc)[1:4, 1:4] @ (
-        so3_right_jacobian_batch(phi0[None])[0] @ pre.d_gamma_d_bg)
+        so3_right_jacobian(phi0) @ pre.d_gamma_d_bg)
 
     Jk[9:12, 9:12] = -np.eye(3)
     Jk1[9:12, 9:12] = np.eye(3)

@@ -15,18 +15,12 @@ import pytest
 
 from vlpnav.attitude import quat_from_euler, quat_to_dcm
 from vlpnav.baselines import run_loosely_coupled, vlp_only_trajectory
-from vlpnav.channel import (
-    LedBeacon,
-    ReceiverConfig,
-    predict_rss,
-    rss_jacobian,
-)
+from vlpnav.channel import predict_rss, rss_jacobian
 from vlpnav.cli import main, run_detection, run_tc
 from vlpnav.dataio import load_dataset, estimator_config_from_dict, write_dataset
 from vlpnav.estimator import (
     ERROR_DIM,
     assemble_cost,
-    estimate_unknown_leds,
     schur_marginalize,
     vlp_jacobian_row,
     vlp_residual,

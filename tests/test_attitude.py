@@ -6,17 +6,18 @@ from vlpnav.attitude import (
     apply_small_angle,
     euler_from_quat,
     quat_chain,
+    quat_conjugate,
     quat_exp,
     quat_from_euler,
     quat_identity,
-    quat_left_batch,
+    quat_left,
     quat_log,
     quat_multiply,
     quat_normalize,
-    quat_right_batch,
+    quat_right,
     quat_to_dcm,
     skew,
-    so3_right_jacobian_batch,
+    so3_right_jacobian,
 )
 
 from _synthetic import dcm_to_quat
@@ -99,8 +100,8 @@ class TestQuatMultiply:
     def test_product_matrices(self):
         a, b = random_quats(20, seed=9), random_quats(20, seed=10)
         ab = np.array([quat_multiply(ak, bk) for ak, bk in zip(a, b)])
-        np.testing.assert_allclose((quat_left_batch(a) @ b[:, :, None])[:, :, 0], ab, atol=1e-12)
-        np.testing.assert_allclose((quat_right_batch(b) @ a[:, :, None])[:, :, 0], ab, atol=1e-12)
+        np.testing.assert_allclose((quat_left(a) @ b[:, :, None])[:, :, 0], ab, atol=1e-12)
+        np.testing.assert_allclose((quat_right(b) @ a[:, :, None])[:, :, 0], ab, atol=1e-12)
 
 
 class TestQuatChain:
@@ -181,7 +182,7 @@ class TestExpLog:
         rng = np.random.default_rng(16)
         phis = rng.normal(size=(20, 3))
         ds = 1e-6 * rng.normal(size=(20, 3))
-        for phi, d, Jr in zip(phis, ds, so3_right_jacobian_batch(phis)):
+        for phi, d, Jr in zip(phis, ds, so3_right_jacobian(phis)):
             lhs = quat_exp(phi + d)
             rhs = quat_multiply(quat_exp(phi), quat_exp(Jr @ d))
             assert np.linalg.norm(lhs - rhs) < 1e-11
@@ -201,10 +202,50 @@ class TestEuler:
         assert q.shape == (100, 4)
         np.testing.assert_array_equal(
             q, np.array([quat_from_euler(*a) for a in zip(roll, pitch, yaw)]))
-        np.testing.assert_array_equal(
-            euler_from_quat(q), np.vstack([euler_from_quat(qk[None]) for qk in q]))
 
     def test_pure_yaw(self):
         q = quat_from_euler(0.0, 0.0, np.pi / 2)
         R = quat_to_dcm(q)
         np.testing.assert_allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
+
+
+def _vectors(seed, *small):
+    """(7, 3) random rotation vectors; the last rows scaled to ``small`` norms."""
+    v = np.random.default_rng(seed).normal(size=(7, 3))
+    for k, norm in enumerate(small, start=7 - len(small)):
+        v[k] *= norm / np.linalg.norm(v[k])
+    return v
+
+
+# Each map over a (7, .) stack: its arguments, one stack per argument.  The
+# rotation vectors reach the small-angle branches (zero, 1e-13 and 1e-7).
+_ROW_MAPS = [
+    (quat_normalize, (3.0 * np.random.default_rng(24).normal(size=(7, 4)),)),
+    (quat_conjugate, (random_quats(7, seed=25),)),
+    (quat_multiply, (random_quats(7, seed=26), random_quats(7, seed=27))),
+    (quat_to_dcm, (random_quats(7, seed=28),)),
+    (apply_small_angle, (random_quats(7, seed=29), 1e-2 * _vectors(30))),
+    (quat_exp, (_vectors(31, 0.0, 1e-13),)),
+    (skew, (_vectors(32),)),
+    (euler_from_quat, (random_quats(7, seed=33),)),
+    (quat_left, (random_quats(7, seed=34),)),
+    (quat_right, (random_quats(7, seed=35),)),
+    (so3_right_jacobian, (_vectors(36, 0.0, 1e-7),)),
+]
+
+
+@pytest.mark.parametrize("fn, args", _ROW_MAPS, ids=[fn.__name__ for fn, _ in _ROW_MAPS])
+def test_stack_matches_one_value_calls(fn, args):
+    stacked = fn(*args)
+    assert stacked.shape[0] == 7
+    np.testing.assert_array_equal(stacked, np.array([fn(*row) for row in zip(*args)]))
+
+
+@pytest.mark.parametrize("fn, bad", [(quat_normalize, np.zeros(4)),
+                                     (quat_to_dcm, np.array([1.0 + 1e-5, 0.0, 0.0, 0.0]))],
+                         ids=["quat_normalize", "quat_to_dcm"])
+def test_one_bad_row_raises(fn, bad):
+    q = random_quats(7, seed=37)
+    q[4] = bad
+    with pytest.raises(InvalidQuaternionError):
+        fn(q)

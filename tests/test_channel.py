@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from vlpnav.attitude import apply_small_angle, quat_from_euler, quat_identity, quat_normalize
+from vlpnav.attitude import (
+    apply_small_angle,
+    quat_from_euler,
+    quat_identity,
+    quat_normalize,
+    quat_to_dcm,
+)
 from vlpnav.channel import (
     DegenerateGeometryError,
     GrazingIncidenceError,
     LedBeacon,
     ReceiverConfig,
+    lambertian,
     los_geometry,
     predict_rss,
     receiver_normal,
@@ -75,6 +82,36 @@ class TestReceiverNormal:
         for _ in range(30):
             q = quat_normalize(rng.normal(size=4))
             assert np.linalg.norm(receiver_normal(q)) == pytest.approx(1.0, abs=1e-12)
+
+
+
+class TestLambertianLayout:
+    """``einsum`` sums a strided operand in another order than a contiguous
+    one; a DCM column (a strided view) and its copy must give the same bits."""
+
+    @pytest.mark.parametrize("per_row_led", [False, True], ids=["one-led", "per-row-led"])
+    def test_strided_normals_match_contiguous(self, per_row_led):
+        rng = np.random.default_rng(38)
+        n = 20_000
+        pd = rng.uniform([0.0, 0.0, 0.0], [5.0, 5.0, 2.0], size=(n, 3))
+        q = quat_from_euler(*rng.uniform(-0.6, 0.6, size=(2, n)), rng.uniform(-np.pi, np.pi, n))
+        pd_normal = quat_to_dcm(q)[:, :, 2]
+        led_normal = np.array([0.0, 0.0, 1.0])  # the upward LED normal
+        if per_row_led:
+            tilt = quat_from_euler(*rng.uniform(-0.3, 0.3, size=(2, n)), 0.0)
+            led_normal = quat_to_dcm(tilt)[:, :, 2]
+        assert not pd_normal.flags.c_contiguous
+
+        def model(pd_normal, led_normal):
+            return lambertian(pd, pd_normal, [2.5, 2.5, 5.0], led_normal, 1.3, 2.0,
+                              np.cos(np.deg2rad(75.0)), gradients=True)
+
+        strided = model(pd_normal, led_normal)
+        contiguous = model(np.ascontiguousarray(pd_normal), np.ascontiguousarray(led_normal))
+        assert np.count_nonzero(contiguous.valid) > n // 2
+        for name in ("rss", "valid", "d_pos", "d_att"):
+            np.testing.assert_array_equal(getattr(strided, name), getattr(contiguous, name),
+                                          err_msg=name)
 
 
 class TestPredictRss:

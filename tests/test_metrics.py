@@ -94,6 +94,14 @@ class TestAngles:
         q2 = quat_from_euler(0, 0, np.deg2rad(-179.0))
         assert heading_error_deg(q1, q2) == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("fn", [normal_angle_deg, heading_error_deg])
+    def test_stack_matches_one_value_calls(self, fn):
+        rng = np.random.default_rng(5)
+        q_est, q_true = (quat_from_euler(*rng.uniform(-3.0, 3.0, size=(3, 7))) for _ in range(2))
+        stacked = fn(q_est, q_true)
+        assert stacked.shape == (7,)
+        np.testing.assert_array_equal(stacked, [fn(a, b) for a, b in zip(q_est, q_true)])
+
 
 class TestDetectionScores:
     def test_precision_recall(self):

@@ -12,7 +12,6 @@ from vlpnav.attitude import (
 from vlpnav.preint import (
     ImuNoise,
     ImuStream,
-    PreintegratedImu,
     imu_residual,
     mechanize,
     preintegrate,
