@@ -13,9 +13,8 @@ from .estimator import (
     SlidingWindow,
     TightlyCoupledEstimator,
 )
-from .preint import ImuNoise, ImuStream, PreintegratedImu
+from .preint import ImuNoise, ImuStream
 from .simulator import Scenario, reference_scenarios
-from .state import NavState
 
 __all__ = [
     "EPOCH_RSS",
@@ -24,8 +23,6 @@ __all__ = [
     "ImuNoise",
     "ImuStream",
     "LedBeacon",
-    "NavState",
-    "PreintegratedImu",
     "ReceiverConfig",
     "SampleFlag",
     "Scenario",

@@ -31,7 +31,7 @@ from .channel import (
     lambertian,
     receiver_normal,
 )
-from .state import NavState, StateArrays
+from .state import StateArrays
 
 #: Gauss-Newton iterations of one snapshot fix, unless a step falls below 1e-10.
 _GN_ITERS = 30
@@ -191,8 +191,9 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
     return fix
 
 
-def initial_state(dataset, flags) -> NavState:
-    """First-epoch state: leveling + manifest heading + RSS position fix.
+def initial_state(dataset, flags) -> StateArrays:
+    """First-epoch state (a row): leveling + manifest heading + RSS position
+    fix, at rest with zero biases.
 
     ``flags`` holds a SampleFlag code per epoch sample, as for
     :meth:`Dataset.epochs_by_time`.
@@ -213,7 +214,7 @@ def initial_state(dataset, flags) -> NavState:
     if fix.ok:
         # The fix locates the photodiode; shift back by the lever arm.
         p0 = fix.position - quat_to_dcm(q0) @ dataset.receiver.lever_arm_vlp
-    return NavState(timestamp=t0, position=p0, velocity=np.zeros(3), attitude=q0)
+    return StateArrays(t0, p0, np.zeros(3), q0, np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,8 @@ def cmd_estimate(args) -> int:
             led_init = ";".join(f"{i}={float(x)!r},{float(y)!r}"
                                 for i, (x, y) in sorted(unknown_init.items()))
         est, led_results, _ = run_tc(dataset, config, flags, unknown_init=unknown_init)
-        traj = StateArrays.of(est.causal)
-        _write_trajectory(out / "trajectory_smoothed.csv", StateArrays.of(est.smoothed))
+        traj = est.causal
+        _write_trajectory(out / "trajectory_smoothed.csv", est.smoothed)
         diag_rows = []
         led_cols = sorted(config.unknown_led_ids)
         for d in est.diagnostics:

@@ -36,8 +36,6 @@ takes the rows of the oldest state's factors from it and eliminates
 that state by one step, and :func:`estimate_unknown_leds` inverts the
 LED block left once every state is eliminated.  :func:`assemble_cost`
 is the dense view of the whole window.
-:func:`vlp_residual` and :func:`vlp_jacobian_row` state the RSS factor
-one sample at a time.
 
 Flagged (blocked) RSS samples are not deleted: they enter with the large
 ``blocked_variance`` so the corrupted measurements carry negligible
@@ -50,31 +48,22 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attitude import quat_to_dcm, skew
-from .channel import (
-    LedBeacon,
-    LedTable,
-    ReceiverConfig,
-    SampleFlag,
-    lambertian,
-    predict_rss,
-    rss_jacobian,
-)
+from .channel import LedBeacon, LedTable, ReceiverConfig, SampleFlag, lambertian
 from .preint import (
     BIAS_CORRECTION_WARN_ACC,
     BIAS_CORRECTION_WARN_GYRO,
     ImuNoise,
-    PreintegratedImu,
     PreintegratedStack,
     imu_residuals_batch,
     mechanize,
     preintegrate,
 )
-from .state import ERROR_DIM, NavState, StateArrays
+from .state import ERROR_DIM, StateArrays, boxminus
 
 logger = logging.getLogger(__name__)
 
@@ -94,9 +83,6 @@ __all__ = [
     "normal_equations",
     "slide_and_marginalize",
     "solve_lm",
-    "vlp_jacobian_row",
-    "vlp_residual",
-    "NavState",
 ]
 
 
@@ -173,52 +159,6 @@ class EstimatorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Factors
-
-
-def vlp_residual(state: NavState, value: float, led: LedBeacon, rx: ReceiverConfig,
-                 led_xy=None) -> float | None:
-    """Predicted RSS at the lever-arm-corrected PD position minus the
-    measured ``value``.
-
-    Returns ``None`` when the predicted geometry falls outside the FOV;
-    the caller skips the factor for that iterate.
-    """
-    if led_xy is not None:
-        led = replace(led, position=np.array([led_xy[0], led_xy[1], led.position[2]]))
-    R = quat_to_dcm(state.attitude)
-    pd_pos = state.position + R @ rx.lever_arm_vlp
-    pred = predict_rss(pd_pos, state.attitude, led, rx)
-    if pred is None:
-        return None
-    return pred - value
-
-
-def vlp_jacobian_row(state: NavState, led: LedBeacon, rx: ReceiverConfig,
-                     led_xy=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Jacobian of one RSS residual over the 15-dim state error (+ LED block).
-
-    Position block is the channel position gradient; the attitude block
-    combines the direct normal-rotation term with the lever-arm swing,
-    both mapped into the local attitude error; velocity and bias blocks
-    are zero.  The optional 2-vector is the unknown-LED planar block.
-    """
-    if led_xy is not None:
-        led = replace(led, position=np.array([led_xy[0], led_xy[1], led.position[2]]))
-    R = quat_to_dcm(state.attitude)
-    lever_u = R @ rx.lever_arm_vlp
-    pd_pos = state.position + lever_u
-    dp_dr, dp_dphi = rss_jacobian(pd_pos, state.attitude, led, rx)
-
-    row = np.zeros(ERROR_DIM)
-    row[0:3] = dp_dr
-    # d r / d theta = -(A^T + B^T [lever_u x]) R, A = dp_dphi, B = dp_dr
-    row[6:9] = -R.T @ (dp_dphi - skew(lever_u) @ dp_dr)
-    led_block = -dp_dr[:2] if led_xy is not None else None
-    return row, led_block
-
-
-# ---------------------------------------------------------------------------
 # Window and prior
 
 
@@ -236,11 +176,11 @@ class MarginalPrior:
 
     hessian: np.ndarray
     gradient: np.ndarray
-    state_lin: NavState
+    state_lin: StateArrays  # a row
     led_lin: np.ndarray
 
     def delta(self, window: "SlidingWindow") -> np.ndarray:
-        return np.concatenate([NavState.boxminus(window.states[0], self.state_lin),
+        return np.concatenate([boxminus(window.states[0], self.state_lin),
                                (window.led_xy - self.led_lin).ravel()])
 
 
@@ -249,12 +189,14 @@ RSS_SAMPLE = np.dtype([("state", int), ("led", int), ("value", float), ("varianc
 
 
 class SlidingWindow:
-    """Ordered states plus their attached factors and the rolling prior.
+    """Ordered states plus their attached factors and the rolling prior,
+    held as three tables.
 
-    ``states`` is a :class:`StateArrays`, one row per epoch of ``epoch_ids``;
-    IMU factor ``k`` joins states ``k`` and ``k + 1``.  ``rss`` holds the
-    samples (``EPOCH_RSS`` rows) of LEDs on the map in state order, flagged
-    ones at ``config.blocked_variance``.  The unknown LEDs ``led_ids`` (sorted
+    ``states`` is a :class:`StateArrays`, one row per epoch of ``epoch_ids``.
+    ``imu`` is a :class:`PreintegratedStack` whose row ``k`` joins states
+    ``k`` and ``k + 1``.  ``rss`` holds the samples (``EPOCH_RSS`` rows) of
+    LEDs on the map in state order, flagged ones at
+    ``config.blocked_variance``.  The unknown LEDs ``led_ids`` (sorted
     ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2),
     which start from the ``led_init`` guesses (id -> (x, y)) or else the
     map.  ``prior`` is the window's one prior.  ``equations`` is the
@@ -269,8 +211,8 @@ class SlidingWindow:
         self.led_map = {led.led_id: led for led in leds}
         self.led_table = LedTable.of(leds, rx)
         self.epoch_ids: list[int] = []
-        self.states = StateArrays.of([])
-        self.imu_factors: list[PreintegratedImu] = []
+        self.states = StateArrays.empty()
+        self.imu = PreintegratedStack.empty()
         self.rss = np.zeros(0, RSS_SAMPLE)
         self.prior: MarginalPrior | None = None
         self.led_ids = sorted(config.unknown_led_ids)
@@ -283,13 +225,15 @@ class SlidingWindow:
     def n_states(self) -> int:
         return len(self.states)
 
-    def append(self, epoch_id: int, state: NavState, pre: PreintegratedImu | None,
+    def append(self, epoch_id: int, state: StateArrays, pre: PreintegratedStack | None,
                rss: np.ndarray) -> None:
+        """Add a state (a row), the one-row IMU stack that joins the newest
+        state to it (``None`` for the first state) and its samples."""
         if self.n_states and pre is None:
             raise ValueError("non-initial states need an IMU factor")
         self.epoch_ids.append(epoch_id)
         if pre is not None:
-            self.imu_factors.append(pre)
+            self.imu = self.imu.append(pre)
         table_row = self.led_table.row
         rss = rss[np.isin(rss["led_id"], list(table_row))]
         new = np.empty(len(rss), RSS_SAMPLE)
@@ -513,16 +457,12 @@ class NormalEquations:
         return np.concatenate([x.ravel(), x_led])
 
 
-def _imu_rows(factors, gravity, X: StateArrays) -> FactorRows:
-    """Rows of the IMU factors ``factors``; factor ``k`` joins states ``k`` and ``k + 1``."""
-    n = len(factors)
+def _imu_rows(imu: PreintegratedStack, gravity, X: StateArrays) -> FactorRows:
+    """Rows of the IMU factors ``imu``; factor ``k`` joins states ``k`` and ``k + 1``."""
+    n = len(imu)
     ks = np.arange(n)
-    if n == 0:
-        empty = np.zeros((0, ERROR_DIM, ERROR_DIM))
-        return FactorRows(np.zeros((0, ERROR_DIM)), empty, (ks, ks), (empty, empty))
-    pres = PreintegratedStack.of(factors)
-    r, Jk, Jk1 = imu_residuals_batch(pres, X[:n], X[1:n + 1], gravity)
-    return FactorRows(r, pres.information, (ks, ks + 1), (Jk, Jk1))
+    r, Jk, Jk1 = imu_residuals_batch(imu, X[:n], X[1:n + 1], gravity)
+    return FactorRows(r, imu.information, (ks, ks + 1), (Jk, Jk1))
 
 
 def _rss_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
@@ -607,7 +547,7 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
     X = window.states
     R = quat_to_dcm(X.attitude)
     rows = (
-        _imu_rows(window.imu_factors, window.config.gravity_vec, X),
+        _imu_rows(window.imu, window.config.gravity_vec, X),
         _rss_rows(window, X, R),
         _constraint_rows(window, X, R),
     )
@@ -766,19 +706,6 @@ def _indefinite(pivot: np.ndarray) -> bool:
     return w[0] < -1e-9 * max(np.abs(w).max(), 1e-30)
 
 
-def schur_marginalize(H: np.ndarray, g: np.ndarray, n_marg: int):
-    """Eliminate the leading ``n_marg`` dims of a quadratic (H, g), the
-    dense form of :meth:`NormalEquations.eliminate`'s step: the reduced
-    ``(H', g')`` (``H'`` symmetrized), or ``None`` when the marginal block
-    is indefinite and the caller should drop the factors instead."""
-    if _indefinite(H[:n_marg, :n_marg]):
-        return None
-    Hg = np.column_stack([H, g])
-    Y = np.linalg.solve(H[:n_marg, :n_marg], Hg[:n_marg, n_marg:])
-    reduced = Hg[n_marg:, n_marg:] - H[n_marg:, :n_marg] @ Y
-    return 0.5 * (reduced[:, :-1] + reduced[:, :-1].T), reduced[:, -1]
-
-
 def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     """Fold the prior and every factor touching the oldest state into a new
     prior over the next state and the LEDs.
@@ -802,24 +729,24 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
         _, (S,), (R,), (B,), C = ne.eliminate(count=1)
         H = np.block([[S, R[:, ERROR_DIM:-1]], [B, C[:, :-1]]])
         return MarginalPrior(0.5 * (H + H.T), -np.concatenate([R[:, -1], C[:, -1]]),
-                             window.states.state(1), window.led_xy.copy())
+                             window.states[1], window.led_xy.copy())
     logger.warning("indefinite marginal block; dropping factors of epoch %d",
                    window.epoch_ids[0])
     if prior is None:
         return None
     hessian, gradient = prior.hessian.copy(), prior.gradient.copy()
     hessian[:ERROR_DIM], hessian[:, :ERROR_DIM], gradient[:ERROR_DIM] = 0.0, 0.0, 0.0
-    return MarginalPrior(hessian, gradient, window.states.state(1), prior.led_lin)
+    return MarginalPrior(hessian, gradient, window.states[1], prior.led_lin)
 
 
-def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: NavState,
-                          pre: PreintegratedImu, rss: np.ndarray) -> None:
+def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: StateArrays,
+                          pre: PreintegratedStack, rss: np.ndarray) -> None:
     """Append a new epoch; if the window is full, marginalize the oldest."""
     if window.n_states >= window.config.window_size:
         window.prior = _marginalize_oldest(window)
         window.epoch_ids.pop(0)
         window.states = window.states[1:]
-        window.imu_factors.pop(0)
+        window.imu = window.imu[1:]
         window.rss = window.rss[window.rss["state"] > 0]
         window.rss["state"] -= 1
     window.append(epoch_id, new_state, pre, rss)
@@ -921,20 +848,21 @@ class TightlyCoupledEstimator:
     ``causal`` holds the real-time stream (the newest state right after
     each solve); ``smoothed`` holds each state's final value when it
     leaves the window (or at shutdown), i.e. the fixed-lag smoother
-    output.  ``led_init`` is as for :class:`SlidingWindow`.
+    output.  Both are :class:`StateArrays`.  ``led_init`` is as for
+    :class:`SlidingWindow`.
     """
 
     def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig,
                  led_init: dict | None = None):
         self.config = config
         self.window = SlidingWindow(config, leds, rx, led_init)
-        self.causal: list[NavState] = []
-        self.smoothed: list[NavState] = []
+        self.causal = StateArrays.empty()
+        self.smoothed = StateArrays.empty()
         self.diagnostics: list[EpochDiagnostics] = []
         self._epoch_counter = 0
 
-    def start(self, state0: NavState, rss0: np.ndarray) -> LmReport:
-        """Open the window with ``state0`` and solve it.
+    def start(self, state0: StateArrays, rss0: np.ndarray) -> LmReport:
+        """Open the window with ``state0`` (a row) and solve it.
 
         The window's prior starts diagonal: ``config.prior``'s widths on
         ``state0`` and, for each unknown LED, a weak prior of
@@ -947,24 +875,26 @@ class TightlyCoupledEstimator:
         cfg = self.config
         led_info = np.full(2 * len(self.window.led_ids), 1.0 / cfg.unknown_led_prior_sigma**2)
         info = np.concatenate([cfg.prior.information_diag(), led_info])
-        self.window.prior = MarginalPrior(np.diag(info), np.zeros(info.size), state0.copy(),
-                                          self.window.led_xy.copy())
+        self.window.prior = MarginalPrior(np.diag(info), np.zeros(info.size),
+                                          self.window.states[0], self.window.led_xy.copy())
         return self._solve_and_record(rss0)
 
-    def step(self, pre: PreintegratedImu, rss: np.ndarray, timestamp: float) -> LmReport:
+    def step(self, pre: PreintegratedStack, rss: np.ndarray, timestamp: float) -> LmReport:
+        """Add the epoch at ``timestamp``, joined to the newest state by the
+        one-row IMU stack ``pre``, and solve the window."""
         if not self.window.n_states:
             raise RuntimeError("estimator not started")
         self._epoch_counter += 1
         reintegrations = self._reintegrate()
-        seed = mechanize(pre, self.window.states[-1], self.config.gravity_vec, timestamp)
+        seed = mechanize(pre[0], self.window.states[-1], self.config.gravity_vec, timestamp)
         if self.window.n_states >= self.config.window_size:
-            self.smoothed.append(self.window.states.state(0))
+            self.smoothed = self.smoothed.append(self.window.states[0])
         slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
         return self._solve_and_record(rss, reintegrations)
 
-    def finalize(self) -> list[NavState]:
+    def finalize(self) -> StateArrays:
         """Flush remaining window states into the smoothed trajectory."""
-        self.smoothed.extend(self.window.states.state(k) for k in range(self.window.n_states))
+        self.smoothed = self.smoothed.append(self.window.states)
         return self.smoothed
 
     def _reintegrate(self) -> int:
@@ -974,21 +904,21 @@ class TightlyCoupledEstimator:
         degrades.  Runs between solves, so LM sees one fixed cost."""
         window = self.window
         count = 0
-        for k, pre in enumerate(window.imu_factors):
-            x = window.states[k]
+        for k in range(len(window.imu)):
+            x, pre = window.states[k], window.imu[k]
             if (np.linalg.norm(x.bias_acc - pre.bias_acc) > BIAS_CORRECTION_WARN_ACC
                     or np.linalg.norm(x.bias_gyro - pre.bias_gyro) > BIAS_CORRECTION_WARN_GYRO):
-                window.imu_factors[k] = preintegrate(
-                    pre.stream, x.bias_acc, x.bias_gyro, window.rx.dcm_body_to_vlp,
-                    self.config.imu_noise, t_end=pre.t_end)
+                new = preintegrate(pre.stream, x.bias_acc, x.bias_gyro, window.rx.dcm_body_to_vlp,
+                                   self.config.imu_noise, t_end=pre.t_end)
+                window.imu = window.imu[:k].append(new).append(window.imu[k + 1:])
                 window.equations = None
                 count += 1
         return count
 
     def _solve_and_record(self, rss: np.ndarray, reintegrations: int = 0) -> LmReport:
         report = solve_lm(self.window)
-        last = self.window.states.state(-1)
-        self.causal.append(last)
+        last = self.window.states[-1]
+        self.causal = self.causal.append(last)
         los = np.count_nonzero(rss["flag"] == SampleFlag.LOS)
         led_dop = {}
         if self.window.n_states >= 3:
@@ -996,7 +926,7 @@ class TightlyCoupledEstimator:
             led_dop = {i: dop(pts, xy) for i, xy in zip(self.window.led_ids, self.window.led_xy)}
         self.diagnostics.append(EpochDiagnostics(
             epoch_id=self.window.epoch_ids[-1],
-            timestamp=last.timestamp,
+            timestamp=float(last.timestamps),
             cost=report.final_cost,
             iterations=len(report.iterations),
             converged=report.converged,

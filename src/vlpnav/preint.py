@@ -34,8 +34,7 @@ level IMU measures the reaction ``-gravity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .attitude import (
     skew,
     so3_right_jacobian,
 )
-from .state import NavState, StateArrays
+from .state import StateArrays
 
 #: Bias moves past which the first-order correction is replaced by re-integration.
 BIAS_CORRECTION_WARN_ACC = 0.1  # m/s^2
@@ -102,55 +101,27 @@ class ImuStream:
         return ImuStream(self.timestamps[mask], self.accel[mask], self.gyro[mask])
 
 
-@dataclass
-class PreintegratedImu:
-    """Relative-motion pseudo-measurement between two epochs.
+@dataclass(frozen=True)
+class PreintegratedStack:
+    """Relative-motion pseudo-measurements of K epoch intervals, each field
+    stacked on a leading axis; ``stack[k]`` is interval ``k``, the same
+    fields with that axis dropped.
 
     ``alpha`` (m), ``beta`` (m/s) and ``gamma`` (quaternion) are the
     gravity-free increments in the epoch-start VLP frame; ``cov`` is the
-    15x15 error covariance; the ``d_*`` blocks are first-order
-    sensitivities to the bias linearization point.
+    15x15 error covariance and ``information`` its inverse, computed when
+    the interval is integrated; the ``d_*`` blocks are first-order
+    sensitivities to the bias linearization point ``bias_acc`` and
+    ``bias_gyro``.  ``stream`` (the interval's :class:`ImuStream`) and
+    ``t_end`` are what re-integration at another bias needs.
     """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    cov: np.ndarray
-    dt: float
-    bias_acc: np.ndarray  # linearization point, VLP frame
-    bias_gyro: np.ndarray
-    d_alpha_d_ba: np.ndarray
-    d_alpha_d_bg: np.ndarray
-    d_beta_d_ba: np.ndarray
-    d_beta_d_bg: np.ndarray
-    d_gamma_d_bg: np.ndarray
-    #: What re-integration at another bias needs: the interval's samples
-    #: and its end time.
-    stream: ImuStream | None = field(default=None, repr=False)
-    t_end: float | None = None
-
-    @cached_property
-    def information(self) -> np.ndarray:
-        """Inverse of ``cov``, computed on first use and kept with the factor."""
-        M = 0.5 * (self.cov + self.cov.T)
-        jitter = 1e-14 * max(np.trace(M) / M.shape[0], 1e-30)
-        return np.linalg.inv(M + jitter * np.eye(M.shape[0]))
-
-
-#: Fields of :class:`PreintegratedImu` that :class:`PreintegratedStack` stacks.
-_STACKED = ("alpha", "beta", "gamma", "dt", "bias_acc", "bias_gyro", "d_alpha_d_ba",
-            "d_alpha_d_bg", "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg", "information")
-
-
-@dataclass(frozen=True)
-class PreintegratedStack:
-    """K pre-integrated intervals, each field stacked on a leading axis."""
 
     alpha: np.ndarray  # (K, 3)
     beta: np.ndarray
     gamma: np.ndarray  # (K, 4)
+    cov: np.ndarray  # (K, 15, 15)
     dt: np.ndarray  # (K,)
-    bias_acc: np.ndarray
+    bias_acc: np.ndarray  # (K, 3), VLP frame
     bias_gyro: np.ndarray
     d_alpha_d_ba: np.ndarray  # (K, 3, 3)
     d_alpha_d_bg: np.ndarray
@@ -158,15 +129,30 @@ class PreintegratedStack:
     d_beta_d_bg: np.ndarray
     d_gamma_d_bg: np.ndarray
     information: np.ndarray  # (K, 15, 15)
+    stream: np.ndarray  # (K,) ImuStream objects
+    t_end: np.ndarray  # (K,)
 
     @classmethod
-    def of(cls, pres) -> "PreintegratedStack":
-        return cls(*(np.array([getattr(p, name) for p in pres]) for name in _STACKED))
+    def empty(cls) -> "PreintegratedStack":
+        z = np.zeros
+        return cls(z((0, 3)), z((0, 3)), z((0, 4)), z((0, 15, 15)), z(0), z((0, 3)), z((0, 3)),
+                   *(z((0, 3, 3)) for _ in range(5)), z((0, 15, 15)), np.empty(0, object), z(0))
+
+    def __len__(self) -> int:
+        return len(self.dt)
+
+    def __getitem__(self, rows) -> "PreintegratedStack":
+        return PreintegratedStack(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def append(self, other: "PreintegratedStack") -> "PreintegratedStack":
+        """These intervals, then ``other``'s."""
+        return PreintegratedStack(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+                                    for f in fields(self)))
 
 
 def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
-                 noise: ImuNoise, *, t_end: float) -> PreintegratedImu:
-    """Integrate one epoch interval of IMU samples.
+                 noise: ImuNoise, *, t_end: float) -> PreintegratedStack:
+    """Integrate one epoch interval of IMU samples into a one-row stack.
 
     Each sample integrates over the gap to the next timestamp; the last
     sample integrates to ``t_end``.  Biases are VLP-frame.
@@ -228,26 +214,22 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
 
     # F propagates errors of the integrated quantities for a *true* bias
     # offset; corrections for a raised *assumed* bias carry the opposite sign.
-    return PreintegratedImu(
-        alpha=alpha,
-        beta=beta[-1],
-        gamma=gammas[-1],
-        cov=0.5 * (cov + cov.T),
-        dt=float(np.sum(dts)),
-        bias_acc=bias_acc.copy(),
-        bias_gyro=bias_gyro.copy(),
-        d_alpha_d_ba=-J[0:3, 9:12],
-        d_alpha_d_bg=-J[0:3, 12:15],
-        d_beta_d_ba=-J[3:6, 9:12],
-        d_beta_d_bg=-J[3:6, 12:15],
-        d_gamma_d_bg=-J[6:9, 12:15],
-        stream=stream,
-        t_end=float(t_end),
-    )
+    # The symmetrized cov is its own symmetric part, bit for bit.
+    cov = 0.5 * (cov + cov.T)
+    jitter = 1e-14 * max(np.trace(cov) / 15, 1e-30)
+    streams = np.empty(1, object)
+    streams[0] = stream
+    return PreintegratedStack(
+        *(np.array([v]) for v in (
+            alpha, beta[-1], gammas[-1], cov, float(np.sum(dts)), bias_acc, bias_gyro,
+            -J[0:3, 9:12], -J[0:3, 12:15], -J[3:6, 9:12], -J[3:6, 12:15], -J[6:9, 12:15],
+            np.linalg.inv(cov + jitter * np.eye(15)))),
+        stream=streams, t_end=np.array([float(t_end)]))
 
 
-def _corrected_terms(pre: PreintegratedImu, bias_acc, bias_gyro):
-    """First-order (alpha, beta, gamma) at a bias away from the linearization."""
+def _corrected_terms(pre: PreintegratedStack, bias_acc, bias_gyro):
+    """First-order (alpha, beta, gamma) of one interval (a row) at a bias
+    away from its linearization."""
     dba = np.asarray(bias_acc, dtype=float) - pre.bias_acc
     dbg = np.asarray(bias_gyro, dtype=float) - pre.bias_gyro
     alpha = pre.alpha + pre.d_alpha_d_ba @ dba + pre.d_alpha_d_bg @ dbg
@@ -256,43 +238,20 @@ def _corrected_terms(pre: PreintegratedImu, bias_acc, bias_gyro):
     return alpha, beta, gamma, dba, dbg
 
 
-def imu_residual(pre: PreintegratedImu, x_k: NavState, x_k1: NavState, gravity) -> np.ndarray:
-    """15-dim pre-integration residual between two states.
-
-    Blocks: relative-position, relative-velocity, attitude (twice the
-    vector part of the quaternion mismatch), and the two bias
-    random-walk differences.  Zero when the states were produced by
-    integrating the same noiseless IMU stream at the linearization bias.
-    """
-    g = np.asarray(gravity, dtype=float)
-    dt = pre.dt
-    alpha, beta, gamma, _, _ = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
-    R_ku = quat_to_dcm(x_k.attitude).T
-
-    r = np.empty(15)
-    r[0:3] = R_ku @ (x_k1.position - x_k.position - 0.5 * g * dt**2
-                     - x_k.velocity * dt) - alpha
-    r[3:6] = R_ku @ (x_k1.velocity - g * dt - x_k.velocity) - beta
-    q_err = quat_multiply(
-        quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude), quat_conjugate(gamma))
-    if q_err[0] < 0.0:
-        q_err = -q_err
-    r[6:9] = 2.0 * q_err[1:]
-    r[9:12] = x_k1.bias_acc - x_k.bias_acc
-    r[12:15] = x_k1.bias_gyro - x_k.bias_gyro
-    return r
-
-
 def _mv(A, x):
     """Row-wise products of a (K, n, m) matrix stack and a (K, m) vector stack."""
     return (A @ x[:, :, None])[:, :, 0]
 
 
 def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays, gravity):
-    """:func:`imu_residual` and its Jacobians of K factors at once.
+    """15-dim pre-integration residuals of K factors, and their Jacobians.
 
-    Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``.  Returns ``(r, Jk, Jk1)``:
-    (K, 15) residuals and (K, 15, 15) Jacobians.
+    Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``.  Blocks: relative
+    position, relative velocity, attitude (twice the vector part of the
+    quaternion mismatch) and the two bias random-walk differences; zero
+    when the states were produced by integrating the same noiseless IMU
+    stream at the linearization bias.  Returns ``(r, Jk, Jk1)``: (K, 15)
+    residuals and (K, 15, 15) Jacobians.
     """
     g = np.asarray(gravity, dtype=float)
     dt = pres.dt[:, None]
@@ -346,17 +305,15 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     return r, Jk, Jk1
 
 
-def mechanize(pre: PreintegratedImu, x_k: NavState, gravity, timestamp: float) -> NavState:
-    """Dead-reckon the next state from a pre-integrated interval."""
+def mechanize(pre: PreintegratedStack, x_k: StateArrays, gravity,
+              timestamp: float) -> StateArrays:
+    """Dead-reckon the next state from the state ``x_k`` and one
+    pre-integrated interval ``pre``, both rows."""
     g = np.asarray(gravity, dtype=float)
-    dt = pre.dt
+    dt = float(pre.dt)
     alpha, beta, gamma, _, _ = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
     R_k = quat_to_dcm(x_k.attitude)
-    return NavState(
-        timestamp=timestamp,
-        position=x_k.position + x_k.velocity * dt + 0.5 * g * dt**2 + R_k @ alpha,
-        velocity=x_k.velocity + g * dt + R_k @ beta,
-        attitude=quat_multiply(x_k.attitude, gamma),
-        bias_acc=x_k.bias_acc.copy(),
-        bias_gyro=x_k.bias_gyro.copy(),
-    )
+    return StateArrays(timestamp,
+                       x_k.position + x_k.velocity * dt + 0.5 * g * dt**2 + R_k @ alpha,
+                       x_k.velocity + g * dt + R_k @ beta,
+                       quat_multiply(x_k.attitude, gamma), x_k.bias_acc, x_k.bias_gyro)

@@ -8,19 +8,23 @@ module.
 Also here: the loop forms the stacked library code replaced (normal
 equations, marginal prior, pre-integration), kept as their references,
 the loop over the grid that the reachable-box DRD threshold replaced,
-and single-case oracles the library no longer needs (angular-form RSS,
-planar Jacobians, pose thresholds, a one-stream DRD run, first-order
-bias correction).
+and single-case oracles the library no longer needs (the one-state
+``NavState`` with its retraction, the one-factor IMU and RSS residuals
+and Jacobians, the dense Schur step, angular-form RSS, planar Jacobians,
+pose thresholds, a one-stream DRD run, first-order bias correction).
 """
 
 import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from vlpnav.attitude import (
+    apply_small_angle,
     quat_conjugate,
     quat_identity,
     quat_left,
+    quat_log,
     quat_multiply,
     quat_normalize,
     quat_right,
@@ -43,27 +47,176 @@ from vlpnav.channel import (
     receiver_normal,
     rss_jacobian,
 )
-from vlpnav.estimator import (
-    ConstraintConfig,
-    schur_marginalize,
-    vlp_jacobian_row,
-    vlp_residual,
-)
+from vlpnav.estimator import ConstraintConfig, _indefinite
 from vlpnav.preint import (
     BIAS_CORRECTION_WARN_ACC,
     BIAS_CORRECTION_WARN_GYRO,
     ImuNoise,
     ImuStream,
-    PreintegratedImu,
+    PreintegratedStack,
     _corrected_terms,
-    imu_residual,
     preintegrate,
 )
-from vlpnav.state import ERROR_DIM, NavState
+from vlpnav.state import ERROR_DIM, StateArrays, boxminus
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 NOISE = ImuNoise(accel_density=2.5e-3, gyro_density=3.6e-4,
                  accel_bias_walk=2e-4, gyro_bias_walk=2e-5)
+
+
+# ---------------------------------------------------------------------------
+# One state and one factor at a time: the forms the library's rows and
+# stacks replaced, kept as their references.
+
+
+@dataclass
+class NavState:
+    """Vehicle state at one epoch, with mutable fields; :meth:`row` is the
+    library's form of it, a :class:`StateArrays` row.
+
+    Every field is stored as given, so a copy is exact; :meth:`perturb`
+    normalizes the attitude it returns.
+    """
+
+    timestamp: float
+    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    attitude: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
+    bias_acc: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    bias_gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float)
+        self.velocity = np.asarray(self.velocity, dtype=float)
+        self.attitude = np.asarray(self.attitude, dtype=float)
+        self.bias_acc = np.asarray(self.bias_acc, dtype=float)
+        self.bias_gyro = np.asarray(self.bias_gyro, dtype=float)
+
+    @classmethod
+    def of(cls, row: StateArrays) -> "NavState":
+        """A copy of a :class:`StateArrays` row."""
+        return cls(float(row.timestamps), row.position.copy(), row.velocity.copy(),
+                   row.attitude.copy(), row.bias_acc.copy(), row.bias_gyro.copy())
+
+    def row(self) -> StateArrays:
+        """A copy of this state as a :class:`StateArrays` row."""
+        return StateArrays(self.timestamp, self.position.copy(), self.velocity.copy(),
+                           self.attitude.copy(), self.bias_acc.copy(), self.bias_gyro.copy())
+
+    def copy(self) -> "NavState":
+        return NavState.of(self.row())
+
+    def perturb(self, dx: np.ndarray) -> "NavState":
+        """Retract a 15-dim error vector onto the state (box-plus)."""
+        dx = np.asarray(dx, dtype=float)
+        if dx.shape != (ERROR_DIM,):
+            raise ValueError("error vector must have 15 components")
+        return NavState(
+            timestamp=self.timestamp,
+            position=self.position + dx[0:3],
+            velocity=self.velocity + dx[3:6],
+            attitude=apply_small_angle(self.attitude, dx[6:9]),
+            bias_acc=self.bias_acc + dx[9:12],
+            bias_gyro=self.bias_gyro + dx[12:15],
+        )
+
+    def boxminus(self, other) -> np.ndarray:
+        """15-dim error ``self ⊟ other`` (exact log map for attitude)."""
+        dq = quat_multiply(quat_conjugate(other.attitude), self.attitude)
+        return np.concatenate([self.position - other.position, self.velocity - other.velocity,
+                               quat_log(dq), self.bias_acc - other.bias_acc,
+                               self.bias_gyro - other.bias_gyro])
+
+
+def stack_states(states) -> StateArrays:
+    """The :class:`StateArrays` of a list of :class:`NavState`."""
+    return StateArrays.empty().append(
+        StateArrays(*(np.array([getattr(s, name) for s in states], dtype=float)
+                      for name in ("timestamp", "position", "velocity", "attitude",
+                                   "bias_acc", "bias_gyro"))))
+
+
+def imu_residual(pre, x_k, x_k1, gravity) -> np.ndarray:
+    """15-dim pre-integration residual of one interval (a
+    :class:`PreintegratedStack` row) between two states.
+
+    Blocks: relative-position, relative-velocity, attitude (twice the
+    vector part of the quaternion mismatch), and the two bias
+    random-walk differences.  Zero when the states were produced by
+    integrating the same noiseless IMU stream at the linearization bias.
+    """
+    g = np.asarray(gravity, dtype=float)
+    dt = float(pre.dt)
+    alpha, beta, gamma, _, _ = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
+    R_ku = quat_to_dcm(x_k.attitude).T
+
+    r = np.empty(15)
+    r[0:3] = R_ku @ (x_k1.position - x_k.position - 0.5 * g * dt**2
+                     - x_k.velocity * dt) - alpha
+    r[3:6] = R_ku @ (x_k1.velocity - g * dt - x_k.velocity) - beta
+    q_err = quat_multiply(
+        quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude), quat_conjugate(gamma))
+    if q_err[0] < 0.0:
+        q_err = -q_err
+    r[6:9] = 2.0 * q_err[1:]
+    r[9:12] = x_k1.bias_acc - x_k.bias_acc
+    r[12:15] = x_k1.bias_gyro - x_k.bias_gyro
+    return r
+
+
+def vlp_residual(state, value: float, led: LedBeacon, rx: ReceiverConfig,
+                 led_xy=None) -> float | None:
+    """Predicted RSS at the lever-arm-corrected PD position minus the
+    measured ``value``.
+
+    Returns ``None`` when the predicted geometry falls outside the FOV;
+    the caller skips the factor for that iterate.
+    """
+    if led_xy is not None:
+        led = replace(led, position=np.array([led_xy[0], led_xy[1], led.position[2]]))
+    R = quat_to_dcm(state.attitude)
+    pd_pos = state.position + R @ rx.lever_arm_vlp
+    pred = predict_rss(pd_pos, state.attitude, led, rx)
+    if pred is None:
+        return None
+    return pred - value
+
+
+def vlp_jacobian_row(state, led: LedBeacon, rx: ReceiverConfig,
+                     led_xy=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Jacobian of one RSS residual over the 15-dim state error (+ LED block).
+
+    Position block is the channel position gradient; the attitude block
+    combines the direct normal-rotation term with the lever-arm swing,
+    both mapped into the local attitude error; velocity and bias blocks
+    are zero.  The optional 2-vector is the unknown-LED planar block.
+    """
+    if led_xy is not None:
+        led = replace(led, position=np.array([led_xy[0], led_xy[1], led.position[2]]))
+    R = quat_to_dcm(state.attitude)
+    lever_u = R @ rx.lever_arm_vlp
+    pd_pos = state.position + lever_u
+    dp_dr, dp_dphi = rss_jacobian(pd_pos, state.attitude, led, rx)
+
+    row = np.zeros(ERROR_DIM)
+    row[0:3] = dp_dr
+    # d r / d theta = -(A^T + B^T [lever_u x]) R, A = dp_dphi, B = dp_dr
+    row[6:9] = -R.T @ (dp_dphi - skew(lever_u) @ dp_dr)
+    led_block = -dp_dr[:2] if led_xy is not None else None
+    return row, led_block
+
+
+def schur_marginalize(H: np.ndarray, g: np.ndarray, n_marg: int):
+    """Eliminate the leading ``n_marg`` dims of a quadratic (H, g), the
+    dense form of ``NormalEquations.eliminate``'s step: the reduced
+    ``(H', g')`` (``H'`` symmetrized), or ``None`` when the marginal block
+    is indefinite and the caller should drop the factors instead."""
+    if _indefinite(H[:n_marg, :n_marg]):
+        return None
+    Hg = np.column_stack([H, g])
+    Y = np.linalg.solve(H[:n_marg, :n_marg], Hg[:n_marg, n_marg:])
+    reduced = Hg[n_marg:, n_marg:] - H[n_marg:, :n_marg] @ Y
+    return 0.5 * (reduced[:, :-1] + reduced[:, :-1].T), reduced[:, -1]
 
 
 def make_rx(lever_arm=(0.0, 0.0, 0.0), fov_deg=90.0, pd_height=0.0):
@@ -132,7 +285,7 @@ def preintegrate_chain(streams, states, rx):
     ]
 
 
-def constraint_residuals(state: NavState, cfg: ConstraintConfig,
+def constraint_residuals(state, cfg: ConstraintConfig,
                          pd_height: float = 0.0) -> np.ndarray:
     """Stacked kinematic constraint residuals for one state.
 
@@ -162,7 +315,7 @@ def exact_rss(state, leds, rx, variance=0.01):
 # with the per-factor constraint rows and IMU Jacobians it is built from.
 
 
-def _constraint_terms(state: NavState, cfg: ConstraintConfig, pd_height: float):
+def _constraint_terms(state, cfg: ConstraintConfig, pd_height: float):
     """(residual, variance, 15-dim jacobian row) triples for one state.
 
     Height: ``p_z - pd_height``.  NHC: lateral and vertical components
@@ -185,11 +338,10 @@ def _constraint_terms(state: NavState, cfg: ConstraintConfig, pd_height: float):
     return out
 
 
-def imu_residual_jacobians(pre: PreintegratedImu, x_k: NavState, x_k1: NavState,
-                           gravity) -> tuple[np.ndarray, np.ndarray]:
+def imu_residual_jacobians(pre, x_k, x_k1, gravity) -> tuple[np.ndarray, np.ndarray]:
     """Analytic residual Jacobians ``(d r / d x_k, d r / d x_k1)``, 15x15 each."""
     g = np.asarray(gravity, dtype=float)
-    dt = pre.dt
+    dt = float(pre.dt)
     _, _, gamma_c, _, dbg = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
     R_k = quat_to_dcm(x_k.attitude)
     R_ku = R_k.T
@@ -248,13 +400,14 @@ def _loop_factors(window, state_ids, n_x, add):
     out of the FOV, degenerate or grazing are skipped.
     """
     cfg = window.config
-    states = [window.states.state(k) for k in range(window.n_states)]
+    states = window.states
     led_col = {i: ERROR_DIM * n_x + 2 * j for j, i in enumerate(window.led_ids)}
     led_xy_of = dict(zip(window.led_ids, window.led_xy))
     led_of_row = {row: window.led_map[i] for i, row in window.led_table.row.items()}
-    for k, pre in enumerate(window.imu_factors):
+    for k in range(len(window.imu)):
         if k not in state_ids and k + 1 not in state_ids:
             continue
+        pre = window.imu[k]
         xk, xk1 = states[k], states[k + 1]
         r = imu_residual(pre, xk, xk1, cfg.gravity_vec)
         Jk, Jk1 = imu_residual_jacobians(pre, xk, xk1, cfg.gravity_vec)
@@ -294,7 +447,7 @@ def _loop_adder(H, g, cost):
 def _add_loop_prior(window, n_x, H, g, cost):
     """The marginal prior over the oldest state and then every unknown LED."""
     prior = window.prior
-    d = np.concatenate([window.states.state(0).boxminus(prior.state_lin),
+    d = np.concatenate([boxminus(window.states[0], prior.state_lin),
                         (window.led_xy - prior.led_lin).ravel()])
     idx = np.r_[0:ERROR_DIM, ERROR_DIM * n_x:ERROR_DIM * (n_x - 1) + d.size]
     cost[0] += 0.5 * float(d @ prior.hessian @ d) + float(prior.gradient @ d)
@@ -390,24 +543,18 @@ def loop_preintegrate(stream, bias_acc, bias_gyro, dcm_body_to_vlp, noise, *, t_
         beta = beta + (R_i @ a) * dt
         gamma = quat_multiply(gamma, np.concatenate(([1.0], 0.5 * w * dt)))
 
-    return PreintegratedImu(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        cov=0.5 * (cov + cov.T),
-        dt=float(np.sum(dts)),
-        bias_acc=bias_acc.copy(),
-        bias_gyro=bias_gyro.copy(),
-        d_alpha_d_ba=-J[0:3, 9:12],
-        d_alpha_d_bg=-J[0:3, 12:15],
-        d_beta_d_ba=-J[3:6, 9:12],
-        d_beta_d_bg=-J[3:6, 12:15],
-        d_gamma_d_bg=-J[6:9, 12:15],
-    )
+    cov = 0.5 * (cov + cov.T)
+    return PreintegratedStack(
+        alpha=alpha, beta=beta, gamma=gamma, cov=cov, dt=float(np.sum(dts)),
+        bias_acc=bias_acc.copy(), bias_gyro=bias_gyro.copy(),
+        d_alpha_d_ba=-J[0:3, 9:12], d_alpha_d_bg=-J[0:3, 12:15],
+        d_beta_d_ba=-J[3:6, 9:12], d_beta_d_bg=-J[3:6, 12:15], d_gamma_d_bg=-J[6:9, 12:15],
+        information=_sym_inv(cov), stream=stream, t_end=float(t_end))
 
 
 def bias_corrected(pre, bias_acc, bias_gyro):
-    """Re-linearize the pseudo-measurement at a new bias point.
+    """Re-linearize one interval (a :class:`PreintegratedStack` row) at a
+    new bias point.
 
     Valid for small bias moves; warns past 0.1 m/s^2 / 0.05 rad/s where
     the first-order correction degrades and re-integration is advised.
@@ -419,14 +566,9 @@ def bias_corrected(pre, bias_acc, bias_gyro):
     if np.linalg.norm(dbg) > BIAS_CORRECTION_WARN_GYRO:
         warnings.warn("gyroscope bias moved far from linearization; re-integrate",
                       stacklevel=2)
-    return PreintegratedImu(
-        alpha=alpha, beta=beta, gamma=gamma, cov=pre.cov, dt=pre.dt,
-        bias_acc=np.asarray(bias_acc, dtype=float).copy(),
-        bias_gyro=np.asarray(bias_gyro, dtype=float).copy(),
-        d_alpha_d_ba=pre.d_alpha_d_ba, d_alpha_d_bg=pre.d_alpha_d_bg,
-        d_beta_d_ba=pre.d_beta_d_ba, d_beta_d_bg=pre.d_beta_d_bg,
-        d_gamma_d_bg=pre.d_gamma_d_bg,
-    )
+    return replace(pre, alpha=alpha, beta=beta, gamma=gamma,
+                   bias_acc=np.asarray(bias_acc, dtype=float).copy(),
+                   bias_gyro=np.asarray(bias_gyro, dtype=float).copy())
 
 
 # ---------------------------------------------------------------------------

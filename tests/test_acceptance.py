@@ -18,15 +18,9 @@ from vlpnav.baselines import run_loosely_coupled, vlp_only_trajectory
 from vlpnav.channel import predict_rss, rss_jacobian
 from vlpnav.cli import main, run_detection, run_tc
 from vlpnav.dataio import load_dataset, estimator_config_from_dict, write_dataset
-from vlpnav.estimator import (
-    ERROR_DIM,
-    assemble_cost,
-    schur_marginalize,
-    vlp_jacobian_row,
-    vlp_residual,
-)
+from vlpnav.estimator import ERROR_DIM, assemble_cost
 from vlpnav.metrics import RunReport, evaluate_run
-from vlpnav.preint import ImuNoise, ImuStream, imu_residual, preintegrate
+from vlpnav.preint import ImuNoise, ImuStream, preintegrate
 from vlpnav.simulator import (
     DetectionSpec,
     ImuSpec,
@@ -40,9 +34,19 @@ from vlpnav.simulator import (
     synthesize_imu,
     synthesize_rss,
 )
-from vlpnav.state import NavState
 
-from _synthetic import exact_rss, make_leds, make_rx, rss_jacobian_2d, unknown_led_jacobian
+from _synthetic import (
+    NavState,
+    exact_rss,
+    imu_residual,
+    make_leds,
+    make_rx,
+    rss_jacobian_2d,
+    schur_marginalize,
+    unknown_led_jacobian,
+    vlp_jacobian_row,
+    vlp_residual,
+)
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:
@@ -67,10 +71,9 @@ def _tc_report(ds, config=None, flags=None):
         flags, _ = run_detection(ds)
     est, led_results, _ = run_tc(ds, cfg, flags)
     runtime = time.perf_counter() - t0
-    t = np.array([s.timestamp for s in est.causal])
-    p = np.array([s.position for s in est.causal])
-    q = np.array([s.attitude for s in est.causal])
-    rep = evaluate_run("tc", t, p, ds.truth, est_attitudes=q, runtime_s=runtime)
+    traj = est.causal
+    rep = evaluate_run("tc", traj.timestamps, traj.position, ds.truth,
+                       est_attitudes=traj.attitude, runtime_s=runtime)
     return rep, est, led_results
 
 
@@ -285,7 +288,7 @@ class TestCriterion4HeadingUnobservable:
                 attitude=quat_from_euler(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
                                          rng.uniform(-np.pi, np.pi)),
             )
-            window.append(0, state, None, exact_rss(state, leds, rx))
+            window.append(0, state.row(), None, exact_rss(state, leds, rx))
             H, _, _ = assemble_cost(window)
             e = np.zeros(ERROR_DIM)
             e[8] = 1.0  # rotation about the receiver normal
@@ -325,7 +328,7 @@ class TestCriterion5Preintegration:
                                 stream.accel[k:k + n_per], stream.gyro[k:k + n_per])
                 t_end = truth.timestamps[k + n_per]
                 pre = preintegrate(seg, np.zeros(3), np.zeros(3), np.eye(3), noise,
-                                   t_end=t_end)
+                                   t_end=t_end)[0]
                 xk = NavState(truth.timestamps[k], truth.position[k],
                               truth.velocity[k], truth.attitude[k])
                 xk1 = NavState(t_end, truth.position[k + n_per],
@@ -345,7 +348,7 @@ class TestCriterion5Preintegration:
         base_stream = ImuStream(t_grid, accel, gyro)
         noise = ImuNoise(2.5e-3, 3.6e-4, 2e-4, 2e-5)
         ref = preintegrate(base_stream, np.zeros(3), np.zeros(3), np.eye(3), noise,
-                           t_end=1.0)
+                           t_end=1.0)[0]
         dt = 1.0 / 200.0
         errors = np.zeros((500, 15))
         from vlpnav.attitude import quat_conjugate, quat_multiply
@@ -359,7 +362,7 @@ class TestCriterion5Preintegration:
                              * np.sqrt(dt), axis=0)
             noisy = ImuStream(t_grid, accel + wn_a + rw_a, gyro + wn_g + rw_g)
             pre = preintegrate(noisy, np.zeros(3), np.zeros(3), np.eye(3), noise,
-                               t_end=1.0)
+                               t_end=1.0)[0]
             dq = quat_multiply(quat_conjugate(ref.gamma), pre.gamma)
             if dq[0] < 0:
                 dq = -dq

@@ -12,8 +12,7 @@ from vlpnav.baselines import (
 from vlpnav.channel import SampleFlag, predict_rss
 from vlpnav.dataio import load_dataset
 
-from _synthetic import exact_rss, make_leds, make_rx, rss_rows
-from vlpnav.state import NavState
+from _synthetic import NavState, exact_rss, make_leds, make_rx, rss_rows
 
 LEDS = make_leds()
 LED_MAP = {led.led_id: led for led in LEDS}
@@ -145,7 +144,7 @@ class TestInitialState:
     def test_near_truth_on_mini_dataset(self, mini_dataset):
         ds = load_dataset(mini_dataset)
         x0 = initial_state(ds, np.full(len(ds.epoch_samples), SampleFlag.LOS))
-        t0 = x0.timestamp
+        t0 = x0.timestamps
         k = int(np.argmin(np.abs(ds.truth.timestamps - t0)))
         # The corner start has weak vertical geometry; the initialization
         # only needs to land inside the estimator's position prior.
@@ -159,7 +158,7 @@ class TestInitialState:
         ds = load_dataset(mini_dataset)
         los = np.full(len(ds.epoch_samples), SampleFlag.LOS)
         x0 = initial_state(ds, los)
-        t0 = x0.timestamp
+        t0 = x0.timestamps
         ds.epoch_samples["flag"][ds.epoch_samples["timestamp"] == t0] = SampleFlag.BLOCKED
         x1 = initial_state(ds, los)
         np.testing.assert_array_equal(x1.position, x0.position)

@@ -9,16 +9,15 @@ from vlpnav.attitude import (
     quat_normalize,
     quat_to_dcm,
 )
-from vlpnav.preint import (
-    ImuNoise,
-    ImuStream,
-    imu_residual,
-    mechanize,
-    preintegrate,
-)
-from vlpnav.state import NavState
+from vlpnav.preint import ImuNoise, ImuStream, mechanize, preintegrate
 
-from _synthetic import bias_corrected, imu_residual_jacobians, loop_preintegrate
+from _synthetic import (
+    NavState,
+    bias_corrected,
+    imu_residual,
+    imu_residual_jacobians,
+    loop_preintegrate,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 NOISE = ImuNoise(accel_density=2.5e-3, gyro_density=3.6e-4,
@@ -65,7 +64,7 @@ def integrate_states(stream, t_end, x0, gravity, bias_acc=None, bias_gyro=None):
 
 class TestPreintegrate:
     def test_null_motion(self):
-        pre = preintegrate(make_stream(), np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(make_stream(), np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         np.testing.assert_allclose(pre.alpha, 0.0, atol=1e-15)
         np.testing.assert_allclose(pre.beta, 0.0, atol=1e-15)
         np.testing.assert_allclose(pre.gamma, quat_identity(), atol=1e-15)
@@ -76,20 +75,20 @@ class TestPreintegrate:
 
     def test_bias_cancellation(self):
         ba = np.array([0.3, -0.2, 0.1])
-        pre = preintegrate(make_stream(accel=ba), ba, np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(make_stream(accel=ba), ba, np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         np.testing.assert_allclose(pre.alpha, 0.0, atol=1e-12)
         np.testing.assert_allclose(pre.beta, 0.0, atol=1e-12)
 
     def test_constant_acceleration_closed_form(self):
         pre = preintegrate(make_stream(accel=[1.0, 0, 0]), np.zeros(3), np.zeros(3),
-                           R_BV, NOISE, t_end=1.0)
+                           R_BV, NOISE, t_end=1.0)[0]
         np.testing.assert_allclose(pre.beta, [1.0, 0, 0], atol=1e-9)
         np.testing.assert_allclose(pre.alpha, [0.5, 0, 0], atol=1e-9)
 
     def test_gamma_matches_direct_gyro_integration(self):
         rng = np.random.default_rng(0)
         stream = random_motion_stream(rng)
-        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         q = quat_identity()
         dts = np.diff(np.append(stream.timestamps, 1.0))
         for i in range(stream.timestamps.size):
@@ -100,13 +99,13 @@ class TestPreintegrate:
         # Body x maps to VLP y: a body-frame x acceleration integrates as y.
         R_bv = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         pre = preintegrate(make_stream(accel=[1.0, 0, 0]), np.zeros(3), np.zeros(3),
-                           R_bv, NOISE, t_end=1.0)
+                           R_bv, NOISE, t_end=1.0)[0]
         np.testing.assert_allclose(pre.beta, [0.0, 1.0, 0.0], atol=1e-9)
 
     def test_cov_psd_along_the_way(self):
         rng = np.random.default_rng(1)
         stream = random_motion_stream(rng, n=400, rate=200.0)
-        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=2.0)
+        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=2.0)[0]
         eig = np.linalg.eigvalsh(pre.cov)
         assert np.all(eig >= -1e-12)
         np.testing.assert_allclose(pre.cov, pre.cov.T, atol=1e-18)
@@ -128,7 +127,7 @@ class TestStackedMatchesLoop:
               "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg")
 
     def assert_matches(self, stream, bias_acc, bias_gyro, R_bv, t_end):
-        pre = preintegrate(stream, bias_acc, bias_gyro, R_bv, NOISE, t_end=t_end)
+        pre = preintegrate(stream, bias_acc, bias_gyro, R_bv, NOISE, t_end=t_end)[0]
         ref = loop_preintegrate(stream, bias_acc, bias_gyro, R_bv, NOISE, t_end=t_end)
         for name in self.FIELDS:
             np.testing.assert_allclose(getattr(pre, name), getattr(ref, name),
@@ -162,7 +161,7 @@ class TestBiasCorrected:
     def test_identity_at_linearization(self):
         rng = np.random.default_rng(2)
         pre = preintegrate(random_motion_stream(rng), np.zeros(3), np.zeros(3),
-                           R_BV, NOISE, t_end=1.0)
+                           R_BV, NOISE, t_end=1.0)[0]
         out = bias_corrected(pre, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(out.alpha, pre.alpha, atol=1e-15)
         np.testing.assert_allclose(out.beta, pre.beta, atol=1e-15)
@@ -172,10 +171,10 @@ class TestBiasCorrected:
     def test_accel_correction_matches_reintegration(self, delta):
         rng = np.random.default_rng(3)
         stream = random_motion_stream(rng)
-        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         dba = delta * np.array([1.0, -0.5, 0.3])
         corrected = bias_corrected(pre, dba, np.zeros(3))
-        exact = preintegrate(stream, dba, np.zeros(3), R_BV, NOISE, t_end=1.0)
+        exact = preintegrate(stream, dba, np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         assert np.linalg.norm(corrected.alpha - exact.alpha) < 10 * delta**2
         assert np.linalg.norm(corrected.beta - exact.beta) < 10 * delta**2
 
@@ -183,10 +182,10 @@ class TestBiasCorrected:
     def test_gyro_correction_matches_reintegration(self, delta):
         rng = np.random.default_rng(4)
         stream = random_motion_stream(rng)
-        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         dbg = delta * np.array([0.4, 1.0, -0.7])
         corrected = bias_corrected(pre, np.zeros(3), dbg)
-        exact = preintegrate(stream, np.zeros(3), dbg, R_BV, NOISE, t_end=1.0)
+        exact = preintegrate(stream, np.zeros(3), dbg, R_BV, NOISE, t_end=1.0)[0]
         dq = quat_multiply(quat_conjugate(exact.gamma), corrected.gamma)
         assert 2 * np.linalg.norm(dq[1:]) < 20 * delta**2
         assert np.linalg.norm(corrected.alpha - exact.alpha) < 20 * delta**2
@@ -194,7 +193,7 @@ class TestBiasCorrected:
     def test_warns_on_large_move(self):
         rng = np.random.default_rng(5)
         pre = preintegrate(random_motion_stream(rng), np.zeros(3), np.zeros(3),
-                           R_BV, NOISE, t_end=1.0)
+                           R_BV, NOISE, t_end=1.0)[0]
         with pytest.warns(UserWarning):
             bias_corrected(pre, np.array([0.2, 0, 0]), np.zeros(3))
 
@@ -219,7 +218,7 @@ class TestImuResidual:
             ba, bg = x0.bias_acc, x0.bias_gyro
             biased = ImuStream(stream.timestamps, stream.accel + ba, stream.gyro + bg)
             x1 = integrate_states(biased, 1.0, x0, GRAVITY, ba, bg)
-            pre = preintegrate(biased, ba, bg, R_BV, NOISE, t_end=1.0)
+            pre = preintegrate(biased, ba, bg, R_BV, NOISE, t_end=1.0)[0]
             r = imu_residual(pre, x0, x1, GRAVITY)
             assert np.max(np.abs(r)) < 1e-9
 
@@ -228,7 +227,7 @@ class TestImuResidual:
         stream = random_motion_stream(rng)
         x0 = random_state(rng)
         x1 = integrate_states(stream, 1.0, x0, GRAVITY)
-        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(stream, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
         x0 = NavState(0.0, x0.position, x0.velocity, x0.attitude)  # zero biases
         delta = 0.01
         x1p = x1.copy()
@@ -244,7 +243,7 @@ class TestImuResidual:
         x1.bias_acc = x0.bias_acc.copy()
         x1.bias_gyro = x0.bias_gyro.copy()
         pre = preintegrate(random_motion_stream(rng), np.zeros(3), np.zeros(3),
-                           R_BV, NOISE, t_end=1.0)
+                           R_BV, NOISE, t_end=1.0)[0]
         r = imu_residual(pre, x0, x1, GRAVITY)
         np.testing.assert_allclose(r[9:15], 0.0, atol=1e-15)
 
@@ -252,7 +251,7 @@ class TestImuResidual:
         rng = np.random.default_rng(9)
         x0 = random_state(rng)
         pre = preintegrate(random_motion_stream(rng), x0.bias_acc, x0.bias_gyro,
-                           R_BV, NOISE, t_end=1.0)
+                           R_BV, NOISE, t_end=1.0)[0]
         x1 = mechanize(pre, x0, GRAVITY, timestamp=1.0)
         assert np.max(np.abs(imu_residual(pre, x0, x1, GRAVITY))) < 1e-12
 
@@ -263,7 +262,7 @@ class TestImuResidualJacobians:
         rng = np.random.default_rng(seed)
         stream = random_motion_stream(rng)
         lin_ba, lin_bg = rng.uniform(-0.005, 0.005, 3), rng.uniform(-5e-4, 5e-4, 3)
-        pre = preintegrate(stream, lin_ba, lin_bg, R_BV, NOISE, t_end=1.0)
+        pre = preintegrate(stream, lin_ba, lin_bg, R_BV, NOISE, t_end=1.0)[0]
         x0, x1 = random_state(rng), random_state(rng, t=1.0)
         # Bias offsets from the linearization exercise the correction path.
         x0.bias_acc = lin_ba + rng.uniform(-2e-3, 2e-3, 3)
@@ -293,7 +292,7 @@ class TestCovarianceConsistency:
         rng = np.random.default_rng(13)
         base = random_motion_stream(rng, n=200, rate=200.0)
         dt = 1.0 / 200.0
-        pre_ref = preintegrate(base, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+        pre_ref = preintegrate(base, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
 
         trials = 300
         errors = np.zeros((trials, 15))
@@ -306,7 +305,7 @@ class TestCovarianceConsistency:
                              axis=0)
             noisy = ImuStream(base.timestamps, base.accel + wn_a + rw_a,
                               base.gyro + wn_g + rw_g)
-            pre = preintegrate(noisy, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)
+            pre = preintegrate(noisy, np.zeros(3), np.zeros(3), R_BV, NOISE, t_end=1.0)[0]
             dq = quat_multiply(quat_conjugate(pre_ref.gamma), pre.gamma)
             if dq[0] < 0:
                 dq = -dq
