@@ -274,6 +274,30 @@ def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
 # Loosely-coupled VLP/INS
 
 
+def lc_propagate(p, v, P, acc, dts, q_acc):
+    """The LC filter's position, velocity and covariance over one epoch
+    interval of IMU steps: room-frame accelerations ``acc`` (m, 3), step
+    lengths ``dts`` (m,), white acceleration noise of density ``q_acc``.
+
+    ``v`` and ``p`` are running sums in a per-step loop's order
+    (``p += v dt``, then ``p += ½ a dt²``; ``v += a dt``).  The covariance
+    takes one ``Φ P Φᵀ + Q_d`` over the whole interval, ``Φ = [[I, T I],
+    [0, I]]`` with ``T = Σ dt``; per axis ``Q_d = q_acc [[Σ (dt³/3 + R² dt),
+    Σ R dt], [Σ R dt, T]]``, where ``R`` is the interval time left after
+    each step.  In exact arithmetic this is the per-step ``F P Fᵀ + Q``.
+    """
+    v_all = np.cumsum(np.concatenate([v[None], acc * dts[:, None]]), axis=0)
+    steps = np.stack([v_all[:-1] * dts[:, None], 0.5 * acc * (dts**2)[:, None]], axis=1)
+    rest = np.cumsum(dts[::-1])
+    left = np.append(rest[-2::-1], 0.0)
+    cross = np.sum(left * dts)
+    q = q_acc * np.array([[np.sum(dts**3 / 3.0 + left**2 * dts), cross], [cross, rest[-1]]])
+    phi = np.eye(6)
+    phi[0, 3] = phi[1, 4] = phi[2, 5] = rest[-1]
+    p = np.cumsum(np.concatenate([p[None], steps.reshape(-1, 3)]), axis=0)[-1]
+    return p, v_all[-1], phi @ P @ phi.T + np.kron(q, np.eye(3))
+
+
 def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     """Loosely-coupled reference: INS attitude, Kalman position/velocity.
 
@@ -281,8 +305,12 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     alignment (no feedback), matching the classic loose architecture;
     per-epoch RSS position fixes (computed with the INS attitude) update
     a 6-state position/velocity filter.  The attitude and room-frame
-    accelerations of every IMU sample are built before the filter runs.
-    Returns one row per epoch, with zero biases (the filter estimates none).
+    accelerations of every IMU sample are built before the filter runs,
+    which then propagates one epoch interval at a time
+    (:func:`lc_propagate`).  Each epoch is fixed at the first IMU sample at
+    or after it, sample 1 at the earliest; epochs past the last sample
+    are not output.  Returns one row per epoch, with zero biases (the
+    filter estimates none).
     """
     x0 = initial_state(dataset, flags_by_epoch)
     gravity = dataset.gravity
@@ -294,7 +322,6 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
               np.asarray(dataset.manifest["room_max"], dtype=float))
 
     epochs = dataset.epochs_by_time(flags_by_epoch)
-    epoch_idx = 0
     p = x0.position.copy()
     v = np.zeros(3)
     P = np.diag([0.05**2] * 3 + [0.05**2] * 3)
@@ -309,39 +336,30 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     qs = quat_chain(x0.attitude, 0.5 * (R_bv @ imu.gyro[:-1, :, None])[:, :, 0] * dts[:, None])
     Rs = quat_to_dcm(qs)
     acc_u = ((Rs[:-1] @ R_bv) @ imu.accel[:-1, :, None])[:, :, 0] + gravity
+    ends = np.maximum(np.searchsorted(ts, [t for t, _ in epochs], side="left"), 1)
 
     out_t, out_p, out_v, out_q = [], [], [], []
-    F = np.eye(6)
-    Q = np.zeros((6, 6))
-    for i, dt in enumerate(dts.tolist()):
-        a_u = acc_u[i]
-        p = p + v * dt + 0.5 * a_u * dt**2
-        v = v + a_u * dt
-        F[0, 3] = F[1, 4] = F[2, 5] = dt
-        Q[3, 3] = Q[4, 4] = Q[5, 5] = q_acc * dt
-        Q[0, 0] = Q[1, 1] = Q[2, 2] = q_acc * dt**3 / 3.0
-        P = F @ P @ F.T + Q
-
-        while epoch_idx < len(epochs) and epochs[epoch_idx][0] <= ts[i + 1]:
-            t_e, flagged = epochs[epoch_idx]
-            lever_u = Rs[i + 1] @ rx.lever_arm_vlp
-            fix = solve_position_rss(flagged, led_map, rx, qs[i + 1], p + lever_u,
-                                     bounds=bounds)
-            if fix.ok:
-                z = fix.position - lever_u
-                H = np.hstack([np.eye(3), np.zeros((3, 3))])
-                R_meas = fix.cov + 1e-6 * np.eye(3)
-                S = H @ P @ H.T + R_meas
-                K = P @ H.T @ np.linalg.inv(S)
-                dx = K @ (z - p)
-                p = p + dx[0:3]
-                v = v + dx[3:6]
-                P = (np.eye(6) - K @ H) @ P
-            out_t.append(t_e)
-            out_p.append(p.copy())
-            out_v.append(v.copy())
-            out_q.append(qs[i + 1])
-            epoch_idx += 1
+    j_prev = 0
+    for (t_e, flagged), j in zip(epochs, ends[ends < ts.size].tolist()):
+        if j > j_prev:
+            p, v, P = lc_propagate(p, v, P, acc_u[j_prev:j], dts[j_prev:j], q_acc)
+            j_prev = j
+        lever_u = Rs[j] @ rx.lever_arm_vlp
+        fix = solve_position_rss(flagged, led_map, rx, qs[j], p + lever_u, bounds=bounds)
+        if fix.ok:
+            z = fix.position - lever_u
+            H = np.hstack([np.eye(3), np.zeros((3, 3))])
+            R_meas = fix.cov + 1e-6 * np.eye(3)
+            S = H @ P @ H.T + R_meas
+            K = P @ H.T @ np.linalg.inv(S)
+            dx = K @ (z - p)
+            p = p + dx[0:3]
+            v = v + dx[3:6]
+            P = (np.eye(6) - K @ H) @ P
+        out_t.append(t_e)
+        out_p.append(p.copy())
+        out_v.append(v.copy())
+        out_q.append(qs[j])
 
     zeros = np.zeros((len(out_t), 3))
     return StateArrays(np.asarray(out_t), np.asarray(out_p), np.asarray(out_v),

@@ -27,6 +27,7 @@ from .dataio import (
     estimator_config_from_dict,
     load_dataset,
     load_trajectory,
+    write_csv,
     write_dataset,
 )
 from .estimator import STOP_REASONS, TightlyCoupledEstimator, estimate_unknown_leds
@@ -56,6 +57,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 TRAJ_HEADER = ("timestamp_s,px,py,pz,vx,vy,vz,qw,qx,qy,qz,roll,pitch,yaw,"
                "bax,bay,baz,bgx,bgy,bgz")
+TAGS_HEADER = "timestamp_s,led_id,tag,counter"
 
 
 class InputError(RuntimeError):
@@ -141,11 +143,6 @@ def run_detection(dataset: Dataset):
     return flags, tag_rows[np.lexsort((tag_rows[:, 1], tag_rows[:, 0]))]
 
 
-def _write_tags(path, tag_rows):
-    np.savetxt(path, tag_rows, fmt="%.12g", delimiter=",",
-               header="timestamp_s,led_id,tag,counter", comments="")
-
-
 def _load_dataset(path) -> Dataset:
     try:
         return load_dataset(path)
@@ -158,7 +155,7 @@ def cmd_detect(args) -> int:
     flags, tag_rows = run_detection(dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_tags(out / "drd_tags.csv", tag_rows)
+    write_csv(out / "drd_tags.csv", TAGS_HEADER, tag_rows)
     n_blocked = np.count_nonzero(flags != SampleFlag.LOS)
     print(f"detector: {n_blocked} flagged epoch samples of {len(flags)} "
           f"-> {out / 'drd_tags.csv'}")
@@ -171,10 +168,9 @@ def cmd_detect(args) -> int:
 
 def _write_trajectory(path, traj: StateArrays):
     """Write ``traj`` as a trajectory file, the layout ``load_trajectory`` reads."""
-    euler = euler_from_quat(traj.attitude)
-    np.savetxt(path, np.column_stack([traj.timestamps, traj.position, traj.velocity,
-                                      traj.attitude, euler, traj.bias_acc, traj.bias_gyro]),
-               fmt="%.12g", delimiter=",", header=TRAJ_HEADER, comments="")
+    write_csv(path, TRAJ_HEADER,
+              np.column_stack([traj.timestamps, traj.position, traj.velocity, traj.attitude,
+                               euler_from_quat(traj.attitude), traj.bias_acc, traj.bias_gyro]))
 
 
 def run_tc(dataset: Dataset, config, flags, unknown_init=None):
@@ -214,7 +210,7 @@ def cmd_estimate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if tag_rows is not None:
-        _write_tags(out / "drd_tags.csv", tag_rows)
+        write_csv(out / "drd_tags.csv", TAGS_HEADER, tag_rows)
 
     mode = args.mode
     n_fix_failures = 0
@@ -239,8 +235,7 @@ def cmd_estimate(args) -> int:
         header = ("epoch,timestamp_s,cost,iterations,converged,los_count,flagged_count,"
                   "reintegrations,last_rho,stop")
         header += "".join(f",dop_led{i}" for i in led_cols)
-        np.savetxt(out / "diagnostics.csv", np.asarray(diag_rows), fmt="%.12g",
-                   delimiter=",", header=header, comments="")
+        write_csv(out / "diagnostics.csv", header, diag_rows)
     elif mode == "lc":
         traj = run_loosely_coupled(dataset, flags)
     elif mode == "vlp_only":

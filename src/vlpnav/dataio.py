@@ -49,6 +49,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def write_csv(path, header: str, rows, fmt: str = "%.12g") -> None:
+    """Write ``rows`` (a 2-D or structured array) as CSV under ``header``,
+    each value formatted by ``fmt``: the bytes ``np.savetxt`` writes with
+    ``delimiter=","`` and ``comments=""``, formatted from ``tolist()`` one
+    block of 1,024 rows at a time."""
+    rows = np.asarray(rows)
+    line = ",".join([fmt] * (len(rows.dtype.names) if rows.dtype.names else rows.shape[1])) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for k in range(0, len(rows), 1024):
+            f.write("".join([line % tuple(row) for row in rows[k:k + 1024].tolist()]))
+
+
 def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStream,
                   raw: np.ndarray, epoch: EpochRss) -> dict:
     """Write a complete dataset directory; returns the manifest dict.
@@ -59,21 +72,15 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    imu_arr = np.column_stack([imu.timestamps, imu.accel, imu.gyro])
-    np.savetxt(out / "imu.csv", imu_arr, fmt="%.12g", delimiter=",",
-               header="timestamp_s,ax,ay,az,gx,gy,gz", comments="")
-
-    np.savetxt(out / "rss_raw.csv", raw, fmt="%.12g", delimiter=",",
-               header="timestamp_s,led_id,value", comments="")
-    np.savetxt(out / "rss_epoch.csv", epoch.samples, fmt="%.12g", delimiter=",",
-               header="timestamp_s,led_id,value,variance,flag_truth", comments="")
-
+    write_csv(out / "imu.csv", "timestamp_s,ax,ay,az,gx,gy,gz",
+              np.column_stack([imu.timestamps, imu.accel, imu.gyro]))
+    write_csv(out / "rss_raw.csv", "timestamp_s,led_id,value", raw)
+    write_csv(out / "rss_epoch.csv", "timestamp_s,led_id,value,variance,flag_truth",
+              epoch.samples)
     euler = euler_from_quat(truth.attitude)
-    truth_arr = np.column_stack(
-        [truth.timestamps, truth.position, truth.velocity, truth.attitude, euler])
-    np.savetxt(out / "truth.csv", truth_arr, fmt="%.12g", delimiter=",",
-               header="timestamp_s,px,py,pz,vx,vy,vz,qw,qx,qy,qz,roll,pitch,yaw",
-               comments="")
+    write_csv(out / "truth.csv", "timestamp_s,px,py,pz,vx,vy,vz,qw,qx,qy,qz,roll,pitch,yaw",
+              np.column_stack([truth.timestamps, truth.position, truth.velocity,
+                               truth.attitude, euler]))
 
     (out / "leds.json").write_text(json.dumps(to_record(scenario.leds), indent=2))
     scenario.to_json(out / "scenario.json")
@@ -180,7 +187,8 @@ def load_dataset(path) -> Dataset:
     the wrong length, when an RSS file names an LED that is not in
     ``leds.json``, when ``rss_epoch.csv`` holds a negative value, a
     variance that is not positive or a flag that is not a
-    :class:`SampleFlag` code, and when ``imu.csv`` leaves the interval
+    :class:`SampleFlag` code, when an LED's rows in ``rss_raw.csv`` do not
+    increase strictly in time, and when ``imu.csv`` leaves the interval
     between two epochs without a sample."""
     path = Path(path)
     if not (path / "manifest.json").exists():
@@ -195,6 +203,10 @@ def load_dataset(path) -> Dataset:
     led_ids = [led.led_id for led in leds]
     raw = _read_rows(path / "rss_raw.csv", 3)
     _require(np.isin(raw[:, 1], led_ids), path / "rss_raw.csv", "an LED id is not in leds.json")
+    # DRD divides by the spacing of each LED's rows, in file order.
+    for led_id in led_ids:
+        _require(np.diff(raw[raw[:, 1] == led_id, 0]) > 0.0, path / "rss_raw.csv",
+                 "an LED's timestamps do not increase from row to row")
     ep_path = path / "rss_epoch.csv"
     ep = _read_rows(ep_path, 5)
     _require(np.isin(ep[:, 1], led_ids), ep_path, "an LED id is not in leds.json")

@@ -10,6 +10,7 @@ import numpy as np
 
 from .attitude import euler_from_quat
 from .channel import SampleFlag, receiver_normal
+from .dataio import write_csv
 
 #: Maximum allowed timestamp skew when pairing estimates with truth.
 MAX_TIME_SKEW = 1e-3
@@ -166,8 +167,5 @@ def detection_scores(flags_est, flags_truth) -> tuple[float, float]:
 
 
 def save_cdf_csv(path, report: RunReport) -> None:
-    arr = np.asarray(report.cdf, dtype=float)
-    if arr.size == 0:
-        arr = np.zeros((0, 2))
-    np.savetxt(path, arr, fmt="%.9g", delimiter=",", header="error_3d_m,fraction",
-               comments="")
+    write_csv(path, "error_3d_m,fraction",
+              np.asarray(report.cdf, dtype=float).reshape(-1, 2), fmt="%.9g")

@@ -6,12 +6,13 @@ solver tests have an exact ground truth independent of the simulator
 module.
 
 Also here: the loop forms the stacked library code replaced (normal
-equations, marginal prior, pre-integration), kept as their references,
-the loop over the grid that the reachable-box DRD threshold replaced,
-and single-case oracles the library no longer needs (the one-state
-``NavState`` with its retraction, the one-factor IMU and RSS residuals
-and Jacobians, the dense Schur step, angular-form RSS, planar Jacobians,
-pose thresholds, a one-stream DRD run, first-order bias correction).
+equations, marginal prior, pre-integration, the per-sample DRD fold),
+kept as their references, the loop over the grid that the reachable-box
+DRD threshold replaced, and single-case oracles the library no longer
+needs (the one-state ``NavState`` with its retraction, the one-factor IMU
+and RSS residuals and Jacobians, the dense Schur step, angular-form RSS,
+planar Jacobians, pose thresholds, the planar DRD threshold, first-order
+bias correction).
 """
 
 import warnings
@@ -32,7 +33,7 @@ from vlpnav.attitude import (
     skew,
     so3_right_jacobian,
 )
-from vlpnav.blockage import PSI_CAP, THRESHOLD_GRID, BlockageState, DetectionSpec, drd_step
+from vlpnav.blockage import PSI_CAP, THRESHOLD_GRID, DetectionSpec
 from vlpnav.channel import (
     EPOCH_RSS,
     GRAZING_COS_FLOOR,
@@ -662,26 +663,92 @@ def loop_static_threshold_3d(room_min, room_max, led: LedBeacon, cfg: DetectionS
     return best
 
 
-def detect_stream(times, values, threshold: float, cfg: DetectionSpec) -> tuple[np.ndarray, int]:
-    """Run the detector over one LED's raw stream.
+class UndefinedRatioError(ValueError):
+    """Changing-rate ratio undefined: the denominator sample is at the floor."""
 
-    Returns the per-sample blocked tags (bool array aligned with
-    ``times``) and the transition count.  The state initializes
-    UNBLOCKED; streams that begin mid-blockage are not recognized until
-    the first rise.
+
+@dataclass(frozen=True)
+class BlockageState:
+    """Per-LED detector state.
+
+    ``reference`` tracks the most recent line-of-sight value; it
+    normalizes the rise ratio while the signal sits at the floor.
+    """
+
+    blocked: bool = False
+    transitions: int = 0
+    reference: float = 0.0
+
+
+def rate_ratio(p_i: float, p_next: float, dt: float, floor: float = 1e-12) -> float:
+    """Discrete RSS changing-rate ratio ``(p_next - p_i) / (dt * p_i)`` in 1/s."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if p_i <= floor:
+        raise UndefinedRatioError(f"denominator sample {p_i} at or below floor {floor}")
+    return (p_next - p_i) / (dt * p_i)
+
+
+def threshold_2d(s: float, h: float, order: float, v_max: float) -> float:
+    """Planar bound ``(3 + m) s v_max / (s^2 + h^2)`` for a level receiver."""
+    if h <= 0.0:
+        raise ValueError("vertical distance h must be positive")
+    if s < 0.0:
+        raise ValueError("horizontal distance s must be non-negative")
+    return (3.0 + order) * s * v_max / (s * s + h * h)
+
+
+def drd_step(state: BlockageState, p_i: float, p_next: float, dt: float,
+             threshold: float, floor: float = 1e-12) -> BlockageState:
+    """Advance one sample pair; pure fold over the stream.
+
+    UNBLOCKED -> BLOCKED on a descent faster than ``-threshold`` (or on an
+    undefined ratio, conservatively).  BLOCKED -> UNBLOCKED on a rise
+    faster than ``+threshold``; while the signal sits at the floor the
+    rise ratio is normalized by the last LOS value instead of the
+    vanishing denominator.
+    """
+    if threshold <= 0.0:
+        raise ValueError("threshold must be positive")
+    if not state.blocked:
+        try:
+            ratio = rate_ratio(p_i, p_next, dt, floor)
+        except UndefinedRatioError:
+            return replace(state, blocked=True, transitions=state.transitions + 1)
+        if ratio < -threshold:
+            return replace(state, blocked=True, transitions=state.transitions + 1,
+                           reference=p_i)
+        return replace(state, reference=p_i)
+    denom = p_i if p_i > floor else max(state.reference, floor)
+    ratio = (p_next - p_i) / (dt * denom)
+    if ratio > threshold:
+        return replace(state, blocked=False, transitions=state.transitions + 1)
+    return state
+
+
+def detect_stream(times, values, threshold: float,
+                  cfg: DetectionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Run DRD over one LED's raw stream, one :func:`drd_step` per sample
+    pair: the loop ``DrdDetector.run`` replaced, kept as its reference.
+
+    Returns the per-sample blocked tags and transition counters, aligned
+    with ``times``.  The state initializes UNBLOCKED; streams that begin
+    mid-blockage are not recognized until the first rise.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape:
         raise ValueError("times and values must be matching 1-D arrays")
     tags = np.zeros(times.shape, dtype=bool)
+    counters = np.zeros(times.shape, dtype=int)
     state = BlockageState(reference=float(values[0]) if values.size else 0.0)
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
         state = drd_step(state, float(values[i]), float(values[i + 1]), float(dt),
                          threshold, cfg.value_floor)
         tags[i + 1] = state.blocked
-    return tags, state.transitions
+        counters[i + 1] = state.transitions
+    return tags, counters
 
 
 def heading_information(pd_pos, q, leds, rx: ReceiverConfig) -> float:

@@ -4,6 +4,7 @@ import pytest
 from vlpnav.attitude import quat_from_euler, quat_multiply, quat_to_dcm
 from vlpnav.baselines import (
     initial_state,
+    lc_propagate,
     run_loosely_coupled,
     solve_pose_tilt,
     solve_position_rss,
@@ -184,3 +185,40 @@ class TestLooselyCoupled:
         idx = np.maximum(np.searchsorted(ts, traj.timestamps), 1)
         assert len(traj.timestamps) == len(ds.epochs_by_time(los))
         np.testing.assert_array_equal(traj.attitude, np.array(chain)[idx])
+
+
+class TestLcPropagate:
+    """One epoch interval of the LC filter against the per-sample loop it
+    replaced."""
+
+    @staticmethod
+    def _interval(seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 250))
+        A = rng.normal(size=(6, 6))
+        # A full covariance, as a Kalman update leaves it.
+        P = A @ A.T + 0.1 * np.eye(6)
+        return (rng.normal(size=3), rng.normal(size=3), P, rng.normal(0.0, 0.5, (m, 3)),
+                rng.uniform(0.001, 0.03, m), float(rng.uniform(0.01, 2.0)))
+
+    def test_covariance_matches_per_sample_recursion(self):
+        for seed in range(30):
+            p, v, P, acc, dts, q = self._interval(seed)
+            F, Q, P_loop = np.eye(6), np.zeros((6, 6)), P.copy()
+            for dt in dts.tolist():
+                F[0, 3] = F[1, 4] = F[2, 5] = dt
+                Q[3, 3] = Q[4, 4] = Q[5, 5] = q * dt
+                Q[0, 0] = Q[1, 1] = Q[2, 2] = q * dt**3 / 3.0
+                P_loop = F @ P_loop @ F.T + Q
+            np.testing.assert_allclose(lc_propagate(p, v, P, acc, dts, q)[2], P_loop,
+                                       rtol=1e-12)
+
+    def test_position_velocity_match_sequential_loop(self):
+        for seed in range(30):
+            p, v, P, acc, dts, q = self._interval(seed)
+            p_new, v_new, _ = lc_propagate(p, v, P, acc, dts, q)
+            for a, dt in zip(acc, dts.tolist()):
+                p = p + v * dt + 0.5 * a * dt**2
+                v = v + a * dt
+            np.testing.assert_array_equal(p_new, p)
+            np.testing.assert_array_equal(v_new, v)

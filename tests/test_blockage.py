@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from vlpnav.attitude import quat_identity
-from vlpnav.blockage import (
-    BlockageState,
-    DetectionSpec,
-    DrdDetector,
-    UndefinedRatioError,
-    annotate_epochs,
-    drd_step,
-    rate_ratio,
-    static_threshold_3d,
-    threshold_2d,
-)
+from vlpnav.blockage import DetectionSpec, DrdDetector, annotate_epochs, static_threshold_3d
 from vlpnav.channel import LedBeacon, ReceiverConfig, SampleFlag, predict_rss
 
-from _synthetic import detect_stream, loop_static_threshold_3d, threshold_3d
+from _synthetic import (
+    BlockageState,
+    UndefinedRatioError,
+    detect_stream,
+    drd_step,
+    loop_static_threshold_3d,
+    rate_ratio,
+    threshold_2d,
+    threshold_3d,
+)
 
 RX = ReceiverConfig(area=1e-4, fov_half_angle=np.pi / 2)
 LED = LedBeacon(led_id=0, position=np.array([0.0, 0.0, 2.0]), power=10.0)
@@ -102,10 +101,10 @@ class TestDrdStep:
     def test_step_down_then_up(self):
         dt = 1 / 120
         values = [1.0] * 10 + [0.0] * 10 + [1.0] * 10
-        tags, transitions = detect_stream(np.arange(30) * dt, values, 1.0,
-                                          DetectionSpec(v_max=1.0, omega_max=0.0,
-                                                        value_floor=1e-12))
-        assert transitions == 2
+        tags, counters = detect_stream(np.arange(30) * dt, values, 1.0,
+                                       DetectionSpec(v_max=1.0, omega_max=0.0,
+                                                     value_floor=1e-12))
+        assert counters[-1] == 2
         np.testing.assert_array_equal(tags[10:20], True)
         np.testing.assert_array_equal(tags[:10], False)
         np.testing.assert_array_equal(tags[20:], False)
@@ -148,7 +147,7 @@ class TestDrdStep:
         out1 = detect_stream(t, values, 2.0, cfg)
         out2 = detect_stream(t, values, 2.0, cfg)
         np.testing.assert_array_equal(out1[0], out2[0])
-        assert out1[1] == out2[1]
+        np.testing.assert_array_equal(out1[1], out2[1])
 
 
 class TestMotionNoFalseAlarms:
@@ -163,8 +162,8 @@ class TestMotionNoFalseAlarms:
         values = np.array([predict_rss([xi, 0.3, 0.0], quat_identity(), LED, RX) for xi in x])
         cfg = DetectionSpec(v_max=0.5, omega_max=0.0, value_floor=1e-12, max_tilt_deg=0.0)
         thr = static_threshold_3d([-4, -1, 0], [4, 1, 1], LED, RX, cfg)
-        tags, transitions = detect_stream(t, values, thr, cfg)
-        assert transitions == 0
+        tags, counters = detect_stream(t, values, thr, cfg)
+        assert counters[-1] == 0
         assert not tags.any()
 
 
@@ -251,6 +250,85 @@ class TestDetectorScene:
         # Odd counter = blocked, even = unblocked.
         assert out[0][2][15] % 2 == 1
         assert out[0][2][-1] % 2 == 0
+
+
+def _drd_stream(rng, n):
+    """A random raw stream over LOS levels, partial shade and samples at,
+    near and below the floor (0.05), switching often enough that blocks
+    start and clear back to back."""
+    levels = np.array([2.0, 1.0, 0.98, 0.3, 0.06, 0.05, 0.02, 0.0])
+    state = rng.integers(levels.size)
+    v = np.empty(n)
+    for i in range(n):
+        if rng.random() < 0.3:
+            state = rng.integers(levels.size)
+        v[i] = levels[state] * (1.0 + 0.01 * rng.standard_normal()) if rng.random() < 0.5 \
+            else levels[state]
+    return v
+
+
+class TestEventDrd:
+    """``DrdDetector.run`` jumps from transition to transition; its tags and
+    counters equal the per-sample :func:`drd_step` loop's, bit for bit."""
+
+    CFG = DetectionSpec(value_floor=0.05)
+    #: Streams that start each path: a block at the first sample by descent
+    #: and by the floor, a stream that starts blocked (at the floor), back-
+    #: to-back transitions, a block that never clears (by descent and at
+    #: the floor), a floor sample that rises on its LOS reference, and the
+    #: one- and two-sample streams.
+    CASES = (
+        [1.0, 0.1, 0.1, 1.0, 1.0],
+        [0.0, 1.0, 1.0, 1.0],
+        [0.02, 0.01, 0.03, 1.0, 1.0, 0.9],
+        [1.0, 0.1, 1.0, 0.1, 1.0, 0.1, 1.0],
+        [1.0, 1.0, 0.2, 0.2, 0.2, 0.21],
+        [1.0, 1.0, 0.0, 0.0, 0.04, 0.05],
+        [1.0, 0.0, 0.05, 0.9, 0.9],
+        [1.0],
+        [0.0],
+        [1.0, 0.0],
+        [0.0, 1.0],
+    )
+
+    @staticmethod
+    def _check(detector, streams):
+        """Interleave ``streams`` as LEDs 0, 1, ... and compare each LED's
+        output with the loop over its own stream."""
+        rows = [(t, led_id, x) for led_id, (times, values) in enumerate(streams)
+                for t, x in zip(times, values)]
+        rows.sort(key=lambda r: r[0])
+        t, ids, v = (np.array(c, dtype=float) for c in zip(*rows))
+        out = detector.run(t, ids, v)
+        for led_id, (times, values) in enumerate(streams):
+            tags, counters = detect_stream(times, values, detector.thresholds[led_id],
+                                           detector.cfg)
+            np.testing.assert_array_equal(out[led_id][0], times)
+            np.testing.assert_array_equal(out[led_id][1], tags)
+            np.testing.assert_array_equal(out[led_id][2], counters)
+
+    def test_edge_cases_match_loop(self):
+        dt = 1 / 120
+        streams = [(np.arange(len(v)) * dt + 0.001 * i, np.array(v))
+                   for i, v in enumerate(self.CASES)]
+        detector = DrdDetector(self.CFG, {i: 20.0 for i in range(len(streams))})
+        self._check(detector, streams)
+        # Back to back: block, clear and block again on consecutive samples.
+        assert list(detect_stream(*streams[3], 20.0, self.CFG)[1]) == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_random_streams_match_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n_leds = int(rng.integers(1, 4))
+            streams = []
+            for _ in range(n_leds):
+                n = int(rng.integers(1, 120))
+                # Irregular spacing, median below 10 ms.
+                times = np.cumsum(rng.uniform(0.004, 0.0095, n))
+                streams.append((times, _drd_stream(rng, n)))
+            thresholds = {i: float(rng.uniform(1.0, 300.0)) for i in range(n_leds)}
+            floor = float(rng.choice([1e-12, 0.05]))
+            self._check(DrdDetector(DetectionSpec(value_floor=floor), thresholds), streams)
 
 
 class TestConfigValidation:

@@ -163,6 +163,23 @@ class TestMalformedDataset:
         assert main([command, "--dataset", str(data), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_repeated_raw_timestamp_exit_2(self, mini_dataset, tmp_path, capsys, command):
+        """An LED's raw rows must increase in time: DRD divides by their
+        spacing.  Here the repeat follows a blocked sample."""
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        raw = np.loadtxt(data / "rss_raw.csv", delimiter=",", skiprows=1)
+        k = np.flatnonzero(raw[:, 1] == 1)[10:12]
+        raw[k[0], 2] = 0.0
+        raw[k[1], 0] = raw[k[0], 0]
+        np.savetxt(data / "rss_raw.csv", raw, fmt="%.12g", delimiter=",",
+                   header="timestamp_s,led_id,value", comments="")
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), "--out", str(out)]) == 2
+        assert "rss_raw.csv: an LED's timestamps do not increase" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_detect_one_raw_row(self, mini_dataset, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(mini_dataset, data)
