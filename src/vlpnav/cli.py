@@ -92,7 +92,7 @@ def cmd_simulate(args) -> int:
     imu = synthesize_imu(truth, scenario)
     raw, epoch = synthesize_rss(truth, scenario)
     write_dataset(args.out, scenario, truth, imu, raw, epoch)
-    n_epochs = np.unique(epoch.samples["timestamp"]).size
+    n_epochs = np.unique(epoch["timestamp"]).size
     print(f"dataset '{scenario.name}' seed {scenario.seed}: "
           f"{truth.duration:.1f} s, {n_epochs} epochs -> {args.out}")
     return EXIT_OK

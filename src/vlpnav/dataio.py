@@ -32,7 +32,7 @@ from .channel import EPOCH_RSS, LedBeacon, ReceiverConfig, SampleFlag
 from .estimator import ConstraintConfig, EstimatorConfig
 from .preint import ImuNoise, ImuStream
 from .records import from_record, to_record
-from .simulator import EpochRss, Scenario, TruthStream
+from .simulator import Scenario, TruthStream
 from .state import StateArrays
 
 try:
@@ -63,10 +63,10 @@ def write_csv(path, header: str, rows, fmt: str = "%.12g") -> None:
 
 
 def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStream,
-                  raw: np.ndarray, epoch: EpochRss) -> dict:
+                  raw: np.ndarray, samples: np.ndarray) -> dict:
     """Write a complete dataset directory; returns the manifest dict.
 
-    ``raw`` and ``epoch.samples`` are written as they are: the rows of
+    ``raw`` and ``samples`` are written as they are: the rows of
     ``rss_raw.csv`` and ``rss_epoch.csv``, as :func:`synthesize_rss`
     returns them."""
     out = Path(out_dir)
@@ -76,7 +76,7 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
               np.column_stack([imu.timestamps, imu.accel, imu.gyro]))
     write_csv(out / "rss_raw.csv", "timestamp_s,led_id,value", raw)
     write_csv(out / "rss_epoch.csv", "timestamp_s,led_id,value,variance,flag_truth",
-              epoch.samples)
+              samples)
     euler = euler_from_quat(truth.attitude)
     write_csv(out / "truth.csv", "timestamp_s,px,py,pz,vx,vy,vz,qw,qx,qy,qz,roll,pitch,yaw",
               np.column_stack([truth.timestamps, truth.position, truth.velocity,
@@ -93,7 +93,7 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
         "seed": scenario.seed,
         "gravity": list(scenario.gravity),
         "frame_convention": "room frame z-up; VLP frame x-forward z-up; Hamilton q",
-        "epoch_window_s": epoch.window,
+        "epoch_window_s": 1.0 / scenario.rss.epoch_rate_hz,
         "epoch_rate_hz": scenario.rss.epoch_rate_hz,
         "raw_rate_hz": scenario.rss.raw_rate_hz,
         "rss_epoch_sigma": scenario.rss.epoch_sigma,

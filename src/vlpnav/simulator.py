@@ -4,9 +4,11 @@ A scenario describes a room with ceiling LEDs, a vehicle trajectory as
 waypoints with per-segment speeds (plus a commanded gimbal pitch
 profile), IMU noise characteristics and a per-LED blockage schedule.
 
-Trajectory model: straight travel segments with quintic speed ramps,
-stop-and-turn transitions that blend yaw and slope pitch with quintic
-profiles, and dwell phases.  The resulting analytic profile is C2 in
+Trajectory model: path speed, yaw, slope pitch and gimbal pitch are each
+a knot profile (:func:`glide`) that holds a level and glides to the next
+by a quintic blend; straight travel with speed ramps, stop-and-turns and
+dwells are knots laid out in one pass over the segments, and position is
+the waypoint polyline at the integrated speed.  The profile is C2 in
 position and attitude, so synthesized IMU streams contain no rate
 spikes.  The *emitted truth* is the first-order strapdown integration of
 the ideal IMU stream from the true initial state: truth, IMU and RSS are
@@ -128,78 +130,44 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Quintic building blocks
+# Knot profiles
 
 
 def _smoothstep(tau):
-    """Quintic smoothstep and its first two derivatives on [0, 1]."""
-    tau = np.clip(tau, 0.0, 1.0)
+    """Quintic smoothstep on [0, 1]: its value, slope and integral from 0."""
     p = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
     dp = 30.0 * tau**2 * (1.0 - tau) ** 2
-    ddp = 60.0 * tau * (1.0 - 3.0 * tau + 2.0 * tau**2)
-    return p, dp, ddp
+    return p, dp, 2.5 * tau**4 - 3.0 * tau**5 + tau**6
 
 
-def _smoothstep_integral(tau):
-    tau = np.clip(tau, 0.0, 1.0)
-    return 2.5 * tau**4 - 3.0 * tau**5 + tau**6
+def glide(knots, t):
+    """C2 scalar profile through ``(time, value)`` knots, at times ``t``.
 
-
-class _KnotProfile:
-    """C2 scalar profile through (time, value) knots via quintic blends.
-
-    The value holds each knot level and glides to the next with zero
-    end-rate and end-acceleration, so adding it to an attitude angle
-    never spikes the gyro.
+    The value holds each knot level and glides to the next by a quintic
+    blend with zero end-rate and end-acceleration, so a speed, yaw or
+    pitch built from it never spikes the IMU.  It holds the first level
+    before the first knot and the last after the last, and is zero
+    without knots; knots at one time make a step.  Returns the value, its
+    rate and its running integral from the first knot.
     """
-
-    def __init__(self, knots):
-        knots = sorted((float(t), float(v)) for t, v in knots)
-        self.times = np.array([k[0] for k in knots]) if knots else np.zeros(0)
-        self.values = np.array([k[1] for k in knots]) if knots else np.zeros(0)
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.times.size == 0:
-            return np.zeros_like(t), np.zeros_like(t)
-        val = np.full(t.shape, self.values[0])
-        rate = np.zeros_like(t)
-        for i in range(self.times.size - 1):
-            t0, t1 = self.times[i], self.times[i + 1]
-            v0, v1 = self.values[i], self.values[i + 1]
-            span = max(t1 - t0, 1e-9)
-            tau = (t - t0) / span
-            p, dp, _ = _smoothstep(tau)
-            seg = (t >= t0) & (t < t1)
-            val = np.where(seg, v0 + (v1 - v0) * p, val)
-            rate = np.where(seg, (v1 - v0) * dp / span, rate)
-        val = np.where(t >= self.times[-1], self.values[-1], val)
-        rate = np.where(t >= self.times[-1], 0.0, rate)
-        return val, rate
+    t = np.asarray(t, dtype=float)
+    if not knots:
+        return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    kt, kv = np.array(sorted((float(a), float(b)) for a, b in knots)).T
+    area = np.concatenate([[0.0], np.cumsum(np.diff(kt) * (kv[:-1] + kv[1:]) / 2.0)])
+    # Each time takes the last knot at or before it (side="right" steps
+    # over a zero span) and the blend to the next; before the first knot
+    # tau clips to 0, and after the last the blend is to itself.
+    k = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 1)
+    j = np.minimum(k + 1, kt.size - 1)
+    h = np.where(kt[j] > kt[k], kt[j] - kt[k], 1.0)
+    p, dp, ip = _smoothstep(np.clip((t - kt[k]) / h, 0.0, 1.0))
+    dv = kv[j] - kv[k]
+    return kv[k] + dv * p, dv * dp / h, area[k] + kv[k] * (t - kt[k]) + h * dv * ip
 
 
 # ---------------------------------------------------------------------------
-# Trajectory phases
-
-
-@dataclass
-class _Phase:
-    kind: str  # dwell | turn | travel
-    t0: float
-    duration: float
-    pos0: np.ndarray
-    direction: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    length: float = 0.0
-    cruise: float = 0.0
-    ramp: float = 0.0
-    yaw0: float = 0.0
-    yaw1: float = 0.0
-    pitch0: float = 0.0
-    pitch1: float = 0.0
-
-    @property
-    def t1(self):
-        return self.t0 + self.duration
+# Trajectory kinematics
 
 
 def _segment_yaw_pitch(direction):
@@ -212,85 +180,81 @@ def _wrap_angle(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _build_phases(spec: TrajectorySpec, v_max: float, omega_max: float) -> list[_Phase]:
-    wps = [np.asarray(w, dtype=float) for w in spec.waypoints]
+def _kinematics(scenario: Scenario):
+    """Analytic profile on the IMU grid: ``(t, position, velocity,
+    acceleration, yaw, yaw rate, pitch, pitch rate)``, the pitch with the
+    gimbal command added.
+
+    One pass over the segments lays out the speed, yaw and pitch knots:
+    the initial dwell, then per segment a dwell (zero length) or a
+    stop-and-turn to the segment's heading and slope pitch followed by a
+    quintic speed ramp, cruise and ramp down.  Position is the waypoint
+    polyline at the integrated path length; velocity and acceleration are
+    the speed and its rate along the current segment.
+    """
+    spec = scenario.trajectory
+    det = scenario.detection
+    wps = np.array(spec.waypoints, dtype=float)
     if len(wps) < 2:
         raise ValueError("trajectory needs at least two waypoints")
     if len(spec.speeds) != len(wps) - 1:
         raise ValueError("need one speed per segment")
-
-    segments = []
-    for a, b, v in zip(wps[:-1], wps[1:], spec.speeds):
-        d = b - a
-        length = float(np.linalg.norm(d))
-        segments.append((a, b, length, d / length if length > 1e-9 else None, float(v)))
+    d = np.diff(wps, axis=0)
+    length = np.linalg.norm(d, axis=1)
+    moving = length > 1e-9
+    unit = np.zeros_like(d)
+    unit[moving] = d[moving] / length[moving, None]
 
     # Initial attitude faces the first real segment.
-    first_dir = next((s[3] for s in segments if s[3] is not None), np.array([1.0, 0.0, 0.0]))
-    yaw, pitch = _segment_yaw_pitch(first_dir)
-
-    phases: list[_Phase] = []
-    t = 0.0
-    if spec.initial_dwell > 0.0:
-        phases.append(_Phase("dwell", t, spec.initial_dwell, wps[0], yaw0=yaw, yaw1=yaw,
-                             pitch0=pitch, pitch1=pitch))
-        t += spec.initial_dwell
-
-    for a, b, length, direction, v in segments:
-        if direction is None:
-            phases.append(_Phase("dwell", t, spec.dwell_time, a, yaw0=yaw, yaw1=yaw,
-                                 pitch0=pitch, pitch1=pitch))
+    yaw, pitch = _segment_yaw_pitch(unit[moving][0] if moving.any() else (1.0, 0.0, 0.0))
+    t = max(float(spec.initial_dwell), 0.0)
+    speed, yaws, pitches, starts = [], [(0.0, yaw)], [(0.0, pitch)], []
+    for k in range(len(d)):
+        starts.append(t)
+        if not moving[k]:
             t += spec.dwell_time
             continue
-        new_yaw, new_pitch = _segment_yaw_pitch(direction)
+        new_yaw, new_pitch = _segment_yaw_pitch(unit[k])
         dyaw = _wrap_angle(new_yaw - yaw)
         dpitch = new_pitch - pitch
         if abs(dyaw) > 1e-9 or abs(dpitch) > 1e-9:
             angle = max(abs(dyaw), abs(dpitch))
             duration = max(spec.min_turn_time, 1.875 * angle / spec.turn_rate)
             peak = 1.875 * angle / duration
-            if peak > omega_max + 1e-9:
+            if peak > det.omega_max + 1e-9:
                 raise ValueError(
-                    f"turn rate {peak:.3f} rad/s exceeds omega_max {omega_max}")
-            phases.append(_Phase("turn", t, duration, a, yaw0=yaw, yaw1=yaw + dyaw,
-                                 pitch0=pitch, pitch1=new_pitch))
+                    f"turn rate {peak:.3f} rad/s exceeds omega_max {det.omega_max}")
+            yaws += [(t, yaw), (t + duration, yaw + dyaw)]
+            pitches += [(t, pitch), (t + duration, new_pitch)]
             t += duration
             yaw, pitch = yaw + dyaw, new_pitch
+        v = float(spec.speeds[k])
         if v <= 0.0:
             raise ValueError("segment speed must be positive")
-        duration = length / v
+        duration = length[k] / v
         ramp = min(spec.ramp_time, duration / 3.0)
-        cruise = length / (duration - ramp)
-        if cruise > v_max + 1e-9:
+        cruise = length[k] / (duration - ramp)
+        if cruise > det.v_max + 1e-9:
             raise ValueError(
-                f"cruise speed {cruise:.3f} m/s exceeds v_max {v_max}; "
+                f"cruise speed {cruise:.3f} m/s exceeds v_max {det.v_max}; "
                 "lower the segment speed or lengthen the segment")
-        phases.append(_Phase("travel", t, duration, a, direction=direction, length=length,
-                             cruise=cruise, ramp=ramp, yaw0=yaw, yaw1=yaw,
-                             pitch0=pitch, pitch1=pitch))
+        speed += [(t, 0.0), (t + ramp, cruise), (t + duration - ramp, cruise), (t + duration, 0.0)]
         t += duration
-    return phases
 
-
-def _travel_state(ph: _Phase, t_rel):
-    """Arc length, speed and acceleration along a travel phase."""
-    vc, tr, T = ph.cruise, ph.ramp, ph.duration
-    if t_rel < tr:
-        tau = t_rel / tr
-        p, dp, _ = _smoothstep(tau)
-        s = vc * tr * _smoothstep_integral(tau)
-        v = vc * p
-        a = vc * dp / tr
-    elif t_rel < T - tr:
-        s = vc * tr / 2.0 + vc * (t_rel - tr)
-        v, a = vc, 0.0
-    else:
-        tau = (t_rel - (T - tr)) / tr
-        p, dp, _ = _smoothstep(tau)
-        s = vc * tr / 2.0 + vc * (T - 2.0 * tr) + vc * tr * (tau - _smoothstep_integral(tau))
-        v = vc * (1.0 - p)
-        a = -vc * dp / tr
-    return s, v, a
+    dt = 1.0 / scenario.imu.rate_hz
+    t_grid = np.arange(int(np.floor(t / dt))) * dt
+    v, a, s = glide(speed, t_grid)
+    path = np.concatenate([[0.0], np.cumsum(np.where(moving, length, 0.0))])
+    position = np.stack([np.interp(s, path, w) for w in wps.T], axis=1)
+    # The current segment is looked up by time, not by arc length, which
+    # rounds either way at a waypoint; speed is zero outside travel.
+    along = unit[np.clip(np.searchsorted(starts, t_grid, side="right") - 1, 0, None)]
+    yaw, yaw_rate, _ = glide(yaws, t_grid)
+    pitch, pitch_rate, _ = glide(pitches, t_grid)
+    g_deg, g_rate_deg, _ = glide(spec.gimbal_pitch_deg, t_grid)
+    # Commanded pitch-up maps to a negative z-y-x pitch angle increment.
+    return (t_grid, position, v[:, None] * along, a[:, None] * along, yaw, yaw_rate,
+            pitch - g_deg * D2R, pitch_rate - g_rate_deg * D2R)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +277,6 @@ class TruthStream:
     @property
     def duration(self) -> float:
         return float(self.timestamps[-1] - self.timestamps[0])
-
 
 
 def _rotate_vec(q_arr, v_arr):
@@ -342,71 +305,28 @@ def ideal_imu_from_kinematics(quats, accel_u, gyro_v, gravity, dcm_body_to_vlp):
 def generate_trajectory(scenario: Scenario) -> TruthStream:
     """Ground-truth pose/velocity stream at the IMU rate, with ideal IMU.
 
-    The analytic phase profile supplies ideal body-frame IMU samples;
-    the emitted truth re-integrates them with the first-order strapdown
+    The analytic knot profile supplies ideal body-frame IMU samples; the
+    emitted truth re-integrates them with the first-order strapdown
     recursion so downstream consistency checks close exactly: attitude by
     :func:`quat_chain`, velocity and position by running sums in a loop's order.
+
+    Raises ``ValueError`` on an ill-formed trajectory, a speed or rate past
+    the scenario's detection bounds, or a path that leaves the room.
     """
-    spec = scenario.trajectory
-    det = scenario.detection
-    phases = _build_phases(spec, det.v_max, det.omega_max)
-    total = phases[-1].t1
+    t_grid, pos, vel, acc, yaw, yaw_rate, pitch, pitch_rate = _kinematics(scenario)
     dt = 1.0 / scenario.imu.rate_hz
-    n = int(np.floor(total / dt))
-    t_grid = np.arange(n) * dt
+    n = t_grid.size
 
-    gimbal = _KnotProfile(spec.gimbal_pitch_deg)
-    g_deg, g_rate_deg = gimbal.eval(t_grid)
-    # Commanded pitch-up maps to a negative z-y-x pitch angle increment.
-    g_pitch = -g_deg * D2R
-    g_pitch_rate = -g_rate_deg * D2R
-
-    pos = np.zeros((n, 3))
-    vel = np.zeros((n, 3))
-    acc = np.zeros((n, 3))
-    yaw = np.zeros(n)
-    yaw_rate = np.zeros(n)
-    pitch = np.zeros(n)
-    pitch_rate = np.zeros(n)
-
-    pi = 0
-    for k, t in enumerate(t_grid):
-        while pi + 1 < len(phases) and t >= phases[pi].t1:
-            pi += 1
-        ph = phases[pi]
-        t_rel = t - ph.t0
-        if ph.kind == "travel":
-            s, v, a = _travel_state(ph, t_rel)
-            pos[k] = ph.pos0 + s * ph.direction
-            vel[k] = v * ph.direction
-            acc[k] = a * ph.direction
-            yaw[k], pitch[k] = ph.yaw0, ph.pitch0
-        else:
-            pos[k] = ph.pos0
-            if ph.kind == "turn":
-                tau = t_rel / ph.duration
-                p, dp, _ = _smoothstep(tau)
-                yaw[k] = ph.yaw0 + (ph.yaw1 - ph.yaw0) * p
-                yaw_rate[k] = (ph.yaw1 - ph.yaw0) * dp / ph.duration
-                pitch[k] = ph.pitch0 + (ph.pitch1 - ph.pitch0) * p
-                pitch_rate[k] = (ph.pitch1 - ph.pitch0) * dp / ph.duration
-            else:
-                yaw[k], pitch[k] = ph.yaw0, ph.pitch0
-
-    pitch_total = pitch + g_pitch
-    pitch_rate_total = pitch_rate + g_pitch_rate
-
-    quats = quat_from_euler(0.0, pitch_total, yaw)
+    quats = quat_from_euler(0.0, pitch, yaw)
     # Body rates for roll-free z-y-x attitude: w = yawrate * Ry(pitch)^T ez
     # + pitchrate * ey.
-    gyro_v = np.stack(
-        [
-            -yaw_rate * np.sin(pitch_total),
-            pitch_rate_total,
-            yaw_rate * np.cos(pitch_total),
-        ],
-        axis=1,
-    )
+    gyro_v = np.stack([-yaw_rate * np.sin(pitch), pitch_rate, yaw_rate * np.cos(pitch)], axis=1)
+    # Turns and the gimbal command are bounded apart; their sum must keep
+    # within the rate bound that DRD's threshold assumes.
+    omega_max = scenario.detection.omega_max
+    peak = float(np.linalg.norm(gyro_v, axis=1).max())
+    if peak > omega_max + 1e-9:
+        raise ValueError(f"body rate {peak:.3f} rad/s exceeds omega_max {omega_max}")
 
     gravity = scenario.gravity_vec
     R_vb = scenario.receiver.dcm_body_to_vlp
@@ -484,14 +404,6 @@ def synthesize_imu(truth: TruthStream, scenario: Scenario,
 # RSS synthesis
 
 
-@dataclass
-class EpochRss:
-    """Low-rate positioning samples with ground-truth labels."""
-
-    samples: np.ndarray  # EPOCH_RSS rows, flag = ground-truth label
-    window: float  # demodulation window length, s
-
-
 def _blocked_mask(times, intervals):
     mask = np.zeros(times.shape, dtype=bool)
     for start, end in intervals:
@@ -530,7 +442,7 @@ def _signal_series(truth: TruthStream, scenario: Scenario, times) -> dict:
 
 def synthesize_rss(truth: TruthStream, scenario: Scenario,
                    seed_seq: np.random.SeedSequence | None = None
-                   ) -> tuple[np.ndarray, EpochRss]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Raw high-rate streams and windowed epoch samples.
 
     Raw: LOS amplitude at the instantaneous pose, zeroed inside blockage
@@ -539,8 +451,9 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
     plus epoch noise; a blockage covering half the demodulation window
     halves the epoch value while clean epochs carry exactly the
     instantaneous channel value.  Returns the raw rows ``(timestamp,
-    led_id, value)`` and the epoch samples, each sorted by ``(timestamp,
-    led_id)``: the tables of ``rss_raw.csv`` and ``rss_epoch.csv``.
+    led_id, value)`` and the epoch samples (``EPOCH_RSS`` rows, the flag
+    the ground-truth label), each sorted by ``(timestamp, led_id)``: the
+    tables of ``rss_raw.csv`` and ``rss_epoch.csv``.
     """
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(scenario.seed).spawn(2)[1]
@@ -594,7 +507,7 @@ def synthesize_rss(truth: TruthStream, scenario: Scenario,
     raw = np.vstack(raw_rows)
     samples = np.array(epoch_rows, EPOCH_RSS)
     return (raw[np.lexsort((raw[:, 1], raw[:, 0]))],
-            EpochRss(samples[np.lexsort((samples["led_id"], samples["timestamp"]))], window))
+            samples[np.lexsort((samples["led_id"], samples["timestamp"]))])
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ solver tests have an exact ground truth independent of the simulator
 module.
 
 Also here: the loop forms the stacked library code replaced (normal
-equations, marginal prior, pre-integration, the per-sample DRD fold),
-kept as their references, the loop over the grid that the reachable-box
-DRD threshold replaced, and single-case oracles the library no longer
-needs (the one-state ``NavState`` with its retraction, the one-factor IMU
-and RSS residuals and Jacobians, the dense Schur step, angular-form RSS,
-planar Jacobians, pose thresholds, the planar DRD threshold, first-order
-bias correction).
+equations, marginal prior, pre-integration, the per-sample DRD fold, the
+simulator's per-sample phase loop), kept as their references, the loop
+over the grid that the reachable-box DRD threshold replaced, and
+single-case oracles the library no longer needs (the one-state
+``NavState`` with its retraction, the one-factor IMU and RSS residuals and
+Jacobians, the dense Schur step, angular-form RSS, planar Jacobians, pose
+thresholds, the planar DRD threshold, first-order bias correction).
 """
 
 import warnings
@@ -797,3 +797,219 @@ def dcm_to_quat(R) -> np.ndarray:
     if q[0] < 0.0:
         q = -q
     return quat_normalize(q)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory phases: the per-sample loop that the simulator's knot profiles
+# replaced, kept as their reference.
+
+
+def _smoothstep(tau):
+    """Quintic smoothstep and its first two derivatives on [0, 1]."""
+    tau = np.clip(tau, 0.0, 1.0)
+    p = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
+    dp = 30.0 * tau**2 * (1.0 - tau) ** 2
+    ddp = 60.0 * tau * (1.0 - 3.0 * tau + 2.0 * tau**2)
+    return p, dp, ddp
+
+
+def _smoothstep_integral(tau):
+    tau = np.clip(tau, 0.0, 1.0)
+    return 2.5 * tau**4 - 3.0 * tau**5 + tau**6
+
+
+class _KnotProfile:
+    """C2 scalar profile through (time, value) knots via quintic blends.
+
+    The value holds each knot level and glides to the next with zero
+    end-rate and end-acceleration, so adding it to an attitude angle
+    never spikes the gyro.
+    """
+
+    def __init__(self, knots):
+        knots = sorted((float(t), float(v)) for t, v in knots)
+        self.times = np.array([k[0] for k in knots]) if knots else np.zeros(0)
+        self.values = np.array([k[1] for k in knots]) if knots else np.zeros(0)
+
+    def eval(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.times.size == 0:
+            return np.zeros_like(t), np.zeros_like(t)
+        val = np.full(t.shape, self.values[0])
+        rate = np.zeros_like(t)
+        for i in range(self.times.size - 1):
+            t0, t1 = self.times[i], self.times[i + 1]
+            v0, v1 = self.values[i], self.values[i + 1]
+            span = max(t1 - t0, 1e-9)
+            tau = (t - t0) / span
+            p, dp, _ = _smoothstep(tau)
+            seg = (t >= t0) & (t < t1)
+            val = np.where(seg, v0 + (v1 - v0) * p, val)
+            rate = np.where(seg, (v1 - v0) * dp / span, rate)
+        val = np.where(t >= self.times[-1], self.values[-1], val)
+        rate = np.where(t >= self.times[-1], 0.0, rate)
+        return val, rate
+
+
+@dataclass
+class _Phase:
+    kind: str  # dwell | turn | travel
+    t0: float
+    duration: float
+    pos0: np.ndarray
+    direction: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    length: float = 0.0
+    cruise: float = 0.0
+    ramp: float = 0.0
+    yaw0: float = 0.0
+    yaw1: float = 0.0
+    pitch0: float = 0.0
+    pitch1: float = 0.0
+
+    @property
+    def t1(self):
+        return self.t0 + self.duration
+
+
+def _segment_yaw_pitch(direction):
+    yaw = float(np.arctan2(direction[1], direction[0]))
+    pitch = float(-np.arcsin(np.clip(direction[2], -1.0, 1.0)))
+    return yaw, pitch
+
+
+def _wrap_angle(a):
+    return (a + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _build_phases(spec, v_max: float, omega_max: float) -> list[_Phase]:
+    wps = [np.asarray(w, dtype=float) for w in spec.waypoints]
+    if len(wps) < 2:
+        raise ValueError("trajectory needs at least two waypoints")
+    if len(spec.speeds) != len(wps) - 1:
+        raise ValueError("need one speed per segment")
+
+    segments = []
+    for a, b, v in zip(wps[:-1], wps[1:], spec.speeds):
+        d = b - a
+        length = float(np.linalg.norm(d))
+        segments.append((a, b, length, d / length if length > 1e-9 else None, float(v)))
+
+    # Initial attitude faces the first real segment.
+    first_dir = next((s[3] for s in segments if s[3] is not None), np.array([1.0, 0.0, 0.0]))
+    yaw, pitch = _segment_yaw_pitch(first_dir)
+
+    phases: list[_Phase] = []
+    t = 0.0
+    if spec.initial_dwell > 0.0:
+        phases.append(_Phase("dwell", t, spec.initial_dwell, wps[0], yaw0=yaw, yaw1=yaw,
+                             pitch0=pitch, pitch1=pitch))
+        t += spec.initial_dwell
+
+    for a, b, length, direction, v in segments:
+        if direction is None:
+            phases.append(_Phase("dwell", t, spec.dwell_time, a, yaw0=yaw, yaw1=yaw,
+                                 pitch0=pitch, pitch1=pitch))
+            t += spec.dwell_time
+            continue
+        new_yaw, new_pitch = _segment_yaw_pitch(direction)
+        dyaw = _wrap_angle(new_yaw - yaw)
+        dpitch = new_pitch - pitch
+        if abs(dyaw) > 1e-9 or abs(dpitch) > 1e-9:
+            angle = max(abs(dyaw), abs(dpitch))
+            duration = max(spec.min_turn_time, 1.875 * angle / spec.turn_rate)
+            peak = 1.875 * angle / duration
+            if peak > omega_max + 1e-9:
+                raise ValueError(
+                    f"turn rate {peak:.3f} rad/s exceeds omega_max {omega_max}")
+            phases.append(_Phase("turn", t, duration, a, yaw0=yaw, yaw1=yaw + dyaw,
+                                 pitch0=pitch, pitch1=new_pitch))
+            t += duration
+            yaw, pitch = yaw + dyaw, new_pitch
+        if v <= 0.0:
+            raise ValueError("segment speed must be positive")
+        duration = length / v
+        ramp = min(spec.ramp_time, duration / 3.0)
+        cruise = length / (duration - ramp)
+        if cruise > v_max + 1e-9:
+            raise ValueError(
+                f"cruise speed {cruise:.3f} m/s exceeds v_max {v_max}; "
+                "lower the segment speed or lengthen the segment")
+        phases.append(_Phase("travel", t, duration, a, direction=direction, length=length,
+                             cruise=cruise, ramp=ramp, yaw0=yaw, yaw1=yaw,
+                             pitch0=pitch, pitch1=pitch))
+        t += duration
+    return phases
+
+
+def _travel_state(ph: _Phase, t_rel):
+    """Arc length, speed and acceleration along a travel phase."""
+    vc, tr, T = ph.cruise, ph.ramp, ph.duration
+    if t_rel < tr:
+        tau = t_rel / tr
+        p, dp, _ = _smoothstep(tau)
+        s = vc * tr * _smoothstep_integral(tau)
+        v = vc * p
+        a = vc * dp / tr
+    elif t_rel < T - tr:
+        s = vc * tr / 2.0 + vc * (t_rel - tr)
+        v, a = vc, 0.0
+    else:
+        tau = (t_rel - (T - tr)) / tr
+        p, dp, _ = _smoothstep(tau)
+        s = vc * tr / 2.0 + vc * (T - 2.0 * tr) + vc * tr * (tau - _smoothstep_integral(tau))
+        v = vc * (1.0 - p)
+        a = -vc * dp / tr
+    return s, v, a
+
+
+def loop_kinematics(scenario):
+    """The phase loop over every IMU sample that ``simulator._kinematics``
+    replaced; returns the same ``(t, position, velocity, acceleration, yaw,
+    yaw rate, pitch, pitch rate)`` tuple, the pitch with the gimbal added."""
+    spec = scenario.trajectory
+    det = scenario.detection
+    phases = _build_phases(spec, det.v_max, det.omega_max)
+    total = phases[-1].t1
+    dt = 1.0 / scenario.imu.rate_hz
+    n = int(np.floor(total / dt))
+    t_grid = np.arange(n) * dt
+
+    gimbal = _KnotProfile(spec.gimbal_pitch_deg)
+    g_deg, g_rate_deg = gimbal.eval(t_grid)
+    # Commanded pitch-up maps to a negative z-y-x pitch angle increment.
+    g_pitch = -g_deg * np.pi / 180.0
+    g_pitch_rate = -g_rate_deg * np.pi / 180.0
+
+    pos = np.zeros((n, 3))
+    vel = np.zeros((n, 3))
+    acc = np.zeros((n, 3))
+    yaw = np.zeros(n)
+    yaw_rate = np.zeros(n)
+    pitch = np.zeros(n)
+    pitch_rate = np.zeros(n)
+
+    pi = 0
+    for k, t in enumerate(t_grid):
+        while pi + 1 < len(phases) and t >= phases[pi].t1:
+            pi += 1
+        ph = phases[pi]
+        t_rel = t - ph.t0
+        if ph.kind == "travel":
+            s, v, a = _travel_state(ph, t_rel)
+            pos[k] = ph.pos0 + s * ph.direction
+            vel[k] = v * ph.direction
+            acc[k] = a * ph.direction
+            yaw[k], pitch[k] = ph.yaw0, ph.pitch0
+        else:
+            pos[k] = ph.pos0
+            if ph.kind == "turn":
+                tau = t_rel / ph.duration
+                p, dp, _ = _smoothstep(tau)
+                yaw[k] = ph.yaw0 + (ph.yaw1 - ph.yaw0) * p
+                yaw_rate[k] = (ph.yaw1 - ph.yaw0) * dp / ph.duration
+                pitch[k] = ph.pitch0 + (ph.pitch1 - ph.pitch0) * p
+                pitch_rate[k] = (ph.pitch1 - ph.pitch0) * dp / ph.duration
+            else:
+                yaw[k], pitch[k] = ph.yaw0, ph.pitch0
+
+    return (t_grid, pos, vel, acc, yaw, yaw_rate, pitch + g_pitch, pitch_rate + g_pitch_rate)

@@ -1,6 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from _synthetic import loop_kinematics
 from vlpnav.attitude import quat_from_euler, quat_multiply, quat_to_dcm
 from vlpnav.channel import SampleFlag
 from vlpnav.simulator import (
@@ -9,7 +13,9 @@ from vlpnav.simulator import (
     RssSpec,
     Scenario,
     TrajectorySpec,
+    _kinematics,
     generate_trajectory,
+    glide,
     ideal_imu_from_kinematics,
     reference_scenarios,
     synthesize_imu,
@@ -42,6 +48,93 @@ def scenario_for(waypoints, speeds, *, imu=None, rss=None, blockages=(),
         imu=imu or quiet_imu(), rss=rss or RssSpec(),
         blockages=blockages, detection=DetectionSpec(v_max=0.8, omega_max=0.8),
     )
+
+
+class TestGlide:
+    KNOTS = ((1.0, 0.5), (2.0, 2.0), (2.5, 2.0), (4.0, -1.0))
+
+    def test_rate_is_the_slope_of_the_value(self):
+        t = np.linspace(0.0, 5.0, 2001)
+        h = 1e-6
+        value, rate, _ = glide(self.KNOTS, t)
+        up, _, _ = glide(self.KNOTS, t + h)
+        down, _, _ = glide(self.KNOTS, t - h)
+        np.testing.assert_allclose(rate, (up - down) / (2.0 * h), atol=1e-6)
+        assert np.abs(rate).max() > 1.0
+
+    def test_integral_matches_quadrature(self):
+        t = np.linspace(0.0, 5.0, 500_001)
+        value, _, integral = glide(self.KNOTS, t)
+        steps = 0.5 * (value[1:] + value[:-1]) * np.diff(t)
+        trapezoid = np.concatenate([[0.0], np.cumsum(steps)])
+        # The running integral starts at the first knot: before it, the
+        # held first level counts negative.
+        np.testing.assert_allclose(integral, trapezoid - 0.5, atol=1e-9)
+
+    def test_holds_outside_the_knots(self):
+        t = np.array([-3.0, 0.0, 0.999, 4.0, 4.5, 10.0])
+        value, rate, integral = glide(self.KNOTS, t)
+        np.testing.assert_array_equal(value, [0.5, 0.5, 0.5, -1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(rate, 0.0)
+        total = 1.25 + 1.0 + 0.75
+        np.testing.assert_allclose(integral, [-2.0, -0.5, -0.0005, total, total - 0.5,
+                                              total - 6.0], atol=1e-12)
+
+    def test_zero_and_one_knot(self):
+        t = np.linspace(-1.0, 3.0, 9)
+        for out in glide((), t):
+            np.testing.assert_array_equal(out, 0.0)
+        value, rate, integral = glide(((1.0, 2.0),), t)
+        np.testing.assert_array_equal(value, 2.0)
+        np.testing.assert_array_equal(rate, 0.0)
+        np.testing.assert_allclose(integral, 2.0 * (t - 1.0), atol=1e-15)
+
+    def test_duplicate_knot_times_step_without_warnings(self):
+        t = np.linspace(0.0, 5.0, 501)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, rate, integral = glide(((1.0, 0.0), (3.0, 0.0), (3.0, 4.0), (3.0, 1.0),
+                                           (4.0, 4.0)), t)
+        # Knots at one time sort by value; the last of them starts the level.
+        np.testing.assert_array_equal(value[t < 3.0], 0.0)
+        np.testing.assert_array_equal(value[t >= 3.0], 4.0)
+        np.testing.assert_array_equal(rate, 0.0)
+        np.testing.assert_allclose(integral, np.where(t < 3.0, 0.0, 4.0 * (t - 3.0)),
+                                   atol=1e-12)
+
+
+def kinematics_cases():
+    fixtures = reference_scenarios()
+    return {
+        "sim3d": fixtures["sim3d"],
+        "expA": fixtures["expA"],
+        "mini": fixtures["mini"],
+        "coincident": scenario_for(((2.0, 2.0, 0.0), (2.0, 2.0, 0.0)), (0.3,)),
+        "uphill": scenario_for(((1.0, 1.0, 0.0), (3.0, 1.0, 0.5)), (0.3,), initial_dwell=0.5),
+        "zero-dwell": scenario_for(((0.5, 0.5, 0.0), (5.5, 0.5, 0.0)), (0.5,),
+                                   initial_dwell=0.0),
+        "coincident-start": scenario_for(((2.0, 2.0, 0.0), (2.0, 2.0, 0.0), (2.0, 4.0, 0.0)),
+                                         (0.3, 0.3)),
+        "stop-mid-path": scenario_for(((1.0, 1.0, 0.0), (3.0, 1.0, 0.0), (3.0, 1.0, 0.0),
+                                       (3.0, 3.0, 0.4)), (0.3, 0.3, 0.3)),
+    }
+
+
+class TestKinematics:
+    @pytest.mark.parametrize("name", list(kinematics_cases()))
+    def test_matches_the_phase_loop(self, name):
+        sc = kinematics_cases()[name]
+        fields = ("t", "position", "velocity", "acceleration", "yaw", "yaw rate", "pitch",
+                  "pitch rate")
+        for field_name, new, old in zip(fields, _kinematics(sc), loop_kinematics(sc)):
+            assert new.shape == old.shape, field_name
+            np.testing.assert_allclose(new, old, rtol=0.0, atol=1e-12, err_msg=field_name)
+
+    def test_body_rate_past_omega_max_rejected(self):
+        sc = reference_scenarios()["mini"]
+        fast = replace(sc.trajectory, gimbal_pitch_deg=((0.0, 0.0), (3.0, 0.0), (3.2, 30.0)))
+        with pytest.raises(ValueError, match="body rate 4.9.. rad/s exceeds omega_max 0.6"):
+            generate_trajectory(replace(sc, trajectory=fast))
 
 
 class TestGenerateTrajectory:
@@ -186,7 +279,7 @@ class TestSynthesizeRss:
                           blockages=((5, 2.0, 2.5),), initial_dwell=6.0)
         truth = generate_trajectory(sc)
         _, epoch = synthesize_rss(truth, sc)
-        led5 = epoch.samples[epoch.samples["led_id"] == 5]
+        led5 = epoch[epoch["led_id"] == 5]
         los = led5[led5["flag"] == SampleFlag.LOS]
         half = led5[np.isclose(led5["timestamp"], 2.5)]
         assert half["flag"][0] == SampleFlag.BLOCKED
@@ -197,7 +290,7 @@ class TestSynthesizeRss:
                           blockages=((5, 2.6, 3.1),), initial_dwell=8.0)
         truth = generate_trajectory(sc)
         _, epoch = synthesize_rss(truth, sc)
-        for s in epoch.samples:
+        for s in epoch:
             if s["led_id"] != 5:
                 assert s["flag"] == SampleFlag.LOS
                 continue
@@ -215,7 +308,7 @@ class TestSynthesizeRss:
         r1, e1 = synthesize_rss(t1, sc)
         r2, e2 = synthesize_rss(t2, sc)
         np.testing.assert_array_equal(r1, r2)
-        np.testing.assert_array_equal(e1.samples, e2.samples)
+        np.testing.assert_array_equal(e1, e2)
 
     def test_different_seed_differs(self):
         sc1 = reference_scenarios(seed=1)["mini"]
