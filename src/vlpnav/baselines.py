@@ -18,19 +18,10 @@ CLI for comparative runs, not as production paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attitude import quat_chain, quat_from_euler, quat_to_dcm
-from .channel import (
-    LedBeacon,
-    LedTable,
-    ReceiverConfig,
-    SampleFlag,
-    lambertian,
-    receiver_normal,
-)
+from .channel import LedTable, ReceiverConfig, SampleFlag, lambertian, receiver_normal
 from .state import StateArrays
 
 #: Gauss-Newton iterations of one snapshot fix, unless a step falls below 1e-10.
@@ -45,30 +36,8 @@ def static_leveling(accel_samples) -> tuple[float, float]:
     return roll, pitch
 
 
-@dataclass
-class PositionFix:
-    timestamp: float
-    position: np.ndarray | None  # photodiode position, room frame
-    cov: np.ndarray | None
-    resid_rms: float
-    attitude: np.ndarray | None = None  # tilt variant only
-    held: bool = False  # repeated last fix (no valid snapshot this epoch)
-
-    @property
-    def ok(self) -> bool:
-        return self.position is not None
-
-
-def _inside(p, bounds, margin=0.5) -> bool:
-    if bounds is None:
-        return bool(np.all(np.isfinite(p)))
-    lo, hi = bounds
-    return bool(np.all(p >= np.asarray(lo) - margin) and np.all(p <= np.asarray(hi) + margin))
-
-
-def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, pose, x,
-                  regularizer, bounds,
-                  limits=None) -> tuple[PositionFix, np.ndarray, np.ndarray | None]:
+def _snapshot_fix(samples, table: LedTable, rx: ReceiverConfig, pose, x, regularizer, bounds,
+                  limits=None):
     """Gauss-Newton fit of the parameters ``x`` (d,) to the LOS rows of one
     epoch's samples (``EPOCH_RSS``).
 
@@ -78,15 +47,15 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
     neighbors; samples out of the FOV at ``x`` are left out.
     ``regularizer`` (d,) is added to the diagonal of the normal matrix and
     ``limits`` (lo, hi) clip ``x`` after each capped step.  Returns the
-    fix (no covariance or attitude), the final ``x`` and normal matrix.
+    photodiode position, the final ``x`` and normal matrix, or ``None``
+    when the fix fails: fewer than d samples in the FOV, a singular normal
+    matrix, a last step longer than 0.05, or a position that is not finite
+    or lies over 0.5 m outside the room box ``bounds`` (lo, hi).
     """
     usable = samples[samples["flag"] == SampleFlag.LOS]
     d = x.size
-    failed = PositionFix(float(samples["timestamp"][0]) if len(samples) else 0.0, None, None,
-                         np.inf)
     if len(usable) < d:
-        return failed, x, None
-    table = LedTable.of(led_map.values(), rx)
+        return None
     li = np.array([table.row[i] for i in usable["led_id"].tolist()])
     value = usable["value"]
     sigma = np.sqrt(usable["variance"])
@@ -107,13 +76,13 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
         r = residuals(*pose(x + offsets))
         good = np.isfinite(r[0])
         if np.count_nonzero(good) < d:
-            return failed, x, None
+            return None
         J = ((r[1:d + 1] - r[d + 1:]) / (2 * h)).T[good]
         H = J.T @ J + np.diag(regularizer)
         try:
             step = np.linalg.solve(H, -J.T @ r[0, good])
         except np.linalg.LinAlgError:
-            return failed, x, None
+            return None
         norm = np.linalg.norm(step)
         if norm > 0.5:
             step *= 0.5 / norm
@@ -123,51 +92,40 @@ def _snapshot_fix(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig, po
         if np.linalg.norm(step) < 1e-10:
             break
     pos, normal = pose(x[None])
-    r = residuals(pos, normal)[0]
-    good = np.isfinite(r)
-    if (np.count_nonzero(good) < d or not np.all(np.isfinite(x))
-            or np.linalg.norm(step) > 0.05 or not _inside(pos[0], bounds)):
-        return failed, x, None
-    rms = float(np.sqrt(np.mean(r[good] ** 2)))
-    return PositionFix(float(usable["timestamp"][0]), pos[0], None, rms), x, H
+    lo, hi = bounds
+    # NaN fails both box comparisons, so a non-finite position is rejected.
+    if (np.count_nonzero(np.isfinite(residuals(pos, normal)[0])) < d
+            or not np.all(np.isfinite(x)) or np.linalg.norm(step) > 0.05
+            or not (np.all(pos[0] >= lo - 0.5) and np.all(pos[0] <= hi + 0.5))):
+        return None
+    return pos[0], x, H
 
 
-def solve_position_rss(samples, led_map: dict[int, LedBeacon], rx: ReceiverConfig,
-                       attitude, p0, fix_height: float | None = None,
-                       bounds=None) -> PositionFix:
+def solve_position_rss(samples, table: LedTable, rx: ReceiverConfig, attitude, p0, bounds):
     """Gauss-Newton RSS fix for the photodiode position at one epoch.
 
-    Solves 3 position dims, or 2 planar dims when ``fix_height`` is
-    given.  The attitude is held fixed (level assumption or an external
+    The attitude is held fixed (level assumption or an external
     attitude).  Numeric Jacobians keep this an independent check on the
     analytic channel derivatives.  Steps are trust-region capped and the
-    solution must land inside ``bounds`` (room box) when given.
+    solution must land inside ``bounds`` (the room box).  Returns the
+    position and its covariance, or ``None`` when the fix fails.
     """
-    n_dims = 2 if fix_height is not None else 3
-    p = np.asarray(p0, dtype=float).copy()
-    if fix_height is not None:
-        p[2] = fix_height
     normal = receiver_normal(attitude)
 
     def pose(X):
-        pos = np.tile(p, (len(X), 1))
-        pos[:, :n_dims] = X
-        return pos, np.broadcast_to(normal, pos.shape)
+        return X, np.broadcast_to(normal, X.shape)
 
-    fix, _, H = _snapshot_fix(samples, led_map, rx, pose, p[:n_dims],
-                              np.full(n_dims, 1e-10), bounds)
-    if fix.ok:
-        # H was factorized without error in the last step, so it inverts.
-        fix.cov = np.zeros((3, 3))
-        fix.cov[:n_dims, :n_dims] = np.linalg.inv(H)
-        if fix_height is not None:
-            fix.cov[2, 2] = 1e-6
-    return fix
+    fix = _snapshot_fix(samples, table, rx, pose, np.asarray(p0, dtype=float),
+                        np.full(3, 1e-10), bounds)
+    # H was factorized without error in the last step, so it inverts.
+    return None if fix is None else (fix[0], np.linalg.inv(fix[2]))
 
 
-def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0,
-                    init_yaw=0.0, bounds=None) -> PositionFix:
-    """RSS-only snapshot solving (x, y, pitch, heading) at fixed height.
+def solve_pose_tilt(samples, table: LedTable, rx: ReceiverConfig, height: float, init_xy,
+                    init_yaw, bounds):
+    """RSS-only snapshot solving (x, y, pitch, heading) at fixed height,
+    from zero pitch.  Returns the photodiode position and attitude, or
+    ``None`` when the fix fails.
 
     The heading column is retained even though a pure-RSS snapshot
     cannot observe it; a weak prior toward the initial guess keeps the
@@ -179,16 +137,13 @@ def solve_pose_tilt(samples, led_map, rx, height: float, init_xy, init_pitch=0.0
         pos = np.column_stack([X[:, :2], np.full(len(X), height)])
         return pos, receiver_normal(quat_from_euler(0.0, X[:, 2], X[:, 3]))
 
-    x0 = np.array([init_xy[0], init_xy[1], init_pitch, init_yaw], dtype=float)
+    x0 = np.array([init_xy[0], init_xy[1], 0.0, init_yaw], dtype=float)
     # Regularization keeps the unobservable heading (and near-flat pitch
     # directions) finite.
-    fix, x, _ = _snapshot_fix(samples, led_map, rx, pose, x0,
-                              np.array([1e-9, 1e-9, 1e-4, 1e-2]), bounds,
-                              limits=([-np.inf, -np.inf, -0.6, -np.inf],
-                                      [np.inf, np.inf, 0.6, np.inf]))
-    if fix.ok:
-        fix.attitude = quat_from_euler(0.0, x[2], x[3])
-    return fix
+    fix = _snapshot_fix(samples, table, rx, pose, x0, np.array([1e-9, 1e-9, 1e-4, 1e-2]),
+                        bounds, limits=([-np.inf, -np.inf, -0.6, -np.inf],
+                                        [np.inf, np.inf, 0.6, np.inf]))
+    return None if fix is None else (fix[0], quat_from_euler(0.0, fix[1][2], fix[1][3]))
 
 
 def initial_state(dataset, flags) -> StateArrays:
@@ -204,16 +159,13 @@ def initial_state(dataset, flags) -> StateArrays:
     roll, pitch = static_leveling(accel)
     yaw = float(dataset.manifest["initial_heading_rad"])
     q0 = quat_from_euler(roll, pitch, yaw)
-    room_min = np.asarray(dataset.manifest["room_min"], dtype=float)
-    room_max = np.asarray(dataset.manifest["room_max"], dtype=float)
-    p0 = 0.5 * (room_min + room_max)
+    room = dataset.room
+    p0 = 0.5 * (room[0] + room[1])
     p0[2] = float(np.mean(dataset.manifest["vehicle_z_range"]))
-    led_map = {led.led_id: led for led in dataset.leds}
-    fix = solve_position_rss(samples0, led_map, dataset.receiver, q0, p0,
-                             bounds=(room_min, room_max))
-    if fix.ok:
+    fix = solve_position_rss(samples0, dataset.led_table, dataset.receiver, q0, p0, room)
+    if fix is not None:
         # The fix locates the photodiode; shift back by the lever arm.
-        p0 = fix.position - quat_to_dcm(q0) @ dataset.receiver.lever_arm_vlp
+        p0 = fix[0] - quat_to_dcm(q0) @ dataset.receiver.lever_arm_vlp
     return StateArrays(t0, p0, np.zeros(3), q0, np.zeros(3), np.zeros(3))
 
 
@@ -222,52 +174,53 @@ def initial_state(dataset, flags) -> StateArrays:
 
 
 def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
-    """Per-epoch snapshot fixes over a whole dataset.
+    """Per-epoch snapshot fixes over a whole dataset, as a trajectory of the
+    navigation centre.
 
     ``flags_by_epoch`` holds a SampleFlag code per epoch sample, from the
-    detector (or all-LOS for the no-detection control).  Returns a list
-    of PositionFix (photodiode positions).
+    detector (or all-LOS for the no-detection control).  The ``level``
+    variant fixes the photodiode position under a level attitude; ``tilt``
+    fixes (x, y, pitch, heading) at the photodiode's mean height.  Each
+    epoch starts from the last fix's xy, then from the room centre.  The
+    navigation centre is the photodiode position less the rotated lever
+    arm; velocities and biases are zero.  An epoch whose fix fails
+    repeats the last fix at its own timestamp; epochs before the first
+    fix are left out (no marker row).  Returns the trajectory and the
+    number of failed epochs, left out or repeated.
     """
-    led_map = {led.led_id: led for led in dataset.leds}
-    man = dataset.manifest
-    room_min = np.asarray(man["room_min"], dtype=float)
-    room_max = np.asarray(man["room_max"], dtype=float)
-    z_mid = float(np.mean(man["vehicle_z_range"]))
+    rx, table, bounds = dataset.receiver, dataset.led_table, dataset.room
+    z_mid = float(np.mean(dataset.manifest["vehicle_z_range"]))
+    yaw = float(dataset.manifest["initial_heading_rad"])
     level_q = np.array([1.0, 0.0, 0.0, 0.0])
     # The tilt variant fixes the photodiode height: vehicle height plus the
     # (level-attitude) vertical lever-arm offset.
-    pd_height = z_mid + float(dataset.receiver.lever_arm_vlp[2])
-    bounds = (room_min, room_max)
-    center_xy = 0.5 * (room_min[:2] + room_max[:2])
-    fixes = []
-    last_fix = None
-    last_xy = center_xy.copy()
-    last_pitch, last_yaw = 0.0, float(man["initial_heading_rad"])
-    for t, flagged in dataset.epochs_by_time(flags_by_epoch):
+    pd_height = z_mid + float(rx.lever_arm_vlp[2])
+    center_xy = 0.5 * (bounds[0][:2] + bounds[1][:2])
+
+    def solve(samples, xy):
         if variant == "tilt":
-            fix = solve_pose_tilt(flagged, led_map, dataset.receiver, pd_height,
-                                  last_xy, last_pitch, last_yaw, bounds=bounds)
-            if not fix.ok:  # retry from a neutral guess
-                fix = solve_pose_tilt(flagged, led_map, dataset.receiver, pd_height,
-                                      center_xy, 0.0, last_yaw, bounds=bounds)
-        else:
-            p0 = np.array([last_xy[0], last_xy[1], z_mid])
-            fix = solve_position_rss(flagged, led_map, dataset.receiver, level_q, p0,
-                                     bounds=bounds)
-            if not fix.ok:
-                p0 = np.array([center_xy[0], center_xy[1], z_mid])
-                fix = solve_position_rss(flagged, led_map, dataset.receiver, level_q,
-                                         p0, bounds=bounds)
-        if fix.ok:
-            last_fix = fix
-            last_xy = fix.position[:2].copy()
-        elif last_fix is not None:
-            # A 1 Hz output must produce something during outages: repeat
-            # the previous fix and mark it held.
-            fix = PositionFix(timestamp=t, position=last_fix.position.copy(), cov=last_fix.cov,
-                              resid_rms=np.inf, attitude=last_fix.attitude, held=True)
-        fixes.append(fix)
-    return fixes
+            return solve_pose_tilt(samples, table, rx, pd_height, xy, yaw, bounds)
+        fix = solve_position_rss(samples, table, rx, level_q, np.append(xy, z_mid), bounds)
+        return None if fix is None else (fix[0], level_q)
+
+    ts, pds, qs = [], [], []
+    n_failed = 0
+    for t, flagged in dataset.epochs_by_time(flags_by_epoch):
+        fix = solve(flagged, pds[-1][:2]) if pds else None
+        if fix is None:
+            fix = solve(flagged, center_xy)
+        if fix is None:
+            n_failed += 1
+            if not pds:
+                continue
+            fix = pds[-1], qs[-1]
+        ts.append(t)
+        pds.append(fix[0])
+        qs.append(fix[1])
+    q = np.reshape(qs, (-1, 4))
+    p = np.reshape(pds, (-1, 3)) - quat_to_dcm(q) @ rx.lever_arm_vlp
+    zeros = np.zeros_like(p)
+    return StateArrays(np.asarray(ts, dtype=float), p, zeros, q, zeros, zeros), n_failed
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +267,9 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     """
     x0 = initial_state(dataset, flags_by_epoch)
     gravity = dataset.gravity
-    led_map = {led.led_id: led for led in dataset.leds}
-    rx = dataset.receiver
+    rx, table, bounds = dataset.receiver, dataset.led_table, dataset.room
     imu = dataset.imu
     R_bv = rx.dcm_body_to_vlp
-    bounds = (np.asarray(dataset.manifest["room_min"], dtype=float),
-              np.asarray(dataset.manifest["room_max"], dtype=float))
 
     epochs = dataset.epochs_by_time(flags_by_epoch)
     p = x0.position.copy()
@@ -345,11 +295,11 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
             p, v, P = lc_propagate(p, v, P, acc_u[j_prev:j], dts[j_prev:j], q_acc)
             j_prev = j
         lever_u = Rs[j] @ rx.lever_arm_vlp
-        fix = solve_position_rss(flagged, led_map, rx, qs[j], p + lever_u, bounds=bounds)
-        if fix.ok:
-            z = fix.position - lever_u
+        fix = solve_position_rss(flagged, table, rx, qs[j], p + lever_u, bounds)
+        if fix is not None:
+            z = fix[0] - lever_u
             H = np.hstack([np.eye(3), np.zeros((3, 3))])
-            R_meas = fix.cov + 1e-6 * np.eye(3)
+            R_meas = fix[1] + 1e-6 * np.eye(3)
             S = H @ P @ H.T + R_meas
             K = P @ H.T @ np.linalg.inv(S)
             dx = K @ (z - p)

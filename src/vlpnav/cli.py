@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attitude import euler_from_quat, quat_to_dcm
+from .attitude import euler_from_quat
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
 from .blockage import DetectionSpec, DrdDetector, annotate_epochs
 from .channel import SampleFlag
@@ -110,10 +110,9 @@ def build_detector(dataset: Dataset) -> DrdDetector:
     except ValueError as e:
         raise InputError(f"invalid manifest detection record: {e}") from e
     z_lo, z_hi = man["vehicle_z_range"]
-    room_min = (man["room_min"][0], man["room_min"][1],
-                max(z_lo - 0.1, man["room_min"][2]))
-    room_max = (man["room_max"][0], man["room_max"][1],
-                min(z_hi + 0.1, man["room_max"][2]))
+    room_min, room_max = dataset.room
+    room_min[2] = max(z_lo - 0.1, room_min[2])
+    room_max[2] = min(z_hi + 0.1, room_max[2])
     return DrdDetector.for_scene(cfg, dataset.leds, dataset.receiver, room_min, room_max)
 
 
@@ -241,17 +240,9 @@ def cmd_estimate(args) -> int:
     elif mode == "vlp_only":
         variant = args.vlp_variant or ("tilt" if dataset.manifest.get("planar")
                                        else "level")
-        fixes = vlp_only_trajectory(dataset, flags, variant=variant)
-        n_fix_failures = sum(1 for fx in fixes if not fx.ok or fx.held)
-        fixes = [fx for fx in fixes if fx.ok]
-        if not fixes:
+        traj, n_fix_failures = vlp_only_trajectory(dataset, flags, variant=variant)
+        if not len(traj):
             raise InputError("VLP-only produced no fixes; dataset unusable")
-        q = np.array([[1.0, 0, 0, 0] if fx.attitude is None else fx.attitude for fx in fixes])
-        # Report the navigation (IMU) center like the other modes.
-        p = (np.array([fx.position for fx in fixes])
-             - quat_to_dcm(q) @ dataset.receiver.lever_arm_vlp)
-        zeros = np.zeros_like(p)
-        traj = StateArrays(np.array([fx.timestamp for fx in fixes]), p, zeros, q, zeros, zeros)
     else:
         raise InputError(f"unknown mode '{mode}'")
     _write_trajectory(out / "trajectory.csv", traj)
@@ -323,8 +314,8 @@ def _estimator_config(args, dataset: Dataset):
 def _unknown_init(args, dataset: Dataset, config) -> dict:
     """Initial planar guesses of the unknown LEDs: the room center, with the
     ``--led-init`` entries (``id=x,y`` separated by ``;``) laid over it."""
-    center = 0.5 * (np.asarray(dataset.manifest["room_min"][:2])
-                    + np.asarray(dataset.manifest["room_max"][:2]))
+    room_min, room_max = dataset.room
+    center = 0.5 * (room_min[:2] + room_max[:2])
     init = {i: center.copy() for i in config.unknown_led_ids}
     for part in filter(None, (args.led_init or "").split(";")):
         key, _, val = part.partition("=")

@@ -21,6 +21,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import metadata as _metadata
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.lib.recfunctions import unstructured_to_structured
 
 from .attitude import euler_from_quat
-from .channel import EPOCH_RSS, LedBeacon, ReceiverConfig, SampleFlag
+from .channel import EPOCH_RSS, LedBeacon, LedTable, ReceiverConfig, SampleFlag
 from .estimator import ConstraintConfig, EstimatorConfig
 from .preint import ImuNoise, ImuStream
 from .records import from_record, to_record
@@ -151,6 +152,17 @@ class Dataset:
     @property
     def gravity(self) -> np.ndarray:
         return np.asarray(self.manifest["gravity"], dtype=float)
+
+    @property
+    def room(self) -> tuple[np.ndarray, np.ndarray]:
+        """The room box: the manifest's ``room_min`` and ``room_max`` (3,)."""
+        return (np.asarray(self.manifest["room_min"], dtype=float),
+                np.asarray(self.manifest["room_max"], dtype=float))
+
+    @cached_property
+    def led_table(self) -> LedTable:
+        """The LED map as arrays, built once per dataset."""
+        return LedTable.of(self.leds, self.receiver)
 
 
 def _read_rows(path, columns: int, exact: bool = True) -> np.ndarray:

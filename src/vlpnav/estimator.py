@@ -903,17 +903,18 @@ class TightlyCoupledEstimator:
         factor's linearization bias, where the first-order correction
         degrades.  Runs between solves, so LM sees one fixed cost."""
         window = self.window
-        count = 0
-        for k in range(len(window.imu)):
-            x, pre = window.states[k], window.imu[k]
-            if (np.linalg.norm(x.bias_acc - pre.bias_acc) > BIAS_CORRECTION_WARN_ACC
-                    or np.linalg.norm(x.bias_gyro - pre.bias_gyro) > BIAS_CORRECTION_WARN_GYRO):
-                new = preintegrate(pre.stream, x.bias_acc, x.bias_gyro, window.rx.dcm_body_to_vlp,
-                                   self.config.imu_noise, t_end=pre.t_end)
-                window.imu = window.imu[:k].append(new).append(window.imu[k + 1:])
-                window.equations = None
-                count += 1
-        return count
+        states, imu = window.states, window.imu
+        moved = np.flatnonzero(
+            (np.linalg.norm(states.bias_acc[:-1] - imu.bias_acc, axis=1) > BIAS_CORRECTION_WARN_ACC)
+            | (np.linalg.norm(states.bias_gyro[:-1] - imu.bias_gyro, axis=1)
+               > BIAS_CORRECTION_WARN_GYRO))
+        for k in moved.tolist():
+            new = preintegrate(imu.stream[k], states.bias_acc[k], states.bias_gyro[k],
+                               window.rx.dcm_body_to_vlp, self.config.imu_noise,
+                               t_end=imu.t_end[k])
+            window.imu = window.imu[:k].append(new).append(window.imu[k + 1:])
+            window.equations = None
+        return moved.size
 
     def _solve_and_record(self, rss: np.ndarray, reintegrations: int = 0) -> LmReport:
         report = solve_lm(self.window)

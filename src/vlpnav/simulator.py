@@ -147,13 +147,17 @@ def glide(knots, t):
     blend with zero end-rate and end-acceleration, so a speed, yaw or
     pitch built from it never spikes the IMU.  It holds the first level
     before the first knot and the last after the last, and is zero
-    without knots; knots at one time make a step.  Returns the value, its
-    rate and its running integral from the first knot.
+    without knots.  Knots sort by time alone, so knots at one time keep
+    the order given and make a step through their values in that order:
+    the value glides to the first of them and holds from the last.
+    Returns the value, its rate and its running integral from the first
+    knot.
     """
     t = np.asarray(t, dtype=float)
     if not knots:
         return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-    kt, kv = np.array(sorted((float(a), float(b)) for a, b in knots)).T
+    knots = np.asarray(knots, dtype=float)
+    kt, kv = knots[np.argsort(knots[:, 0], kind="stable")].T
     area = np.concatenate([[0.0], np.cumsum(np.diff(kt) * (kv[:-1] + kv[1:]) / 2.0)])
     # Each time takes the last knot at or before it (side="right" steps
     # over a zero span) and the blend to the next; before the first knot

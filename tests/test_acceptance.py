@@ -80,14 +80,8 @@ def _tc_report(ds, config=None, flags=None):
 def _vlp_report(ds, variant, flags=None):
     if flags is None:
         flags, _ = run_detection(ds)
-    fixes = vlp_only_trajectory(ds, flags, variant=variant)
-    ts, ps = [], []
-    for fx in fixes:
-        if fx.ok:
-            q = fx.attitude if fx.attitude is not None else np.array([1.0, 0, 0, 0])
-            ts.append(fx.timestamp)
-            ps.append(fx.position - quat_to_dcm(q) @ ds.receiver.lever_arm_vlp)
-    return evaluate_run("vlp_only", np.array(ts), np.array(ps), ds.truth)
+    traj, _ = vlp_only_trajectory(ds, flags, variant=variant)
+    return evaluate_run("vlp_only", traj.timestamps, traj.position, ds.truth)
 
 
 SIM3D_SEEDS = tuple(range(20, 30))

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from vlpnav import baselines
 from vlpnav.attitude import quat_from_euler, quat_multiply, quat_to_dcm
 from vlpnav.baselines import (
     initial_state,
@@ -9,15 +12,16 @@ from vlpnav.baselines import (
     solve_pose_tilt,
     solve_position_rss,
     static_leveling,
+    vlp_only_trajectory,
 )
-from vlpnav.channel import SampleFlag, predict_rss
+from vlpnav.channel import LedBeacon, LedTable, SampleFlag, predict_rss
 from vlpnav.dataio import load_dataset
 
 from _synthetic import NavState, exact_rss, make_leds, make_rx, rss_rows
 
 LEDS = make_leds()
-LED_MAP = {led.led_id: led for led in LEDS}
 RX = make_rx()
+TABLE = LedTable.of(LEDS, RX)
 BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([3.0, 3.0, 3.0]))
 
 
@@ -40,74 +44,55 @@ class TestSolvePositionRss:
                            rng.uniform(0.0, 0.5)])
             state = NavState(0.0, position=pd)
             samples = exact_rss(state, LEDS, RX, variance=1e-6)
-            fix = solve_position_rss(samples, LED_MAP, RX, state.attitude,
-                                     np.array([1.5, 1.5, 0.3]), bounds=BOUNDS)
-            assert fix.ok
-            assert np.linalg.norm(fix.position - pd) < 1e-6
+            fix = solve_position_rss(samples, TABLE, RX, state.attitude,
+                                     np.array([1.5, 1.5, 0.3]), BOUNDS)
+            assert fix is not None
+            assert np.linalg.norm(fix[0] - pd) < 1e-6
 
     def test_insufficient_samples(self):
         state = NavState(0.0, position=np.array([1.0, 1.0, 0.0]))
         samples = exact_rss(state, LEDS[:2], RX)
-        fix = solve_position_rss(samples, LED_MAP, RX, state.attitude,
-                                 np.array([1.5, 1.5, 0.3]), bounds=BOUNDS)
-        assert not fix.ok
-
-    def test_planar_mode_fixes_height(self):
-        pd = np.array([1.2, 0.9, 0.4])
-        state = NavState(0.0, position=pd)
-        samples = exact_rss(state, LEDS, RX, variance=1e-6)
-        fix = solve_position_rss(samples, LED_MAP, RX, state.attitude,
-                                 np.array([1.5, 1.5, 0.0]), fix_height=0.4,
-                                 bounds=BOUNDS)
-        assert fix.ok
-        assert fix.position[2] == pytest.approx(0.4)
-        assert np.linalg.norm(fix.position[:2] - pd[:2]) < 1e-6
+        assert solve_position_rss(samples, TABLE, RX, state.attitude,
+                                  np.array([1.5, 1.5, 0.3]), BOUNDS) is None
 
     def test_degenerate_noise_rejected_by_bounds(self):
         # Absurd measurements push the solution out of the room.
         samples = rss_rows((0.0, led.led_id, 1e-9, 1e-6) for led in LEDS)
-        fix = solve_position_rss(samples, LED_MAP, RX, np.array([1.0, 0, 0, 0]),
-                                 np.array([1.5, 1.5, 0.3]), bounds=BOUNDS)
-        assert not fix.ok or np.all(fix.position < BOUNDS[1] + 0.5)
+        fix = solve_position_rss(samples, TABLE, RX, np.array([1.0, 0, 0, 0]),
+                                 np.array([1.5, 1.5, 0.3]), BOUNDS)
+        assert fix is None or np.all(fix[0] < BOUNDS[1] + 0.5)
 
 
 class TestSolvePoseTilt:
     def test_recovers_planar_pose_and_pitch(self):
         # Five beacons: four unknowns need redundancy for a unique snapshot.
-        from vlpnav.channel import LedBeacon
-
         leds5 = LEDS + [LedBeacon(led_id=9, position=np.array([1.5, 1.5, 3.0]),
                                   power=LEDS[0].power)]
-        led_map5 = {led.led_id: led for led in leds5}
         pitch_true = 0.12
         pd = np.array([1.4, 1.1, 0.3])
         state = NavState(0.0, position=pd, attitude=quat_from_euler(0.0, pitch_true, 0.9))
         samples = exact_rss(state, leds5, RX, variance=1e-8)
-        fix = solve_pose_tilt(samples, led_map5, RX, height=0.3,
-                              init_xy=np.array([1.5, 1.5]), init_pitch=0.0,
-                              init_yaw=0.9, bounds=BOUNDS)
-        assert fix.ok
-        assert np.linalg.norm(fix.position[:2] - pd[:2]) < 5e-3
+        fix = solve_pose_tilt(samples, LedTable.of(leds5, RX), RX, height=0.3,
+                              init_xy=np.array([1.5, 1.5]), init_yaw=0.9, bounds=BOUNDS)
+        assert fix is not None
+        assert np.linalg.norm(fix[0][:2] - pd[:2]) < 5e-3
         # The receiver normal (inclination) is recovered; the (pitch, yaw)
         # split is gauge: (-pitch, yaw - pi) gives the same normal, and RSS
         # cannot tell them apart.
         from vlpnav.metrics import normal_angle_deg
 
-        assert normal_angle_deg(fix.attitude, state.attitude) < 0.5
+        assert normal_angle_deg(fix[1], state.attitude) < 0.5
 
     def test_needs_four_samples(self):
         state = NavState(0.0, position=np.array([1.4, 1.1, 0.3]))
         samples = exact_rss(state, LEDS[:3], RX)
-        fix = solve_pose_tilt(samples, LED_MAP, RX, 0.3, np.array([1.5, 1.5]),
-                              bounds=BOUNDS)
-        assert not fix.ok
+        assert solve_pose_tilt(samples, TABLE, RX, 0.3, np.array([1.5, 1.5]), 0.0,
+                               BOUNDS) is None
 
 
 class TestOutOfFovStart:
     def test_both_solvers_converge(self):
         """A sample out of the FOV at the start guess drops out, then rejoins."""
-        from vlpnav.channel import LedBeacon
-
         rx = make_rx(fov_deg=40.0)
         leds5 = LEDS + [LedBeacon(led_id=9, position=np.array([1.5, 1.5, 3.0]),
                                   power=LEDS[0].power)]
@@ -118,27 +103,26 @@ class TestOutOfFovStart:
         assert len(samples) == 4
         assert sum(predict_rss(start, level.attitude, led, rx) is None for led in LEDS) == 1
         # A LOS-flagged sample of a LED outside the FOV everywhere near the
-        # room has no prediction: it must stay out of the fit and the RMS.
+        # room has no prediction: it must stay out of the fit.
         far = LedBeacon(led_id=7, position=np.array([6.0, 6.0, 3.0]), power=LEDS[0].power)
         fix = solve_position_rss(np.concatenate([samples, rss_rows([(0.0, 7, 0.5, 1e-6)])]),
-                                 {**LED_MAP, 7: far}, rx, level.attitude, start, bounds=BOUNDS)
-        assert fix.ok
-        assert np.linalg.norm(fix.position - pd) < 1e-6
-        assert fix.resid_rms < 1e-3
+                                 LedTable.of([*LEDS, far], rx), rx, level.attitude, start,
+                                 BOUNDS)
+        assert fix is not None
+        assert np.linalg.norm(fix[0] - pd) < 1e-6
 
         tilted = NavState(0.0, position=pd, attitude=quat_from_euler(0.0, 0.12, 0.9))
         samples = exact_rss(tilted, leds5, rx, variance=1e-8)
         assert len(samples) == 5
         q0 = quat_from_euler(0.0, 0.0, 0.9)
         assert sum(predict_rss(start, q0, led, rx) is None for led in leds5) == 1
-        fix = solve_pose_tilt(samples, {led.led_id: led for led in leds5}, rx, height=0.3,
-                              init_xy=start[:2], init_pitch=0.0, init_yaw=0.9,
-                              bounds=BOUNDS)
-        assert fix.ok
-        assert np.linalg.norm(fix.position[:2] - pd[:2]) < 5e-3
+        fix = solve_pose_tilt(samples, LedTable.of(leds5, rx), rx, height=0.3,
+                              init_xy=start[:2], init_yaw=0.9, bounds=BOUNDS)
+        assert fix is not None
+        assert np.linalg.norm(fix[0][:2] - pd[:2]) < 5e-3
         from vlpnav.metrics import normal_angle_deg
 
-        assert normal_angle_deg(fix.attitude, tilted.attitude) < 0.5
+        assert normal_angle_deg(fix[1], tilted.attitude) < 0.5
 
 
 class TestInitialState:
@@ -164,6 +148,109 @@ class TestInitialState:
         x1 = initial_state(ds, los)
         np.testing.assert_array_equal(x1.position, x0.position)
         np.testing.assert_array_equal(x1.attitude, x0.attitude)
+
+
+def _blocked(ds, epochs):
+    """All-LOS flags but for every sample of the ``epochs`` (indices), which
+    are BLOCKED so that their fixes fail; and the epoch times."""
+    times = np.unique(ds.epoch_samples["timestamp"])
+    flags = np.full(len(ds.epoch_samples), SampleFlag.LOS)
+    flags[np.isin(ds.epoch_samples["timestamp"], times[epochs])] = SampleFlag.BLOCKED
+    return flags, times
+
+
+class TestVlpOnlyTrajectory:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(epoch time, result) of each snapshot solve, in call order."""
+        calls = []
+        for name in ("solve_position_rss", "solve_pose_tilt"):
+            def record(samples, *args, solve=getattr(baselines, name)):
+                out = solve(samples, *args)
+                calls.append((float(samples["timestamp"][0]), out))
+                return out
+            monkeypatch.setattr(baselines, name, record)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["level", "tilt"])
+    def test_failures_are_counted_and_leading_ones_left_out(self, mini_dataset, variant,
+                                                             solves):
+        ds = load_dataset(mini_dataset)
+        flags, times = _blocked(ds, [0, 1, 2])
+        traj, n_failed = vlp_only_trajectory(ds, flags, variant)
+        ok = {t for t, out in solves if out is not None}
+        fixed = [t in ok for t in times.tolist()]
+        first = fixed.index(True)
+        assert first >= 3
+        np.testing.assert_array_equal(traj.timestamps, times[first:])
+        assert n_failed == fixed.count(False)
+
+    @pytest.mark.parametrize("variant", ["level", "tilt"])
+    def test_later_failure_repeats_the_last_fix(self, mini_dataset, variant, solves):
+        ds = load_dataset(mini_dataset)
+        # The first epoch after epoch 4 whose all-LOS fix succeeds at once.
+        los = _blocked(ds, [])[0]
+        _, n_los = vlp_only_trajectory(ds, los, variant)
+        times = np.unique(ds.epoch_samples["timestamp"])
+        fixed = {t for t, out in solves if out is not None}
+        k = next(k for k in range(5, len(times)) if times[k] in fixed)
+        flags, _ = _blocked(ds, [k])
+        traj, n_failed = vlp_only_trajectory(ds, flags, variant)
+        assert traj.timestamps[-1] == times[-1]
+        i = int(np.flatnonzero(traj.timestamps == times[k])[0])
+        np.testing.assert_array_equal(traj.position[i], traj.position[i - 1])
+        np.testing.assert_array_equal(traj.attitude[i], traj.attitude[i - 1])
+        assert n_failed == n_los + 1
+
+    def test_level_attitude_is_the_identity(self, mini_dataset):
+        ds = load_dataset(mini_dataset)
+        traj, _ = vlp_only_trajectory(ds, _blocked(ds, [3])[0], "level")
+        np.testing.assert_array_equal(traj.attitude, np.tile([1.0, 0.0, 0.0, 0.0], (len(traj), 1)))
+        np.testing.assert_array_equal(traj.velocity, 0.0)
+        np.testing.assert_array_equal(traj.bias_acc, 0.0)
+        np.testing.assert_array_equal(traj.bias_gyro, 0.0)
+
+    @pytest.mark.parametrize("variant", ["level", "tilt"])
+    def test_position_is_the_fix_less_the_rotated_lever_arm(self, mini_dataset, variant,
+                                                            solves):
+        ds = load_dataset(mini_dataset)
+        traj, _ = vlp_only_trajectory(ds, _blocked(ds, [])[0], variant)
+        fixes = {t: out for t, out in solves if out is not None}
+        level = np.array([1.0, 0.0, 0.0, 0.0])
+        checked = 0
+        for t, p, q in zip(traj.timestamps, traj.position, traj.attitude):
+            if t in fixes:
+                pd, fix_q = fixes[t][0], (fixes[t][1] if variant == "tilt" else level)
+                np.testing.assert_array_equal(q, fix_q)
+                np.testing.assert_allclose(p, pd - quat_to_dcm(q) @ ds.receiver.lever_arm_vlp,
+                                           rtol=0, atol=1e-12)
+                checked += 1
+        assert checked > len(traj) // 2
+
+    @pytest.mark.parametrize("variant", ["level", "tilt"])
+    def test_one_solve_per_epoch_before_the_first_fix(self, mini_dataset, variant, solves):
+        ds = load_dataset(mini_dataset)
+        flags, times = _blocked(ds, [0, 1, 2, 8])
+        vlp_only_trajectory(ds, flags, variant)
+        calls = [t for t, _ in solves]
+        assert [calls.count(t) for t in times[:3]] == [1, 1, 1]
+        # After a fix, a failing epoch starts from it, then from the room centre.
+        assert calls.count(times[8]) == 2
+
+    def test_dataset_room_and_led_table(self, mini_dataset):
+        ds = load_dataset(mini_dataset)
+        manifest = json.loads((mini_dataset / "manifest.json").read_text())
+        room_min, room_max = ds.room
+        np.testing.assert_array_equal(room_min, manifest["room_min"])
+        np.testing.assert_array_equal(room_max, manifest["room_max"])
+        table = ds.led_table
+        assert table is ds.led_table
+        records = json.loads((mini_dataset / "leds.json").read_text())
+        assert sorted(table.row) == sorted(r["id"] for r in records)
+        for r in records:
+            np.testing.assert_array_equal(table.position[table.row[r["id"]]], r["position"])
+            np.testing.assert_array_equal(table.normal[table.row[r["id"]]], r["normal"])
+            assert table.order[table.row[r["id"]]] == r["order"]
 
 
 class TestLooselyCoupled:

@@ -93,14 +93,22 @@ class TestGlide:
         t = np.linspace(0.0, 5.0, 501)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, rate, integral = glide(((1.0, 0.0), (3.0, 0.0), (3.0, 4.0), (3.0, 1.0),
+            value, rate, integral = glide(((1.0, 0.0), (3.0, 0.0), (3.0, 1.0), (3.0, 4.0),
                                            (4.0, 4.0)), t)
-        # Knots at one time sort by value; the last of them starts the level.
+        # Knots at one time keep their order; the last of them starts the level.
         np.testing.assert_array_equal(value[t < 3.0], 0.0)
         np.testing.assert_array_equal(value[t >= 3.0], 4.0)
         np.testing.assert_array_equal(rate, 0.0)
         np.testing.assert_allclose(integral, np.where(t < 3.0, 0.0, 4.0 * (t - 3.0)),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("knots, level", [
+        (((0.0, 0.0), (3.0, 30.0), (3.0, 0.0), (5.0, 0.0)), 0.0),
+        (((0.0, 0.0), (3.0, 0.0), (3.0, 30.0), (5.0, 30.0)), 30.0)])
+    def test_knots_at_one_time_keep_the_order_given(self, knots, level):
+        value, rate, _ = glide(knots, np.array([4.0]))
+        assert value[0] == level
+        assert rate[0] == 0.0
 
 
 def kinematics_cases():
