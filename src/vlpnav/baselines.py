@@ -146,14 +146,14 @@ def solve_pose_tilt(samples, table: LedTable, rx: ReceiverConfig, height: float,
     return None if fix is None else (fix[0], quat_from_euler(0.0, fix[1][2], fix[1][3]))
 
 
-def initial_state(dataset, flags) -> StateArrays:
+def initial_state(dataset, epoch) -> StateArrays:
     """First-epoch state (a row): leveling + manifest heading + RSS position
     fix, at rest with zero biases.
 
-    ``flags`` holds a SampleFlag code per epoch sample, as for
+    ``epoch`` is the first ``(timestamp, samples)`` pair of
     :meth:`Dataset.epochs_by_time`.
     """
-    t0, samples0 = dataset.epochs_by_time(flags)[0]
+    t0, samples0 = epoch
     pre_mask = dataset.imu.timestamps < t0
     accel = dataset.imu.accel[pre_mask] if pre_mask.any() else dataset.imu.accel[:50]
     roll, pitch = static_leveling(accel)
@@ -265,13 +265,13 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     are not output.  Returns one row per epoch, with zero biases (the
     filter estimates none).
     """
-    x0 = initial_state(dataset, flags_by_epoch)
+    epochs = dataset.epochs_by_time(flags_by_epoch)
+    x0 = initial_state(dataset, epochs[0])
     gravity = dataset.gravity
     rx, table, bounds = dataset.receiver, dataset.led_table, dataset.room
     imu = dataset.imu
     R_bv = rx.dcm_body_to_vlp
 
-    epochs = dataset.epochs_by_time(flags_by_epoch)
     p = x0.position.copy()
     v = np.zeros(3)
     P = np.diag([0.05**2] * 3 + [0.05**2] * 3)

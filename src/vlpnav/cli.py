@@ -179,8 +179,8 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
     estimates and the last epoch's ``LmReport``.
     """
     epochs = dataset.epochs_by_time(flags)
-    x0 = initial_state(dataset, flags)
-    est = TightlyCoupledEstimator(config, dataset.leds, dataset.receiver, unknown_init)
+    x0 = initial_state(dataset, epochs[0])
+    est = TightlyCoupledEstimator(config, dataset.led_table, dataset.receiver, unknown_init)
     report = est.start(x0, epochs[0][1])
     t_prev = epochs[0][0]
     for t_k, samples in epochs[1:]:

@@ -110,15 +110,12 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
                 if k not in ("initial_accel_bias", "initial_gyro_bias")},
         "detection": to_record(scenario.detection),
         "blockages": [list(b) for b in scenario.blockages],
+        "file_sha256": {
+            name: _sha256(out / name)
+            for name in ("imu.csv", "rss_raw.csv", "rss_epoch.csv", "truth.csv",
+                         "leds.json", "scenario.json")
+        },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-    hashes = {
-        name: _sha256(out / name)
-        for name in ("imu.csv", "rss_raw.csv", "rss_epoch.csv", "truth.csv",
-                     "leds.json", "scenario.json")
-    }
-    manifest["file_sha256"] = hashes
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return manifest
 

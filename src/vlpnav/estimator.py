@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attitude import quat_to_dcm, skew
-from .channel import LedBeacon, LedTable, ReceiverConfig, SampleFlag, lambertian
+from .channel import LedTable, ReceiverConfig, SampleFlag, lambertian
 from .preint import (
     BIAS_CORRECTION_WARN_ACC,
     BIAS_CORRECTION_WARN_GYRO,
@@ -194,31 +194,36 @@ class SlidingWindow:
 
     ``states`` is a :class:`StateArrays`, one row per epoch of ``epoch_ids``.
     ``imu`` is a :class:`PreintegratedStack` whose row ``k`` joins states
-    ``k`` and ``k + 1``.  ``rss`` holds the samples (``EPOCH_RSS`` rows) of
-    LEDs on the map in state order, flagged ones at
-    ``config.blocked_variance``.  The unknown LEDs ``led_ids`` (sorted
+    ``k`` and ``k + 1``.  ``rss`` holds the samples of LEDs on the map
+    ``led_table`` in state order, each with its table row, flagged ones
+    at ``config.blocked_variance``.  The unknown LEDs ``led_ids`` (sorted
     ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2),
     which start from the ``led_init`` guesses (id -> (x, y)) or else the
-    map.  ``prior`` is the window's one prior.  ``equations`` is the
+    map; ``led_rows`` are their table rows and ``led_of`` maps each table
+    row to its place in ``led_ids``, -1 for a known LED.  ``prior`` is the
+    window's one prior.  ``equations`` is the
     :class:`NormalEquations` of the current values that :func:`solve_lm`
     leaves behind; :meth:`append` and a re-integration drop it.
     """
 
-    def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig,
+    def __init__(self, config: EstimatorConfig, led_table: LedTable, rx: ReceiverConfig,
                  led_init: dict | None = None):
         self.config = config
         self.rx = rx
-        self.led_map = {led.led_id: led for led in leds}
-        self.led_table = LedTable.of(leds, rx)
+        self.led_table = led_table
         self.epoch_ids: list[int] = []
         self.states = StateArrays.empty()
         self.imu = PreintegratedStack.empty()
         self.rss = np.zeros(0, RSS_SAMPLE)
         self.prior: MarginalPrior | None = None
         self.led_ids = sorted(config.unknown_led_ids)
+        self.led_rows = np.array([led_table.row[i] for i in self.led_ids], dtype=int)
+        self.led_of = np.full(len(led_table.row), -1)
+        self.led_of[self.led_rows] = np.arange(len(self.led_ids))
         led_init = led_init or {}
-        self.led_xy = np.array([led_init.get(i, self.led_map[i].position[:2])
-                                for i in self.led_ids], dtype=float).reshape(-1, 2)
+        self.led_xy = np.array([led_init.get(i, led_table.position[r, :2])
+                                for i, r in zip(self.led_ids, self.led_rows)],
+                               dtype=float).reshape(-1, 2)
         self.equations: NormalEquations | None = None
 
     @property
@@ -477,16 +482,13 @@ def _rss_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
     samples = window.rss
     st, li = samples["state"], samples["led"]
     led_pos = table.position.copy()
-    led_of = np.full(len(table.row), -1)
-    unknown = [table.row[i] for i in window.led_ids]
-    led_pos[unknown, :2] = window.led_xy
-    led_of[unknown] = np.arange(len(unknown))
+    led_pos[window.led_rows, :2] = window.led_xy
     lever_u = R @ window.rx.lever_arm_vlp
     model = lambertian(X.position[st] + lever_u[st], R[st, :, 2], led_pos[li],
                        table.normal[li], table.order[li], table.gain[li],
                        window.rx.fov_cos(), gradients=True)
     keep = model.valid & model.regular
-    st, j = st[keep], led_of[li[keep]]
+    st, j = st[keep], window.led_of[li[keep]]
     r = (model.rss[keep] - samples["value"][keep])[:, None]
     info = (1.0 / samples["variance"][keep])[:, None, None]
     dp_dr, dp_dphi = model.d_pos[keep], model.d_att[keep]
@@ -540,9 +542,14 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
 
     Every factor is evaluated with its Jacobian in one stacked numpy pass
     per kind: the IMU factors, every RSS sample and the constraints of
-    every state.  Which factors take part is decided here, once, so every
-    iterate is scored by the same function.  ``cost`` is ``sum 0.5 r^T W
-    r`` over those factors, then the marginal prior's quadratic.
+    every state.  Which RSS samples take part is decided again at every
+    pass, from the values it is given: :func:`_rss_rows` drops the samples
+    whose predicted geometry is out of the FOV, degenerate or grazing at
+    those values.  So two iterates of one solve may be scored over
+    different factor sets, and a step that pushes a sample out of the FOV
+    lowers the cost by removing its residual (ROADMAP item 5 fixes the set
+    at the solve's first pass).  ``cost`` is ``sum 0.5 r^T W r`` over the
+    factors, then the marginal prior's quadratic.
     """
     X = window.states
     R = quat_to_dcm(X.attitude)
@@ -740,9 +747,12 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
 
 
 def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: StateArrays,
-                          pre: PreintegratedStack, rss: np.ndarray) -> None:
-    """Append a new epoch; if the window is full, marginalize the oldest."""
+                          pre: PreintegratedStack, rss: np.ndarray) -> StateArrays | None:
+    """Append a new epoch; if the window is full, marginalize the oldest
+    first.  Returns the state dropped (a row), or ``None``."""
+    dropped = None
     if window.n_states >= window.config.window_size:
+        dropped = window.states[0]
         window.prior = _marginalize_oldest(window)
         window.epoch_ids.pop(0)
         window.states = window.states[1:]
@@ -750,6 +760,7 @@ def slide_and_marginalize(window: SlidingWindow, epoch_id: int, new_state: State
         window.rss = window.rss[window.rss["state"] > 0]
         window.rss["state"] -= 1
     window.append(epoch_id, new_state, pre, rss)
+    return dropped
 
 
 # ---------------------------------------------------------------------------
@@ -848,18 +859,18 @@ class TightlyCoupledEstimator:
     ``causal`` holds the real-time stream (the newest state right after
     each solve); ``smoothed`` holds each state's final value when it
     leaves the window (or at shutdown), i.e. the fixed-lag smoother
-    output.  Both are :class:`StateArrays`.  ``led_init`` is as for
-    :class:`SlidingWindow`.
+    output.  Both are :class:`StateArrays`.  ``led_table`` and
+    ``led_init`` are as for :class:`SlidingWindow`.  Epochs are numbered
+    from 0 in the order they arrive.
     """
 
-    def __init__(self, config: EstimatorConfig, leds: list[LedBeacon], rx: ReceiverConfig,
+    def __init__(self, config: EstimatorConfig, led_table: LedTable, rx: ReceiverConfig,
                  led_init: dict | None = None):
         self.config = config
-        self.window = SlidingWindow(config, leds, rx, led_init)
+        self.window = SlidingWindow(config, led_table, rx, led_init)
         self.causal = StateArrays.empty()
         self.smoothed = StateArrays.empty()
         self.diagnostics: list[EpochDiagnostics] = []
-        self._epoch_counter = 0
 
     def start(self, state0: StateArrays, rss0: np.ndarray) -> LmReport:
         """Open the window with ``state0`` (a row) and solve it.
@@ -882,14 +893,14 @@ class TightlyCoupledEstimator:
     def step(self, pre: PreintegratedStack, rss: np.ndarray, timestamp: float) -> LmReport:
         """Add the epoch at ``timestamp``, joined to the newest state by the
         one-row IMU stack ``pre``, and solve the window."""
-        if not self.window.n_states:
+        window = self.window
+        if not window.n_states:
             raise RuntimeError("estimator not started")
-        self._epoch_counter += 1
         reintegrations = self._reintegrate()
-        seed = mechanize(pre[0], self.window.states[-1], self.config.gravity_vec, timestamp)
-        if self.window.n_states >= self.config.window_size:
-            self.smoothed = self.smoothed.append(self.window.states[0])
-        slide_and_marginalize(self.window, self._epoch_counter, seed, pre, rss)
+        seed = mechanize(pre, window.states[-1:], self.config.gravity_vec, [timestamp])
+        dropped = slide_and_marginalize(window, window.epoch_ids[-1] + 1, seed, pre, rss)
+        if dropped is not None:
+            self.smoothed = self.smoothed.append(dropped)
         return self._solve_and_record(rss, reintegrations)
 
     def finalize(self) -> StateArrays:

@@ -11,6 +11,7 @@ import numpy as np
 from .attitude import euler_from_quat
 from .channel import SampleFlag, receiver_normal
 from .dataio import write_csv
+from .records import to_record
 
 #: Maximum allowed timestamp skew when pairing estimates with truth.
 MAX_TIME_SKEW = 1e-3
@@ -40,25 +41,9 @@ class RunReport:
     runtime_s: float = float("nan")
     n_fix_failures: int = 0
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["cdf"] = [[float(e), float(f)] for e, f in self.cdf]
-        d["led_errors"] = {str(k): float(v) for k, v in self.led_errors.items()}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        d = dict(d)
-        d["cdf"] = [tuple(x) for x in d.get("cdf", [])]
-        d["led_errors"] = {int(k): float(v) for k, v in d.get("led_errors", {}).items()}
-        return cls(**d)
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path) -> "RunReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Write the report's record as ``report.json``."""
+        Path(path).write_text(json.dumps(to_record(self), indent=2))
 
 
 def _align(est_times, truth_times):

@@ -14,8 +14,11 @@ with the first-order discrete transition ``F_i`` (attitude block
 ``I - [w_i]x dt_i``), driven by white accelerometer/gyroscope noise and
 random-walk bias noise through ``G_i``.  First-order bias Jacobians
 ``J = F_{n-1} ... F_0`` are accumulated alongside so the optimizer can
-correct (alpha, beta, gamma) for small bias updates; the estimator
-re-integrates a factor whose bias moved past ``BIAS_CORRECTION_WARN_*``.
+correct (alpha, beta, gamma) for small bias updates (Forster et al.,
+"On-Manifold Preintegration for Real-Time Visual-Inertial Odometry",
+T-RO 2017); :func:`imu_residuals_batch` and :func:`mechanize` share one
+batched first-order correction.  The estimator re-integrates a factor
+whose bias moved past ``BIAS_CORRECTION_WARN_*``.
 
 :func:`preintegrate` works on arrays over the interval.  Every
 per-sample quantity is built in one numpy pass: the bias-removed VLP-
@@ -110,10 +113,12 @@ class PreintegratedStack:
     ``alpha`` (m), ``beta`` (m/s) and ``gamma`` (quaternion) are the
     gravity-free increments in the epoch-start VLP frame; ``cov`` is the
     15x15 error covariance and ``information`` its inverse, computed when
-    the interval is integrated; the ``d_*`` blocks are first-order
-    sensitivities to the bias linearization point ``bias_acc`` and
-    ``bias_gyro``.  ``stream`` (the interval's :class:`ImuStream`) and
-    ``t_end`` are what re-integration at another bias needs.
+    the interval is integrated; ``bias_jac`` (``-J[0:9, 9:15]`` of the
+    bias Jacobian ``J``) is the first-order sensitivity of the position,
+    velocity and rotation increments to the biases, about the
+    linearization point ``bias_acc`` and ``bias_gyro``.  ``stream`` (the
+    interval's :class:`ImuStream`) and ``t_end`` are what re-integration
+    at another bias needs.
     """
 
     alpha: np.ndarray  # (K, 3)
@@ -123,11 +128,7 @@ class PreintegratedStack:
     dt: np.ndarray  # (K,)
     bias_acc: np.ndarray  # (K, 3), VLP frame
     bias_gyro: np.ndarray
-    d_alpha_d_ba: np.ndarray  # (K, 3, 3)
-    d_alpha_d_bg: np.ndarray
-    d_beta_d_ba: np.ndarray
-    d_beta_d_bg: np.ndarray
-    d_gamma_d_bg: np.ndarray
+    bias_jac: np.ndarray  # (K, 9, 6)
     information: np.ndarray  # (K, 15, 15)
     stream: np.ndarray  # (K,) ImuStream objects
     t_end: np.ndarray  # (K,)
@@ -136,7 +137,7 @@ class PreintegratedStack:
     def empty(cls) -> "PreintegratedStack":
         z = np.zeros
         return cls(z((0, 3)), z((0, 3)), z((0, 4)), z((0, 15, 15)), z(0), z((0, 3)), z((0, 3)),
-                   *(z((0, 3, 3)) for _ in range(5)), z((0, 15, 15)), np.empty(0, object), z(0))
+                   z((0, 9, 6)), z((0, 15, 15)), np.empty(0, object), z(0))
 
     def __len__(self) -> int:
         return len(self.dt)
@@ -222,25 +223,27 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
     return PreintegratedStack(
         *(np.array([v]) for v in (
             alpha, beta[-1], gammas[-1], cov, float(np.sum(dts)), bias_acc, bias_gyro,
-            -J[0:3, 9:12], -J[0:3, 12:15], -J[3:6, 9:12], -J[3:6, 12:15], -J[6:9, 12:15],
-            np.linalg.inv(cov + jitter * np.eye(15)))),
+            -J[0:9, 9:15], np.linalg.inv(cov + jitter * np.eye(15)))),
         stream=streams, t_end=np.array([float(t_end)]))
-
-
-def _corrected_terms(pre: PreintegratedStack, bias_acc, bias_gyro):
-    """First-order (alpha, beta, gamma) of one interval (a row) at a bias
-    away from its linearization."""
-    dba = np.asarray(bias_acc, dtype=float) - pre.bias_acc
-    dbg = np.asarray(bias_gyro, dtype=float) - pre.bias_gyro
-    alpha = pre.alpha + pre.d_alpha_d_ba @ dba + pre.d_alpha_d_bg @ dbg
-    beta = pre.beta + pre.d_beta_d_ba @ dba + pre.d_beta_d_bg @ dbg
-    gamma = quat_multiply(pre.gamma, quat_exp(pre.d_gamma_d_bg @ dbg))
-    return alpha, beta, gamma, dba, dbg
 
 
 def _mv(A, x):
     """Row-wise products of a (K, n, m) matrix stack and a (K, m) vector stack."""
     return (A @ x[:, :, None])[:, :, 0]
+
+
+def _corrected(pres: PreintegratedStack, bias_acc, bias_gyro):
+    """First-order ``(alpha, beta, gamma, phi)`` of K intervals at the
+    (K, 3) biases ``bias_acc`` and ``bias_gyro`` away from their
+    linearization; ``phi`` (K, 3) is the rotation correction, ``gamma =
+    pres.gamma exp(phi)``."""
+    dba = bias_acc - pres.bias_acc
+    dbg = bias_gyro - pres.bias_gyro
+    Jb = pres.bias_jac
+    alpha = pres.alpha + _mv(Jb[:, 0:3, 0:3], dba) + _mv(Jb[:, 0:3, 3:6], dbg)
+    beta = pres.beta + _mv(Jb[:, 3:6, 0:3], dba) + _mv(Jb[:, 3:6, 3:6], dbg)
+    phi = _mv(Jb[:, 6:9, 3:6], dbg)
+    return alpha, beta, quat_multiply(pres.gamma, quat_exp(phi)), phi
 
 
 def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays, gravity):
@@ -255,12 +258,7 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     """
     g = np.asarray(gravity, dtype=float)
     dt = pres.dt[:, None]
-    dba = x_k.bias_acc - pres.bias_acc
-    dbg = x_k.bias_gyro - pres.bias_gyro
-    alpha = pres.alpha + _mv(pres.d_alpha_d_ba, dba) + _mv(pres.d_alpha_d_bg, dbg)
-    beta = pres.beta + _mv(pres.d_beta_d_ba, dba) + _mv(pres.d_beta_d_bg, dbg)
-    phi0 = _mv(pres.d_gamma_d_bg, dbg)
-    gamma_c = quat_multiply(pres.gamma, quat_exp(phi0))
+    alpha, beta, gamma_c, phi0 = _corrected(pres, x_k.bias_acc, x_k.bias_gyro)
     R_ku = np.swapaxes(quat_to_dcm(x_k.attitude), 1, 2)
     dp = x_k1.position - x_k.position - 0.5 * g * dt**2 - x_k.velocity * dt
     dv = x_k1.velocity - g * dt - x_k.velocity
@@ -281,21 +279,18 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     Jk[:, 0:3, 0:3] = -R_ku
     Jk[:, 0:3, 3:6] = -R_ku * dt[:, :, None]
     Jk[:, 0:3, 6:9] = skew(_mv(R_ku, dp))
-    Jk[:, 0:3, 9:12] = -pres.d_alpha_d_ba
-    Jk[:, 0:3, 12:15] = -pres.d_alpha_d_bg
     Jk1[:, 0:3, 0:3] = R_ku
 
     Jk[:, 3:6, 3:6] = -R_ku
     Jk[:, 3:6, 6:9] = skew(_mv(R_ku, dv))
-    Jk[:, 3:6, 9:12] = -pres.d_beta_d_ba
-    Jk[:, 3:6, 12:15] = -pres.d_beta_d_bg
+    Jk[:, 0:6, 9:15] = -pres.bias_jac[:, 0:6]
     Jk1[:, 3:6, 3:6] = R_ku
 
     rel_gc = (quat_left(q_rel)
               @ quat_right(quat_conjugate(gamma_c)))[:, 1:4, 1:4]
     Jk[:, 6:9, 6:9] = -sign * quat_right(q_err)[:, 1:4, 1:4]
     Jk1[:, 6:9, 6:9] = sign * rel_gc
-    Jk[:, 6:9, 12:15] = -sign * rel_gc @ (so3_right_jacobian(phi0) @ pres.d_gamma_d_bg)
+    Jk[:, 6:9, 12:15] = -sign * rel_gc @ (so3_right_jacobian(phi0) @ pres.bias_jac[:, 6:9, 3:6])
 
     eye = np.eye(3)
     Jk[:, 9:12, 9:12] = -eye
@@ -305,15 +300,15 @@ def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateA
     return r, Jk, Jk1
 
 
-def mechanize(pre: PreintegratedStack, x_k: StateArrays, gravity,
-              timestamp: float) -> StateArrays:
-    """Dead-reckon the next state from the state ``x_k`` and one
-    pre-integrated interval ``pre``, both rows."""
+def mechanize(pres: PreintegratedStack, x_k: StateArrays, gravity,
+              timestamps) -> StateArrays:
+    """Dead-reckon K next states, at ``timestamps`` (K,), each from its
+    row of ``x_k`` through its interval of ``pres``."""
     g = np.asarray(gravity, dtype=float)
-    dt = float(pre.dt)
-    alpha, beta, gamma, _, _ = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
+    dt = pres.dt[:, None]
+    alpha, beta, gamma, _ = _corrected(pres, x_k.bias_acc, x_k.bias_gyro)
     R_k = quat_to_dcm(x_k.attitude)
-    return StateArrays(timestamp,
-                       x_k.position + x_k.velocity * dt + 0.5 * g * dt**2 + R_k @ alpha,
-                       x_k.velocity + g * dt + R_k @ beta,
+    return StateArrays(np.asarray(timestamps, dtype=float),
+                       x_k.position + x_k.velocity * dt + 0.5 * g * dt**2 + _mv(R_k, alpha),
+                       x_k.velocity + g * dt + _mv(R_k, beta),
                        quat_multiply(x_k.attitude, gamma), x_k.bias_acc, x_k.bias_gyro)

@@ -11,8 +11,10 @@ simulator's per-sample phase loop), kept as their references, the loop
 over the grid that the reachable-box DRD threshold replaced, and
 single-case oracles the library no longer needs (the one-state
 ``NavState`` with its retraction, the one-factor IMU and RSS residuals and
-Jacobians, the dense Schur step, angular-form RSS, planar Jacobians, pose
-thresholds, the planar DRD threshold, first-order bias correction).
+Jacobians, one-state dead reckoning, the dense Schur step, angular-form
+RSS, planar Jacobians, pose thresholds, the planar DRD threshold,
+first-order bias correction).  The one-interval references correct for a
+bias offset on their own, not through the library's batched correction.
 """
 
 import warnings
@@ -23,6 +25,7 @@ import numpy as np
 from vlpnav.attitude import (
     apply_small_angle,
     quat_conjugate,
+    quat_exp,
     quat_identity,
     quat_left,
     quat_log,
@@ -55,7 +58,6 @@ from vlpnav.preint import (
     ImuNoise,
     ImuStream,
     PreintegratedStack,
-    _corrected_terms,
     preintegrate,
 )
 from vlpnav.state import ERROR_DIM, StateArrays, boxminus
@@ -135,6 +137,32 @@ def stack_states(states) -> StateArrays:
         StateArrays(*(np.array([getattr(s, name) for s in states], dtype=float)
                       for name in ("timestamp", "position", "velocity", "attitude",
                                    "bias_acc", "bias_gyro"))))
+
+
+def _corrected_terms(pre, bias_acc, bias_gyro):
+    """First-order (alpha, beta, gamma) of one interval (a
+    :class:`PreintegratedStack` row) at a bias away from its
+    linearization, and the bias offsets ``(dba, dbg)``."""
+    dba = np.asarray(bias_acc, dtype=float) - pre.bias_acc
+    dbg = np.asarray(bias_gyro, dtype=float) - pre.bias_gyro
+    Jb = pre.bias_jac
+    alpha = pre.alpha + Jb[0:3, 0:3] @ dba + Jb[0:3, 3:6] @ dbg
+    beta = pre.beta + Jb[3:6, 0:3] @ dba + Jb[3:6, 3:6] @ dbg
+    gamma = quat_multiply(pre.gamma, quat_exp(Jb[6:9, 3:6] @ dbg))
+    return alpha, beta, gamma, dba, dbg
+
+
+def dead_reckon(pre, x_k, gravity, timestamp) -> StateArrays:
+    """The state (a row) at ``timestamp`` reached from the state ``x_k``
+    through one interval (a :class:`PreintegratedStack` row)."""
+    g = np.asarray(gravity, dtype=float)
+    dt = float(pre.dt)
+    alpha, beta, gamma, _, _ = _corrected_terms(pre, x_k.bias_acc, x_k.bias_gyro)
+    R_k = quat_to_dcm(x_k.attitude)
+    return StateArrays(timestamp,
+                       x_k.position + x_k.velocity * dt + 0.5 * g * dt**2 + R_k @ alpha,
+                       x_k.velocity + g * dt + R_k @ beta,
+                       quat_multiply(x_k.attitude, gamma), x_k.bias_acc, x_k.bias_gyro)
 
 
 def imu_residual(pre, x_k, x_k1, gravity) -> np.ndarray:
@@ -356,14 +384,14 @@ def imu_residual_jacobians(pre, x_k, x_k1, gravity) -> tuple[np.ndarray, np.ndar
     Jk[0:3, 0:3] = -R_ku
     Jk[0:3, 3:6] = -R_ku * dt
     Jk[0:3, 6:9] = skew(R_ku @ dp)
-    Jk[0:3, 9:12] = -pre.d_alpha_d_ba
-    Jk[0:3, 12:15] = -pre.d_alpha_d_bg
+    Jk[0:3, 9:12] = -pre.bias_jac[0:3, 0:3]
+    Jk[0:3, 12:15] = -pre.bias_jac[0:3, 3:6]
     Jk1[0:3, 0:3] = R_ku
 
     Jk[3:6, 3:6] = -R_ku
     Jk[3:6, 6:9] = skew(R_ku @ dv)
-    Jk[3:6, 9:12] = -pre.d_beta_d_ba
-    Jk[3:6, 12:15] = -pre.d_beta_d_bg
+    Jk[3:6, 9:12] = -pre.bias_jac[3:6, 0:3]
+    Jk[3:6, 12:15] = -pre.bias_jac[3:6, 3:6]
     Jk1[3:6, 3:6] = R_ku
 
     # Attitude block via exact quaternion product matrices.
@@ -376,9 +404,10 @@ def imu_residual_jacobians(pre, x_k, x_k1, gravity) -> tuple[np.ndarray, np.ndar
     Jk1[6:9, 6:9] = sign * (L_rel @ R_gc)[1:4, 1:4]
     # Bias-gyro sensitivity through the corrected gamma; the right
     # Jacobian accounts for a nonzero current correction angle.
-    phi0 = pre.d_gamma_d_bg @ dbg
+    d_gamma_d_bg = pre.bias_jac[6:9, 3:6]
+    phi0 = d_gamma_d_bg @ dbg
     Jk[6:9, 12:15] = -sign * (L_rel @ R_gc)[1:4, 1:4] @ (
-        so3_right_jacobian(phi0) @ pre.d_gamma_d_bg)
+        so3_right_jacobian(phi0) @ d_gamma_d_bg)
 
     Jk[9:12, 9:12] = -np.eye(3)
     Jk1[9:12, 9:12] = np.eye(3)
@@ -393,18 +422,20 @@ def _sym_inv(M):
     return np.linalg.inv(M + jitter * np.eye(M.shape[0]))
 
 
-def _loop_factors(window, state_ids, n_x, add):
+def _loop_factors(window, leds, state_ids, n_x, add):
     """Feed every factor touching the states ``state_ids`` to ``add(blocks, r, W)``.
 
     ``blocks`` lists ``(column, jacobian)`` pairs over ``n_x`` states (15
     columns each) followed by the unknown LEDs (2 each); samples that are
-    out of the FOV, degenerate or grazing are skipped.
+    out of the FOV, degenerate or grazing are skipped.  ``leds`` are the
+    beacons of the window's LED table.
     """
     cfg = window.config
     states = window.states
     led_col = {i: ERROR_DIM * n_x + 2 * j for j, i in enumerate(window.led_ids)}
     led_xy_of = dict(zip(window.led_ids, window.led_xy))
-    led_of_row = {row: window.led_map[i] for i, row in window.led_table.row.items()}
+    by_id = {led.led_id: led for led in leds}
+    led_of_row = {row: by_id[i] for i, row in window.led_table.row.items()}
     for k in range(len(window.imu)):
         if k not in state_ids and k + 1 not in state_ids:
             continue
@@ -456,21 +487,22 @@ def _add_loop_prior(window, n_x, H, g, cost):
     g[idx] += prior.hessian @ d + prior.gradient
 
 
-def loop_assemble_cost(window):
-    """``(H, g, cost)`` of ``assemble_cost(window)``, one factor at a time."""
+def loop_assemble_cost(window, leds):
+    """``(H, g, cost)`` of ``assemble_cost(window)``, one factor at a time;
+    ``leds`` are the beacons of the window's LED table."""
     n_x = window.n_states
     dim = ERROR_DIM * n_x + 2 * len(window.led_ids)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
     if window.prior is not None:
         _add_loop_prior(window, n_x, H, g, cost)
-    _loop_factors(window, range(n_x), n_x, _loop_adder(H, g, cost))
+    _loop_factors(window, leds, range(n_x), n_x, _loop_adder(H, g, cost))
     return H, g, cost[0]
 
 
-def loop_marginal_prior(window):
+def loop_marginal_prior(window, leds):
     """``(hessian, gradient)`` of the prior ``_marginalize_oldest(window)``
     builds, one factor at a time, over the next state and then every
-    unknown LED.
+    unknown LED; ``leds`` are as for :func:`loop_assemble_cost`.
 
     Assumes the oldest state has factors and a positive definite block.
     """
@@ -478,7 +510,7 @@ def loop_marginal_prior(window):
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), [0.0]
     if window.prior is not None:
         _add_loop_prior(window, 2, H, g, cost)
-    _loop_factors(window, [0], 2, _loop_adder(H, g, cost))
+    _loop_factors(window, leds, [0], 2, _loop_adder(H, g, cost))
     return schur_marginalize(H, g, ERROR_DIM)
 
 
@@ -547,9 +579,7 @@ def loop_preintegrate(stream, bias_acc, bias_gyro, dcm_body_to_vlp, noise, *, t_
     cov = 0.5 * (cov + cov.T)
     return PreintegratedStack(
         alpha=alpha, beta=beta, gamma=gamma, cov=cov, dt=float(np.sum(dts)),
-        bias_acc=bias_acc.copy(), bias_gyro=bias_gyro.copy(),
-        d_alpha_d_ba=-J[0:3, 9:12], d_alpha_d_bg=-J[0:3, 12:15],
-        d_beta_d_ba=-J[3:6, 9:12], d_beta_d_bg=-J[3:6, 12:15], d_gamma_d_bg=-J[6:9, 12:15],
+        bias_acc=bias_acc.copy(), bias_gyro=bias_gyro.copy(), bias_jac=-J[0:9, 9:15],
         information=_sym_inv(cov), stream=stream, t_end=float(t_end))
 
 

@@ -128,7 +128,8 @@ class TestOutOfFovStart:
 class TestInitialState:
     def test_near_truth_on_mini_dataset(self, mini_dataset):
         ds = load_dataset(mini_dataset)
-        x0 = initial_state(ds, np.full(len(ds.epoch_samples), SampleFlag.LOS))
+        x0 = initial_state(ds, ds.epochs_by_time(np.full(len(ds.epoch_samples),
+                                                         SampleFlag.LOS))[0])
         t0 = x0.timestamps
         k = int(np.argmin(np.abs(ds.truth.timestamps - t0)))
         # The corner start has weak vertical geometry; the initialization
@@ -142,10 +143,10 @@ class TestInitialState:
         """The first fix uses the flags it is given, never the dataset's labels."""
         ds = load_dataset(mini_dataset)
         los = np.full(len(ds.epoch_samples), SampleFlag.LOS)
-        x0 = initial_state(ds, los)
+        x0 = initial_state(ds, ds.epochs_by_time(los)[0])
         t0 = x0.timestamps
         ds.epoch_samples["flag"][ds.epoch_samples["timestamp"] == t0] = SampleFlag.BLOCKED
-        x1 = initial_state(ds, los)
+        x1 = initial_state(ds, ds.epochs_by_time(los)[0])
         np.testing.assert_array_equal(x1.position, x0.position)
         np.testing.assert_array_equal(x1.attitude, x0.attitude)
 
@@ -262,7 +263,7 @@ class TestLooselyCoupled:
         traj = run_loosely_coupled(ds, los)
         ts = ds.imu.timestamps
         R_bv = ds.receiver.dcm_body_to_vlp
-        q = initial_state(ds, los).attitude
+        q = initial_state(ds, ds.epochs_by_time(los)[0]).attitude
         chain = [q]
         for i in range(ts.size - 1):
             dt = float(ts[i + 1] - ts[i])

@@ -8,7 +8,7 @@ import pytest
 
 from vlpnav import estimator
 from vlpnav.attitude import quat_from_euler, quat_to_dcm
-from vlpnav.channel import DegenerateGeometryError, LedBeacon, SampleFlag
+from vlpnav.channel import DegenerateGeometryError, LedBeacon, LedTable, SampleFlag
 from vlpnav.estimator import (
     ConstraintConfig,
     EstimatorConfig,
@@ -24,7 +24,7 @@ from vlpnav.estimator import (
     solve_lm,
 )
 from vlpnav.preint import ImuStream, preintegrate
-from vlpnav.state import ERROR_DIM, boxminus
+from vlpnav.state import ERROR_DIM, StateArrays, boxminus
 
 from _synthetic import (
     GRAVITY,
@@ -60,7 +60,7 @@ def make_config(**kw):
 
 
 def fresh_window(config=None, leds=LEDS, rx=RX, led_init=None):
-    return SlidingWindow(config or make_config(), leds, rx, led_init)
+    return SlidingWindow(config or make_config(), LedTable.of(leds, rx), rx, led_init)
 
 
 def value_for(state, led, rx):
@@ -315,7 +315,7 @@ class TestSolveLm:
     def test_one_normal_equations_pass_per_iteration(self, monkeypatch):
         # Each trial point is evaluated once, and an accepted one's
         # equations give the next step: no second pass on the same values.
-        window = build_rich_window()
+        window = build_rich_window()[0]
         calls = []
 
         def counted(*args, **kwargs):
@@ -361,7 +361,7 @@ class TestSolveLm:
         # LM then accepts damped ones with rho well below 1, where Nielsen's
         # factor is above 1/3.  The lambda of every trial point follows
         # from the report's own gain ratios, bit for bit.
-        report = solve_lm(build_rich_window(unseen_led=True))
+        report = solve_lm(build_rich_window(unseen_led=True)[0])
         its = report.iterations
         assert (report.stop, len(its)) == ("model", 18)
         assert [it.accepted for it in its] == ([True] * 2 + [False] + [True] * 9 + [False]
@@ -472,7 +472,7 @@ class TestSlideAndMarginalize:
         # A prior state block with a large negative eigenvalue makes the
         # marginal block indefinite: the oldest state's factors are
         # dropped, the LED part of the old prior carries over.
-        window = build_rich_window()
+        window = build_rich_window()[0]
         old = window.prior
         old.hessian[0, 0] = -1e12
         e = ERROR_DIM
@@ -540,6 +540,30 @@ class TestSlideAndMarginalize:
             np.testing.assert_array_equal(window.rss[window.rss["state"] == k]["value"],
                                           exact_rss(states[k + 1], LEDS, RX)["value"])
 
+    def test_smoothed_holds_dropped_states_then_window(self):
+        # Each state enters ``smoothed`` as it leaves the window, with its
+        # value there, and the final window follows at shutdown; epochs are
+        # numbered in arrival order.
+        n, size = 9, 4
+        states, streams = build_chain(n)
+        pres = preintegrate_chain(streams, states, RX)
+        est = TightlyCoupledEstimator(make_config(window_size=size), LedTable.of(LEDS, RX), RX)
+        est.start(states[0].row(), exact_rss(states[0], LEDS, RX))
+        expected = StateArrays.empty()
+        for k in range(1, n):
+            if est.window.n_states == size:
+                expected = expected.append(est.window.states[0])
+            est.step(pres[k - 1], exact_rss(states[k], LEDS, RX), states[k].timestamp)
+            assert len(est.smoothed) == max(k + 1 - size, 0)
+        expected = expected.append(est.window.states)
+        smoothed = est.finalize()
+        assert len(smoothed) == n
+        for name in ("timestamps", "position", "velocity", "attitude", "bias_acc", "bias_gyro"):
+            np.testing.assert_array_equal(getattr(smoothed, name), getattr(expected, name),
+                                          err_msg=name)
+        assert [d.epoch_id for d in est.diagnostics] == list(range(n))
+        assert est.window.epoch_ids == list(range(n - size, n))
+
     def test_windowed_matches_batch_on_mildly_nonlinear_run(self):
         """Fixed-lag estimates stay within 1% of the full batch solve."""
         n = 10
@@ -554,7 +578,7 @@ class TestSlideAndMarginalize:
 
         def run(window_size):
             config = make_config(window_size=window_size)
-            est = TightlyCoupledEstimator(config, LEDS, RX)
+            est = TightlyCoupledEstimator(config, LedTable.of(LEDS, RX), RX)
             x0 = states[0].perturb(0.01 * rng.standard_normal(ERROR_DIM) * 0)
             est.start(x0.row(), rss[0])
             for k in range(1, n):
@@ -607,7 +631,7 @@ class TestUnknownLeds:
         # survive marginalization through the prior.
         config = make_config(window_size=12, unknown_led_ids=(unknown_id,))
         init = {unknown_id: LEDS[0].position[:2] + np.array([0.35, -0.35])}
-        est = TightlyCoupledEstimator(config, LEDS, RX, led_init=init)
+        est = TightlyCoupledEstimator(config, LedTable.of(LEDS, RX), RX, led_init=init)
         est.start(states[0].row(), exact_rss(states[0], LEDS, RX, variance=1e-4))
         report = None
         for k in range(1, n):
@@ -626,7 +650,7 @@ class TestUnknownLeds:
         pres = preintegrate_chain(streams, states, RX)
         config = make_config(window_size=window_size, unknown_led_ids=(1, 3))
         guess = LEDS[2].position[:2] + np.array([0.2, -0.1])
-        est = TightlyCoupledEstimator(config, LEDS, RX,
+        est = TightlyCoupledEstimator(config, LedTable.of(LEDS, RX), RX,
                                       led_init={1: LEDS[0].position[:2], 3: guess})
         seen = [led for led in LEDS if led.led_id != 3]
         est.start(states[0].row(), exact_rss(states[0], seen, RX))
@@ -649,7 +673,7 @@ class TestUnknownLeds:
         # prior's LED block (>> 1 m^2).
         unknown_id = LEDS[0].led_id
         config = make_config(window_size=10, unknown_led_ids=(unknown_id,))
-        est = TightlyCoupledEstimator(config, LEDS, RX,
+        est = TightlyCoupledEstimator(config, LedTable.of(LEDS, RX), RX,
                                       led_init={unknown_id: LEDS[0].position[:2] + 0.3})
         state = NavState(0.0, position=np.array([1.5, 1.5, 0.0]))
         report = est.start(state.row(), exact_rss(state, LEDS, RX))
@@ -666,7 +690,8 @@ def build_rich_window(unseen_led=False):
     unknown LED.  States sit off the truth and measurements carry noise,
     so no residual vanishes.  With ``unseen_led``, LED 3 is unknown too
     (0.14 m off) and in the prior, but missing from epoch 0's samples: no
-    factor of the oldest state reaches it.
+    factor of the oldest state reaches it.  Returns the window and the
+    beacons of its LED table.
     """
     rng = np.random.default_rng(11)
     rx = make_rx(lever_arm=(0.15, -0.05, 0.08), fov_deg=60.0, pd_height=0.05)
@@ -704,7 +729,7 @@ def build_rich_window(unseen_led=False):
     hessian[ERROR_DIM:, ERROR_DIM:] += w * np.eye(n - ERROR_DIM)
     gradient[ERROR_DIM:] += w * (led_lin - window.led_xy).ravel()
     window.prior = MarginalPrior(hessian, gradient, states[0].row(), led_lin)
-    return window
+    return window, leds
 
 
 def exact_schur_hessian(H, n_marg):
@@ -725,26 +750,27 @@ class TestBatchedLinearization:
     RTOL = 1e-12
 
     def test_rich_window_has_every_case(self):
-        window = build_rich_window()
+        window, leds = build_rich_window()
+        by_id = {led.led_id: led for led in leds}
         rx, s2 = window.rx, window.states[2]
         epoch1, epoch2 = (window.rss[window.rss["state"] == k] for k in (1, 2))
         assert epoch1["variance"][2] == window.config.blocked_variance  # flagged
         assert list(epoch2["led"][-2:]) == [window.led_table.row[8], window.led_table.row[9]]
-        assert vlp_residual(s2, 0.1, window.led_map[8], rx) is None
+        assert vlp_residual(s2, 0.1, by_id[8], rx) is None
         with pytest.raises(DegenerateGeometryError):
-            vlp_residual(s2, 0.5, window.led_map[9], rx)
+            vlp_residual(s2, 0.5, by_id[9], rx)
 
     def test_assemble_matches_loop(self):
-        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+        for window, leds in (build_rich_window(), build_rich_window(unseen_led=True)):
             H, g, cost = assemble_cost(window)
-            H_ref, g_ref, cost_ref = loop_assemble_cost(window)
+            H_ref, g_ref, cost_ref = loop_assemble_cost(window, leds)
             np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=0)
             np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=0)
             assert cost == pytest.approx(cost_ref, rel=self.RTOL)
 
     def test_marginal_prior_matches_loop(self):
-        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
-            H_ref, g_ref = loop_marginal_prior(window)
+        for window, leds in (build_rich_window(), build_rich_window(unseen_led=True)):
+            H_ref, g_ref = loop_marginal_prior(window, leds)
             prior = _marginalize_oldest(window)
             np.testing.assert_allclose(prior.hessian, H_ref, rtol=self.RTOL, atol=0)
             np.testing.assert_allclose(prior.gradient, g_ref, rtol=self.RTOL, atol=0)
@@ -754,7 +780,7 @@ class TestBatchedLinearization:
         # solve_lm leaves the pass of the window's final values; the
         # marginalization selects the oldest state's rows from it without
         # a pass of its own, and gets what a fresh pass gives, to the bit.
-        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+        for window, leds in (build_rich_window(), build_rich_window(unseen_led=True)):
             solve_lm(window)
             assert window.equations is not None
             passes, _ = count_calls(monkeypatch)
@@ -765,7 +791,7 @@ class TestBatchedLinearization:
             fresh = _marginalize_oldest(window)
             np.testing.assert_array_equal(kept.hessian, fresh.hessian)
             np.testing.assert_array_equal(kept.gradient, fresh.gradient)
-            H_ref, g_ref = loop_marginal_prior(window)
+            H_ref, g_ref = loop_marginal_prior(window, leds)
             np.testing.assert_allclose(kept.hessian, H_ref, rtol=self.RTOL, atol=0)
             np.testing.assert_allclose(kept.gradient, g_ref, rtol=self.RTOL, atol=0)
 
@@ -774,7 +800,7 @@ class TestBatchedLinearization:
         # ties the two states' biases tightly), so the reference eliminates
         # the oldest state of the same float matrix in exact rational
         # arithmetic.  An LU step is within 2e-11 of its largest entry.
-        for window in (build_rich_window(), build_rich_window(unseen_led=True)):
+        for window in (build_rich_window()[0], build_rich_window(unseen_led=True)[0]):
             rows = tuple(r.oldest() for r in normal_equations(window).rows)
             ne = estimator._reduce(window, 2, rows)
             H_ref = exact_schur_hessian(ne.dense(), ERROR_DIM)
@@ -816,8 +842,8 @@ def build_single_state_window():
 class TestBlockSolve:
     """Block elimination against a dense solve of the same normal equations."""
 
-    WINDOWS = {"rich": build_rich_window, "single": build_single_state_window,
-               "unseen": lambda: build_rich_window(unseen_led=True)}
+    WINDOWS = {"rich": lambda: build_rich_window()[0], "single": build_single_state_window,
+               "unseen": lambda: build_rich_window(unseen_led=True)[0]}
 
     @pytest.mark.parametrize("name,lam", [("rich", 0.1), ("rich", 10.0), ("single", 0.0),
                                           ("single", 1e-3), ("unseen", 0.1)])
@@ -840,7 +866,7 @@ class TestBlockSolve:
         # tightly while the bias all states share is weakly observed.  No
         # two solvers agree to 1e-10 there undamped; the block solve must
         # leave a residual at rounding level.
-        ne = normal_equations(build_rich_window())
+        ne = normal_equations(build_rich_window()[0])
         H = ne.dense()
 
         def backward_error(x):
@@ -892,7 +918,8 @@ class TestReintegration:
         s0 = streams[0]
         streams[0] = ImuStream(s0.timestamps[:-1], s0.accel[:-1], s0.gyro[:-1])
         pres = preintegrate_chain(streams, states, RX)
-        est = TightlyCoupledEstimator(make_config(window_size=window_size), LEDS, RX)
+        est = TightlyCoupledEstimator(make_config(window_size=window_size),
+                                      LedTable.of(LEDS, RX), RX)
         est.start(states[0].row(), exact_rss(states[0], LEDS, RX))
         est.step(pres[0], exact_rss(states[1], LEDS, RX), states[1].timestamp)
         getattr(est.window.states, field)[0] += move
@@ -923,7 +950,7 @@ class TestReintegration:
         seen = []
 
         def marginalize(window):
-            seen.append((window.imu[0], loop_marginal_prior(window)))
+            seen.append((window.imu[0], loop_marginal_prior(window, LEDS)))
             return _marginalize_oldest(window)
 
         monkeypatch.setattr(estimator, "_marginalize_oldest", marginalize)

@@ -1,3 +1,7 @@
+import json
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -69,13 +73,21 @@ class TestEvaluateRun:
         truth = make_truth()
         rep = evaluate_run("tc", truth.timestamps, truth.position + 0.01, truth,
                            est_attitudes=truth.attitude, runtime_s=1.5)
-        rep.detection_precision = 1.0
-        rep.detection_recall = 0.9
-        rep.led_errors = {3: 0.02}
+        # detection_scores returns numpy floats; a diverged LED's error is inf.
+        rep.detection_precision = np.float64(1.0)
+        rep.detection_recall = np.float64(0.9)
+        rep.led_errors = {3: 0.02, 5: math.inf}
         path = tmp_path / "report.json"
         rep.save(path)
-        back = RunReport.load(path)
-        assert back.to_dict() == rep.to_dict()
+        text = path.read_text()
+        back = json.loads(text)
+        assert list(back) == [f.name for f in fields(RunReport)]
+        for f in fields(RunReport):
+            if f.name not in ("cdf", "led_errors"):
+                assert back[f.name] == getattr(rep, f.name), f.name
+        assert back["cdf"] == [[e, p] for e, p in rep.cdf]
+        assert back["led_errors"] == {"3": 0.02, "5": math.inf}
+        assert '"detection_recall": 0.9,' in text and '"5": Infinity' in text
 
 
 class TestAngles:

@@ -14,9 +14,11 @@ from vlpnav.preint import ImuNoise, ImuStream, mechanize, preintegrate
 from _synthetic import (
     NavState,
     bias_corrected,
+    dead_reckon,
     imu_residual,
     imu_residual_jacobians,
     loop_preintegrate,
+    stack_states,
 )
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
@@ -123,8 +125,7 @@ class TestStackedMatchesLoop:
     """The stacked pre-integration against the per-sample loop it replaced."""
 
     RTOL = 1e-12
-    FIELDS = ("alpha", "beta", "gamma", "cov", "dt", "d_alpha_d_ba", "d_alpha_d_bg",
-              "d_beta_d_ba", "d_beta_d_bg", "d_gamma_d_bg")
+    FIELDS = ("alpha", "beta", "gamma", "cov", "dt", "bias_jac")
 
     def assert_matches(self, stream, bias_acc, bias_gyro, R_bv, t_end):
         pre = preintegrate(stream, bias_acc, bias_gyro, R_bv, NOISE, t_end=t_end)[0]
@@ -251,9 +252,33 @@ class TestImuResidual:
         rng = np.random.default_rng(9)
         x0 = random_state(rng)
         pre = preintegrate(random_motion_stream(rng), x0.bias_acc, x0.bias_gyro,
-                           R_BV, NOISE, t_end=1.0)[0]
-        x1 = mechanize(pre, x0, GRAVITY, timestamp=1.0)
-        assert np.max(np.abs(imu_residual(pre, x0, x1, GRAVITY))) < 1e-12
+                           R_BV, NOISE, t_end=1.0)
+        x1 = mechanize(pre, stack_states([x0]), GRAVITY, [1.0])[0]
+        assert np.max(np.abs(imu_residual(pre[0], x0, x1, GRAVITY))) < 1e-12
+
+    def test_mechanize_at_bias_offsets_matches_dead_reckoning(self):
+        # Three intervals, each from a state whose biases are off its
+        # linearization: the batched correction against the one-interval one.
+        rng = np.random.default_rng(10)
+        x0s = [random_state(rng) for _ in range(3)]
+        lin = [(x.bias_acc + rng.uniform(-0.05, 0.05, 3),
+                x.bias_gyro + rng.uniform(-0.02, 0.02, 3)) for x in x0s]
+        pres = preintegrate(random_motion_stream(rng), *lin[0], R_BV, NOISE, t_end=1.0)
+        for ba, bg in lin[1:]:
+            pres = pres.append(preintegrate(random_motion_stream(rng), ba, bg, R_BV, NOISE,
+                                            t_end=1.0))
+        x1 = mechanize(pres, stack_states(x0s), GRAVITY, [1.0, 1.5, 2.0])
+        for k, t in enumerate([1.0, 1.5, 2.0]):
+            ref = dead_reckon(pres[k], x0s[k], GRAVITY, t)
+            assert x1[k].timestamps == t
+            for name in ("position", "velocity", "attitude", "bias_acc", "bias_gyro"):
+                np.testing.assert_allclose(getattr(x1[k], name), getattr(ref, name),
+                                           rtol=1e-14, atol=1e-15, err_msg=name)
+        # The offsets move the result, so the correction is exercised.
+        x_lin = stack_states([NavState(0.0, x.position, x.velocity, x.attitude, ba, bg)
+                              for x, (ba, bg) in zip(x0s, lin)])
+        moved = mechanize(pres, x_lin, GRAVITY, [1.0, 1.5, 2.0]).position - x1.position
+        assert np.all(np.linalg.norm(moved, axis=1) > 1e-4)
 
 
 class TestImuResidualJacobians:
