@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LedBeacon, ReceiverConfig, SampleFlag
+from .channel import LedBeacon, SampleFlag
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ THRESHOLD_GRID = 9
 PSI_CAP = 1.484
 
 
-def static_threshold_3d(room_min, room_max, led: LedBeacon, rx: ReceiverConfig,
-                        cfg: DetectionSpec) -> float:
+def static_threshold_3d(room_min, room_max, led: LedBeacon, cfg: DetectionSpec) -> float:
     """Worst-case (largest) 3-D threshold over a reachable-pose box.
 
     Evaluating the motion bound on a causally-safe worst case avoids
@@ -111,10 +110,10 @@ class DrdDetector:
         self.thresholds = dict(thresholds)
 
     @classmethod
-    def for_scene(cls, cfg: DetectionSpec, leds: list[LedBeacon], rx: ReceiverConfig,
+    def for_scene(cls, cfg: DetectionSpec, leds: list[LedBeacon],
                   room_min, room_max) -> "DrdDetector":
         """Worst-case 3-D thresholds over the box ``room_min``..``room_max``."""
-        return cls(cfg, {led.led_id: static_threshold_3d(room_min, room_max, led, rx, cfg)
+        return cls(cfg, {led.led_id: static_threshold_3d(room_min, room_max, led, cfg)
                          for led in leds})
 
     def run(self, times, led_ids, values):

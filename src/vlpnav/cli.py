@@ -113,7 +113,7 @@ def build_detector(dataset: Dataset) -> DrdDetector:
     room_min, room_max = dataset.room
     room_min[2] = max(z_lo - 0.1, room_min[2])
     room_max[2] = min(z_hi + 0.1, room_max[2])
-    return DrdDetector.for_scene(cfg, dataset.leds, dataset.receiver, room_min, room_max)
+    return DrdDetector.for_scene(cfg, dataset.leds, room_min, room_max)
 
 
 def run_detection(dataset: Dataset):

@@ -38,7 +38,7 @@ LED block left once every state is eliminated.  :func:`assemble_cost`
 is the dense view of the whole window.
 
 Flagged (blocked) RSS samples are not deleted: they enter with the large
-``blocked_variance`` so the corrupted measurements carry negligible
+``BLOCKED_VARIANCE`` so the corrupted measurements carry negligible
 weight.  Samples whose predicted geometry is outside the FOV,
 degenerate (photodiode at the LED) or grazing are left out of both the
 cost and the Hessian.
@@ -70,11 +70,9 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "ConstraintConfig",
     "EstimatorConfig",
-    "LmOptions",
     "LmReport",
     "MarginalPrior",
     "NormalEquations",
-    "PriorConfig",
     "SlidingWindow",
     "TightlyCoupledEstimator",
     "assemble_cost",
@@ -90,63 +88,54 @@ __all__ = [
 # Configuration
 
 
-@dataclass(frozen=True)
-class LmOptions:
-    """Levenberg-Marquardt controls."""
+#: Levenberg-Marquardt controls of :func:`solve_lm`.
+LM_MAX_ITERATIONS = 50
+LM_COST_REDUCTION_TOL = 1e-8
+LM_STEP_NORM_TOL = 1e-10
+LM_LAMBDA_MAX = 1e8
 
-    max_iterations: int = 50
-    cost_reduction_tol: float = 1e-8
-    step_norm_tol: float = 1e-10
-    lambda_init: float = 0.0
-    lambda_max: float = 1e8
+#: Variance of a flagged (blocked) RSS sample: large, so that a corrupted
+#: value carries negligible weight.
+BLOCKED_VARIANCE = 99.0
+#: m/s, 1-sigma of the NHC's lateral and vertical vehicle-frame velocity.
+NHC_SIGMA = 0.05
+#: m, 1-sigma of the height constraint about the receiver's ``pd_height``.
+HEIGHT_SIGMA = 0.01
+#: m, 1-sigma of the weak prior on each unknown LED's planar guess; keeps
+#: a LED that no sample reaches solvable.
+UNKNOWN_LED_PRIOR_SIGMA = 10.0
+
+#: Information (1 / sigma^2) of the initial-state prior over the 15 error
+#: dims.  The widths: position 0.2 m (the first-epoch RSS fix), velocity
+#: 0.2 m/s, roll/pitch 2 deg (accelerometer leveling), heading 0.5 deg
+#: (anchored externally: a single RSS cannot observe it), accelerometer
+#: bias 0.02 m/s^2 and gyro bias 2e-3 rad/s.
+INITIAL_PRIOR_INFORMATION = 1.0 / np.array(
+    [0.2] * 3 + [0.2] * 3
+    + [np.deg2rad(2.0), np.deg2rad(2.0), np.deg2rad(0.5)]
+    + [0.02] * 3 + [2e-3] * 3
+)**2
 
 
 @dataclass(frozen=True)
 class ConstraintConfig:
-    """Kinematic constraint selection and 1-sigma strengths."""
+    """Which kinematic constraints the window holds: the NHC and the
+    height constraint (to the receiver's ``pd_height``)."""
 
     use_nhc: bool = True
-    nhc_sigma: float = 0.05  # m/s, lateral and vertical vehicle-frame velocity
     use_height: bool = False
-    height_sigma: float = 0.01  # m, about the receiver's pd_height
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """1-sigma widths of the initial-state prior.
-
-    Heading must be anchored externally (a single RSS cannot observe it);
-    roll/pitch come from accelerometer leveling, position from the
-    first-epoch RSS fix.
-    """
-
-    position: float = 0.2
-    velocity: float = 0.2
-    rollpitch: float = np.deg2rad(2.0)
-    heading: float = np.deg2rad(0.5)
-    bias_acc: float = 0.02
-    bias_gyro: float = 2e-3
-
-    def information_diag(self) -> np.ndarray:
-        sig = np.array(
-            [self.position] * 3 + [self.velocity] * 3
-            + [self.rollpitch, self.rollpitch, self.heading]
-            + [self.bias_acc] * 3 + [self.bias_gyro] * 3
-        )
-        return 1.0 / sig**2
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """What a dataset or a run sets; the method's tuning values are the
+    module constants above."""
+
     imu_noise: ImuNoise
     window_size: int = 20
-    blocked_variance: float = 99.0
     gravity: tuple = (0.0, 0.0, -9.80665)
     constraints: ConstraintConfig = field(default_factory=ConstraintConfig)
-    lm: LmOptions = field(default_factory=LmOptions)
-    prior: PriorConfig = field(default_factory=PriorConfig)
     unknown_led_ids: tuple[int, ...] = ()
-    unknown_led_prior_sigma: float = 10.0  # m, keeps unobserved LED blocks solvable
 
     def __post_init__(self):
         # Sliding needs a next state to carry the marginal prior.
@@ -196,11 +185,12 @@ class SlidingWindow:
     ``imu`` is a :class:`PreintegratedStack` whose row ``k`` joins states
     ``k`` and ``k + 1``.  ``rss`` holds the samples of LEDs on the map
     ``led_table`` in state order, each with its table row, flagged ones
-    at ``config.blocked_variance``.  The unknown LEDs ``led_ids`` (sorted
+    at ``BLOCKED_VARIANCE``.  The unknown LEDs ``led_ids`` (sorted
     ``config.unknown_led_ids``) have planar estimates ``led_xy`` (L, 2),
-    which start from the ``led_init`` guesses (id -> (x, y)) or else the
-    map; ``led_rows`` are their table rows and ``led_of`` maps each table
-    row to its place in ``led_ids``, -1 for a known LED.  ``prior`` is the
+    which start from the ``led_init`` guesses (id -> (x, y)), one for
+    every unknown LED (a missing one raises ``KeyError``); ``led_rows``
+    are their table rows and ``led_of`` maps each table row to its place
+    in ``led_ids``, -1 for a known LED.  ``prior`` is the
     window's one prior.  ``equations`` is the
     :class:`NormalEquations` of the current values that :func:`solve_lm`
     leaves behind; :meth:`append` and a re-integration drop it.
@@ -221,9 +211,7 @@ class SlidingWindow:
         self.led_of = np.full(len(led_table.row), -1)
         self.led_of[self.led_rows] = np.arange(len(self.led_ids))
         led_init = led_init or {}
-        self.led_xy = np.array([led_init.get(i, led_table.position[r, :2])
-                                for i, r in zip(self.led_ids, self.led_rows)],
-                               dtype=float).reshape(-1, 2)
+        self.led_xy = np.array([led_init[i] for i in self.led_ids], dtype=float).reshape(-1, 2)
         self.equations: NormalEquations | None = None
 
     @property
@@ -246,7 +234,7 @@ class SlidingWindow:
         new["led"] = [table_row[i] for i in rss["led_id"].tolist()]
         new["value"] = rss["value"]
         new["variance"] = np.where(rss["flag"] == SampleFlag.LOS, rss["variance"],
-                                   self.config.blocked_variance)
+                                   BLOCKED_VARIANCE)
         self.rss = np.concatenate([self.rss, new])
         self.states = self.states.append(state)
         self.equations = None
@@ -512,7 +500,7 @@ def _constraint_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
         row = np.zeros((n, NAV_DIM))
         row[:, 2] = 1.0
         r.append(X.position[:, 2] - window.rx.pd_height)
-        var.append(cfg.height_sigma**2)
+        var.append(HEIGHT_SIGMA**2)
         J.append(row)
     if cfg.use_nhc:
         Rt = np.swapaxes(R, 1, 2)
@@ -523,7 +511,7 @@ def _constraint_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
             row[:, 3:6] = Rt[:, axis]
             row[:, 6:9] = S[:, axis]
             r.append(v_v[:, axis])
-            var.append(cfg.nhc_sigma**2)
+            var.append(NHC_SIGMA**2)
             J.append(row)
     c = len(r)
     if c == 0:
@@ -635,8 +623,8 @@ def solve_lm(window: SlidingWindow) -> LmReport:
     The step's predicted decrease comes from that system itself: since
     ``(H + diag(shift)) dx = -g`` it is ``0.5 (dx.(shift dx) - g.dx)``.
     The solve stops, converged, when the predicted decrease is at most
-    ``cost_reduction_tol * cost`` (``model``) or the step norm is below
-    ``step_norm_tol`` (``step``), without evaluating that step.  Otherwise
+    ``LM_COST_REDUCTION_TOL * cost`` (``model``) or the step norm is below
+    ``LM_STEP_NORM_TOL`` (``step``), without evaluating that step.  Otherwise
     the trial point is evaluated once, by :func:`normal_equations`: it is
     accepted when its cost falls, and then its equations give the next
     step.  So the factors are evaluated once per trial point, plus once
@@ -646,20 +634,18 @@ def solve_lm(window: SlidingWindow) -> LmReport:
     multiplies ``lambda`` by ``max(1/3, 1 - (2 rho - 1)^3)`` and resets
     ``nu`` to 2; a rejected step, or a singular or non-finite system, sets
     ``lambda`` to ``max(lambda nu, 1e-6)`` and doubles ``nu``.  The solve
-    starts undamped (``lambda_init`` 0: a pure GN step solves quadratic
-    costs exactly).  If ``lambda`` exceeds ``lambda_max`` (``damping``)
-    or ``max_iterations`` trial points pass, the best iterate is kept and
+    starts undamped (``lambda`` 0: a pure GN step solves quadratic costs
+    exactly).  If ``lambda`` exceeds ``LM_LAMBDA_MAX`` (``damping``) or
+    ``LM_MAX_ITERATIONS`` trial points pass, the best iterate is kept and
     the report flags no convergence.  The window keeps the equations of
-    its final values (``window.equations``).  The controls are the
-    window's ``config.lm``.
+    its final values (``window.equations``).
     """
-    opts = window.config.lm
     report = LmReport(converged=False)
     ne = normal_equations(window)
     cost = ne.cost
-    lam, nu = opts.lambda_init, 2.0
+    lam, nu = 0.0, 2.0
 
-    for _ in range(opts.max_iterations):
+    for _ in range(LM_MAX_ITERATIONS):
         shift = lam * np.clip(ne.diagonal(), 1e-12, None)
         try:
             dx = ne.solve(shift)
@@ -669,8 +655,8 @@ def solve_lm(window: SlidingWindow) -> LmReport:
         if dx is not None and np.all(np.isfinite(dx)):
             predicted = 0.5 * float(dx @ (shift * dx) - ne.g @ dx)
             step = float(np.linalg.norm(dx))
-            model_done = predicted <= opts.cost_reduction_tol * max(cost, 1e-30)
-            if model_done or step < opts.step_norm_tol:
+            model_done = predicted <= LM_COST_REDUCTION_TOL * max(cost, 1e-30)
+            if model_done or step < LM_STEP_NORM_TOL:
                 report.converged = True
                 report.stop = "model" if model_done else "step"
                 break
@@ -693,7 +679,7 @@ def solve_lm(window: SlidingWindow) -> LmReport:
         report.iterations.append(LmIteration(cost, lam, 0.0, False, rho=rho,
                                              predicted=predicted))
         lam, nu = max(lam * nu, 1e-6), 2.0 * nu
-        if lam > opts.lambda_max:
+        if lam > LM_LAMBDA_MAX:
             logger.warning("LM damping exhausted; returning best iterate")
             report.stop = "damping"
             break
@@ -875,17 +861,16 @@ class TightlyCoupledEstimator:
     def start(self, state0: StateArrays, rss0: np.ndarray) -> LmReport:
         """Open the window with ``state0`` (a row) and solve it.
 
-        The window's prior starts diagonal: ``config.prior``'s widths on
-        ``state0`` and, for each unknown LED, a weak prior of
-        ``unknown_led_prior_sigma`` on its guess, which keeps a LED that no
+        The window's prior starts diagonal: ``INITIAL_PRIOR_INFORMATION``
+        on ``state0`` and, for each unknown LED, a weak prior of
+        ``UNKNOWN_LED_PRIOR_SIGMA`` on its guess, which keeps a LED that no
         sample reaches solvable.
         """
         if self.window.n_states:
             raise RuntimeError("estimator already started")
         self.window.append(0, state0, None, rss0)
-        cfg = self.config
-        led_info = np.full(2 * len(self.window.led_ids), 1.0 / cfg.unknown_led_prior_sigma**2)
-        info = np.concatenate([cfg.prior.information_diag(), led_info])
+        led_info = np.full(2 * len(self.window.led_ids), 1.0 / UNKNOWN_LED_PRIOR_SIGMA**2)
+        info = np.concatenate([INITIAL_PRIOR_INFORMATION, led_info])
         self.window.prior = MarginalPrior(np.diag(info), np.zeros(info.size),
                                           self.window.states[0], self.window.led_xy.copy())
         return self._solve_and_record(rss0)

@@ -51,7 +51,7 @@ from vlpnav.channel import (
     receiver_normal,
     rss_jacobian,
 )
-from vlpnav.estimator import ConstraintConfig, _indefinite
+from vlpnav.estimator import HEIGHT_SIGMA, NHC_SIGMA, ConstraintConfig, _indefinite
 from vlpnav.preint import (
     BIAS_CORRECTION_WARN_ACC,
     BIAS_CORRECTION_WARN_GYRO,
@@ -354,7 +354,7 @@ def _constraint_terms(state, cfg: ConstraintConfig, pd_height: float):
     if cfg.use_height:
         row = np.zeros(ERROR_DIM)
         row[2] = 1.0
-        out.append((state.position[2] - pd_height, cfg.height_sigma**2, row))
+        out.append((state.position[2] - pd_height, HEIGHT_SIGMA**2, row))
     if cfg.use_nhc:
         R = quat_to_dcm(state.attitude)
         v_v = R.T @ state.velocity
@@ -363,7 +363,7 @@ def _constraint_terms(state, cfg: ConstraintConfig, pd_height: float):
             row = np.zeros(ERROR_DIM)
             row[3:6] = R.T[axis]
             row[6:9] = S[axis]
-            out.append((v_v[axis], cfg.nhc_sigma**2, row))
+            out.append((v_v[axis], NHC_SIGMA**2, row))
     return out
 
 

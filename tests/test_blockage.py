@@ -161,7 +161,7 @@ class TestMotionNoFalseAlarms:
         x = -4.0 + v * t
         values = np.array([predict_rss([xi, 0.3, 0.0], quat_identity(), LED, RX) for xi in x])
         cfg = DetectionSpec(v_max=0.5, omega_max=0.0, value_floor=1e-12, max_tilt_deg=0.0)
-        thr = static_threshold_3d([-4, -1, 0], [4, 1, 1], LED, RX, cfg)
+        thr = static_threshold_3d([-4, -1, 0], [4, 1, 1], LED, cfg)
         tags, counters = detect_stream(t, values, thr, cfg)
         assert counters[-1] == 0
         assert not tags.any()
@@ -171,7 +171,7 @@ class TestStaticThreshold:
     def test_dominates_pointwise(self):
         cfg = DetectionSpec(v_max=0.5, omega_max=0.2, value_floor=1e-12,
                             max_tilt_deg=float(np.rad2deg(0.2)))
-        thr = static_threshold_3d([-2, -2, 0], [2, 2, 1], LED, RX, cfg)
+        thr = static_threshold_3d([-2, -2, 0], [2, 2, 1], LED, cfg)
         rng = np.random.default_rng(1)
         for _ in range(50):
             pd = rng.uniform([-2, -2, 0], [2, 2, 1])
@@ -193,7 +193,7 @@ class TestStaticThreshold:
                                 normal=normal / np.linalg.norm(normal))
                 cfg = DetectionSpec(v_max=rng.uniform(0.2, 1.0), omega_max=rng.uniform(0.0, 1.0),
                                     max_tilt_deg=rng.uniform(0.0, 40.0))
-                assert (static_threshold_3d(room_min, room_max, led, RX, cfg)
+                assert (static_threshold_3d(room_min, room_max, led, cfg)
                         == loop_static_threshold_3d(room_min, room_max, led, cfg))
 
 

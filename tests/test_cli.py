@@ -302,6 +302,10 @@ class TestEstimate:
     @pytest.mark.parametrize("content", [
         '{"windowsize": 5}', '{"use_nhc": false}', "[5]", '{"lm": 5}',
         '{"window_size": "5"}', "{bad", '{"window_size": 1}',
+        # The method's tuning values are estimator constants, not settings.
+        '{"lm": {"max_iterations": 20}}', '{"prior": {"heading": 0.01}}',
+        '{"blocked_variance": 50.0}', '{"unknown_led_prior_sigma": 5.0}',
+        '{"constraints": {"nhc_sigma": 0.1}}', '{"constraints": {"height_sigma": 0.02}}',
         *(pytest.param(["--unknown-leds", "5", "--led-init", v], id=f"led_init {v}")
           for v in ("5=2.0", "7=2.0,1.0", "5=2.0,1.0,0.5", "5", "x=1,2", "5=a,b", "5=nan,1")),
         pytest.param(["--led-init", "5=2.0,1.0"], id="led_init without unknown LEDs"),

@@ -10,6 +10,10 @@ from vlpnav import estimator
 from vlpnav.attitude import quat_from_euler, quat_to_dcm
 from vlpnav.channel import DegenerateGeometryError, LedBeacon, LedTable, SampleFlag
 from vlpnav.estimator import (
+    BLOCKED_VARIANCE,
+    HEIGHT_SIGMA,
+    INITIAL_PRIOR_INFORMATION,
+    UNKNOWN_LED_PRIOR_SIGMA,
     ConstraintConfig,
     EstimatorConfig,
     MarginalPrior,
@@ -276,8 +280,7 @@ class TestSolveLm:
     def test_pure_quadratic_one_undamped_step(self, monkeypatch):
         # Position-only quadratic: prior plus a height factor; attitude at
         # linearization so no retraction nonlinearity enters.
-        config = make_config(constraints=ConstraintConfig(
-            use_nhc=False, use_height=True, height_sigma=0.02))
+        config = make_config(constraints=ConstraintConfig(use_nhc=False, use_height=True))
         window = fresh_window(config, leds=[], rx=make_rx(pd_height=0.5))
         x_lin = NavState(0.0, position=np.array([1.0, 1.0, 0.2]))
         window.append(0, x_lin.row(), None, rss_rows([]))
@@ -286,8 +289,8 @@ class TestSolveLm:
         passes, solves = count_calls(monkeypatch)
         report = solve_lm(window)
         # Linear least-squares oracle for the z component:
-        # min 25 dz^2/2 + (z - 0.5)^2 / (2 * 4e-4), z = 0.2 + dz
-        w_prior, w_h = 25.0, 1.0 / 0.02**2
+        # min 25 dz^2/2 + (z - 0.5)^2 / (2 HEIGHT_SIGMA^2), z = 0.2 + dz
+        w_prior, w_h = 25.0, 1.0 / HEIGHT_SIGMA**2
         z_expected = (w_prior * 0.2 + w_h * 0.5) / (w_prior + w_h)
         assert window.states[0].position[2] == pytest.approx(z_expected, abs=1e-12)
         # The second solve's model predicts nothing left to gain, so its
@@ -495,7 +498,7 @@ class TestSlideAndMarginalize:
         pres = preintegrate_chain(streams, states, rx)
         window = fresh_window(config)
         window.append(0, states[0].row(), None, exact_rss(states[0], LEDS, rx))
-        window.prior = MarginalPrior(np.diag(config.prior.information_diag()), np.zeros(ERROR_DIM),
+        window.prior = MarginalPrior(np.diag(INITIAL_PRIOR_INFORMATION), np.zeros(ERROR_DIM),
                                      states[0].row(), np.zeros((0, 2)))
         for k in range(1, n):
             slide_and_marginalize(window, k, states[k].row(), pres[k - 1],
@@ -514,7 +517,7 @@ class TestSlideAndMarginalize:
         pres = preintegrate_chain(streams, states, RX)
         window = fresh_window(make_config(window_size=n))
         window.append(0, states[0].row(), None, exact_rss(states[0], LEDS, RX))
-        window.prior = MarginalPrior(np.diag(window.config.prior.information_diag()),
+        window.prior = MarginalPrior(np.diag(INITIAL_PRIOR_INFORMATION),
                                      np.zeros(ERROR_DIM), states[0].row(), np.zeros((0, 2)))
         for k in range(1, n):
             window.append(k, states[k].row(), pres[k - 1], exact_rss(states[k], LEDS, RX))
@@ -654,7 +657,7 @@ class TestUnknownLeds:
                                       led_init={1: LEDS[0].position[:2], 3: guess})
         seen = [led for led in LEDS if led.led_id != 3]
         est.start(states[0].row(), exact_rss(states[0], seen, RX))
-        w = 1.0 / config.unknown_led_prior_sigma**2
+        w = 1.0 / UNKNOWN_LED_PRIOR_SIGMA**2
         e = ERROR_DIM + 2  # the prior's rows of LED 3, after the state's and LED 1's
         slides = 0
         for k in range(1, n):
@@ -679,6 +682,14 @@ class TestUnknownLeds:
         report = est.start(state.row(), exact_rss(state, LEDS, RX))
         result = estimate_unknown_leds(est.window, report)[unknown_id]
         assert result.diverged or result.cov_trace > 1.0
+
+    @pytest.mark.parametrize("led_init", [None, {3: LEDS[2].position[:2]}])
+    def test_missing_guess_raises(self, led_init):
+        # The map position of an unknown LED is its truth: the window never
+        # starts there in its place.
+        config = make_config(unknown_led_ids=(1, 3))
+        with pytest.raises(KeyError):
+            fresh_window(config, led_init=led_init)
 
 
 def build_rich_window(unseen_led=False):
@@ -725,7 +736,7 @@ def build_rich_window(unseen_led=False):
     hessian, gradient = A @ A.T + np.eye(n), rng.normal(size=n)
     # The LEDs' weak priors on their guesses, as TightlyCoupledEstimator.start
     # puts them in the window's prior, re-centred on led_lin.
-    w = 1.0 / config.unknown_led_prior_sigma**2
+    w = 1.0 / UNKNOWN_LED_PRIOR_SIGMA**2
     hessian[ERROR_DIM:, ERROR_DIM:] += w * np.eye(n - ERROR_DIM)
     gradient[ERROR_DIM:] += w * (led_lin - window.led_xy).ravel()
     window.prior = MarginalPrior(hessian, gradient, states[0].row(), led_lin)
@@ -754,7 +765,7 @@ class TestBatchedLinearization:
         by_id = {led.led_id: led for led in leds}
         rx, s2 = window.rx, window.states[2]
         epoch1, epoch2 = (window.rss[window.rss["state"] == k] for k in (1, 2))
-        assert epoch1["variance"][2] == window.config.blocked_variance  # flagged
+        assert epoch1["variance"][2] == BLOCKED_VARIANCE  # flagged
         assert list(epoch2["led"][-2:]) == [window.led_table.row[8], window.led_table.row[9]]
         assert vlp_residual(s2, 0.1, by_id[8], rx) is None
         with pytest.raises(DegenerateGeometryError):

@@ -8,7 +8,7 @@ from vlpnav.blockage import DetectionSpec
 from vlpnav.channel import LedBeacon, ReceiverConfig
 from vlpnav.cli import build_detector, main
 from vlpnav.dataio import estimator_config_from_dict, load_dataset
-from vlpnav.estimator import ConstraintConfig, LmOptions, PriorConfig
+from vlpnav.estimator import ConstraintConfig
 from vlpnav.preint import ImuNoise
 from vlpnav.records import from_record, to_record
 from vlpnav.simulator import RssSpec, Scenario, reference_scenarios
@@ -27,20 +27,24 @@ def mini(mini_dataset):
     return load_dataset(mini_dataset)
 
 
+#: What a dataset or a run sets; the method's tuning values are estimator constants.
+SETTABLE = {
+    ".imu_noise.accel_density", ".imu_noise.gyro_density", ".imu_noise.accel_bias_walk",
+    ".imu_noise.gyro_bias_walk", ".window_size", ".gravity", ".constraints.use_nhc",
+    ".constraints.use_height", ".unknown_led_ids",
+}
+
+
 class TestEstimatorConfig:
     def test_json_round_trip_of_every_field(self, mini):
         base = estimator_config_from_dict({}, mini)
         cfg = replace(
-            base, window_size=7, blocked_variance=50.0, gravity=(0.0, 0.0, -9.8),
+            base, window_size=7, gravity=(0.0, 0.0, -9.8),
             imu_noise=ImuNoise(1e-3, 2e-4, 3e-5, 4e-6),
-            constraints=ConstraintConfig(use_nhc=False, nhc_sigma=0.1, use_height=True,
-                                         height_sigma=0.02),
-            lm=LmOptions(max_iterations=9, cost_reduction_tol=1e-7, step_norm_tol=1e-9,
-                         lambda_init=1e-3, lambda_max=1e6),
-            prior=PriorConfig(position=0.3, velocity=0.1, rollpitch=0.05, heading=0.01,
-                              bias_acc=0.03, bias_gyro=1e-3),
-            unknown_led_ids=(2, 5), unknown_led_prior_sigma=5.0)
+            constraints=ConstraintConfig(use_nhc=False, use_height=True),
+            unknown_led_ids=(2, 5))
         base_leaves = dict(leaves(to_record(base)))
+        assert set(base_leaves) == SETTABLE
         for path, value in leaves(to_record(cfg)):
             assert value != base_leaves[path], path
         back = estimator_config_from_dict(json.loads(json.dumps(to_record(cfg))), mini)
@@ -71,13 +75,20 @@ class TestEstimatorConfig:
         ({"windowsize": 5}, "unknown field"),
         ({"constraints": {"use_nhc": False, "nhc": 1.0}}, "unknown field"),
         ({"use_nhc": False}, "unknown field"),
-        ({"lm": 5}, "expected an object"),
+        ({"constraints": 5}, "expected an object"),
         ({"window_size": "5"}, "expected int"),
         ({"window_size": 5.5}, "expected int"),
         ({"constraints": {"use_nhc": 0}}, "expected bool"),
         ({"gravity": 9.8}, "expected a list"),
         ({"unknown_led_ids": ["a"]}, "expected int"),
         ({"constraints": {"pd_height": 0.3}}, "unknown field"),  # the receiver's
+        # The method's tuning values are estimator constants, not settings.
+        ({"lm": {"max_iterations": 20}}, "unknown field"),
+        ({"prior": {"heading": 0.01}}, "unknown field"),
+        ({"blocked_variance": 50.0}, "unknown field"),
+        ({"unknown_led_prior_sigma": 5.0}, "unknown field"),
+        ({"constraints": {"nhc_sigma": 0.1}}, "unknown field"),
+        ({"constraints": {"height_sigma": 0.02}}, "unknown field"),
     ])
     def test_bad_record_rejected(self, mini, d, message):
         with pytest.raises(ValueError, match=message):
