@@ -9,26 +9,34 @@ frame by the fixed mounting DCM before integration, so biases are also
 expressed (and estimated) in the VLP frame.
 
 The 15x15 covariance of the pseudo-measurement error
-``[d_alpha, d_beta, d_theta, d_ba, d_bg]`` is propagated step by step
-with the first-order discrete transition ``F_i`` (attitude block
-``I - [w_i]x dt_i``), driven by white accelerometer/gyroscope noise and
-random-walk bias noise through ``G_i``.  First-order bias Jacobians
-``J = F_{n-1} ... F_0`` are accumulated alongside so the optimizer can
-correct (alpha, beta, gamma) for small bias updates (Forster et al.,
-"On-Manifold Preintegration for Real-Time Visual-Inertial Odometry",
-T-RO 2017); :func:`imu_residuals_batch` and :func:`mechanize` share one
+``[d_alpha, d_beta, d_theta, d_ba, d_bg]`` is that of the first-order
+discrete error propagation ``e_{i+1} = F_i e_i + G_i n_i`` (attitude
+block of ``F_i`` is ``I - [w_i]x dt_i``), driven by white accelerometer/
+gyroscope noise and random-walk bias noise of variance ``sig / dt_i``.
+Unrolled, it is the sum ``cov = sum_i Phi_i G_i diag(sig / dt_i) G_i^T
+Phi_i^T`` over the samples, with ``Phi_i = F_{n-1} ... F_{i+1}`` carrying
+sample ``i``'s noise to the interval's end; the first-order bias
+Jacobian is ``J = Phi_0 F_0`` (Forster et al., "On-Manifold
+Preintegration for Real-Time Visual-Inertial Odometry", T-RO 2017).
+The optimizer corrects (alpha, beta, gamma) for small bias updates with
+``J``; :func:`imu_residuals_batch` and :func:`mechanize` share one
 batched first-order correction.  The estimator re-integrates a factor
 whose bias moved past ``BIAS_CORRECTION_WARN_*``.
 
 :func:`preintegrate` works on arrays over the interval.  Every
 per-sample quantity is built in one numpy pass: the bias-removed VLP-
 frame samples, the rotations ``R_i`` of the running attitude,
-``R_i [a_i]x``, and the stacks of ``F_i``, ``G_i`` and the noise inputs
-``Q_i = G_i diag(sig) / dt_i G_i^T``.  Three recursions stay sequential
-because each step needs the last: the attitude chain (:func:`quat_chain`),
-``cov <- F_i cov F_i^T + Q_i`` with ``J <- F_i J`` (one matrix product
-per step over the prebuilt stacks), and alpha/beta (cumulative sums in
-the loop's order).  The result equals the per-sample loop bit for bit.
+``R_i [a_i]x``, and the stacks of ``F_i`` and of the scaled noise inputs
+``G_i diag(sig / dt_i)^(1/2)``.  Two recursions stay sequential because
+each step needs the last: the attitude chain (:func:`quat_chain`, equal
+to the per-sample quaternion products bit for bit) and the suffix
+products ``Phi_{i-1} = Phi_i F_i``, one 15x15 product per sample into a
+preallocated stack.  Then one batched product gives every ``Phi_i G_i
+diag(sig / dt_i)^(1/2)``, and the covariance is that (15, 12n) matrix
+times its transpose; alpha and beta are cumulative sums in the
+per-sample loop's order, and equal it bit for bit.  The covariance sums
+its terms in another order than a per-sample ``cov <- F cov F^T + Q``
+loop, and agrees with it to about 1e-14 of its largest entry.
 
 Gravity convention: every function takes the free-fall acceleration
 vector (e.g. ``[0, 0, -9.80665]`` in a z-up room frame).  A stationary,
@@ -189,22 +197,29 @@ def preintegrate(stream: ImuStream, bias_acc, bias_gyro, dcm_body_to_vlp,
     F[:, 6:9, 6:9] = eye - skew(w) * dt
     F[:, 6:9, 12:15] = eye * dt
 
+    # Noise inputs G_i diag(sig / dt_i)^(1/2): sample i adds their outer
+    # product to the covariance.
+    root = np.sqrt(np.repeat(
+        [noise.accel_density**2, noise.gyro_density**2,
+         noise.accel_bias_walk**2, noise.gyro_bias_walk**2], 3) / dt)
     G = np.zeros((n, 15, 12))
     G[:, 0:3, 0:3] = 0.5 * R * dt2
     G[:, 3:6, 0:3] = R * dt
     G[:, 6:9, 3:6] = eye * dt
     G[:, 9:12, 6:9] = eye * dt
     G[:, 12:15, 9:12] = eye * dt
-    sig = np.repeat(
-        [noise.accel_density**2, noise.gyro_density**2,
-         noise.accel_bias_walk**2, noise.gyro_bias_walk**2], 3)
-    Q = (G * (sig / dt)) @ np.swapaxes(G, 1, 2)  # G diag(sig) / dt G^T
+    G *= root
 
-    cov = np.zeros((15, 15))
-    J = np.eye(15)
-    for F_i, Q_i in zip(F, Q):
-        cov = F_i @ cov @ F_i.T + Q_i
-        J = F_i @ J
+    # Suffix products Phi_i = F_{n-1} ... F_{i+1}, which carry sample i's
+    # noise to the interval's end: cov = sum_i Phi_i G_i G_i^T Phi_i^T.
+    Phi = np.empty((n, 15, 15))
+    Phi[-1] = np.eye(15)
+    P, Fs = list(Phi), list(F)  # row views: one product per sample, in place
+    for i in range(n - 1, 0, -1):
+        P[i].dot(Fs[i], out=P[i - 1])
+    M = np.matmul(Phi, G).transpose(1, 0, 2).reshape(15, 12 * n)
+    cov = M @ M.T
+    J = Phi[0] @ F[0]
 
     # alpha_{i+1} = (alpha_i + beta_i dt_i) + R_i a_i dt_i^2 / 2 and
     # beta_{i+1} = beta_i + R_i a_i dt_i, summed in that order.
