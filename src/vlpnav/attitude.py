@@ -141,20 +141,23 @@ def skew(v) -> np.ndarray:
                     axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
+#: Entries of the left- and right-product matrices, row by row: component
+#: ``_PRODUCT_INDEX`` of the quaternion times the matrix's sign.
+_PRODUCT_INDEX = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+_LEFT_SIGN = np.array([1, -1, -1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1, -1, 1, 1], dtype=float)
+_RIGHT_SIGN = np.array([1, -1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 1, 1, 1, -1, 1], dtype=float)
+
+
 def quat_left(q) -> np.ndarray:
     """Left-product matrix: ``quat_left(a) @ b`` is ``a ⊗ b``, unnormalized."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q.T
-    return np.stack([w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w],
-                    axis=-1).reshape(q.shape[:-1] + (4, 4))
+    return (q[..., _PRODUCT_INDEX] * _LEFT_SIGN).reshape(q.shape[:-1] + (4, 4))
 
 
 def quat_right(q) -> np.ndarray:
     """Right-product matrix: ``quat_right(b) @ a`` is ``a ⊗ b``, unnormalized."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q.T
-    return np.stack([w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w],
-                    axis=-1).reshape(q.shape[:-1] + (4, 4))
+    return (q[..., _PRODUCT_INDEX] * _RIGHT_SIGN).reshape(q.shape[:-1] + (4, 4))
 
 
 def so3_right_jacobian(phi) -> np.ndarray:

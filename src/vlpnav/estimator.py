@@ -282,8 +282,11 @@ class FactorRows:
     def add_to(self, ne: "NormalEquations") -> None:
         """Accumulate ``J^T W J`` and ``J^T W r`` into the blocks of ``ne``.
 
-        Each entry sums its terms in factor order, as a loop over the
-        factors would.
+        The blocks a factor adds to one of its states land in that state's
+        slots (:func:`_slots`): slot ``c`` holds the ``c``-th row of every
+        state.  Adding the slots in order sums each entry's terms in factor
+        order, as a loop over the factors would.  The LED blocks are summed
+        by ``np.add.at``, in factor order too.
         """
         if self.r.shape[0] == 0:
             return
@@ -294,7 +297,9 @@ class FactorRows:
             blocks = [(ne.g_x[:, :d], g[a]), (ne.diag[:, :d, :d], JtW[a] @ self.jac[a])]
             if a == 0 and len(self.states) == 2:
                 blocks += [(ne.upper, JtW[0] @ self.jac[1]), (ne.lower, JtW[1] @ self.jac[0])]
-            _add_sorted(k, blocks)
+            for at, rows in _slots(k):
+                for target, values in blocks:
+                    target[at] += values[rows]
         if self.led is not None:
             m = self.led >= 0
             j, J_led = self.led[m], self.jac[-1][m]
@@ -305,18 +310,20 @@ class FactorRows:
                 np.add.at(ne.arrow_blocks[:, :, :d], (k[m], j), JtW[a][m] @ J_led)
 
 
-def _add_sorted(index: np.ndarray, blocks) -> None:
-    """``np.add.at(target, index, values)`` for each ``(target, values)`` of
-    ``blocks`` and a non-decreasing ``index``, with the same sums: each
-    index's rows are added to it in order."""
-    new = np.diff(index, prepend=-1) != 0
-    place = np.arange(index.size) - np.flatnonzero(new)[np.cumsum(new) - 1]
-    unique = new.all()
-    for c in range(place.max(initial=-1) + 1):
-        rows = slice(None) if unique else place == c  # at most one row per index
-        at = index[rows]
-        for target, values in blocks:
-            target[at] += values[rows]
+def _slots(index: np.ndarray) -> list:
+    """The slots of a non-decreasing state ``index``: ``(at, rows)`` pairs,
+    slot ``c`` taking the ``c``-th row of each state that has one to that
+    state.  When consecutive states all have ``m`` rows (the IMU and
+    constraint rows), both are slices."""
+    ks = index.tolist()
+    m = ks.count(ks[0])
+    heads = ks[::m]
+    if ks[m - 1::m] == heads == list(range(ks[0], ks[0] + len(heads))):
+        at = slice(ks[0], ks[0] + len(heads))
+        return [(at, slice(c, None, m)) for c in range(m)]
+    first = np.flatnonzero(np.diff(index, prepend=-1))
+    states, count = index[first], np.diff(first, append=index.size)
+    return [(states[count > c], first[count > c] + c) for c in range(count.max())]
 
 
 @dataclass
@@ -338,6 +345,12 @@ class NormalEquations:
     ``lower`` is kept, not taken as the transpose of ``upper``: where the
     terms of an IMU factor's cross block cancel, ``J1^T W J0`` and
     ``(J0^T W J1)^T`` differ by up to 1e-10 relative.
+
+    :func:`_reduce` fills the blocks in one order: the prior, then each
+    kind of :class:`FactorRows` (IMU, RSS, constraints) by
+    :meth:`FactorRows.add_to`, so every entry is the sum of its terms in
+    that factor order.  :meth:`eliminate` skips the LED rows' updates when
+    the window has no unknown LEDs.
     """
 
     diag: np.ndarray
@@ -430,12 +443,14 @@ class NormalEquations:
         X = np.empty_like(R[:count])
         for k in range(count):
             X[k] = np.linalg.solve(S[k], R[k])
-            C -= B[k] @ X[k, :, e:]
+            if l2:
+                C -= B[k] @ X[k, :, e:]
             if k + 1 < n:
                 LX = self.lower[k] @ X[k]
                 S[k + 1] -= LX[:, :e]
                 R[k + 1, :, e:] -= LX[:, e:]
-                B[k + 1] -= B[k] @ X[k, :, :e]
+                if l2:
+                    B[k + 1] -= B[k] @ X[k, :, :e]
         return X, S[count:], R[count:], B[count:], C
 
     def solve(self, shift=0.0) -> np.ndarray:

@@ -833,6 +833,71 @@ class TestBatchedLinearization:
         assert costs[1] == costs[0]
 
 
+def add_at_reduction(window, n_states, rows):
+    """The reduction of ``rows`` by ``np.add.at``, one factor after another
+    in row order: the marginal prior, then each kind's blocks of its first
+    state, then of its second, then its LED blocks."""
+    ne = estimator.NormalEquations.zeros(n_states, len(window.led_ids))
+    p = window.prior
+    ne.add_prior(p.hessian, p.hessian @ p.delta(window) + p.gradient)
+    for r in rows:
+        if not len(r.r):
+            continue
+        JtW = [np.swapaxes(J, 1, 2) @ r.info for J in r.jac]
+        g = [(A @ r.r[:, :, None])[:, :, 0] for A in JtW]
+        for a, k in enumerate(r.states):
+            d = r.jac[a].shape[2]
+            np.add.at(ne.g_x[:, :d], k, g[a])
+            np.add.at(ne.diag[:, :d, :d], k, JtW[a] @ r.jac[a])
+            if a == 0 and len(r.states) == 2:
+                np.add.at(ne.upper, k, JtW[0] @ r.jac[1])
+                np.add.at(ne.lower, k, JtW[1] @ r.jac[0])
+        if r.led is not None:
+            m = r.led >= 0
+            j, J_led = r.led[m], r.jac[-1][m]
+            np.add.at(ne.g_l, j, g[-1][m])
+            np.add.at(ne.led_blocks, (j, j), JtW[-1][m] @ J_led)
+            for a, k in enumerate(r.states):
+                np.add.at(ne.arrow_blocks[:, :, :r.jac[a].shape[2]], (k[m], j),
+                          JtW[a][m] @ J_led)
+    return ne
+
+
+class TestReduction:
+    """The normal equations' blocks sum each entry's terms in factor order,
+    as a per-factor ``np.add.at`` accumulation does, bit for bit."""
+
+    BLOCKS = ("diag", "upper", "lower", "arrow", "led", "g")
+
+    def window(self):
+        # Two unknown LEDs in the marginal prior, and state 3 without RSS
+        # samples, so the RSS rows skip a state and vary in number per state.
+        # Their variances are scaled down so that each RSS term moves the
+        # sums of the IMU blocks it lands on: the order of the terms shows.
+        window, _ = build_rich_window(unseen_led=True)
+        window.rss = window.rss[window.rss["state"] != 3]
+        window.rss["variance"] *= 1e-4
+        return window
+
+    def assert_same_blocks(self, ne, ref):
+        for name in self.BLOCKS:
+            np.testing.assert_array_equal(getattr(ne, name), getattr(ref, name), err_msg=name)
+
+    def test_window_pass(self):
+        window = self.window()
+        ne = normal_equations(window)
+        rss = ne.rows[1].states[0]
+        assert 3 not in rss and len(set(np.bincount(rss)[[0, 1, 2, 4]])) > 1
+        assert ne.rows[1].led is not None and (ne.rows[1].led >= 0).any()
+        self.assert_same_blocks(ne, add_at_reduction(window, window.n_states, ne.rows))
+
+    def test_marginalization_pass(self):
+        window = self.window()
+        rows = tuple(r.oldest() for r in normal_equations(window).rows)
+        self.assert_same_blocks(estimator._reduce(window, 2, rows),
+                                add_at_reduction(window, 2, rows))
+
+
 def build_single_state_window():
     """One state, unknown LED 1 and a marginal prior over both."""
     rng = np.random.default_rng(5)
