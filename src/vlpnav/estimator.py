@@ -311,10 +311,10 @@ class FactorRows:
 
 
 def _slots(index: np.ndarray) -> list:
-    """The slots of a non-decreasing state ``index``: ``(at, rows)`` pairs,
-    slot ``c`` taking the ``c``-th row of each state that has one to that
-    state.  When consecutive states all have ``m`` rows (the IMU and
-    constraint rows), both are slices."""
+    """The slots of a non-decreasing state ``index``, as ``(at, rows)``
+    pairs: slot ``c`` adds the ``c``-th row of each state that has one
+    (``rows``) to that state (``at``).  When consecutive states all have
+    ``m`` rows (the IMU and constraint rows), both are slices."""
     ks = index.tolist()
     m = ks.count(ks[0])
     heads = ks[::m]
