@@ -8,7 +8,6 @@ simulator plus reference baselines for comparison runs.
 
 from .channel import EPOCH_RSS, LedBeacon, ReceiverConfig, SampleFlag
 from .estimator import (
-    ConstraintConfig,
     EstimatorConfig,
     SlidingWindow,
     TightlyCoupledEstimator,
@@ -18,7 +17,6 @@ from .simulator import Scenario, reference_scenarios
 
 __all__ = [
     "EPOCH_RSS",
-    "ConstraintConfig",
     "EstimatorConfig",
     "ImuNoise",
     "ImuStream",

@@ -176,16 +176,6 @@ class ReceiverConfig:
         return 0.0 if abs(c) < 1e-12 else float(c)
 
 
-@dataclass(frozen=True)
-class LosGeometry:
-    """LOS vector and angle cosines between a photodiode pose and an LED."""
-
-    los_vector: np.ndarray  # PD -> LED, meters
-    distance: float
-    cos_incidence: float  # cos(psi), at the receiver
-    cos_irradiance: float  # cos(theta), at the LED
-
-
 def receiver_normal(q) -> np.ndarray:
     """Room-frame photodiode normal for attitude ``q`` (third DCM column),
     of one quaternion or a ``(K, 4)`` stack.
@@ -194,21 +184,6 @@ def receiver_normal(q) -> np.ndarray:
     ``[2(q1 q3 + q0 q2), 2(q2 q3 - q0 q1), q0^2 - q1^2 - q2^2 + q3^2]``.
     """
     return quat_to_dcm(q)[..., 2]
-
-
-def los_geometry(pd_pos, q, led: LedBeacon) -> LosGeometry:
-    pd_pos = np.asarray(pd_pos, dtype=float)
-    d_vec = led.position - pd_pos
-    dist = float(np.linalg.norm(d_vec))
-    if dist < 1e-9:
-        raise DegenerateGeometryError("photodiode coincides with LED position")
-    n_u = receiver_normal(q)
-    return LosGeometry(
-        los_vector=d_vec,
-        distance=dist,
-        cos_incidence=float(n_u @ d_vec / dist),
-        cos_irradiance=float(led.normal @ d_vec / dist),
-    )
 
 
 def gain_constant(led: LedBeacon, rx: ReceiverConfig) -> float:

@@ -30,7 +30,7 @@ from numpy.lib.recfunctions import unstructured_to_structured
 
 from .attitude import euler_from_quat
 from .channel import EPOCH_RSS, LedBeacon, LedTable, ReceiverConfig, SampleFlag
-from .estimator import ConstraintConfig, EstimatorConfig
+from .estimator import EstimatorConfig
 from .preint import ImuNoise, ImuStream
 from .records import from_record, to_record
 from .simulator import Scenario, TruthStream
@@ -246,11 +246,11 @@ def estimator_config_from_dict(d: dict, dataset: Dataset) -> EstimatorConfig:
     block of an ``estimate`` run manifest); every key is optional.  The
     base it is laid over is the dataclass defaults except: IMU noise from
     the manifest's IMU characteristics (bias walk = instability *
-    sqrt(2 / correlation time)), gravity from the manifest, the height
-    constraint (to the receiver's ``pd_height``) on for planar datasets,
-    and a 50-state window when ``d`` names unknown LEDs.  Raises
+    sqrt(2 / correlation time)), gravity from the manifest, ``use_height``
+    (the height constraint to the receiver's ``pd_height``) on for planar
+    datasets, and a 50-state window when ``d`` names unknown LEDs.  Raises
     ``ValueError`` on a key that names no field or a value of the wrong
-    type.
+    type; :class:`EstimatorConfig` raises it on a repeated unknown LED.
     """
     man = dataset.manifest
     imu_man = man["imu"]
@@ -263,7 +263,7 @@ def estimator_config_from_dict(d: dict, dataset: Dataset) -> EstimatorConfig:
             gyro_bias_walk=float(imu_man["gyro_bias_instability"] * walk),
         ),
         gravity=tuple(man["gravity"]),
-        constraints=ConstraintConfig(use_height=bool(man.get("planar", False))),
+        use_height=bool(man.get("planar", False)),
     )
     config = from_record(EstimatorConfig, d, base)
     if config.unknown_led_ids and "window_size" not in d:

@@ -1,10 +1,10 @@
 """Sliding-window tightly-coupled VLP/INS graph optimizer.
 
 A window of navigation states (one per VLP epoch) is connected by IMU
-pre-integration factors and observed by per-LED RSS factors, optional
-kinematic constraints (non-holonomic, height) and a Gaussian prior that
-carries the information of states marginalized out of the window.  The
-stacked nonlinear least-squares cost
+pre-integration factors and observed by per-LED RSS factors, the
+non-holonomic constraint (NHC) on every state, optionally a height
+constraint, and a Gaussian prior that carries the information of states
+marginalized out of the window.  The stacked nonlinear least-squares cost
 
     sum ||r_imu||^2_Sigma + sum ||r_rss||^2_sigma + sum ||r_c||^2 + prior
 
@@ -19,8 +19,8 @@ always covers the window's oldest state and then every unknown LED
 
 :func:`normal_equations` is the one evaluation of the factors: a
 stacked pass over the window in which every RSS sample (through the
-batched Lambertian model), every IMU factor and the constraints of every
-state become arrays of residuals, information and Jacobian blocks.  Each
+batched Lambertian model), every IMU factor and the constraint rows of
+every state become arrays of residuals, information and Jacobian blocks.  Each
 factor touches one state, two adjacent states or a state and an unknown
 LED, so the pass reduces them, with the prior, to a block-tridiagonal
 Hessian over the states with a border of LED columns
@@ -68,7 +68,6 @@ from .state import ERROR_DIM, StateArrays, boxminus
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ConstraintConfig",
     "EstimatorConfig",
     "LmReport",
     "MarginalPrior",
@@ -97,7 +96,9 @@ LM_LAMBDA_MAX = 1e8
 #: Variance of a flagged (blocked) RSS sample: large, so that a corrupted
 #: value carries negligible weight.
 BLOCKED_VARIANCE = 99.0
-#: m/s, 1-sigma of the NHC's lateral and vertical vehicle-frame velocity.
+#: m/s, 1-sigma of the non-holonomic constraint (NHC): a wheeled platform
+#: neither slides sideways nor leaves the floor, so the lateral and
+#: vertical components of every state's VLP-frame velocity stay near zero.
 NHC_SIGMA = 0.05
 #: m, 1-sigma of the height constraint about the receiver's ``pd_height``.
 HEIGHT_SIGMA = 0.01
@@ -118,29 +119,23 @@ INITIAL_PRIOR_INFORMATION = 1.0 / np.array(
 
 
 @dataclass(frozen=True)
-class ConstraintConfig:
-    """Which kinematic constraints the window holds: the NHC and the
-    height constraint (to the receiver's ``pd_height``)."""
-
-    use_nhc: bool = True
-    use_height: bool = False
-
-
-@dataclass(frozen=True)
 class EstimatorConfig:
-    """What a dataset or a run sets; the method's tuning values are the
-    module constants above."""
+    """What a dataset or a run sets; the method's tuning values and factors
+    (the NHC on every state among them) are the module's.  ``use_height``
+    adds the height constraint to the receiver's ``pd_height``."""
 
     imu_noise: ImuNoise
     window_size: int = 20
     gravity: tuple = (0.0, 0.0, -9.80665)
-    constraints: ConstraintConfig = field(default_factory=ConstraintConfig)
+    use_height: bool = False
     unknown_led_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         # Sliding needs a next state to carry the marginal prior.
         if self.window_size < 2:
             raise ValueError(f"window_size must be at least 2, got {self.window_size}")
+        if len(set(self.unknown_led_ids)) != len(self.unknown_led_ids):
+            raise ValueError(f"unknown_led_ids repeats an id: {list(self.unknown_led_ids)}")
 
     @property
     def gravity_vec(self) -> np.ndarray:
@@ -347,7 +342,7 @@ class NormalEquations:
     ``(J0^T W J1)^T`` differ by up to 1e-10 relative.
 
     :func:`_reduce` fills the blocks in one order: the prior, then each
-    kind of :class:`FactorRows` (IMU, RSS, constraints) by
+    kind of :class:`FactorRows` (IMU, RSS, constraint) by
     :meth:`FactorRows.add_to`, so every entry is the sum of its terms in
     that factor order.  :meth:`eliminate` skips the LED rows' updates when
     the window has no unknown LEDs.
@@ -506,32 +501,28 @@ def _rss_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
 
 
 def _constraint_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
-    """Height (``p_z - pd_height``, the receiver's) and NHC (lateral and
-    vertical vehicle-frame velocity) rows of every state."""
-    cfg = window.config.constraints
+    """Constraint rows of every state: with ``config.use_height`` the
+    height ``p_z - pd_height`` (the receiver's), then the NHC, the lateral
+    and vertical components of the VLP-frame velocity."""
     n = len(X.position)
     r, var, J = [], [], []
-    if cfg.use_height:
+    if window.config.use_height:
         row = np.zeros((n, NAV_DIM))
         row[:, 2] = 1.0
         r.append(X.position[:, 2] - window.rx.pd_height)
         var.append(HEIGHT_SIGMA**2)
         J.append(row)
-    if cfg.use_nhc:
-        Rt = np.swapaxes(R, 1, 2)
-        v_v = (Rt @ X.velocity[:, :, None])[:, :, 0]
-        S = skew(v_v)
-        for axis in (1, 2):
-            row = np.zeros((n, NAV_DIM))
-            row[:, 3:6] = Rt[:, axis]
-            row[:, 6:9] = S[:, axis]
-            r.append(v_v[:, axis])
-            var.append(NHC_SIGMA**2)
-            J.append(row)
+    Rt = np.swapaxes(R, 1, 2)
+    v_v = (Rt @ X.velocity[:, :, None])[:, :, 0]
+    S = skew(v_v)
+    for axis in (1, 2):
+        row = np.zeros((n, NAV_DIM))
+        row[:, 3:6] = Rt[:, axis]
+        row[:, 6:9] = S[:, axis]
+        r.append(v_v[:, axis])
+        var.append(NHC_SIGMA**2)
+        J.append(row)
     c = len(r)
-    if c == 0:
-        return FactorRows(np.zeros((0, 1)), np.zeros((0, 1, 1)), (np.zeros(0, dtype=int),),
-                          (np.zeros((0, 1, NAV_DIM)),))
     info = np.broadcast_to(1.0 / np.array(var)[None, :, None, None], (n, c, 1, 1))
     return FactorRows(np.stack(r, axis=1).reshape(n * c, 1), info.reshape(n * c, 1, 1),
                       (np.repeat(np.arange(n), c),),
@@ -544,7 +535,7 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
     factors.
 
     Every factor is evaluated with its Jacobian in one stacked numpy pass
-    per kind: the IMU factors, every RSS sample and the constraints of
+    per kind: the IMU factors, every RSS sample and the constraint rows of
     every state.  Which RSS samples take part is decided again at every
     pass, from the values it is given: :func:`_rss_rows` drops the samples
     whose predicted geometry is out of the FOV, degenerate or grazing at
@@ -721,8 +712,8 @@ def _marginalize_oldest(window: SlidingWindow) -> MarginalPrior | None:
     The factors are linearized once for the whole window: this reuses the
     pass :func:`solve_lm` left on the window (or takes a fresh one) and
     selects its rows of the oldest state, which are IMU factor 0 and the
-    oldest state's RSS samples and constraints.  With the old prior they
-    form a system over the two oldest states and the LEDs; its first
+    oldest state's RSS samples and constraint rows.  With the old prior
+    they form a system over the two oldest states and the LEDs; its first
     :meth:`NormalEquations.eliminate` step leaves the new prior, in which
     a term on the LEDs alone passes through unchanged.  On an indefinite
     marginal block the oldest state's factors are dropped: the new prior

@@ -1,9 +1,9 @@
 """Hand-rolled consistent mini-scenarios for estimator tests.
 
 States are propagated with the same first-order strapdown recursion the
-pre-integration assumes, so noiseless residuals vanish to round-off and
-solver tests have an exact ground truth independent of the simulator
-module.
+pre-integration assumes, along the body x axis as the non-holonomic
+constraint holds, so noiseless residuals vanish to round-off and solver
+tests have an exact ground truth independent of the simulator module.
 
 Also here: the loop forms the stacked library code replaced (normal
 equations, marginal prior, pre-integration, the per-sample DRD fold, the
@@ -12,9 +12,10 @@ over the grid that the reachable-box DRD threshold replaced, and
 single-case oracles the library no longer needs (the one-state
 ``NavState`` with its retraction, the one-factor IMU and RSS residuals and
 Jacobians, one-state dead reckoning, the dense Schur step, angular-form
-RSS, planar Jacobians, pose thresholds, the planar DRD threshold,
-first-order bias correction).  The one-interval references correct for a
-bias offset on their own, not through the library's batched correction.
+RSS, the LOS geometry of one pose, planar Jacobians, pose thresholds, the
+planar DRD threshold, first-order bias correction).  The one-interval
+references correct for a bias offset on their own, not through the
+library's batched correction.
 """
 
 import warnings
@@ -24,6 +25,7 @@ import numpy as np
 
 from vlpnav.attitude import (
     apply_small_angle,
+    quat_chain,
     quat_conjugate,
     quat_exp,
     quat_identity,
@@ -46,12 +48,11 @@ from vlpnav.channel import (
     ReceiverConfig,
     SampleFlag,
     gain_constant,
-    los_geometry,
     predict_rss,
     receiver_normal,
     rss_jacobian,
 )
-from vlpnav.estimator import HEIGHT_SIGMA, NHC_SIGMA, ConstraintConfig, _indefinite
+from vlpnav.estimator import HEIGHT_SIGMA, NHC_SIGMA, _indefinite
 from vlpnav.preint import (
     BIAS_CORRECTION_WARN_ACC,
     BIAS_CORRECTION_WARN_GYRO,
@@ -260,16 +261,23 @@ def make_leds(height=3.0, power=2e5):
             for i, (x, y) in enumerate(spots)]
 
 
-def motion_profile(t):
-    """Smooth specific-force/angular-rate test profile (room frame accel)."""
-    a = np.array([0.25 * np.sin(0.9 * t), 0.2 * np.cos(0.7 * t), 0.1 * np.sin(0.5 * t)])
-    w = np.array([0.05 * np.sin(0.6 * t), 0.08 * np.cos(0.8 * t), 0.3 * np.sin(0.4 * t)])
-    return a, w
+def drive_profile(t):
+    """Forward acceleration and VLP-frame angular rate of the test drive."""
+    w = np.stack([0.05 * np.sin(0.6 * t), 0.08 * np.cos(0.8 * t), 0.3 * np.sin(0.4 * t)], axis=-1)
+    return 0.25 * np.sin(0.9 * t), w
 
 
 def build_chain(n_epochs, epoch_dt=1.0, imu_rate=200.0, x0=None, bias_acc=None,
                 bias_gyro=None):
-    """Propagate a state chain and per-interval IMU streams, exactly consistent.
+    """Drive a state chain and per-interval IMU streams, exactly consistent.
+
+    The platform moves along its body x axis, as the NHC holds: the
+    attitude chain is integrated first, each sample's velocity is
+    ``s_i R_i e_x`` at the speed ``s_i`` and the room-frame acceleration
+    is ``(v_{i+1} - v_i) / dt``; position follows the first-order
+    recursion the pre-integration assumes.  ``x0`` gives the start's
+    time, position and attitude, and its velocity's component along body
+    x the start's speed; every state carries the given biases.
 
     Returns (states, streams) with len(states) == n_epochs and
     len(streams) == n_epochs - 1.
@@ -278,31 +286,23 @@ def build_chain(n_epochs, epoch_dt=1.0, imu_rate=200.0, x0=None, bias_acc=None,
     bg = np.zeros(3) if bias_gyro is None else np.asarray(bias_gyro, dtype=float)
     if x0 is None:
         x0 = NavState(timestamp=0.0, position=np.array([1.5, 1.5, 0.0]),
-                      velocity=np.array([0.1, 0.0, 0.0]), bias_acc=ba, bias_gyro=bg)
+                      velocity=np.array([0.1, 0.0, 0.0]))
     dt = 1.0 / imu_rate
-    states = [x0.copy()]
-    streams = []
-    p, v, q = x0.position.copy(), x0.velocity.copy(), x0.attitude.copy()
-    t = x0.timestamp
-    for k in range(n_epochs - 1):
-        n = int(round(epoch_dt * imu_rate))
-        ts = np.empty(n)
-        acc = np.empty((n, 3))
-        gyr = np.empty((n, 3))
-        for i in range(n):
-            ts[i] = t
-            a_u, w_v = motion_profile(t)
-            R = quat_to_dcm(q)
-            f_v = R.T @ (a_u - GRAVITY)
-            acc[i] = f_v + ba
-            gyr[i] = w_v + bg
-            p = p + v * dt + 0.5 * a_u * dt**2
-            v = v + a_u * dt
-            q = quat_multiply(q, np.concatenate(([1.0], 0.5 * w_v * dt)))
-            t += dt
-        streams.append(ImuStream(ts, acc, gyr))
-        states.append(NavState(timestamp=t, position=p.copy(), velocity=v.copy(),
-                               attitude=q.copy(), bias_acc=ba.copy(), bias_gyro=bg.copy()))
+    n = int(round(epoch_dt * imu_rate))
+    t = x0.timestamp + dt * np.arange((n_epochs - 1) * n + 1)
+    a_fwd, w_v = drive_profile(t)
+    q = quat_chain(x0.attitude, 0.5 * w_v[:-1] * dt)
+    R = quat_to_dcm(q)
+    speed = R[0, :, 0] @ x0.velocity + np.r_[0.0, np.cumsum(a_fwd[:-1] * dt)]
+    v = speed[:, None] * R[:, :, 0]
+    a_u = np.diff(v, axis=0) / dt
+    p = x0.position + np.r_[np.zeros((1, 3)), np.cumsum(v[:-1] * dt + 0.5 * a_u * dt**2, axis=0)]
+    acc = (np.swapaxes(R[:-1], 1, 2) @ (a_u - GRAVITY)[:, :, None])[:, :, 0] + ba
+    gyr = w_v[:-1] + bg
+    states = [NavState(float(t[i]), p[i].copy(), v[i].copy(), q[i].copy(), ba.copy(), bg.copy())
+              for i in range(0, t.size, n)]
+    streams = [ImuStream(t[i:i + n], acc[i:i + n], gyr[i:i + n])
+               for i in range(0, t.size - 1, n)]
     return states, streams
 
 
@@ -314,14 +314,15 @@ def preintegrate_chain(streams, states, rx):
     ]
 
 
-def constraint_residuals(state, cfg: ConstraintConfig,
+def constraint_residuals(state, use_height: bool = False,
                          pd_height: float = 0.0) -> np.ndarray:
     """Stacked kinematic constraint residuals for one state.
 
-    Height: ``p_z - pd_height``.  NHC: lateral and vertical components
-    of the vehicle-frame velocity.
+    Height (with ``use_height``): ``p_z - pd_height``.  NHC: lateral and
+    vertical components of the VLP-frame velocity.
     """
-    return np.array([r for r, _, _ in _constraint_terms(state, cfg, pd_height)], dtype=float)
+    return np.array([r for r, _, _ in _constraint_terms(state, use_height, pd_height)],
+                    dtype=float)
 
 
 def rss_rows(rows) -> np.ndarray:
@@ -344,26 +345,25 @@ def exact_rss(state, leds, rx, variance=0.01):
 # with the per-factor constraint rows and IMU Jacobians it is built from.
 
 
-def _constraint_terms(state, cfg: ConstraintConfig, pd_height: float):
+def _constraint_terms(state, use_height: bool, pd_height: float):
     """(residual, variance, 15-dim jacobian row) triples for one state.
 
-    Height: ``p_z - pd_height``.  NHC: lateral and vertical components
-    of the vehicle-frame velocity.
+    Height (with ``use_height``): ``p_z - pd_height``.  NHC: lateral and
+    vertical components of the VLP-frame velocity.
     """
     out = []
-    if cfg.use_height:
+    if use_height:
         row = np.zeros(ERROR_DIM)
         row[2] = 1.0
         out.append((state.position[2] - pd_height, HEIGHT_SIGMA**2, row))
-    if cfg.use_nhc:
-        R = quat_to_dcm(state.attitude)
-        v_v = R.T @ state.velocity
-        S = skew(v_v)
-        for axis in (1, 2):
-            row = np.zeros(ERROR_DIM)
-            row[3:6] = R.T[axis]
-            row[6:9] = S[axis]
-            out.append((v_v[axis], NHC_SIGMA**2, row))
+    R = quat_to_dcm(state.attitude)
+    v_v = R.T @ state.velocity
+    S = skew(v_v)
+    for axis in (1, 2):
+        row = np.zeros(ERROR_DIM)
+        row[3:6] = R.T[axis]
+        row[6:9] = S[axis]
+        out.append((v_v[axis], NHC_SIGMA**2, row))
     return out
 
 
@@ -460,7 +460,7 @@ def _loop_factors(window, leds, state_ids, n_x, add):
                 blocks.append((led_col[led.led_id], led_block[None, :]))
             add(blocks, r, np.atleast_2d(1.0 / s["variance"]))
     for k in state_ids:
-        for r, var, row in _constraint_terms(states[k], cfg.constraints, window.rx.pd_height):
+        for r, var, row in _constraint_terms(states[k], cfg.use_height, window.rx.pd_height):
             add([(ERROR_DIM * k, row[None, :])], r, np.atleast_2d(1.0 / var))
 
 
@@ -603,9 +603,35 @@ def bias_corrected(pre, bias_acc, bias_gyro):
 
 
 # ---------------------------------------------------------------------------
-# Single-pose and single-stream forms the library does without: oracles
-# for the channel model and the DRD detector, the heading-information
-# diagnostic and the DCM-to-quaternion inverse.
+# Single-pose and single-stream forms the library does without: the LOS
+# geometry of one pose, oracles for the channel model and the DRD
+# detector, the heading-information diagnostic and the DCM-to-quaternion
+# inverse.
+
+
+@dataclass(frozen=True)
+class LosGeometry:
+    """LOS vector and angle cosines between a photodiode pose and an LED."""
+
+    los_vector: np.ndarray  # PD -> LED, meters
+    distance: float
+    cos_incidence: float  # cos(psi), at the receiver
+    cos_irradiance: float  # cos(theta), at the LED
+
+
+def los_geometry(pd_pos, q, led: LedBeacon) -> LosGeometry:
+    pd_pos = np.asarray(pd_pos, dtype=float)
+    d_vec = led.position - pd_pos
+    dist = float(np.linalg.norm(d_vec))
+    if dist < 1e-9:
+        raise DegenerateGeometryError("photodiode coincides with LED position")
+    n_u = receiver_normal(q)
+    return LosGeometry(
+        los_vector=d_vec,
+        distance=dist,
+        cos_incidence=float(n_u @ d_vec / dist),
+        cos_irradiance=float(led.normal @ d_vec / dist),
+    )
 
 
 def predict_rss_angular(pd_pos, q, led: LedBeacon, rx: ReceiverConfig) -> float | None:

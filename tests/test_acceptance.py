@@ -40,6 +40,7 @@ from _synthetic import (
     NavState,
     exact_rss,
     imu_residual,
+    los_geometry,
     make_leds,
     make_rx,
     rss_jacobian_2d,
@@ -185,8 +186,6 @@ class TestCriterion3Jacobians:
             q = quat_from_euler(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
                                 rng.uniform(-np.pi, np.pi))
             led = leds[int(rng.integers(len(leds)))]
-            from vlpnav.channel import los_geometry
-
             geo = los_geometry(pd, q, led)
             if geo.cos_incidence < 0.25 or geo.cos_irradiance < 0.25:
                 continue
@@ -265,14 +264,14 @@ class TestCriterion3Jacobians:
 
 class TestCriterion4HeadingUnobservable:
     def test_information_matrix_null_direction(self):
-        from vlpnav.estimator import EstimatorConfig, SlidingWindow, ConstraintConfig
+        from vlpnav.estimator import EstimatorConfig, SlidingWindow
         from _synthetic import NOISE
 
         rng = np.random.default_rng(200)
         leds = make_leds()
         rx = make_rx()  # zero lever arm: the pure channel-model claim
-        config = EstimatorConfig(imu_noise=NOISE,
-                                 constraints=ConstraintConfig(use_nhc=False))
+        # The state is at rest: the NHC rows hold its velocity, not its attitude.
+        config = EstimatorConfig(imu_noise=NOISE)
         worst = 0.0
         for _ in range(50):
             window = SlidingWindow(config, LedTable.of(leds, rx), rx)

@@ -14,7 +14,6 @@ from vlpnav.channel import (
     LedBeacon,
     ReceiverConfig,
     lambertian,
-    los_geometry,
     predict_rss,
     receiver_normal,
     rss_jacobian,
@@ -22,6 +21,7 @@ from vlpnav.channel import (
 
 from _synthetic import (
     heading_information,
+    los_geometry,
     predict_rss_angular,
     rss_jacobian_2d,
     unknown_led_jacobian,

@@ -306,6 +306,10 @@ class TestEstimate:
         '{"lm": {"max_iterations": 20}}', '{"prior": {"heading": 0.01}}',
         '{"blocked_variance": 50.0}', '{"unknown_led_prior_sigma": 5.0}',
         '{"constraints": {"nhc_sigma": 0.1}}', '{"constraints": {"height_sigma": 0.02}}',
+        # The NHC is part of the method, and the height switch is flat.
+        '{"constraints": {"use_height": true}}', '{"use_nhc": true}',
+        pytest.param(["--unknown-leds", "5,5"], id="repeated unknown LED"),
+        pytest.param('{"unknown_led_ids": [5, 5]}', id="config repeated unknown LED"),
         *(pytest.param(["--unknown-leds", "5", "--led-init", v], id=f"led_init {v}")
           for v in ("5=2.0", "7=2.0,1.0", "5=2.0,1.0,0.5", "5", "x=1,2", "5=a,b", "5=nan,1")),
         pytest.param(["--led-init", "5=2.0,1.0"], id="led_init without unknown LEDs"),
@@ -348,11 +352,12 @@ class TestEstimate:
     def test_manifest_config_reproduces_run(self, mini_dataset, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"constraints": {"use_nhc": False}}))
+        # mini is not planar: the height constraint is off unless set.
+        cfg.write_text(json.dumps({"use_height": True}))
         assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
                      "--config", str(cfg), "--out", str(first)]) == 0
         config = json.loads((first / "manifest.json").read_text())["config"]
-        assert config["constraints"]["use_nhc"] is False
+        assert config["use_height"] is True
         cfg.write_text(json.dumps(config))
         assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
                      "--config", str(cfg), "--out", str(second)]) == 0

@@ -13,8 +13,8 @@ from vlpnav.estimator import (
     BLOCKED_VARIANCE,
     HEIGHT_SIGMA,
     INITIAL_PRIOR_INFORMATION,
+    NHC_SIGMA,
     UNKNOWN_LED_PRIOR_SIGMA,
-    ConstraintConfig,
     EstimatorConfig,
     MarginalPrior,
     SlidingWindow,
@@ -44,6 +44,7 @@ from _synthetic import (
     preintegrate_chain,
     rss_rows,
     schur_marginalize,
+    stack_states,
     vlp_jacobian_row,
     vlp_residual,
 )
@@ -56,7 +57,6 @@ def make_config(**kw):
     defaults = dict(
         imu_noise=NOISE,
         window_size=8,
-        constraints=ConstraintConfig(use_nhc=False),
         gravity=tuple(GRAVITY),
     )
     defaults.update(kw)
@@ -170,23 +170,62 @@ class TestVlpJacobianRow:
 
 class TestConstraints:
     def test_height_zero_at_reference(self):
-        cfg = ConstraintConfig(use_nhc=False, use_height=True)
+        # The height row comes first, then the NHC's two; at rest all vanish.
         state = NavState(0.0, position=np.array([1.0, 1.0, 0.3]))
-        np.testing.assert_allclose(constraint_residuals(state, cfg, pd_height=0.3), [0.0],
-                                   atol=1e-15)
+        np.testing.assert_allclose(constraint_residuals(state, True, pd_height=0.3),
+                                   [0.0, 0.0, 0.0], atol=1e-15)
+        state.position[2] = 0.5
+        np.testing.assert_allclose(constraint_residuals(state, True, pd_height=0.3),
+                                   [0.2, 0.0, 0.0], atol=1e-15)
 
     def test_nhc_zero_for_forward_motion(self):
-        cfg = ConstraintConfig(use_nhc=True)
         yaw = 0.8
         state = NavState(0.0, velocity=0.4 * np.array([np.cos(yaw), np.sin(yaw), 0.0]),
                          attitude=quat_from_euler(0.0, 0.0, yaw))
-        np.testing.assert_allclose(constraint_residuals(state, cfg), 0.0, atol=1e-12)
+        np.testing.assert_allclose(constraint_residuals(state), 0.0, atol=1e-12)
 
     def test_nhc_lateral_slide(self):
-        cfg = ConstraintConfig(use_nhc=True)
         state = NavState(0.0, velocity=np.array([0.0, 0.1, 0.0]))  # pure +y at yaw 0
-        r = constraint_residuals(state, cfg)
-        np.testing.assert_allclose(r, [0.1, 0.0], atol=1e-15)
+        np.testing.assert_allclose(constraint_residuals(state), [0.1, 0.0], atol=1e-15)
+
+    def test_synthetic_chain_obeys_nhc(self):
+        # The windows of these tests drive along the body x axis, so the
+        # NHC rows every window holds vanish at the truth.
+        states, _ = build_chain(25)
+        for s in states:
+            np.testing.assert_allclose(constraint_residuals(s), 0.0, atol=1e-14)
+        assert np.linalg.norm(states[-1].position - states[0].position) > 1.0
+
+    @pytest.mark.parametrize("use_height", [False, True])
+    def test_rows_match_finite_differences(self, use_height):
+        # The rows the estimator runs, on moving states with nonzero roll,
+        # pitch and yaw whose velocities leave the body x axis, against
+        # central differences over the position, velocity and attitude dims.
+        rng = np.random.default_rng(8)
+        states = stack_states([
+            NavState(float(k), position=rng.uniform(0.5, 2.5, 3),
+                     velocity=rng.normal(0.0, 0.3, 3),
+                     attitude=quat_from_euler(*rng.uniform(-0.4, 0.4, 2),
+                                              rng.uniform(-np.pi, np.pi)))
+            for k in range(4)])
+        window = fresh_window(make_config(use_height=use_height), rx=make_rx(pd_height=0.1))
+
+        def rows(X):
+            return estimator._constraint_rows(window, X, quat_to_dcm(X.attitude))
+
+        at = rows(states)
+        n_rows = 3 if use_height else 2
+        np.testing.assert_array_equal(at.states[0], np.repeat(np.arange(4), n_rows))
+        assert np.abs(at.r[n_rows - 2::n_rows]).min() > 0.01  # the NHC rows do not vanish
+        # atol: residuals of O(1) rounded, then differenced over 2h, where
+        # an entry of the Jacobian is exactly zero.
+        h = 1e-6
+        for dim in range(estimator.NAV_DIM):
+            dx = np.zeros((len(states), ERROR_DIM))
+            dx[:, dim] = h
+            fd = (rows(states.perturb(dx)).r - rows(states.perturb(-dx)).r) / (2 * h)
+            np.testing.assert_allclose(at.jac[0][:, :, dim], fd, rtol=1e-6, atol=1e-9,
+                                       err_msg=f"dim {dim}")
 
 
 def build_exact_window(n=4, lever=(0.0, 0.0, 0.0), config=None):
@@ -214,7 +253,11 @@ class TestAssemble:
         window.append(0, state.row(), None, rss_rows([(0.0, LEDS[0].led_id, 0.4, 0.02)]))
         H, g, cost = assemble_cost(window)
         row, _ = vlp_jacobian_row(state, LEDS[0], RX)
-        expected = np.outer(row, row) / 0.02
+        # At rest and level, the NHC rows add the information of the
+        # lateral and vertical velocity and nothing else.
+        nhc = np.zeros((ERROR_DIM, ERROR_DIM))
+        nhc[4, 4] = nhc[5, 5] = 1.0 / NHC_SIGMA**2
+        expected = np.outer(row, row) / 0.02 + nhc
         np.testing.assert_allclose(H, expected, atol=1e-18)
         r = vlp_residual(state, 0.4, LEDS[0], RX)
         assert cost == pytest.approx(0.5 * r * r / 0.02)
@@ -279,8 +322,9 @@ class TestSolveLm:
 
     def test_pure_quadratic_one_undamped_step(self, monkeypatch):
         # Position-only quadratic: prior plus a height factor; attitude at
-        # linearization so no retraction nonlinearity enters.
-        config = make_config(constraints=ConstraintConfig(use_nhc=False, use_height=True))
+        # linearization so no retraction nonlinearity enters.  The state is
+        # at rest, so the NHC rows' residuals are zero and stay zero.
+        config = make_config(use_height=True)
         window = fresh_window(config, leds=[], rx=make_rx(pd_height=0.5))
         x_lin = NavState(0.0, position=np.array([1.0, 1.0, 0.2]))
         window.append(0, x_lin.row(), None, rss_rows([]))
@@ -360,15 +404,18 @@ class TestSolveLm:
         assert its[4].lam == max(its[3].lam * 2.0, 1e-6)
 
     def test_damping_on_a_window_that_rejects_steps(self):
-        # Unspoiled: the unseen-LED rich window rejects undamped steps, and
-        # LM then accepts damped ones with rho well below 1, where Nielsen's
-        # factor is above 1/3.  The lambda of every trial point follows
-        # from the report's own gain ratios, bit for bit.
-        report = solve_lm(build_rich_window(unseen_led=True)[0])
+        # Unspoiled: the unseen-LED rich window, moved far off its truth,
+        # rejects an undamped step (rho near -1), and LM then accepts damped
+        # ones, most with rho well below 1, where Nielsen's factor is above
+        # 1/3.  The lambda of every trial point follows from the report's
+        # own gain ratios, bit for bit.
+        window = build_rich_window(unseen_led=True)[0]
+        rng = np.random.default_rng(27)
+        window.states = window.states.perturb(0.3 * rng.normal(size=(window.n_states, ERROR_DIM)))
+        report = solve_lm(window)
         its = report.iterations
-        assert (report.stop, len(its)) == ("model", 18)
-        assert [it.accepted for it in its] == ([True] * 2 + [False] + [True] * 9 + [False]
-                                               + [True] * 2 + [False] * 3)
+        assert (report.stop, len(its)) == ("model", 19)
+        assert [it.accepted for it in its] == [True] * 3 + [False] + [True] * 15
         lam, nu = 0.0, 2.0
         for it in its:
             assert it.lam == lam
@@ -376,17 +423,18 @@ class TestSolveLm:
                 lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * it.rho - 1.0) ** 3), 2.0
             else:
                 lam, nu = max(lam * nu, 1e-6), 2.0 * nu
-        assert [it.lam for it in its[2:6]] == pytest.approx(
-            [0.0, 1e-6, 7.57712e-7, 2.52571e-7], rel=1e-5)
-        assert its[3].accepted and its[3].rho == pytest.approx(0.811708, rel=1e-5)
+        assert its[3].rho == pytest.approx(-0.971223, rel=1e-5)
+        assert [it.lam for it in its[3:8]] == pytest.approx(
+            [0.0, 1e-6, 3.33333e-7, 1.11111e-7, 7.0901e-8], rel=1e-5)
+        assert its[6].accepted and its[6].rho == pytest.approx(0.856311, rel=1e-5)
 
     def test_stop_is_relative_to_the_cost(self):
-        # A zero-residual window started far off: the cost falls from 5e4
-        # to 1e-24 in six accepted Gauss-Newton steps.  The sixth step's
-        # predicted decrease (5e-12) is far above 1e-8 of the cost it starts
+        # A zero-residual window started far off: the cost falls from 1.5e5
+        # to 1e-23 in six accepted Gauss-Newton steps.  The sixth step's
+        # predicted decrease (5e-10) is far above 1e-8 of the cost it starts
         # from, so it is taken; the seventh is shorter than step_norm_tol.
         window, _ = build_exact_window(n=5)
-        rng = np.random.default_rng(2)
+        rng = np.random.default_rng(3)
         dx = np.zeros((window.n_states, ERROR_DIM))
         for row in dx:
             row[0:3] = rng.uniform(-0.3, 0.3, 3)
@@ -396,7 +444,7 @@ class TestSolveLm:
         its = report.iterations
         assert (report.stop, report.converged) == ("step", True)
         assert [it.accepted for it in its] == [True] * 6
-        assert its[0].cost == pytest.approx(5.38e4, rel=1e-3)
+        assert its[0].cost == pytest.approx(1.452e5, rel=1e-3)
         assert its[-1].predicted < 1e-8 and its[-1].cost < 1e-20
 
     def test_cost_non_increasing(self):
@@ -622,11 +670,13 @@ class TestDop:
 
 class TestUnknownLeds:
     def test_recovery_from_offset_guess(self):
-        # Well-spread trajectory: the vehicle translates diagonally through
+        # Well-spread trajectory: the vehicle drives diagonally through
         # the room so the bearing to the unknown LED sweeps a wide arc.
         n = 25
+        yaw = math.atan2(0.14, 0.22)
         x0 = NavState(timestamp=0.0, position=np.array([0.3, 0.6, 0.0]),
-                      velocity=np.array([0.22, 0.14, 0.0]))
+                      velocity=0.26 * np.array([math.cos(yaw), math.sin(yaw), 0.0]),
+                      attitude=quat_from_euler(0.0, 0.0, yaw))
         states, streams = build_chain(n, x0=x0)
         pres = preintegrate_chain(streams, states, RX)
         unknown_id = LEDS[0].led_id
@@ -696,8 +746,8 @@ def build_rich_window(unseen_led=False):
     """A window with every special case the RSS and prior code paths have.
 
     Unknown LED 1 (0.2 m off), a blocked sample, an out-of-FOV LED, a LED
-    sitting at one epoch's photodiode (degenerate), a lever arm, NHC and
-    height constraints, and a marginal prior on the oldest state and the
+    sitting at one epoch's photodiode (degenerate), a lever arm, the NHC
+    and height rows, and a marginal prior on the oldest state and the
     unknown LED.  States sit off the truth and measurements carry noise,
     so no residual vanishes.  With ``unseen_led``, LED 3 is unknown too
     (0.14 m off) and in the prior, but missing from epoch 0's samples: no
@@ -715,8 +765,7 @@ def build_rich_window(unseen_led=False):
         LedBeacon(led_id=8, position=np.array([12.0, 1.5, 3.0]), power=2e5),  # outside FOV
         LedBeacon(led_id=9, position=pd2, power=2e5),  # at epoch 2's photodiode
     ]
-    config = make_config(constraints=ConstraintConfig(use_nhc=True, use_height=True),
-                         unknown_led_ids=(1, 3) if unseen_led else (1,))
+    config = make_config(use_height=True, unknown_led_ids=(1, 3) if unseen_led else (1,))
     window = fresh_window(config, leds=leds, rx=rx, led_init={
         1: LEDS[0].position[:2] + np.array([0.2, -0.15]),
         3: LEDS[2].position[:2] + np.array([-0.1, 0.1])})

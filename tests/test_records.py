@@ -8,7 +8,6 @@ from vlpnav.blockage import DetectionSpec
 from vlpnav.channel import LedBeacon, ReceiverConfig
 from vlpnav.cli import build_detector, main
 from vlpnav.dataio import estimator_config_from_dict, load_dataset
-from vlpnav.estimator import ConstraintConfig
 from vlpnav.preint import ImuNoise
 from vlpnav.records import from_record, to_record
 from vlpnav.simulator import RssSpec, Scenario, reference_scenarios
@@ -27,11 +26,12 @@ def mini(mini_dataset):
     return load_dataset(mini_dataset)
 
 
-#: What a dataset or a run sets; the method's tuning values are estimator constants.
+#: What a dataset or a run sets; the method's tuning values and factors (the
+#: NHC among them) are the estimator's.
 SETTABLE = {
     ".imu_noise.accel_density", ".imu_noise.gyro_density", ".imu_noise.accel_bias_walk",
-    ".imu_noise.gyro_bias_walk", ".window_size", ".gravity", ".constraints.use_nhc",
-    ".constraints.use_height", ".unknown_led_ids",
+    ".imu_noise.gyro_bias_walk", ".window_size", ".gravity", ".use_height",
+    ".unknown_led_ids",
 }
 
 
@@ -41,7 +41,7 @@ class TestEstimatorConfig:
         cfg = replace(
             base, window_size=7, gravity=(0.0, 0.0, -9.8),
             imu_noise=ImuNoise(1e-3, 2e-4, 3e-5, 4e-6),
-            constraints=ConstraintConfig(use_nhc=False, use_height=True),
+            use_height=not base.use_height,
             unknown_led_ids=(2, 5))
         base_leaves = dict(leaves(to_record(base)))
         assert set(base_leaves) == SETTABLE
@@ -56,7 +56,7 @@ class TestEstimatorConfig:
         assert cfg.imu_noise.accel_density == imu["accel_noise_density"]
         assert cfg.gravity == tuple(mini.manifest["gravity"])
         assert cfg.window_size == 20
-        assert cfg.constraints.use_height is mini.manifest["planar"]
+        assert cfg.use_height is mini.manifest["planar"]
 
     def test_section_overlays_dataset_base(self, mini):
         base = estimator_config_from_dict({}, mini)
@@ -75,13 +75,13 @@ class TestEstimatorConfig:
         ({"windowsize": 5}, "unknown field"),
         ({"constraints": {"use_nhc": False, "nhc": 1.0}}, "unknown field"),
         ({"use_nhc": False}, "unknown field"),
-        ({"constraints": 5}, "expected an object"),
+        ({"imu_noise": 5}, "expected an object"),
         ({"window_size": "5"}, "expected int"),
         ({"window_size": 5.5}, "expected int"),
-        ({"constraints": {"use_nhc": 0}}, "expected bool"),
+        ({"use_height": 0}, "expected bool"),
         ({"gravity": 9.8}, "expected a list"),
         ({"unknown_led_ids": ["a"]}, "expected int"),
-        ({"constraints": {"pd_height": 0.3}}, "unknown field"),  # the receiver's
+        ({"pd_height": 0.3}, "unknown field"),  # the receiver's
         # The method's tuning values are estimator constants, not settings.
         ({"lm": {"max_iterations": 20}}, "unknown field"),
         ({"prior": {"heading": 0.01}}, "unknown field"),
@@ -89,6 +89,10 @@ class TestEstimatorConfig:
         ({"unknown_led_prior_sigma": 5.0}, "unknown field"),
         ({"constraints": {"nhc_sigma": 0.1}}, "unknown field"),
         ({"constraints": {"height_sigma": 0.02}}, "unknown field"),
+        # The NHC is part of the method, and the height switch is flat.
+        ({"constraints": {"use_height": True}}, "unknown field"),
+        ({"use_nhc": True}, "unknown field"),
+        ({"unknown_led_ids": [5, 5]}, "repeats an id"),
     ])
     def test_bad_record_rejected(self, mini, d, message):
         with pytest.raises(ValueError, match=message):
