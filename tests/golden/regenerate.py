@@ -24,6 +24,10 @@ SEED = 3
 RUNS = {
     "tc": ["--mode", "tc"],
     "tc_unknown_led5_w20": ["--mode", "tc", "--unknown-leds", "5", "--window", "20"],
+    "tc_no_drd": ["--mode", "tc", "--no-drd"],
+    "lc": ["--mode", "lc"],
+    "vlp_only_level": ["--mode", "vlp_only", "--vlp-variant", "level"],
+    "vlp_only_tilt": ["--mode", "vlp_only", "--vlp-variant", "tilt"],
 }
 
 
