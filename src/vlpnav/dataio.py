@@ -32,7 +32,7 @@ from .attitude import euler_from_quat
 from .channel import EPOCH_RSS, LedBeacon, LedTable, ReceiverConfig, SampleFlag
 from .estimator import EstimatorConfig
 from .preint import ImuNoise, ImuStream
-from .records import from_record, to_record
+from .records import decode, from_record, to_record
 from .simulator import Scenario, TruthStream
 from .state import StateArrays
 
@@ -192,6 +192,7 @@ def _require(ok, path, what: str) -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset directory.  Raises ``ValueError`` naming the file when
+    ``leds.json`` is not a list of LED records or repeats an id, when
     ``imu.csv``, ``rss_raw.csv`` or ``rss_epoch.csv`` has no rows or rows of
     the wrong length, when an RSS file names an LED that is not in
     ``leds.json``, when ``rss_epoch.csv`` holds a negative value, a
@@ -203,13 +204,18 @@ def load_dataset(path) -> Dataset:
     if not (path / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
     manifest = json.loads((path / "manifest.json").read_text())
-    leds = [LedBeacon.from_record(r) for r in json.loads((path / "leds.json").read_text())]
+    try:
+        leds = [LedBeacon.from_record(r)
+                for r in decode(tuple, json.loads((path / "leds.json").read_text()), "LED records")]
+    except ValueError as e:
+        raise ValueError(f"{path / 'leds.json'}: {e}") from e
+    led_ids = [led.led_id for led in leds]
+    _require(len(set(led_ids)) == len(led_ids), path / "leds.json", "the map repeats an id")
     receiver = ReceiverConfig.from_record(manifest["receiver"])
 
     imu_arr = _read_rows(path / "imu.csv", 7)
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
 
-    led_ids = [led.led_id for led in leds]
     raw = _read_rows(path / "rss_raw.csv", 3)
     _require(np.isin(raw[:, 1], led_ids), path / "rss_raw.csv", "an LED id is not in leds.json")
     # DRD divides by the spacing of each LED's rows, in file order.

@@ -179,6 +179,20 @@ class TestMalformedDataset:
         assert "rss_raw.csv: an LED's timestamps do not increase" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [{"id": "1"}, {"id": 2}, {"power_w": 1.0}],
+                             ids=["string id", "repeated id", "unknown key"])
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_bad_led_record_exit_2(self, mini_dataset, tmp_path, capsys, command, edit):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        leds = json.loads((data / "leds.json").read_text())
+        leds[0] |= edit
+        (data / "leds.json").write_text(json.dumps(leds))
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), "--out", str(out)]) == 2
+        assert "leds.json: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_detect_one_raw_row(self, mini_dataset, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(mini_dataset, data)
