@@ -157,11 +157,10 @@ def initial_state(dataset, epoch) -> StateArrays:
     pre_mask = dataset.imu.timestamps < t0
     accel = dataset.imu.accel[pre_mask] if pre_mask.any() else dataset.imu.accel[:50]
     roll, pitch = static_leveling(accel)
-    yaw = float(dataset.manifest["initial_heading_rad"])
-    q0 = quat_from_euler(roll, pitch, yaw)
+    q0 = quat_from_euler(roll, pitch, dataset.initial_heading_rad)
     room = dataset.room
     p0 = 0.5 * (room[0] + room[1])
-    p0[2] = float(np.mean(dataset.manifest["vehicle_z_range"]))
+    p0[2] = float(np.mean(dataset.vehicle_z_range))
     fix = solve_position_rss(samples0, dataset.led_table, dataset.receiver, q0, p0, room)
     if fix is not None:
         # The fix locates the photodiode; shift back by the lever arm.
@@ -189,8 +188,8 @@ def vlp_only_trajectory(dataset, flags_by_epoch, variant: str = "level"):
     number of failed epochs, left out or repeated.
     """
     rx, table, bounds = dataset.receiver, dataset.led_table, dataset.room
-    z_mid = float(np.mean(dataset.manifest["vehicle_z_range"]))
-    yaw = float(dataset.manifest["initial_heading_rad"])
+    z_mid = float(np.mean(dataset.vehicle_z_range))
+    yaw = dataset.initial_heading_rad
     level_q = np.array([1.0, 0.0, 0.0, 0.0])
     # The tilt variant fixes the photodiode height: vehicle height plus the
     # (level-attitude) vertical lever-arm offset.
@@ -277,9 +276,8 @@ def run_loosely_coupled(dataset, flags_by_epoch) -> StateArrays:
     P = np.diag([0.05**2] * 3 + [0.05**2] * 3)
     # Process noise: accelerometer white noise plus attitude-drift-induced
     # acceleration error, lumped as an isotropic acceleration density.
-    imu_man = dataset.manifest["imu"]
-    q_acc = (imu_man["accel_noise_density"] + 9.81 * imu_man["gyro_bias_instability"]
-             * 50.0) ** 2
+    spec = dataset.imu_spec
+    q_acc = (spec.accel_noise_density + 9.81 * spec.gyro_bias_instability * 50.0) ** 2
 
     ts = imu.timestamps
     dts = np.diff(ts)

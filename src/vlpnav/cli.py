@@ -20,25 +20,18 @@ import numpy as np
 
 from .attitude import euler_from_quat
 from .baselines import initial_state, run_loosely_coupled, vlp_only_trajectory
-from .blockage import DetectionSpec, DrdDetector, annotate_epochs
+from .blockage import DrdDetector, annotate_epochs
 from .channel import SampleFlag
-from .dataio import (
-    Dataset,
-    estimator_config_from_dict,
-    load_dataset,
-    load_trajectory,
-    write_csv,
-    write_dataset,
-)
-from .estimator import STOP_REASONS, TightlyCoupledEstimator, estimate_unknown_leds
+from .dataio import Dataset, load_dataset, load_trajectory, write_csv, write_dataset
+from .estimator import STOP_REASONS, EstimatorConfig, TightlyCoupledEstimator, estimate_unknown_leds
 from .metrics import (
     DisjointTimeRangesError,
     detection_scores,
     evaluate_run,
     save_cdf_csv,
 )
-from .preint import preintegrate
-from .records import from_record, to_record
+from .preint import ImuNoise, preintegrate
+from .records import to_record
 from .simulator import (
     Scenario,
     generate_trajectory,
@@ -103,17 +96,13 @@ def cmd_simulate(args) -> int:
 
 
 def build_detector(dataset: Dataset) -> DrdDetector:
-    """DRD over the vehicle's reachable box; omitted ``detection`` keys take the defaults."""
-    man = dataset.manifest
-    try:
-        cfg = from_record(DetectionSpec, man.get("detection"))
-    except ValueError as e:
-        raise InputError(f"invalid manifest detection record: {e}") from e
-    z_lo, z_hi = man["vehicle_z_range"]
-    room_min, room_max = dataset.room
+    """DRD over the vehicle's reachable box: the room box, its z range cut
+    to the vehicle's heights widened by 0.1 m."""
+    z_lo, z_hi = dataset.vehicle_z_range
+    room_min, room_max = (bound.copy() for bound in dataset.room)
     room_min[2] = max(z_lo - 0.1, room_min[2])
     room_max[2] = min(z_hi + 0.1, room_max[2])
-    return DrdDetector.for_scene(cfg, dataset.leds, room_min, room_max)
+    return DrdDetector.for_scene(dataset.detection, dataset.leds, room_min, room_max)
 
 
 def run_detection(dataset: Dataset):
@@ -126,7 +115,7 @@ def run_detection(dataset: Dataset):
     tag, counter)`` are sorted by time, then LED.
     """
     detector = build_detector(dataset)
-    window = float(dataset.manifest["epoch_window_s"])
+    window = dataset.epoch_window_s
     raw = dataset.raw
     try:
         out = detector.run(raw[:, 0], raw[:, 1], raw[:, 2])
@@ -238,8 +227,7 @@ def cmd_estimate(args) -> int:
     elif mode == "lc":
         traj = run_loosely_coupled(dataset, flags)
     elif mode == "vlp_only":
-        variant = args.vlp_variant or ("tilt" if dataset.manifest.get("planar")
-                                       else "level")
+        variant = args.vlp_variant or ("tilt" if dataset.planar else "level")
         traj, n_fix_failures = vlp_only_trajectory(dataset, flags, variant=variant)
         if not len(traj):
             raise InputError("VLP-only produced no fixes; dataset unusable")
@@ -288,18 +276,32 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _estimator_config(args, dataset: Dataset):
-    """The ``--config`` record, with ``--window`` and ``--unknown-leds`` laid over it;
-    unknown LEDs must be on the map, and only ``--mode tc`` estimates them."""
+def estimator_config(dataset: Dataset, window: int | None = None,
+                     unknown_led_ids=()) -> EstimatorConfig:
+    """The estimator's settings.  The dataset sets the IMU noise (each bias
+    walk is the bias instability times ``sqrt(2 / bias_corr_time)``),
+    gravity and, on planar datasets, the height constraint; the run sets
+    the window (``window``, else 50 states with unknown LEDs and 20
+    without) and the unknown LEDs.  Raises ``ValueError`` on a window under
+    2 or a repeated LED."""
+    spec = dataset.imu_spec
+    walk = np.sqrt(2.0 / spec.bias_corr_time)
+    return EstimatorConfig(
+        imu_noise=ImuNoise(spec.accel_noise_density, spec.gyro_noise_density,
+                           float(spec.accel_bias_instability * walk),
+                           float(spec.gyro_bias_instability * walk)),
+        window_size=window if window is not None else 50 if unknown_led_ids else 20,
+        gravity=dataset.gravity, use_height=dataset.planar,
+        unknown_led_ids=tuple(unknown_led_ids))
+
+
+def _estimator_config(args, dataset: Dataset) -> EstimatorConfig:
+    """The run's :func:`estimator_config`, from ``--window`` and
+    ``--unknown-leds``; unknown LEDs must be on the map, and only ``--mode
+    tc`` estimates them."""
     try:
-        d = json.loads(Path(args.config).read_text()) if args.config else {}
-        if not isinstance(d, dict):
-            raise ValueError("expected a JSON object")
-        if args.window is not None:
-            d["window_size"] = args.window
-        if args.unknown_leds:
-            d["unknown_led_ids"] = [int(x) for x in args.unknown_leds.split(",")]
-        config = estimator_config_from_dict(d, dataset)
+        ids = [int(x) for x in args.unknown_leds.split(",")] if args.unknown_leds else ()
+        config = estimator_config(dataset, args.window, ids)
     except ValueError as e:
         raise InputError(f"invalid estimator config: {e}") from e
     off_map = set(config.unknown_led_ids) - {led.led_id for led in dataset.leds}
@@ -333,8 +335,8 @@ def _unknown_init(args, dataset: Dataset, config) -> dict:
 
 def _dataset_hash(dataset: Dataset) -> str:
     h = hashlib.sha256()
-    for name in sorted(dataset.manifest.get("file_sha256", {})):
-        h.update(dataset.manifest["file_sha256"][name].encode())
+    for name in sorted(dataset.file_sha256):
+        h.update(dataset.file_sha256[name].encode())
     return h.hexdigest()
 
 
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate a trajectory from a dataset")
     p_est.add_argument("--dataset", required=True)
-    p_est.add_argument("--config", default=None, help="estimator config JSON")
     p_est.add_argument("--mode", choices=("tc", "lc", "vlp_only"), default="tc")
     p_est.add_argument("--no-drd", action="store_true",
                        help="skip blockage detection (treat all samples as LOS)")

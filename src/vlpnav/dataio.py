@@ -1,4 +1,4 @@
-"""Dataset directory formats and configuration files.
+"""Dataset directory formats: the writer and the one reader of each file.
 
 A simulated dataset directory contains:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import metadata as _metadata
 from pathlib import Path
@@ -29,11 +29,11 @@ import numpy as np
 from numpy.lib.recfunctions import unstructured_to_structured
 
 from .attitude import euler_from_quat
+from .blockage import DetectionSpec
 from .channel import EPOCH_RSS, LedBeacon, LedTable, ReceiverConfig, SampleFlag
-from .estimator import EstimatorConfig
-from .preint import ImuNoise, ImuStream
-from .records import decode, from_record, to_record
-from .simulator import Scenario, TruthStream
+from .preint import ImuStream
+from .records import decode, to_record
+from .simulator import ImuSpec, Scenario, TruthStream
 from .state import StateArrays
 
 try:
@@ -124,16 +124,33 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
 class Dataset:
     """In-memory view of a dataset directory: ``raw`` holds the rows of
     ``rss_raw.csv`` (timestamp, led_id, value) and ``epoch_samples`` those
-    of ``rss_epoch.csv``, with the ground-truth flags."""
+    of ``rss_epoch.csv``, with the ground-truth flags.
+
+    The manifest facts the pipeline reads are decoded once, by
+    :func:`load_dataset`: ``receiver``, ``imu_spec`` (the ``imu`` block,
+    without the hidden initial biases), ``detection``, ``gravity``,
+    ``room`` (``room_min`` and ``room_max``, read-only (3,) arrays),
+    ``planar``, ``vehicle_z_range``, ``initial_heading_rad`` and
+    ``epoch_window_s``, with ``file_sha256``, the data files' recorded
+    hashes.
+    """
 
     path: Path
-    manifest: dict
     leds: list
     receiver: ReceiverConfig
+    imu_spec: ImuSpec
+    detection: DetectionSpec
+    gravity: tuple[float, float, float]
+    room: tuple[np.ndarray, np.ndarray]
+    planar: bool
+    vehicle_z_range: tuple[float, float]
+    initial_heading_rad: float
+    epoch_window_s: float
     imu: ImuStream
     raw: np.ndarray  # (M, 3)
     epoch_samples: np.ndarray  # EPOCH_RSS
     truth: StateArrays | None  # zero biases
+    file_sha256: dict
 
     def epochs_by_time(self, flags) -> list[tuple[float, np.ndarray]]:
         """Epoch samples grouped by timestamp, in time order (an epoch's rows
@@ -145,16 +162,6 @@ class Dataset:
         rows = rows[np.argsort(rows["timestamp"], kind="stable")]
         times, first = np.unique(rows["timestamp"], return_index=True)
         return list(zip(times.tolist(), np.split(rows, first[1:])))
-
-    @property
-    def gravity(self) -> np.ndarray:
-        return np.asarray(self.manifest["gravity"], dtype=float)
-
-    @property
-    def room(self) -> tuple[np.ndarray, np.ndarray]:
-        """The room box: the manifest's ``room_min`` and ``room_max`` (3,)."""
-        return (np.asarray(self.manifest["room_min"], dtype=float),
-                np.asarray(self.manifest["room_max"], dtype=float))
 
     @cached_property
     def led_table(self) -> LedTable:
@@ -190,9 +197,38 @@ def _require(ok, path, what: str) -> None:
         raise ValueError(f"{path}: {what}")
 
 
+#: The manifest keys that :func:`load_dataset` decodes, with their types.
+#: Each sets the :class:`Dataset` field of its name, but ``imu`` sets
+#: ``imu_spec`` and ``room_min``/``room_max`` set ``room``.
+MANIFEST_KEYS = {
+    "receiver": ReceiverConfig, "imu": ImuSpec, "detection": DetectionSpec,
+    "gravity": tuple[float, float, float], "room_min": tuple[float, float, float],
+    "room_max": tuple[float, float, float], "planar": bool,
+    "vehicle_z_range": tuple[float, float], "initial_heading_rad": float,
+    "epoch_window_s": float, "file_sha256": dict,
+}
+
+
+def _read_manifest(path: Path) -> dict:
+    """The :data:`MANIFEST_KEYS` of ``path``'s ``manifest.json``, decoded.
+    Raises ``ValueError`` naming the file on a missing key or a value of
+    the wrong type."""
+    man_path = path / "manifest.json"
+    try:
+        man = decode(dict, json.loads(man_path.read_text()), "the manifest")
+        missing = [key for key in MANIFEST_KEYS if key not in man]
+        if missing:
+            raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
+        return {key: decode(tp, man[key], key) for key, tp in MANIFEST_KEYS.items()}
+    except ValueError as e:
+        raise ValueError(f"{man_path}: {e}") from e
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset directory.  Raises ``ValueError`` naming the file when
-    ``leds.json`` is not a list of LED records or repeats an id, when
+    ``manifest.json`` lacks a key of :data:`MANIFEST_KEYS` or holds a value
+    of the wrong type, when ``leds.json`` is not a list of LED records or
+    repeats an id, when
     ``imu.csv``, ``rss_raw.csv`` or ``rss_epoch.csv`` has no rows or rows of
     the wrong length, when an RSS file names an LED that is not in
     ``leds.json``, when ``rss_epoch.csv`` holds a negative value, a
@@ -203,7 +239,11 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
-    manifest = json.loads((path / "manifest.json").read_text())
+    facts = _read_manifest(path)
+    facts["imu_spec"] = facts.pop("imu")
+    room = (np.array(facts.pop("room_min")), np.array(facts.pop("room_max")))
+    for bound in room:
+        bound.flags.writeable = False
     try:
         leds = [LedBeacon.from_record(r)
                 for r in decode(tuple, json.loads((path / "leds.json").read_text()), "LED records")]
@@ -211,7 +251,6 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path / 'leds.json'}: {e}") from e
     led_ids = [led.led_id for led in leds]
     _require(len(set(led_ids)) == len(led_ids), path / "leds.json", "the map repeats an id")
-    receiver = ReceiverConfig.from_record(manifest["receiver"])
 
     imu_arr = _read_rows(path / "imu.csv", 7)
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
@@ -237,41 +276,5 @@ def load_dataset(path) -> Dataset:
 
     truth = load_trajectory(path / "truth.csv") if (path / "truth.csv").exists() else None
 
-    return Dataset(path=path, manifest=manifest, leds=leds, receiver=receiver, imu=imu,
-                   raw=raw, epoch_samples=epoch_samples, truth=truth)
-
-
-# ---------------------------------------------------------------------------
-# Estimator configuration files
-
-
-def estimator_config_from_dict(d: dict, dataset: Dataset) -> EstimatorConfig:
-    """Estimator configuration from its record ``d`` laid over dataset defaults.
-
-    ``d`` is the nested form of :class:`EstimatorConfig` (the ``config``
-    block of an ``estimate`` run manifest); every key is optional.  The
-    base it is laid over is the dataclass defaults except: IMU noise from
-    the manifest's IMU characteristics (bias walk = instability *
-    sqrt(2 / correlation time)), gravity from the manifest, ``use_height``
-    (the height constraint to the receiver's ``pd_height``) on for planar
-    datasets, and a 50-state window when ``d`` names unknown LEDs.  Raises
-    ``ValueError`` on a key that names no field or a value of the wrong
-    type; :class:`EstimatorConfig` raises it on a repeated unknown LED.
-    """
-    man = dataset.manifest
-    imu_man = man["imu"]
-    walk = np.sqrt(2.0 / float(imu_man["bias_corr_time"]))
-    base = EstimatorConfig(
-        imu_noise=ImuNoise(
-            accel_density=float(imu_man["accel_noise_density"]),
-            gyro_density=float(imu_man["gyro_noise_density"]),
-            accel_bias_walk=float(imu_man["accel_bias_instability"] * walk),
-            gyro_bias_walk=float(imu_man["gyro_bias_instability"] * walk),
-        ),
-        gravity=tuple(man["gravity"]),
-        use_height=bool(man.get("planar", False)),
-    )
-    config = from_record(EstimatorConfig, d, base)
-    if config.unknown_led_ids and "window_size" not in d:
-        config = replace(config, window_size=50)
-    return config
+    return Dataset(path=path, leds=leds, room=room, imu=imu, raw=raw,
+                   epoch_samples=epoch_samples, truth=truth, **facts)

@@ -32,14 +32,13 @@ def to_record(obj):
     return obj
 
 
-def from_record(cls, d, base=None):
-    """Build dataclass ``cls`` from the plain-field record ``d`` laid over ``base``.
+def from_record(cls, d):
+    """Build dataclass ``cls`` from its plain-field record ``d``.
 
-    Fields absent from ``d`` keep their value in ``base`` or, without a
-    base, the dataclass default; nested dataclass fields are laid over
-    the base's field in turn.  Lists come back as tuples (or arrays for
-    ``np.ndarray`` fields).  A key that names no field, a missing
-    required field or a value of the wrong type raises ``ValueError``.
+    Fields absent from ``d`` take the dataclass defaults.  Lists come back
+    as tuples (or arrays for ``np.ndarray`` fields).  A key that names no
+    field, a missing required field or a value of the wrong type raises
+    ``ValueError``.
     """
     name = cls.__name__
     if not isinstance(d, dict):
@@ -51,31 +50,36 @@ def from_record(cls, d, base=None):
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, f in fields.items():
-        inner = None if base is None else getattr(base, key)
         if key in d:
-            kwargs[key] = decode(hints[key], d[key], f"{name}.{key}", inner)
-        elif base is not None:
-            kwargs[key] = inner
+            kwargs[key] = decode(hints[key], d[key], f"{name}.{key}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ValueError(f"{name}: missing required field {key!r}")
     return cls(**kwargs)
 
 
-def decode(tp, value, where: str, base=None):
+def decode(tp, value, where: str):
     """Value of annotation ``tp`` from its JSON form; ``where`` names it in errors."""
     if dataclasses.is_dataclass(tp):
         if hasattr(tp, "from_record"):
             return tp.from_record(value)
-        return from_record(tp, value, base)
+        return from_record(tp, value)
+    if tp is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: expected an object, got {_json_type(value)}")
+        return value
     if tp is np.ndarray or tp is tuple or typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where}: expected a list, got {_json_type(value)}")
         if tp is np.ndarray:
             return np.asarray(value, dtype=float)
-        item = typing.get_args(tp)[:1]
-        if item:
-            return tuple(decode(item[0], v, f"{where}[{i}]")
-                         for i, v in enumerate(value))
+        items = typing.get_args(tp)
+        if items[-1:] == (Ellipsis,):
+            items = items[:1] * len(value)
+        elif items and len(items) != len(value):
+            raise ValueError(f"{where}: expected a list of {len(items)}, got {len(value)} items")
+        if items:
+            return tuple(decode(t, v, f"{where}[{i}]")
+                         for i, (t, v) in enumerate(zip(items, value)))
         return _tuples(value)
     if tp in _SCALARS:
         if not isinstance(value, _SCALARS[tp]) or (isinstance(value, bool) and tp is not bool):

@@ -17,8 +17,8 @@ import pytest
 from vlpnav.attitude import quat_from_euler, quat_to_dcm
 from vlpnav.baselines import run_loosely_coupled, vlp_only_trajectory
 from vlpnav.channel import LedTable, predict_rss, rss_jacobian
-from vlpnav.cli import main, run_detection, run_tc
-from vlpnav.dataio import load_dataset, estimator_config_from_dict, write_dataset
+from vlpnav.cli import estimator_config, main, run_detection, run_tc
+from vlpnav.dataio import load_dataset, write_dataset
 from vlpnav.estimator import ERROR_DIM, assemble_cost
 from vlpnav.metrics import evaluate_run
 from vlpnav.preint import ImuNoise, ImuStream, preintegrate
@@ -68,7 +68,7 @@ def _build_dataset(scenario, out_dir):
 
 def _tc_report(ds, config=None, flags=None):
     t0 = time.perf_counter()
-    cfg = config or estimator_config_from_dict({}, ds)
+    cfg = config or estimator_config(ds)
     if flags is None:
         flags, _ = run_detection(ds)
     est, led_results, _ = run_tc(ds, cfg, flags)
@@ -138,7 +138,7 @@ class TestCriterion2BlockageDetection:
             ds = run["dataset"]
             detector = build_detector(ds)
             schedule = {}
-            for led_id, a, b in ds.manifest["blockages"]:
+            for led_id, a, b in run["scenario"].blockages:
                 schedule.setdefault(int(led_id), []).append((a, b))
             out = detector.run(ds.raw[:, 0], ds.raw[:, 1], ds.raw[:, 2])
             for led_id, (tt, tags, counters) in out.items():
@@ -430,8 +430,7 @@ class TestCriterion6MarginalizationEquivalence:
 class TestCriterion7UnknownLeds:
     def test_well_spread_recovery(self, tmp_path):
         ds = _build_dataset(_sim3d_scenario(seed=31), tmp_path / "spread")
-        cfg = estimator_config_from_dict(
-            {"unknown_led_ids": [5], "window_size": 50}, ds)
+        cfg = estimator_config(ds, 50, (5,))
         flags, _ = run_detection(ds)
         true_xy = next(led for led in ds.leds if led.led_id == 5).position[:2]
         init = {5: true_xy + np.array([0.35, -0.35])}
@@ -452,8 +451,7 @@ class TestCriterion7UnknownLeds:
             imu=base.imu, rss=base.rss, detection=base.detection,
         )
         ds2 = _build_dataset(stationary, tmp_path / "dwell")
-        cfg2 = estimator_config_from_dict(
-            {"unknown_led_ids": [5], "window_size": 50}, ds2)
+        cfg2 = estimator_config(ds2, 50, (5,))
         flags2, _ = run_detection(ds2)
         init2 = {5: true_xy + np.array([0.35, -0.35])}
         _, led2, _ = run_tc(ds2, cfg2, flags2, unknown_init=init2)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import shutil
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +11,15 @@ from vlpnav.cli import (
     BLAS_THREAD_VARS,
     TRAJ_HEADER,
     _estimator_config,
+    build_detector,
     build_parser,
+    estimator_config,
     main,
     run_detection,
     run_tc,
 )
 from vlpnav.channel import LedTable, SampleFlag
-from vlpnav.dataio import estimator_config_from_dict, load_dataset
+from vlpnav.dataio import load_dataset
 from vlpnav.estimator import STOP_REASONS, LmIteration, LmReport, TightlyCoupledEstimator
 
 
@@ -193,6 +194,17 @@ class TestMalformedDataset:
         assert "leds.json: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_build_detector_leaves_the_room_box(self, mini_dataset):
+        """The detector's box cuts z to the vehicle's heights in a copy: LC
+        and VLP-only read the dataset's room box after detection."""
+        ds = load_dataset(mini_dataset)
+        room = [bound.copy() for bound in ds.room]
+        detector = build_detector(ds)
+        assert detector.thresholds
+        for bound, before in zip(ds.room, room):
+            np.testing.assert_array_equal(bound, before)
+            assert not bound.flags.writeable
+
     def test_detect_one_raw_row(self, mini_dataset, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(mini_dataset, data)
@@ -304,12 +316,17 @@ class TestEstimate:
         assert e.value.code == 2
 
     def test_config_file_window_override(self, mini_dataset, tmp_path):
+        """No config file sets the window: ``--config`` is a usage error,
+        and ``--window`` sets it."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window_size": 5}))
+        argv = ["estimate", "--dataset", str(mini_dataset), "--mode", "tc"]
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--config", str(cfg), "--out", str(tmp_path / "cfg")])
+        assert e.value.code == 2
+        assert not (tmp_path / "cfg").exists()
         out = tmp_path / "w5"
-        rc = main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
-                   "--config", str(cfg), "--out", str(out)])
-        assert rc == 0
+        assert main(argv + ["--window", "5", "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["window_size"] == 5
 
@@ -322,6 +339,8 @@ class TestEstimate:
         '{"constraints": {"nhc_sigma": 0.1}}', '{"constraints": {"height_sigma": 0.02}}',
         # The NHC is part of the method, and the height switch is flat.
         '{"constraints": {"use_height": true}}', '{"use_nhc": true}',
+        pytest.param(["--window", "1"], id="window 1"),
+        pytest.param(["--unknown-leds", "5,x"], id="unknown LED not an id"),
         pytest.param(["--unknown-leds", "5,5"], id="repeated unknown LED"),
         pytest.param('{"unknown_led_ids": [5, 5]}', id="config repeated unknown LED"),
         *(pytest.param(["--unknown-leds", "5", "--led-init", v], id=f"led_init {v}")
@@ -335,8 +354,10 @@ class TestEstimate:
         pytest.param(('{"unknown_led_ids": [5]}', ["--mode", "lc"]), id="lc config unknown LED"),
     ])
     def test_bad_config_exit_2(self, mini_dataset, tmp_path, content):
-        """A bad --config file (text), bad extra arguments (a list) or both
-        (a pair) exit 2 before any output."""
+        """Bad run options (a list) exit 2 before any output.  So does a
+        ``--config`` file (text, alone or with options in a pair), whatever
+        it holds: it is a usage error, since the dataset and the options
+        set every estimator setting."""
         out = tmp_path / "bad"
         argv = ["estimate", "--dataset", str(mini_dataset), "--mode", "tc", "--out", str(out)]
         text, extra = ((None, content) if isinstance(content, list)
@@ -345,36 +366,34 @@ class TestEstimate:
             (tmp_path / "cfg.json").write_text(text)
             argv += ["--config", str(tmp_path / "cfg.json")]
         argv += extra
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage error
+            code = e.code
+        assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra,config,window", [
-        (["--unknown-leds", "5"], None, 50),
-        (["--unknown-leds", "5"], {"window_size": 30}, 30),
-        (["--unknown-leds", "5", "--window", "25"], {"window_size": 30}, 25),
-        (["--window", "25"], {"window_size": 30}, 25),
-    ])
-    def test_window_precedence(self, mini_dataset, tmp_path, extra, config, window):
-        """--window, then the config file, then 50 states with unknown LEDs."""
+    @pytest.mark.parametrize("extra,window", [
+        ([], 20), (["--unknown-leds", "5"], 50),
+        (["--unknown-leds", "5", "--window", "25"], 25), (["--window", "25"], 25),
+    ], ids=["default", "unknown LEDs", "unknown LEDs and --window", "--window"])
+    def test_window_defaults(self, mini_dataset, tmp_path, extra, window):
+        """--window, else 50 states with unknown LEDs, else 20."""
         argv = ["estimate", "--dataset", str(mini_dataset), "--out", str(tmp_path)] + extra
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            argv += ["--config", str(tmp_path / "cfg.json")]
         cfg = _estimator_config(build_parser().parse_args(argv), load_dataset(mini_dataset))
         assert cfg.window_size == window
 
     def test_manifest_config_reproduces_run(self, mini_dataset, tmp_path):
+        """A rerun with the ``--window`` of the run manifest's ``config``
+        repeats the run and its config."""
         first, second = tmp_path / "first", tmp_path / "second"
-        cfg = tmp_path / "cfg.json"
-        # mini is not planar: the height constraint is off unless set.
-        cfg.write_text(json.dumps({"use_height": True}))
         assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
-                     "--config", str(cfg), "--out", str(first)]) == 0
+                     "--window", "10", "--out", str(first)]) == 0
         config = json.loads((first / "manifest.json").read_text())["config"]
-        assert config["use_height"] is True
-        cfg.write_text(json.dumps(config))
+        # mini is not planar: the dataset leaves the height constraint off.
+        assert config["window_size"] == 10 and config["use_height"] is False
         assert main(["estimate", "--dataset", str(mini_dataset), "--mode", "tc",
-                     "--config", str(cfg), "--out", str(second)]) == 0
+                     "--window", str(config["window_size"]), "--out", str(second)]) == 0
         assert json.loads((second / "manifest.json").read_text())["config"] == config
         assert ((first / "trajectory.csv").read_bytes()
                 == (second / "trajectory.csv").read_bytes())
@@ -393,16 +412,16 @@ class TestEstimate:
         man = json.loads((first / "manifest.json").read_text())
         assert man["led_init"] == "5=2.3,2.6"
         assert man["vlp_variant"] is None
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(man["config"]))
+        config = man["config"]
         assert main(["estimate", "--dataset", man["dataset"], "--mode", man["mode"],
-                     "--config", str(cfg), "--led-init", man["led_init"],
-                     "--out", str(second)]) == 0
+                     "--window", str(config["window_size"]),
+                     "--unknown-leds", ",".join(map(str, config["unknown_led_ids"])),
+                     "--led-init", man["led_init"], "--out", str(second)]) == 0
         assert ((first / "trajectory.csv").read_bytes()
                 == (second / "trajectory.csv").read_bytes())
 
     def test_manifest_records_resolved_vlp_variant(self, mini_dataset, tmp_path):
-        default = "tilt" if load_dataset(mini_dataset).manifest.get("planar") else "level"
+        default = "tilt" if load_dataset(mini_dataset).planar else "level"
         cases = (([], default), (["--vlp-variant", "tilt"], "tilt"),
                  (["--vlp-variant", "level"], "level"))
         for i, (extra, variant) in enumerate(cases):
@@ -432,7 +451,7 @@ class TestRunTc:
 
     def run(self, mini_dataset):
         ds = load_dataset(mini_dataset)
-        config = replace(estimator_config_from_dict({}, ds), unknown_led_ids=(self.UNKNOWN,))
+        config = estimator_config(ds, 20, (self.UNKNOWN,))
         return run_tc(ds, config, np.full(len(ds.epoch_samples), SampleFlag.LOS),
                       unknown_init={self.UNKNOWN: np.array([2.3, 2.6])})
 
@@ -453,7 +472,7 @@ class TestRunTc:
 
         monkeypatch.setattr(LedTable, "of", counted)
         ds = load_dataset(mini_dataset)
-        est = run_tc(ds, estimator_config_from_dict({}, ds),
+        est = run_tc(ds, estimator_config(ds),
                      np.full(len(ds.epoch_samples), SampleFlag.LOS))[0]
         assert calls == [len(ds.leds)]
         assert est.window.led_table is ds.led_table

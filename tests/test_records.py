@@ -1,13 +1,16 @@
 import json
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vlpnav.blockage import DetectionSpec
 from vlpnav.channel import LedBeacon, ReceiverConfig
-from vlpnav.cli import build_detector, main
-from vlpnav.dataio import estimator_config_from_dict, load_dataset
+from vlpnav.cli import build_detector, estimator_config, main
+from vlpnav.dataio import load_dataset
+from vlpnav.estimator import EstimatorConfig
 from vlpnav.preint import ImuNoise
 from vlpnav.records import from_record, to_record
 from vlpnav.simulator import RssSpec, Scenario, reference_scenarios
@@ -35,9 +38,28 @@ SETTABLE = {
 }
 
 
+def edited_dataset(mini_dataset, tmp_path, d) -> Path:
+    """A copy of the dataset's ``manifest.json`` and ``leds.json`` with the
+    edits ``d``: per file, keys laid over the manifest (an object over an
+    object block) or over the first LED record."""
+    manifest = json.loads((mini_dataset / "manifest.json").read_text())
+    leds = json.loads((mini_dataset / "leds.json").read_text())
+    for name, edit in d.items():
+        target = manifest if name == "manifest.json" else leds[0]
+        for key, value in edit.items():
+            both = isinstance(value, dict) and isinstance(target.get(key), dict)
+            target[key] = target[key] | value if both else value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "leds.json").write_text(json.dumps(leds))
+    return tmp_path
+
+
 class TestEstimatorConfig:
+    """The estimator's settings: the dataset manifest's records, decoded by
+    ``load_dataset``, and the run's options."""
+
     def test_json_round_trip_of_every_field(self, mini):
-        base = estimator_config_from_dict({}, mini)
+        base = estimator_config(mini)
         cfg = replace(
             base, window_size=7, gravity=(0.0, 0.0, -9.8),
             imu_noise=ImuNoise(1e-3, 2e-4, 3e-5, 4e-6),
@@ -47,56 +69,76 @@ class TestEstimatorConfig:
         assert set(base_leaves) == SETTABLE
         for path, value in leaves(to_record(cfg)):
             assert value != base_leaves[path], path
-        back = estimator_config_from_dict(json.loads(json.dumps(to_record(cfg))), mini)
+        back = from_record(EstimatorConfig, json.loads(json.dumps(to_record(cfg))))
         assert back == cfg
 
-    def test_dataset_defaults(self, mini):
-        cfg = estimator_config_from_dict({}, mini)
-        imu = mini.manifest["imu"]
-        assert cfg.imu_noise.accel_density == imu["accel_noise_density"]
-        assert cfg.gravity == tuple(mini.manifest["gravity"])
+    def test_dataset_defaults(self, mini, mini_dataset):
+        cfg = estimator_config(mini)
+        manifest = json.loads((mini_dataset / "manifest.json").read_text())
+        imu = manifest["imu"]
+        walk = np.sqrt(2.0 / imu["bias_corr_time"])
+        assert cfg.imu_noise == ImuNoise(
+            imu["accel_noise_density"], imu["gyro_noise_density"],
+            imu["accel_bias_instability"] * walk, imu["gyro_bias_instability"] * walk)
+        assert cfg.gravity == tuple(manifest["gravity"])
         assert cfg.window_size == 20
-        assert cfg.use_height is mini.manifest["planar"]
+        assert cfg.use_height is manifest["planar"] is False
 
-    def test_section_overlays_dataset_base(self, mini):
-        base = estimator_config_from_dict({}, mini)
-        cfg = estimator_config_from_dict({"imu_noise": {"accel_density": 0.01}}, mini)
-        assert cfg.imu_noise == replace(base.imu_noise, accel_density=0.01)
+    def test_planar_manifest_turns_height_on(self, tmp_path):
+        """expA's robot drives on a plane: its manifest says so, and the
+        height constraint is on."""
+        data = tmp_path / "expA"
+        assert main(["simulate", "--scenario", "expA", "--seed", "11", "--out", str(data)]) == 0
+        ds = load_dataset(data)
+        assert json.loads((data / "manifest.json").read_text())["planar"] is True
+        assert ds.planar and estimator_config(ds).use_height
+
+    def test_section_overlays_dataset_base(self, mini, mini_dataset, tmp_path):
+        """A sweep edits the manifest's ``imu`` block: only that noise moves."""
+        data = edited_dataset(mini_dataset, tmp_path,
+                              {"manifest.json": {"imu": {"accel_noise_density": 0.01}}})
+        for name in ("imu.csv", "rss_raw.csv", "rss_epoch.csv"):
+            shutil.copy(mini_dataset / name, data)
+        base = estimator_config(mini)
+        cfg = estimator_config(load_dataset(data))
+        assert cfg == replace(base, imu_noise=replace(base.imu_noise, accel_density=0.01))
 
     @pytest.mark.parametrize("d,window", [
         ({"unknown_led_ids": [5]}, 50),
-        ({"unknown_led_ids": [5], "window_size": 30}, 30),
+        ({"unknown_led_ids": [5], "window": 30}, 30),
         ({"unknown_led_ids": []}, 20),
     ])
     def test_unknown_led_window(self, mini, d, window):
-        assert estimator_config_from_dict(d, mini).window_size == window
+        assert estimator_config(mini, **d).window_size == window
 
     @pytest.mark.parametrize("d,message", [
-        ({"windowsize": 5}, "unknown field"),
-        ({"constraints": {"use_nhc": False, "nhc": 1.0}}, "unknown field"),
-        ({"use_nhc": False}, "unknown field"),
-        ({"imu_noise": 5}, "expected an object"),
-        ({"window_size": "5"}, "expected int"),
-        ({"window_size": 5.5}, "expected int"),
-        ({"use_height": 0}, "expected bool"),
-        ({"gravity": 9.8}, "expected a list"),
-        ({"unknown_led_ids": ["a"]}, "expected int"),
-        ({"pd_height": 0.3}, "unknown field"),  # the receiver's
-        # The method's tuning values are estimator constants, not settings.
-        ({"lm": {"max_iterations": 20}}, "unknown field"),
-        ({"prior": {"heading": 0.01}}, "unknown field"),
-        ({"blocked_variance": 50.0}, "unknown field"),
-        ({"unknown_led_prior_sigma": 5.0}, "unknown field"),
-        ({"constraints": {"nhc_sigma": 0.1}}, "unknown field"),
-        ({"constraints": {"height_sigma": 0.02}}, "unknown field"),
-        # The NHC is part of the method, and the height switch is flat.
-        ({"constraints": {"use_height": True}}, "unknown field"),
-        ({"use_nhc": True}, "unknown field"),
-        ({"unknown_led_ids": [5, 5]}, "repeats an id"),
+        # The estimator's settings are not dataset facts: a block that
+        # names one is rejected.
+        ({"manifest.json": {"imu": {"window_size": 20}}}, "unknown field"),
+        ({"manifest.json": {"imu": {"accel_density": 0.01}}}, "unknown field"),
+        ({"manifest.json": {"imu": {"use_height": True}}}, "unknown field"),
+        ({"manifest.json": {"imu": 5}}, "expected an object"),
+        ({"leds.json": {"id": "5"}}, "expected int"),
+        ({"leds.json": {"id": 5.5}}, "expected int"),
+        ({"manifest.json": {"planar": 0}}, "expected bool"),
+        ({"manifest.json": {"gravity": 9.8}}, "expected a list"),
+        ({"leds.json": {"id": True}}, "expected int"),
+        ({"manifest.json": {"receiver": {"pd_heigth": 0.3}}}, "unknown field"),
+        ({"manifest.json": {"imu": {"gyro_bias_walk": 1e-5}}}, "unknown field"),
+        ({"manifest.json": {"imu": {"lm": {"max_iterations": 20}}}}, "unknown field"),
+        ({"manifest.json": {"imu": {"unknown_led_ids": [5]}}}, "unknown field"),
+        ({"manifest.json": {"receiver": {"height_sigma": 0.02}}}, "unknown field"),
+        ({"manifest.json": {"receiver": {"nhc_sigma": 0.05}}}, "unknown field"),
+        ({"manifest.json": {"detection": {"v_max_mps": 0.6}}}, "unknown field"),
+        ({"manifest.json": {"detection": {"blocked_variance": 50.0}}}, "unknown field"),
+        ({"leds.json": {"power_w": 1.0}}, "unknown field"),
+        ({"leds.json": {"id": 2}}, "repeats an id"),
     ])
-    def test_bad_record_rejected(self, mini, d, message):
-        with pytest.raises(ValueError, match=message):
-            estimator_config_from_dict(d, mini)
+    def test_bad_record_rejected(self, mini_dataset, tmp_path, d, message):
+        data = edited_dataset(mini_dataset, tmp_path, d)
+        name = next(iter(d))
+        with pytest.raises(ValueError, match=f"{name}: .*{message}"):
+            load_dataset(data)
 
 
 class TestScenario:
