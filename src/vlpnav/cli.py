@@ -8,7 +8,6 @@ input error, 3 internal failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -262,7 +261,8 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "mode": mode,
         "dataset": str(Path(args.dataset).resolve()),
-        "dataset_sha256": _dataset_hash(dataset),
+        "dataset_sha256": dataset.sha256,
+        "dataset_edited_files": list(dataset.edited_files),
         "config": to_record(config),
         "no_drd": bool(args.no_drd),
         "led_init": led_init,
@@ -331,13 +331,6 @@ def _unknown_init(args, dataset: Dataset, config) -> dict:
             raise InputError(f"--led-init LED {led_id} is not one of --unknown-leds {sorted(init)}")
         init[led_id] = xy
     return init
-
-
-def _dataset_hash(dataset: Dataset) -> str:
-    h = hashlib.sha256()
-    for name in sorted(dataset.file_sha256):
-        h.update(dataset.file_sha256[name].encode())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

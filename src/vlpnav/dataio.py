@@ -18,6 +18,7 @@ gravity conventions so estimators never guess them.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -131,8 +132,9 @@ class Dataset:
     without the hidden initial biases), ``detection``, ``gravity``,
     ``room`` (``room_min`` and ``room_max``, read-only (3,) arrays),
     ``planar``, ``vehicle_z_range``, ``initial_heading_rad`` and
-    ``epoch_window_s``, with ``file_sha256``, the data files' recorded
-    hashes.
+    ``epoch_window_s``.  ``sha256`` is the provenance hash of the bytes
+    read (see :func:`load_dataset`), and ``edited_files`` names the data
+    files whose SHA-256 differs from the manifest's ``file_sha256``.
     """
 
     path: Path
@@ -150,7 +152,8 @@ class Dataset:
     raw: np.ndarray  # (M, 3)
     epoch_samples: np.ndarray  # EPOCH_RSS
     truth: StateArrays | None  # zero biases
-    file_sha256: dict
+    sha256: str
+    edited_files: tuple[str, ...]
 
     def epochs_by_time(self, flags) -> list[tuple[float, np.ndarray]]:
         """Epoch samples grouped by timestamp, in time order (an epoch's rows
@@ -169,25 +172,28 @@ class Dataset:
         return LedTable.of(self.leds, self.receiver)
 
 
-def _read_rows(path, columns: int, exact: bool = True) -> np.ndarray:
-    """The rows of a CSV file after its header line.  Raises ``ValueError``
-    naming the file unless it has a row and every row has ``columns``
-    numbers (at least that many when not ``exact``)."""
+def _read_rows(path, columns: int, exact: bool = True, data: bytes | None = None) -> np.ndarray:
+    """The rows of a CSV file after its header line, parsed from ``data``
+    (the file's bytes) when given.  Raises ``ValueError`` naming the file
+    unless it has a row and every row has ``columns`` numbers (at least
+    that many when not ``exact``)."""
     with warnings.catch_warnings():
         # A file without rows is reported below, not as numpy's warning.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        a = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        a = np.loadtxt(path if data is None else io.BytesIO(data), delimiter=",", skiprows=1,
+                       ndmin=2)
     if len(a) == 0 or (a.shape[1] != columns if exact else a.shape[1] < columns):
         raise ValueError(f"{path}: expected rows of {'' if exact else 'at least '}{columns} "
                          f"numbers, read {a.shape[0]} rows of {a.shape[1]}")
     return a
 
 
-def load_trajectory(path) -> StateArrays:
-    """Read a ``trajectory.csv`` or ``truth.csv`` file: a header, then rows of
-    at least 14 numbers, with biases in columns 15-20 if present (zero in a
-    ``truth.csv``).  Raises ``ValueError`` on anything else."""
-    a = _read_rows(path, 14, exact=False)
+def load_trajectory(path, data: bytes | None = None) -> StateArrays:
+    """Read a ``trajectory.csv`` or ``truth.csv`` file (from ``data``, its
+    bytes, when given): a header, then rows of at least 14 numbers, with
+    biases in columns 15-20 if present (zero in a ``truth.csv``).  Raises
+    ``ValueError`` on anything else."""
+    a = _read_rows(path, 14, exact=False, data=data)
     biases = a[:, 14:20] if a.shape[1] >= 20 else np.zeros((len(a), 6))
     return StateArrays(a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:11], biases[:, :3], biases[:, 3:])
 
@@ -209,13 +215,12 @@ MANIFEST_KEYS = {
 }
 
 
-def _read_manifest(path: Path) -> dict:
-    """The :data:`MANIFEST_KEYS` of ``path``'s ``manifest.json``, decoded.
-    Raises ``ValueError`` naming the file on a missing key or a value of
-    the wrong type."""
-    man_path = path / "manifest.json"
+def _read_manifest(man_path: Path, data: bytes) -> dict:
+    """The :data:`MANIFEST_KEYS` of ``manifest.json`` (its bytes ``data``),
+    decoded.  Raises ``ValueError`` naming the file on a missing key or a
+    value of the wrong type."""
     try:
-        man = decode(dict, json.loads(man_path.read_text()), "the manifest")
+        man = decode(dict, json.loads(data), "the manifest")
         missing = [key for key in MANIFEST_KEYS if key not in man]
         if missing:
             raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
@@ -235,34 +240,47 @@ def load_dataset(path) -> Dataset:
     variance that is not positive or a flag that is not a
     :class:`SampleFlag` code, when an LED's rows in ``rss_raw.csv`` do not
     increase strictly in time, and when ``imu.csv`` leaves the interval
-    between two epochs without a sample."""
+    between two epochs without a sample.
+
+    Each file is read once.  The dataset's ``sha256`` is the SHA-256 of the
+    ``sha256sum`` listing (``<hex digest>  <name>`` lines, by name) of the
+    files read: ``imu.csv``, ``leds.json``, ``manifest.json``,
+    ``rss_epoch.csv``, ``rss_raw.csv`` and ``truth.csv`` when present."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
-    facts = _read_manifest(path)
+    digests = {}
+
+    def read(name: str) -> bytes:
+        data = (path / name).read_bytes()
+        digests[name] = hashlib.sha256(data).hexdigest()
+        return data
+
+    facts = _read_manifest(path / "manifest.json", read("manifest.json"))
+    recorded = facts.pop("file_sha256")
     facts["imu_spec"] = facts.pop("imu")
     room = (np.array(facts.pop("room_min")), np.array(facts.pop("room_max")))
     for bound in room:
         bound.flags.writeable = False
     try:
         leds = [LedBeacon.from_record(r)
-                for r in decode(tuple, json.loads((path / "leds.json").read_text()), "LED records")]
+                for r in decode(tuple, json.loads(read("leds.json")), "LED records")]
     except ValueError as e:
         raise ValueError(f"{path / 'leds.json'}: {e}") from e
     led_ids = [led.led_id for led in leds]
     _require(len(set(led_ids)) == len(led_ids), path / "leds.json", "the map repeats an id")
 
-    imu_arr = _read_rows(path / "imu.csv", 7)
+    imu_arr = _read_rows(path / "imu.csv", 7, data=read("imu.csv"))
     imu = ImuStream(imu_arr[:, 0], imu_arr[:, 1:4], imu_arr[:, 4:7])
 
-    raw = _read_rows(path / "rss_raw.csv", 3)
+    raw = _read_rows(path / "rss_raw.csv", 3, data=read("rss_raw.csv"))
     _require(np.isin(raw[:, 1], led_ids), path / "rss_raw.csv", "an LED id is not in leds.json")
     # DRD divides by the spacing of each LED's rows, in file order.
     for led_id in led_ids:
         _require(np.diff(raw[raw[:, 1] == led_id, 0]) > 0.0, path / "rss_raw.csv",
                  "an LED's timestamps do not increase from row to row")
     ep_path = path / "rss_epoch.csv"
-    ep = _read_rows(ep_path, 5)
+    ep = _read_rows(ep_path, 5, data=read("rss_epoch.csv"))
     _require(np.isin(ep[:, 1], led_ids), ep_path, "an LED id is not in leds.json")
     _require(ep[:, 2] >= 0.0, ep_path, "an RSS value is negative")
     _require(ep[:, 3] > 0.0, ep_path, "an RSS variance is not positive")
@@ -274,7 +292,13 @@ def load_dataset(path) -> Dataset:
     _require(np.diff(first) > 0, path / "imu.csv",
              "no IMU sample between two epochs of rss_epoch.csv")
 
-    truth = load_trajectory(path / "truth.csv") if (path / "truth.csv").exists() else None
+    truth = (load_trajectory(path / "truth.csv", read("truth.csv"))
+             if (path / "truth.csv").exists() else None)
 
+    listing = "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
+    edited = tuple(name for name in sorted(digests)
+                   if name != "manifest.json" and recorded.get(name) != digests[name])
     return Dataset(path=path, leds=leds, room=room, imu=imu, raw=raw,
-                   epoch_samples=epoch_samples, truth=truth, **facts)
+                   epoch_samples=epoch_samples, truth=truth,
+                   sha256=hashlib.sha256(listing.encode()).hexdigest(), edited_files=edited,
+                   **facts)

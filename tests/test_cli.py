@@ -446,6 +446,47 @@ class TestEstimate:
         assert man["numpy"] == np.__version__
 
 
+class TestProvenance:
+    """The run manifest's ``dataset_sha256`` hashes the bytes that
+    ``load_dataset`` reads, and ``dataset_edited_files`` names each data
+    file that differs from the dataset manifest's ``file_sha256``."""
+
+    EDITS = {
+        "power": ("leds.json", lambda leds: [r | {"power": 1.05 * r["power"]} for r in leds]),
+        "order": ("leds.json", lambda leds: [r | {"order": r["order"] + 0.1} for r in leds]),
+        "imu": ("manifest.json", lambda m: m | {"imu": m["imu"] | {
+            "accel_noise_density": 2.0 * m["imu"]["accel_noise_density"]}}),
+    }
+
+    def test_edits_give_distinct_hashes(self, mini_dataset, tmp_path):
+        paths = {"original": mini_dataset}
+        for case, (name, edit) in self.EDITS.items():
+            paths[case] = data = tmp_path / case
+            shutil.copytree(mini_dataset, data)
+            (data / name).write_text(json.dumps(edit(json.loads((data / name).read_text()))))
+        datasets = {case: load_dataset(data) for case, data in paths.items()}
+        assert len({ds.sha256 for ds in datasets.values()}) == len(datasets)
+        assert {case: ds.edited_files for case, ds in datasets.items()} == {
+            "original": (), "power": ("leds.json",), "order": ("leds.json",), "imu": ()}
+        # The sha256sum listing of the files read, by name.
+        names = ("imu.csv", "leds.json", "manifest.json", "rss_epoch.csv", "rss_raw.csv",
+                 "truth.csv")
+        listing = "".join(f"{digest}  {name}\n"
+                          for name, digest in sha_files(paths["power"], names).items())
+        assert datasets["power"].sha256 == hashlib.sha256(listing.encode()).hexdigest()
+
+    def test_edited_dataset_runs(self, mini_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        name, edit = self.EDITS["power"]
+        (data / name).write_text(json.dumps(edit(json.loads((data / name).read_text()))))
+        out = tmp_path / "lc"
+        assert main(["estimate", "--dataset", str(data), "--mode", "lc", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["dataset_sha256"] == load_dataset(data).sha256
+        assert man["dataset_edited_files"] == ["leds.json"]
+
+
 class TestRunTc:
     UNKNOWN = 5
 
