@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.recfunctions import unstructured_to_structured
 
-from .attitude import euler_from_quat
+from .attitude import QUAT_NORM_TOL, euler_from_quat
 from .blockage import DetectionSpec
 from .channel import EPOCH_RSS, LedBeacon, LedTable, ReceiverConfig, SampleFlag
 from .preint import ImuStream
@@ -192,8 +192,11 @@ def load_trajectory(path, data: bytes | None = None) -> StateArrays:
     """Read a ``trajectory.csv`` or ``truth.csv`` file (from ``data``, its
     bytes, when given): a header, then rows of at least 14 numbers, with
     biases in columns 15-20 if present (zero in a ``truth.csv``).  Raises
-    ``ValueError`` on anything else."""
+    ``ValueError`` on anything else, a quaternion off unit norm by more
+    than ``QUAT_NORM_TOL`` included."""
     a = _read_rows(path, 14, exact=False, data=data)
+    _require(np.abs(np.linalg.norm(a[:, 7:11], axis=1) - 1.0) <= QUAT_NORM_TOL, path,
+             f"a quaternion's norm deviates from 1 by more than {QUAT_NORM_TOL}")
     biases = a[:, 14:20] if a.shape[1] >= 20 else np.zeros((len(a), 6))
     return StateArrays(a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:11], biases[:, :3], biases[:, 3:])
 

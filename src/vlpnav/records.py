@@ -54,7 +54,10 @@ def from_record(cls, d):
             kwargs[key] = decode(hints[key], d[key], f"{name}.{key}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ValueError(f"{name}: missing required field {key!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:  # the class's own check
+        raise ValueError(f"{name}: {e}") from e
 
 
 def decode(tp, value, where: str):

@@ -77,6 +77,10 @@ class ImuSpec:
     initial_accel_bias: tuple = (0.0, 0.0, 0.0)
     initial_gyro_bias: tuple = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        if self.bias_corr_time <= 0.0:
+            raise ValueError("bias_corr_time must be positive")
+
 
 @dataclass(frozen=True)
 class RssSpec:

@@ -213,6 +213,34 @@ class TestMalformedDataset:
         assert main(["detect", "--dataset", str(data), "--out", str(tmp_path / "det")]) == 0
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("imu", None), ("vehicle_z_range", None), ("detection", None), ("gravity", None),
+        ("imu", {"accel_noise_density": "0.01"}), ("imu", {"bias_corr_time": 0.0}),
+        ("gravity", [0.0, -9.8]), ("planar", "yes"),
+    ], ids=["no imu", "no vehicle_z_range", "no detection", "no gravity",
+            "string noise density", "zero correlation time", "2-vector gravity",
+            "string planar"])
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_bad_manifest_exit_2(self, mini_dataset, tmp_path, capsys, command, key, value):
+        """A manifest key that is missing (None) or mistyped exits 2 before
+        any output, naming the file and the key."""
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        man = json.loads((data / "manifest.json").read_text())
+        if value is None:
+            del man[key]
+        else:
+            man[key] = man[key] | value if isinstance(value, dict) else value
+        (data / "manifest.json").write_text(json.dumps(man))
+        out = tmp_path / "out"
+        for mode in ("tc", "lc") if command == "estimate" else (None,):
+            argv = [command, "--dataset", str(data), "--out", str(out)]
+            assert main(argv + (["--mode", mode] if mode else [])) == 2
+            err = capsys.readouterr().err
+            assert "manifest.json: " in err and (key in err or "ImuSpec" in err)
+            assert not out.exists()
+
+
 class TestEpochSamples:
     def test_led_without_raw_stream_stays_los(self, mini_dataset):
         ds = load_dataset(mini_dataset)
@@ -575,6 +603,31 @@ class TestEvaluate:
                          "--truth", str(files["truth"]), "--out", str(out)]) == 2
         assert not out.exists()
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("which", ["trajectory", "truth"])
+    def test_non_unit_quaternion_exit_2(self, mini_dataset, tmp_path, capsys, which):
+        files = {"trajectory": mini_dataset / "truth.csv", "truth": mini_dataset / "truth.csv"}
+        lines = files[which].read_text().splitlines()
+        row = lines[5].split(",")
+        row[7] = "2"  # qw
+        lines[5] = ",".join(row)
+        files[which] = tmp_path / "bad.csv"
+        files[which].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--trajectory", str(files["trajectory"]),
+                     "--truth", str(files["truth"]), "--out", str(out)]) == 2
+        assert "bad.csv: a quaternion's norm deviates" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_unit_truth_quaternion_dataset_exit_2(self, mini_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset, data)
+        lines = (data / "truth.csv").read_text().splitlines()
+        row = lines[5].split(",")
+        row[7] = "2"
+        lines[5] = ",".join(row)
+        (data / "truth.csv").write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--dataset", str(data), "--out", str(tmp_path / "out")]) == 2
 
     def test_disjoint_ranges_exit_2(self, mini_dataset, tmp_path):
         truth = np.loadtxt(mini_dataset / "truth.csv", delimiter=",", skiprows=1)
