@@ -266,8 +266,7 @@ def load_dataset(path) -> Dataset:
     for bound in room:
         bound.flags.writeable = False
     try:
-        leds = [LedBeacon.from_record(r)
-                for r in decode(tuple, json.loads(read("leds.json")), "LED records")]
+        leds = list(decode(tuple[LedBeacon, ...], json.loads(read("leds.json")), "the map"))
     except ValueError as e:
         raise ValueError(f"{path / 'leds.json'}: {e}") from e
     led_ids = [led.led_id for led in leds]
