@@ -61,16 +61,32 @@ def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product ``a ⊗ b``, renormalized."""
     w1, x1, y1, z1 = np.asarray(a, dtype=float).T
     w2, x2, y2, z2 = np.asarray(b, dtype=float).T
-    out = np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out = np.empty(np.shape(w) + (4,))
+    out[..., 0] = w
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
     return quat_normalize(out)
+
+
+def _unit(q) -> np.ndarray:
+    """``q`` as floats; raises unless every quaternion is unit to ``QUAT_NORM_TOL``."""
+    q = np.asarray(q, dtype=float)
+    norm_err = np.abs(_norms(q) - 1.0)
+    if np.any(norm_err > QUAT_NORM_TOL):
+        raise InvalidQuaternionError(
+            f"quaternion norm deviates {np.max(norm_err):.3g} from 1, more than {QUAT_NORM_TOL}")
+    return q
+
+
+def _dcm_column(w, x, y, z, j: int) -> tuple:
+    """The three entries of column ``j`` of the DCM of ``[w, x, y, z]``."""
+    if j == 0:
+        return w * w + x * x - y * y - z * z, 2.0 * (x * y + w * z), 2.0 * (x * z - w * y)
+    if j == 1:
+        return 2.0 * (x * y - w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z + w * x)
+    return 2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w * w - x * x - y * y + z * z
 
 
 def quat_to_dcm(q) -> np.ndarray:
@@ -78,20 +94,19 @@ def quat_to_dcm(q) -> np.ndarray:
 
     The result maps child-frame (v) vectors into the parent frame (u).
     """
-    q = np.asarray(q, dtype=float)
-    norm_err = np.abs(_norms(q) - 1.0)
-    if np.any(norm_err > QUAT_NORM_TOL):
-        raise InvalidQuaternionError(
-            f"quaternion norm deviates {np.max(norm_err):.3g} from 1, more than {QUAT_NORM_TOL}")
-    w, x, y, z = q.T
-    return np.stack(
-        [
-            w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
-            2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x),
-            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z,
-        ],
-        axis=-1,
-    ).reshape(q.shape[:-1] + (3, 3))
+    q = _unit(q)
+    R = np.empty(q.shape[:-1] + (3, 3))
+    for j in range(3):
+        R[..., 0, j], R[..., 1, j], R[..., 2, j] = _dcm_column(*q.T, j)
+    return R
+
+
+def dcm_column(q, j: int) -> np.ndarray:
+    """Column ``j`` of :func:`quat_to_dcm`, computed alone, to the bit."""
+    q = _unit(q)
+    out = np.empty(q.shape[:-1] + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = _dcm_column(*q.T, j)
+    return out
 
 
 def apply_small_angle(q, dphi) -> np.ndarray:
@@ -136,9 +151,23 @@ def skew(v) -> np.ndarray:
     """Antisymmetric matrix with ``skew(v) @ w == cross(v, w)``."""
     v = np.asarray(v, dtype=float)
     x, y, z = v.T
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
-                    axis=-1).reshape(v.shape[:-1] + (3, 3))
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2], S[..., 1, 2] = -z, y, -x
+    S[..., 1, 0], S[..., 2, 0], S[..., 2, 1] = z, -y, x
+    return S
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product of 3-vectors or (K, 3) stacks, rounded as ``np.cross``
+    rounds it."""
+    a0, a1, a2 = np.asarray(a, dtype=float).T
+    b0, b1, b2 = np.asarray(b, dtype=float).T
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(np.shape(c0) + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 #: Entries of the left- and right-product matrices, row by row: component
@@ -188,15 +217,13 @@ def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
     cr, sr = np.cos(0.5 * roll), np.sin(0.5 * roll)
     cp, sp = np.cos(0.5 * pitch), np.sin(0.5 * pitch)
     cy, sy = np.cos(0.5 * yaw), np.sin(0.5 * yaw)
-    return np.stack(
-        [
-            cy * cp * cr + sy * sp * sr,
-            cy * cp * sr - sy * sp * cr,
-            cy * sp * cr + sy * cp * sr,
-            sy * cp * cr - cy * sp * sr,
-        ],
-        axis=-1,
-    )
+    w = cy * cp * cr + sy * sp * sr
+    out = np.empty(np.shape(w) + (4,))
+    out[..., 0] = w
+    out[..., 1] = cy * cp * sr - sy * sp * cr
+    out[..., 2] = cy * sp * cr + sy * cp * sr
+    out[..., 3] = sy * cp * cr - cy * sp * sr
+    return out
 
 
 def quat_chain(q0, half_angle) -> np.ndarray:

@@ -18,6 +18,8 @@ CLI for comparative runs, not as production paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .attitude import quat_chain, quat_from_euler, quat_to_dcm
@@ -44,7 +46,8 @@ def _snapshot_fix(samples, table: LedTable, rx: ReceiverConfig, pose, x, regular
     ``pose`` maps a (K, d) stack of parameters to photodiode positions and
     room-frame normals, each (K, 3).  Each iteration is one
     :func:`lambertian` call at ``x`` and its 2d central-difference
-    neighbors; samples out of the FOV at ``x`` are left out.
+    neighbors, over LED rows gathered once per fix; samples out of the FOV
+    at ``x`` are left out.
     ``regularizer`` (d,) is added to the diagonal of the normal matrix and
     ``limits`` (lo, hi) clip ``x`` after each capped step.  Returns the
     photodiode position, the final ``x`` and normal matrix, or ``None``
@@ -59,43 +62,47 @@ def _snapshot_fix(samples, table: LedTable, rx: ReceiverConfig, pose, x, regular
     li = np.array([table.row[i] for i in usable["led_id"].tolist()])
     value = usable["value"]
     sigma = np.sqrt(usable["variance"])
+    rows = np.tile(li, 2 * d + 1)
+    leds = (table.position[rows], table.normal[rows], table.order[rows], table.gain[rows])
+    fov_cos = rx.fov_cos()
 
     def residuals(pos, normal):
-        """Whitened residuals (K, S) of K poses, NaN out of the FOV."""
-        k = len(pos)
-        rows = np.tile(li, k)
+        """Whitened residuals (K, S) of K <= 2d + 1 poses, NaN out of the FOV."""
+        k, n = len(pos), len(pos) * li.size
         model = lambertian(np.repeat(pos, li.size, axis=0), np.repeat(normal, li.size, axis=0),
-                           table.position[rows], table.normal[rows], table.order[rows],
-                           table.gain[rows], rx.fov_cos())
+                           *(a[:n] for a in leds), fov_cos)
         r = (model.rss.reshape(k, -1) - value) / sigma
         return np.where(model.valid.reshape(k, -1), r, np.nan)
 
     h = 1e-6
     offsets = np.vstack([np.zeros(d), h * np.eye(d), -h * np.eye(d)])
+    damping = np.diag(regularizer)
     for _ in range(_GN_ITERS):
         r = residuals(*pose(x + offsets))
         good = np.isfinite(r[0])
         if np.count_nonzero(good) < d:
             return None
         J = ((r[1:d + 1] - r[d + 1:]) / (2 * h)).T[good]
-        H = J.T @ J + np.diag(regularizer)
+        H = J.T @ J + damping
         try:
             step = np.linalg.solve(H, -J.T @ r[0, good])
         except np.linalg.LinAlgError:
             return None
-        norm = np.linalg.norm(step)
+        # np.linalg.norm's sum for one vector.  A capped step is 0.5 long,
+        # so the uncapped length makes the same decisions below.
+        norm = math.sqrt(step.dot(step))
         if norm > 0.5:
             step *= 0.5 / norm
         x = x + step
         if limits is not None:
             x = np.clip(x, *limits)
-        if np.linalg.norm(step) < 1e-10:
+        if norm < 1e-10:
             break
     pos, normal = pose(x[None])
     lo, hi = bounds
     # NaN fails both box comparisons, so a non-finite position is rejected.
     if (np.count_nonzero(np.isfinite(residuals(pos, normal)[0])) < d
-            or not np.all(np.isfinite(x)) or np.linalg.norm(step) > 0.05
+            or not np.all(np.isfinite(x)) or norm > 0.05
             or not (np.all(pos[0] >= lo - 0.5) and np.all(pos[0] <= hi + 0.5))):
         return None
     return pos[0], x, H

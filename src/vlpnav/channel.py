@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import records
-from .attitude import quat_to_dcm
+from .attitude import cross, dcm_column
 
 #: Cosine floor below which Jacobian denominators are treated as singular.
 GRAZING_COS_FLOOR = 1e-6
@@ -183,7 +183,7 @@ def receiver_normal(q) -> np.ndarray:
     Componentwise for q = [q0, q1, q2, q3]:
     ``[2(q1 q3 + q0 q2), 2(q2 q3 - q0 q1), q0^2 - q1^2 - q2^2 + q3^2]``.
     """
-    return quat_to_dcm(q)[..., 2]
+    return dcm_column(q, 2)
 
 
 def gain_constant(led: LedBeacon, rx: ReceiverConfig) -> float:
@@ -254,7 +254,8 @@ def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: flo
     pd_normal = np.ascontiguousarray(pd_normal, dtype=float)
     led_normal = np.ascontiguousarray(led_normal, dtype=float)
     d = np.asarray(led_pos, dtype=float) - np.asarray(pd_pos, dtype=float)
-    dist = np.linalg.norm(d, axis=1)
+    # np.linalg.norm(d, axis=1)'s own sum, without its per-call set-up.
+    dist = np.sqrt(np.add.reduce(d * d, axis=1))
     m = np.asarray(order, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_dot_d = np.einsum("ij,ij->i", pd_normal, d)
@@ -271,7 +272,7 @@ def lambertian(pd_pos, pd_normal, led_pos, led_normal, order, gain, fov_cos: flo
             return LambertianBatch(rss, valid, regular)
         pc = rss[:, None]
         mc = m[..., None]
-        d_att = pc * np.cross(d, pd_normal) / n_dot_d[:, None]
+        d_att = pc * cross(d, pd_normal) / n_dot_d[:, None]
         d_pos = pc * (-pd_normal / n_dot_d[:, None] - mc * led_normal / l_dot_d[:, None]
                       + (3.0 + mc) * d / dist[:, None] ** 2)
     return LambertianBatch(rss, valid, regular, d_pos, d_att)

@@ -29,7 +29,7 @@ from .metrics import (
     evaluate_run,
     save_cdf_csv,
 )
-from .preint import ImuNoise, preintegrate
+from .preint import ImuNoise, ImuStream, preintegrate
 from .records import to_record
 from .simulator import (
     Scenario,
@@ -170,15 +170,16 @@ def run_tc(dataset: Dataset, config, flags, unknown_init=None):
     x0 = initial_state(dataset, epochs[0])
     est = TightlyCoupledEstimator(config, dataset.led_table, dataset.receiver, unknown_init)
     report = est.start(x0, epochs[0][1])
-    t_prev = epochs[0][0]
-    for t_k, samples in epochs[1:]:
-        stream = dataset.imu.slice(t_prev, t_k)
+    imu = dataset.imu
+    # Epoch k's interval [t_{k-1}, t_k) holds IMU samples first[k - 1]:first[k].
+    first = np.searchsorted(imu.timestamps, [t for t, _ in epochs]).tolist()
+    for (t_k, samples), a, b in zip(epochs[1:], first, first[1:]):
+        stream = ImuStream(imu.timestamps[a:b], imu.accel[a:b], imu.gyro[a:b])
         state_k = est.window.states[-1]
         pre = preintegrate(stream, state_k.bias_acc, state_k.bias_gyro,
                            dataset.receiver.dcm_body_to_vlp, config.imu_noise,
                            t_end=t_k)
         report = est.step(pre, samples, t_k)
-        t_prev = t_k
     led_results = {}
     if config.unknown_led_ids:
         led_results = estimate_unknown_leds(est.window, report)

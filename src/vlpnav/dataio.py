@@ -23,11 +23,9 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import metadata as _metadata
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.recfunctions import unstructured_to_structured
 
 from .attitude import QUAT_NORM_TOL, euler_from_quat
 from .blockage import DetectionSpec
@@ -36,11 +34,6 @@ from .preint import ImuStream
 from .records import decode, to_record
 from .simulator import ImuSpec, Scenario, TruthStream
 from .state import StateArrays
-
-try:
-    _VERSION = _metadata.version("vlpnav")
-except _metadata.PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.0.0+src"
 
 MANIFEST_FORMAT = 1
 
@@ -71,6 +64,14 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     ``raw`` and ``samples`` are written as they are: the rows of
     ``rss_raw.csv`` and ``rss_epoch.csv``, as :func:`synthesize_rss`
     returns them."""
+    # Read here, not at import: importlib.metadata costs every process that
+    # imports the package, and only a dataset records the version.
+    from importlib import metadata
+
+    try:
+        version = metadata.version("vlpnav")
+    except metadata.PackageNotFoundError:  # running from a source tree
+        version = "0.0.0+src"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -90,7 +91,7 @@ def write_dataset(out_dir, scenario: Scenario, truth: TruthStream, imu: ImuStrea
     z = truth.position[:, 2]
     manifest = {
         "format": MANIFEST_FORMAT,
-        "package_version": _VERSION,
+        "package_version": version,
         "scenario_name": scenario.name,
         "seed": scenario.seed,
         "gravity": list(scenario.gravity),
@@ -288,7 +289,9 @@ def load_dataset(path) -> Dataset:
     _require(ep[:, 3] > 0.0, ep_path, "an RSS variance is not positive")
     _require(np.isin(ep[:, 4], list(SampleFlag)), ep_path,
              f"a flag_truth is not one of {[int(f) for f in SampleFlag]}")
-    epoch_samples = unstructured_to_structured(ep, dtype=EPOCH_RSS)
+    epoch_samples = np.empty(len(ep), EPOCH_RSS)
+    for name, column in zip(EPOCH_RSS.names, ep.T):
+        epoch_samples[name] = column
     # Each epoch interval [t_{k-1}, t_k) must hold an IMU sample to pre-integrate.
     first = np.searchsorted(imu.timestamps, np.unique(ep[:, 0]))
     _require(np.diff(first) > 0, path / "imu.csv",

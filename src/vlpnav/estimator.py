@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import quat_to_dcm, skew
+from .attitude import cross, quat_to_dcm, skew
 from .channel import LedTable, ReceiverConfig, SampleFlag, lambertian
 from .preint import (
     BIAS_CORRECTION_WARN_ACC,
@@ -282,16 +282,22 @@ class FactorRows:
         state.  Adding the slots in order sums each entry's terms in factor
         order, as a loop over the factors would.  The LED blocks are summed
         by ``np.add.at``, in factor order too.
+
+        With one residual per factor (m = 1) every entry of ``J^T W``,
+        ``J^T W r`` and ``J^T W J`` is a single product, so broadcasting
+        gives the bits ``matmul`` gives, at a fraction of its per-call cost.
         """
         if self.r.shape[0] == 0:
             return
-        JtW = [np.swapaxes(J, 1, 2) @ self.info for J in self.jac]
-        g = [(A @ self.r[:, :, None])[:, :, 0] for A in JtW]
+        mul = np.multiply if self.r.shape[1] == 1 else np.matmul
+        JtW = [mul(np.swapaxes(J, 1, 2), self.info) for J in self.jac]
+        g = [mul(A, self.r[:, :, None])[:, :, 0] for A in JtW]
         for a, k in enumerate(self.states):
             d = self.jac[a].shape[2]
-            blocks = [(ne.g_x[:, :d], g[a]), (ne.diag[:, :d, :d], JtW[a] @ self.jac[a])]
+            blocks = [(ne.g_x[:, :d], g[a]), (ne.diag[:, :d, :d], mul(JtW[a], self.jac[a]))]
             if a == 0 and len(self.states) == 2:
-                blocks += [(ne.upper, JtW[0] @ self.jac[1]), (ne.lower, JtW[1] @ self.jac[0])]
+                blocks += [(ne.upper, mul(JtW[0], self.jac[1])),
+                           (ne.lower, mul(JtW[1], self.jac[0]))]
             for at, rows in _slots(k):
                 for target, values in blocks:
                     target[at] += values[rows]
@@ -299,10 +305,10 @@ class FactorRows:
             m = self.led >= 0
             j, J_led = self.led[m], self.jac[-1][m]
             np.add.at(ne.g_l, j, g[-1][m])
-            np.add.at(ne.led_blocks, (j, j), JtW[-1][m] @ J_led)
+            np.add.at(ne.led_blocks, (j, j), mul(JtW[-1][m], J_led))
             for a, k in enumerate(self.states):
                 d = self.jac[a].shape[2]
-                np.add.at(ne.arrow_blocks[:, :, :d], (k[m], j), JtW[a][m] @ J_led)
+                np.add.at(ne.arrow_blocks[:, :, :d], (k[m], j), mul(JtW[a][m], J_led))
 
 
 def _slots(index: np.ndarray) -> list:
@@ -460,11 +466,11 @@ class NormalEquations:
         return np.concatenate([x.ravel(), x_led])
 
 
-def _imu_rows(imu: PreintegratedStack, gravity, X: StateArrays) -> FactorRows:
+def _imu_rows(imu: PreintegratedStack, gravity, X: StateArrays, R) -> FactorRows:
     """Rows of the IMU factors ``imu``; factor ``k`` joins states ``k`` and ``k + 1``."""
     n = len(imu)
     ks = np.arange(n)
-    r, Jk, Jk1 = imu_residuals_batch(imu, X[:n], X[1:n + 1], gravity)
+    r, Jk, Jk1 = imu_residuals_batch(imu, X[:n], X[1:n + 1], gravity, R[:n])
     return FactorRows(r, imu.information, (ks, ks + 1), (Jk, Jk1))
 
 
@@ -493,7 +499,7 @@ def _rss_rows(window: SlidingWindow, X: StateArrays, R) -> FactorRows:
     J = np.zeros((st.size, 1, NAV_DIM))
     J[:, 0, 0:3] = dp_dr
     # d r / d theta = -R^T (A - [lever_u x] B), A = dp_dphi, B = dp_dr
-    lever_swing = dp_dphi - np.cross(lever_u[st], dp_dr)
+    lever_swing = dp_dphi - cross(lever_u[st], dp_dr)
     J[:, 0, 6:9] = -(np.swapaxes(R[st], 1, 2) @ lever_swing[:, :, None])[:, :, 0]
     if not window.led_ids:
         return FactorRows(r, info, (st,), (J,))
@@ -548,7 +554,7 @@ def normal_equations(window: SlidingWindow) -> NormalEquations:
     X = window.states
     R = quat_to_dcm(X.attitude)
     rows = (
-        _imu_rows(window.imu, window.config.gravity_vec, X),
+        _imu_rows(window.imu, window.config.gravity_vec, X, R),
         _rss_rows(window, X, R),
         _constraint_rows(window, X, R),
     )
@@ -851,18 +857,27 @@ class TightlyCoupledEstimator:
     ``causal`` holds the real-time stream (the newest state right after
     each solve); ``smoothed`` holds each state's final value when it
     leaves the window (or at shutdown), i.e. the fixed-lag smoother
-    output.  Both are :class:`StateArrays`.  ``led_table`` and
-    ``led_init`` are as for :class:`SlidingWindow`.  Epochs are numbered
-    from 0 in the order they arrive.
+    output.  Both are :class:`StateArrays`, stacked on reading from the
+    rows collected so far.  ``led_table`` and ``led_init`` are as for
+    :class:`SlidingWindow`.  Epochs are numbered from 0 in the order they
+    arrive.
     """
 
     def __init__(self, config: EstimatorConfig, led_table: LedTable, rx: ReceiverConfig,
                  led_init: dict | None = None):
         self.config = config
         self.window = SlidingWindow(config, led_table, rx, led_init)
-        self.causal = StateArrays.empty()
-        self.smoothed = StateArrays.empty()
+        self._causal = [StateArrays.empty()]
+        self._smoothed = [StateArrays.empty()]
         self.diagnostics: list[EpochDiagnostics] = []
+
+    @property
+    def causal(self) -> StateArrays:
+        return StateArrays.concat(self._causal)
+
+    @property
+    def smoothed(self) -> StateArrays:
+        return StateArrays.concat(self._smoothed)
 
     def start(self, state0: StateArrays, rss0: np.ndarray) -> LmReport:
         """Open the window with ``state0`` (a row) and solve it.
@@ -891,12 +906,12 @@ class TightlyCoupledEstimator:
         seed = mechanize(pre, window.states[-1:], self.config.gravity_vec, [timestamp])
         dropped = slide_and_marginalize(window, window.epoch_ids[-1] + 1, seed, pre, rss)
         if dropped is not None:
-            self.smoothed = self.smoothed.append(dropped)
+            self._smoothed.append(dropped)
         return self._solve_and_record(rss, reintegrations)
 
     def finalize(self) -> StateArrays:
         """Flush remaining window states into the smoothed trajectory."""
-        self.smoothed = self.smoothed.append(self.window.states)
+        self._smoothed.append(self.window.states)
         return self.smoothed
 
     def _reintegrate(self) -> int:
@@ -921,7 +936,7 @@ class TightlyCoupledEstimator:
     def _solve_and_record(self, rss: np.ndarray, reintegrations: int = 0) -> LmReport:
         report = solve_lm(self.window)
         last = self.window.states[-1]
-        self.causal = self.causal.append(last)
+        self._causal.append(last)
         los = np.count_nonzero(rss["flag"] == SampleFlag.LOS)
         led_dop = {}
         if self.window.n_states >= 3:

@@ -105,12 +105,6 @@ class ImuStream:
         object.__setattr__(self, "accel", a)
         object.__setattr__(self, "gyro", g)
 
-    def slice(self, t_start: float, t_end: float) -> "ImuStream":
-        mask = (self.timestamps >= t_start) & (self.timestamps < t_end)
-        if not mask.any():
-            raise ValueError(f"no IMU samples in [{t_start}, {t_end})")
-        return ImuStream(self.timestamps[mask], self.accel[mask], self.gyro[mask])
-
 
 @dataclass(frozen=True)
 class PreintegratedStack:
@@ -261,20 +255,22 @@ def _corrected(pres: PreintegratedStack, bias_acc, bias_gyro):
     return alpha, beta, quat_multiply(pres.gamma, quat_exp(phi)), phi
 
 
-def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays, gravity):
+def imu_residuals_batch(pres: PreintegratedStack, x_k: StateArrays, x_k1: StateArrays, gravity,
+                        R_k):
     """15-dim pre-integration residuals of K factors, and their Jacobians.
 
-    Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``.  Blocks: relative
-    position, relative velocity, attitude (twice the vector part of the
-    quaternion mismatch) and the two bias random-walk differences; zero
-    when the states were produced by integrating the same noiseless IMU
-    stream at the linearization bias.  Returns ``(r, Jk, Jk1)``: (K, 15)
-    residuals and (K, 15, 15) Jacobians.
+    Factor ``k`` joins ``x_k[k]`` to ``x_k1[k]``; ``R_k`` (K, 3, 3) holds
+    ``quat_to_dcm(x_k.attitude)``.  Blocks: relative position, relative
+    velocity, attitude (twice the vector part of the quaternion mismatch)
+    and the two bias random-walk differences; zero when the states were
+    produced by integrating the same noiseless IMU stream at the
+    linearization bias.  Returns ``(r, Jk, Jk1)``: (K, 15) residuals and
+    (K, 15, 15) Jacobians.
     """
     g = np.asarray(gravity, dtype=float)
     dt = pres.dt[:, None]
     alpha, beta, gamma_c, phi0 = _corrected(pres, x_k.bias_acc, x_k.bias_gyro)
-    R_ku = np.swapaxes(quat_to_dcm(x_k.attitude), 1, 2)
+    R_ku = np.swapaxes(R_k, 1, 2)
     dp = x_k1.position - x_k.position - 0.5 * g * dt**2 - x_k.velocity * dt
     dv = x_k1.velocity - g * dt - x_k.velocity
     q_rel = quat_multiply(quat_conjugate(x_k.attitude), x_k1.attitude)

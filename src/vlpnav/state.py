@@ -50,11 +50,16 @@ class StateArrays:
     def __getitem__(self, rows) -> "StateArrays":
         return StateArrays(*(getattr(self, name)[rows] for name, _ in _SHAPES))
 
+    @classmethod
+    def concat(cls, parts) -> "StateArrays":
+        """The rows of ``parts``, a non-empty sequence of states (rows) and
+        stacks, in order."""
+        return cls(*(np.concatenate([np.reshape(getattr(p, name), (-1, *shape)) for p in parts])
+                     for name, shape in _SHAPES))
+
     def append(self, rows: "StateArrays") -> "StateArrays":
         """These rows, then ``rows``: one state (a row) or a stack of them."""
-        return StateArrays(*(np.concatenate([getattr(self, name),
-                                             np.reshape(getattr(rows, name), (-1, *shape))])
-                             for name, shape in _SHAPES))
+        return StateArrays.concat((self, rows))
 
     def perturb(self, dx: np.ndarray) -> "StateArrays":
         """Retract the (N, 15) error vectors ``dx`` onto the rows (box-plus),

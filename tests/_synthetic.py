@@ -7,8 +7,9 @@ tests have an exact ground truth independent of the simulator module.
 
 Also here: the loop forms the stacked library code replaced (normal
 equations, marginal prior, pre-integration, the per-sample DRD fold, the
-simulator's per-sample phase loop), kept as their references, the loop
-over the grid that the reachable-box DRD threshold replaced, and
+simulator's per-sample phase loop, the ``np.stack`` forms of four
+attitude maps), kept as their references, the loop over the grid that
+the reachable-box DRD threshold replaced, and
 single-case oracles the library no longer needs (the one-state
 ``NavState`` with its retraction, the one-factor IMU and RSS residuals and
 Jacobians, one-state dead reckoning, the dense Schur step, angular-form
@@ -854,6 +855,61 @@ def dcm_to_quat(R) -> np.ndarray:
         q = -q
     return quat_normalize(q)
 
+
+# ---------------------------------------------------------------------------
+# The np.stack forms of the attitude maps that now write each component into
+# one preallocated output, kept as their references.
+
+
+def stack_quat_multiply(a, b) -> np.ndarray:
+    w1, x1, y1, z1 = np.asarray(a, dtype=float).T
+    w2, x2, y2, z2 = np.asarray(b, dtype=float).T
+    out = np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=-1,
+    )
+    return quat_normalize(out)
+
+
+def stack_quat_to_dcm(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    return np.stack(
+        [
+            w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z,
+        ],
+        axis=-1,
+    ).reshape(q.shape[:-1] + (3, 3))
+
+
+def stack_quat_from_euler(roll, pitch, yaw) -> np.ndarray:
+    cr, sr = np.cos(0.5 * roll), np.sin(0.5 * roll)
+    cp, sp = np.cos(0.5 * pitch), np.sin(0.5 * pitch)
+    cy, sy = np.cos(0.5 * yaw), np.sin(0.5 * yaw)
+    return np.stack(
+        [
+            cy * cp * cr + sy * sp * sr,
+            cy * cp * sr - sy * sp * cr,
+            cy * sp * cr + sy * cp * sr,
+            sy * cp * cr - cy * sp * sr,
+        ],
+        axis=-1,
+    )
+
+
+def stack_skew(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    x, y, z = v.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
+                    axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 # ---------------------------------------------------------------------------
 # Trajectory phases: the per-sample loop that the simulator's knot profiles

@@ -4,6 +4,7 @@ import pytest
 from vlpnav.attitude import (
     InvalidQuaternionError,
     apply_small_angle,
+    cross,
     euler_from_quat,
     quat_chain,
     quat_conjugate,
@@ -19,8 +20,15 @@ from vlpnav.attitude import (
     skew,
     so3_right_jacobian,
 )
+from vlpnav.channel import receiver_normal
 
-from _synthetic import dcm_to_quat
+from _synthetic import (
+    dcm_to_quat,
+    stack_quat_from_euler,
+    stack_quat_multiply,
+    stack_quat_to_dcm,
+    stack_skew,
+)
 
 
 def random_quats(n, seed):
@@ -231,6 +239,8 @@ _ROW_MAPS = [
     (quat_left, (random_quats(7, seed=34),)),
     (quat_right, (random_quats(7, seed=35),)),
     (so3_right_jacobian, (_vectors(36, 0.0, 1e-7),)),
+    (cross, (_vectors(38), _vectors(39))),
+    (receiver_normal, (random_quats(7, seed=40),)),
 ]
 
 
@@ -249,3 +259,39 @@ def test_one_bad_row_raises(fn, bad):
     q[4] = bad
     with pytest.raises(InvalidQuaternionError):
         fn(q)
+
+
+class TestPreallocatedMaps:
+    """The maps that write each component into one preallocated output give
+    the bits of the forms they replaced: ``np.cross``, a DCM column and the
+    ``np.stack`` formulas, for one value, a stack and one quaternion against
+    a stack."""
+
+    def test_cross_is_np_cross(self):
+        a, b = _vectors(41), _vectors(42)
+        for x, y in ((a, b), (a[0], b[0]), (a[0], b), (a, b[0])):
+            np.testing.assert_array_equal(cross(x, y), np.cross(x, y))
+
+    def test_receiver_normal_is_third_dcm_column(self):
+        q = random_quats(7, seed=43)
+        np.testing.assert_array_equal(receiver_normal(q), quat_to_dcm(q)[..., 2])
+        np.testing.assert_array_equal(receiver_normal(q[0]), quat_to_dcm(q[0])[:, 2])
+        q[4, 0] += 1e-5
+        with pytest.raises(InvalidQuaternionError):
+            receiver_normal(q)
+
+    def test_quat_multiply_matches_stack_form(self):
+        a, b = random_quats(7, seed=44), random_quats(7, seed=45)
+        for x, y in ((a, b), (a[0], b[0]), (a[0], b), (a, b[0])):
+            np.testing.assert_array_equal(quat_multiply(x, y), stack_quat_multiply(x, y))
+
+    def test_dcm_and_skew_match_stack_forms(self):
+        q, v = random_quats(7, seed=46), _vectors(47)
+        for rows in (slice(None), 0):
+            np.testing.assert_array_equal(quat_to_dcm(q[rows]), stack_quat_to_dcm(q[rows]))
+            np.testing.assert_array_equal(skew(v[rows]), stack_skew(v[rows]))
+
+    def test_quat_from_euler_matches_stack_form(self):
+        roll, pitch, yaw = np.random.default_rng(48).uniform(-3.0, 3.0, size=(3, 7))
+        for args in ((roll, pitch, yaw), (roll[0], pitch[0], yaw[0]), (0.0, pitch, yaw)):
+            np.testing.assert_array_equal(quat_from_euler(*args), stack_quat_from_euler(*args))

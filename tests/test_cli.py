@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vlpnav.cli
 from vlpnav.cli import (
     BLAS_THREAD_VARS,
     TRAJ_HEADER,
@@ -28,6 +32,17 @@ def sha_files(d, names):
 
 
 DATA_FILES = ("imu.csv", "rss_raw.csv", "rss_epoch.csv", "truth.csv", "leds.json")
+
+
+def test_import_leaves_out_metadata_and_masked_arrays():
+    # Every run of the CLI pays for what importing it loads: only
+    # write_dataset reads the package version, and nothing needs numpy.ma.
+    src = Path(vlpnav.cli.__file__).resolve().parents[1]
+    code = ("import sys, vlpnav.cli; "
+            "print(sorted({'numpy.ma', 'importlib.metadata'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -529,6 +544,27 @@ class TestRunTc:
         assert isinstance(report, LmReport) and report.converged
         assert report.final_cost == est.diagnostics[-1].cost
         assert not leds[self.UNKNOWN].diverged
+
+    def test_preintegrates_each_epoch_interval(self, mini_dataset, monkeypatch):
+        # Epoch k's IMU stream holds the samples in [t_{k-1}, t_k), found
+        # by one search over the run.
+        streams = []
+        original = vlpnav.cli.preintegrate
+
+        def recorded(stream, *args, **kwargs):
+            streams.append((stream, kwargs["t_end"]))
+            return original(stream, *args, **kwargs)
+
+        monkeypatch.setattr(vlpnav.cli, "preintegrate", recorded)
+        ds = load_dataset(mini_dataset)
+        est = run_tc(ds, estimator_config(ds), np.full(len(ds.epoch_samples), SampleFlag.LOS))[0]
+        times = np.unique(ds.epoch_samples["timestamp"])
+        assert [t for _, t in streams] == times[1:].tolist() == est.causal.timestamps[1:].tolist()
+        t = ds.imu.timestamps
+        for (stream, t_end), t_start in zip(streams, times):
+            keep = (t >= t_start) & (t < t_end)
+            for name in ("timestamps", "accel", "gyro"):
+                np.testing.assert_array_equal(getattr(stream, name), getattr(ds.imu, name)[keep])
 
     def test_builds_the_led_table_once(self, mini_dataset, monkeypatch):
         # The first fix and the window both read the dataset's table.

@@ -742,7 +742,7 @@ class TestUnknownLeds:
             fresh_window(config, led_init=led_init)
 
 
-def build_rich_window(unseen_led=False):
+def build_rich_window(unseen_led=False, unknown_leds=True):
     """A window with every special case the RSS and prior code paths have.
 
     Unknown LED 1 (0.2 m off), a blocked sample, an out-of-FOV LED, a LED
@@ -751,8 +751,9 @@ def build_rich_window(unseen_led=False):
     unknown LED.  States sit off the truth and measurements carry noise,
     so no residual vanishes.  With ``unseen_led``, LED 3 is unknown too
     (0.14 m off) and in the prior, but missing from epoch 0's samples: no
-    factor of the oldest state reaches it.  Returns the window and the
-    beacons of its LED table.
+    factor of the oldest state reaches it.  Without ``unknown_leds``, every
+    LED is on the map and the prior is the oldest state's alone.  Returns
+    the window and the beacons of its LED table.
     """
     rng = np.random.default_rng(11)
     rx = make_rx(lever_arm=(0.15, -0.05, 0.08), fov_deg=60.0, pd_height=0.05)
@@ -765,7 +766,8 @@ def build_rich_window(unseen_led=False):
         LedBeacon(led_id=8, position=np.array([12.0, 1.5, 3.0]), power=2e5),  # outside FOV
         LedBeacon(led_id=9, position=pd2, power=2e5),  # at epoch 2's photodiode
     ]
-    config = make_config(use_height=True, unknown_led_ids=(1, 3) if unseen_led else (1,))
+    config = make_config(use_height=True, unknown_led_ids=(
+        (1, 3) if unseen_led else (1,) if unknown_leds else ()))
     window = fresh_window(config, leds=leds, rx=rx, led_init={
         1: LEDS[0].position[:2] + np.array([0.2, -0.15]),
         3: LEDS[2].position[:2] + np.array([-0.1, 0.1])})
@@ -938,6 +940,16 @@ class TestReduction:
         rss = ne.rows[1].states[0]
         assert 3 not in rss and len(set(np.bincount(rss)[[0, 1, 2, 4]])) > 1
         assert ne.rows[1].led is not None and (ne.rows[1].led >= 0).any()
+        self.assert_same_blocks(ne, add_at_reduction(window, window.n_states, ne.rows))
+
+    @pytest.mark.parametrize("unknown_leds", [True, False], ids=["unknown_led", "known_leds"])
+    def test_scalar_rows_match_matmul(self, unknown_leds):
+        # The RSS and constraint rows hold one residual each, and add_to
+        # multiplies their blocks elementwise; the reduction here uses matmul.
+        window = build_rich_window(unknown_leds=unknown_leds)[0]
+        ne = normal_equations(window)
+        assert [r.r.shape[1] for r in ne.rows] == [ERROR_DIM, 1, 1]
+        assert (ne.rows[1].led is not None) is unknown_leds
         self.assert_same_blocks(ne, add_at_reduction(window, window.n_states, ne.rows))
 
     def test_marginalization_pass(self):
